@@ -1,13 +1,15 @@
 /**
  * @file
- * Interpreter engine throughput on the fuzz loop (docs/INTERP.md).
+ * Interpreter throughput on the fuzz loop (docs/INTERP.md): the
+ * bytecode VM against the reference tree walker.
  *
  * For every subject this bench builds the fuzzer's regression suite
  * once, then measures host-side kernel executions per second for the
- * tree-walk and bytecode engines over exactly the runs the fuzz loop
- * performs (coverage sink attached, fresh memory per run). It also
- * times whole fuzz campaigns per engine — the engines are bit-identical
- * so both campaigns do exactly the same simulated work.
+ * walker and the VM over exactly the runs the fuzz loop performs
+ * (coverage sink attached, fresh memory per run). It also times a whole
+ * fuzz campaign on each (fuzzKernel on the default pool, the walker
+ * plugged in as its runner) — the two are bit-identical, so both
+ * campaigns do exactly the same simulated work.
  *
  * Writes BENCH_interp.json (override with --out <path>) so the
  * trajectory of the evaluate step is tracked across PRs.
@@ -23,6 +25,7 @@
 #include "cir/sema.h"
 #include "fuzz/fuzzer.h"
 #include "interp/interp.h"
+#include "interp/reference/reference.h"
 #include "subjects/subjects.h"
 
 namespace heterogen {
@@ -49,23 +52,22 @@ struct SubjectRow
 
 /**
  * Executions/second of the fuzz loop's evaluate step: run the suite
- * round-robin under `engine` until the wall budget elapses, with the
- * coverage sink the fuzzer feedback uses.
+ * round-robin on `run` until the wall budget elapses, with the coverage
+ * sink the fuzzer feedback uses.
  */
 double
-measureExecsPerSec(interp::Interpreter &interp, const std::string &kernel,
-                   const fuzz::TestSuite &suite, interp::EngineKind engine,
+measureExecsPerSec(const fuzz::Runner &run,
+                   const std::string &kernel, const fuzz::TestSuite &suite,
                    double budget_seconds)
 {
     interp::RunOptions opts;
-    opts.engine = engine;
     opts.max_steps = 400'000;
 
     // Warm-up: one pass over the suite (pays the bytecode compile).
     for (const auto &test : suite.cases()) {
         interp::CoverageMap cov;
         opts.coverage = &cov;
-        interp.run(kernel, test.args, opts);
+        run(kernel, test.args, opts);
     }
 
     long execs = 0;
@@ -75,7 +77,7 @@ measureExecsPerSec(interp::Interpreter &interp, const std::string &kernel,
         for (const auto &test : suite.cases()) {
             interp::CoverageMap cov;
             opts.coverage = &cov;
-            interp.run(kernel, test.args, opts);
+            run(kernel, test.args, opts);
             ++execs;
         }
         elapsed = seconds(begin, Clock::now());
@@ -112,7 +114,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
     }
 
-    std::printf("Interpreter engine throughput on the fuzz loop\n");
+    std::printf("Interpreter throughput on the fuzz loop\n");
     std::printf("%-4s %6s %14s %14s %8s %9s\n", "id", "suite",
                 "tree_walk e/s", "bytecode e/s", "speedup", "campaign");
 
@@ -127,15 +129,26 @@ main(int argc, char **argv)
         fuzz_opts.max_executions = 800;
         fuzz_opts.mutations_per_input = 12;
         fuzz_opts.max_steps_per_run = 400'000;
-        fuzz_opts.engine = interp::EngineKind::TreeWalk;
+
+        interp::Interpreter interp(*tu);
+        fuzz::Runner walker = [&](const std::string &fn,
+                                  const std::vector<interp::KernelArg> &args,
+                                  const interp::RunOptions &opts) {
+            return interp::reference::runWalker(*tu, fn, args, opts);
+        };
+        fuzz::Runner vm = [&](const std::string &fn,
+                              const std::vector<interp::KernelArg> &args,
+                              const interp::RunOptions &opts) {
+            return interp.run(fn, args, opts);
+        };
 
         // Whole-campaign wall clock per engine (identical simulated work).
+        RunContext walk_ctx;
         Clock::time_point t0 = Clock::now();
-        fuzz::FuzzResult campaign =
-            fuzz::fuzzKernel(*tu, subject.kernel, sema, fuzz_opts);
+        fuzz::FuzzResult campaign = fuzz::fuzzKernel(
+            walk_ctx, *tu, subject.kernel, fuzz_opts, walker);
         double walk_campaign = seconds(t0, Clock::now());
 
-        fuzz_opts.engine = interp::EngineKind::Bytecode;
         t0 = Clock::now();
         fuzz::fuzzKernel(*tu, subject.kernel, sema, fuzz_opts);
         double vm_campaign = seconds(t0, Clock::now());
@@ -145,13 +158,10 @@ main(int argc, char **argv)
         row.suite_size = int(campaign.suite.size());
         row.campaign_speedup = walk_campaign / vm_campaign;
 
-        interp::Interpreter interp(*tu);
         row.walk_execs_per_sec =
-            measureExecsPerSec(interp, subject.kernel, campaign.suite,
-                               interp::EngineKind::TreeWalk, 0.4);
+            measureExecsPerSec(walker, subject.kernel, campaign.suite, 0.4);
         row.vm_execs_per_sec =
-            measureExecsPerSec(interp, subject.kernel, campaign.suite,
-                               interp::EngineKind::Bytecode, 0.4);
+            measureExecsPerSec(vm, subject.kernel, campaign.suite, 0.4);
 
         std::printf("%-4s %6d %14.0f %14.0f %7.2fx %8.2fx\n",
                     row.id.c_str(), row.suite_size,

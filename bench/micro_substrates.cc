@@ -115,8 +115,9 @@ BM_FpgaSimulate(benchmark::State &state)
         KernelArg::ofInts(std::vector<long>(16, 3)),
         KernelArg::ofInts(std::vector<long>(16, 2)),
         KernelArg::ofInts(std::vector<long>(16, 0))};
+    hls::FpgaDesign design(*tu);
     for (auto _ : state) {
-        auto r = hls::simulateFpga(*tu, config, "kernel", args);
+        auto r = hls::simulateFpga(design, config, "kernel", args);
         benchmark::DoNotOptimize(r);
     }
 }

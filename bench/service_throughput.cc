@@ -88,7 +88,6 @@ jobOptions(const subjects::Subject &subject, int seed,
     opts.search.max_iterations = 60;
     opts.search.difftest_sample = 6;
     opts.search.rng_seed = opts.fuzz.rng_seed * 31 + 7;
-    opts.engine = "bytecode";
     if (fault_rate > 0) {
         FaultRule rule;
         rule.probability = fault_rate;

@@ -216,10 +216,12 @@ benchMain(int argc, char **argv)
             r.stalls_after = scheduleStalls(*fixed_tu, s.kernel);
             // Cycle-accurate pricing on the subject's concrete input.
             hls::HlsConfig config = hls::HlsConfig::forTop(s.kernel);
-            hls::FpgaRunResult before = hls::simulateFpga(
-                *broken_tu, config, s.kernel, s.existing_tests.at(0));
-            hls::FpgaRunResult after = hls::simulateFpga(
-                *fixed_tu, config, s.kernel, s.existing_tests.at(0));
+            hls::FpgaRunResult before =
+                hls::simulateFpga(hls::FpgaDesign(*broken_tu), config,
+                                  s.kernel, s.existing_tests.at(0));
+            hls::FpgaRunResult after =
+                hls::simulateFpga(hls::FpgaDesign(*fixed_tu), config,
+                                  s.kernel, s.existing_tests.at(0));
             if (before.run.ok && after.run.ok) {
                 r.fpga_cycles_before = before.fpga_cycles;
                 r.fpga_cycles_after = after.fpga_cycles;

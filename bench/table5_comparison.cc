@@ -33,9 +33,10 @@ meanLatency(const cir::TranslationUnit &tu, const std::string &kernel,
 {
     double total = 0;
     int count = 0;
+    hls::FpgaDesign design(tu);
     for (int i = 0; i < n && i < int(suite.size()); ++i) {
         if (fpga) {
-            auto r = hls::simulateFpga(tu, config, kernel,
+            auto r = hls::simulateFpga(design, config, kernel,
                                        suite[i].args);
             total += r.millis;
         } else {

@@ -44,10 +44,6 @@ validateOptions(const HeteroGenOptions &options)
     if (options.retry.backoff_factor < 0)
         fatal("HeteroGen: retry.backoff_factor must be >= 0, got ",
               options.retry.backoff_factor);
-    interp::EngineKind parsed_engine;
-    if (!interp::parseEngineName(options.engine, &parsed_engine))
-        fatal("HeteroGen: unknown engine '", options.engine,
-              "' (expected tree_walk, bytecode or differential)");
     if (options.config.stream_depth < hls::kMinStreamDepth ||
         options.config.stream_depth > hls::kMaxStreamDepth)
         fatal("HeteroGen: config.stream_depth must be in [",
@@ -81,25 +77,8 @@ validateOptions(const HeteroGenOptions &options)
 }
 
 interp::ValueProfile
-profileUnderSuite(const TranslationUnit &tu, const std::string &kernel,
-                  const fuzz::TestSuite &suite,
-                  interp::EngineKind engine)
-{
-    interp::ValueProfile profile;
-    interp::Interpreter interp(tu);
-    for (const fuzz::TestCase &test : suite.cases()) {
-        interp::RunOptions opts;
-        opts.profile = &profile;
-        opts.engine = engine;
-        interp.run(kernel, test.args, opts);
-    }
-    return profile;
-}
-
-interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine)
+                  const std::string &kernel, const fuzz::TestSuite &suite)
 {
     interp::ValueProfile profile;
     interp::Interpreter interp(tu);
@@ -107,7 +86,6 @@ profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
         interp::RunOptions opts;
         opts.profile = &profile;
         opts.trace = &ctx;
-        opts.engine = engine;
         interp.run(kernel, test.args, opts);
     }
     return profile;
@@ -148,17 +126,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     HeteroGenReport report;
     report.orig_loc = countLines(cir::print(*tu_));
 
-    // Resolve the pipeline-wide engine override (validated above).
     fuzz::FuzzOptions fuzz_opts = options.fuzz;
     repair::SearchOptions search_opts = options.search;
-    interp::EngineKind profile_engine = fuzz_opts.engine;
-    if (!options.engine.empty()) {
-        interp::EngineKind engine = interp::defaultEngine();
-        interp::parseEngineName(options.engine, &engine);
-        fuzz_opts.engine = engine;
-        search_opts.engine = engine;
-        profile_engine = engine;
-    }
     // Resolve the pipeline-wide proposer override (validated above).
     if (!options.proposer.empty())
         search_opts.proposer = options.proposer;
@@ -186,8 +155,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         stage("profile");
         SpanScope profiling(ctx, "profile");
         report.profile = profileUnderSuite(ctx, *tu_, options.kernel,
-                                           report.testgen.suite,
-                                           profile_engine);
+                                           report.testgen.suite);
     }
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;

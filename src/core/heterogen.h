@@ -80,14 +80,6 @@ struct HeteroGenOptions
      */
     std::function<void(const std::string &)> stage_hook;
     /**
-     * Interpreter engine for every stage ("" = inherit each stage's own
-     * default, which honours HETEROGEN_ENGINE). Accepted names:
-     * "tree_walk", "bytecode", "differential"; anything else is
-     * rejected by validateOptions. Non-empty values override the
-     * fuzz/search/profiling engines wholesale.
-     */
-    std::string engine;
-    /**
      * Candidate proposer for the repair search ("" = inherit
      * search.proposer, which honours HETEROGEN_PROPOSER). Accepted
      * names: "template", "corpus", "mixed"; anything else is rejected
@@ -189,18 +181,12 @@ class HeteroGen
 
 /**
  * Profile the program's value ranges by running every test in the suite
- * (used for initial HLS version generation).
+ * (used for initial HLS version generation); bumps interp.* counters on
+ * the context.
  */
 interp::ValueProfile
-profileUnderSuite(const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine = interp::defaultEngine());
-
-/** Spine-aware variant: bumps interp.* counters on the context. */
-interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine = interp::defaultEngine());
+                  const std::string &kernel, const fuzz::TestSuite &suite);
 
 } // namespace heterogen::core
 

@@ -98,18 +98,30 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
            const std::string &kernel, const cir::SemaResult &sema,
            const FuzzOptions &options)
 {
+    (void)sema;
+    // One interpreter for the whole campaign: the program is compiled
+    // once and every execution reuses it.
+    interp::Interpreter interp(tu);
+    return fuzzKernel(ctx, tu, kernel, options,
+                      [&interp](const std::string &function,
+                                const std::vector<KernelArg> &args,
+                                const RunOptions &opts) {
+                          return interp.run(function, args, opts);
+                      });
+}
+
+FuzzResult
+fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
+           const std::string &kernel, const FuzzOptions &options,
+           const Runner &runner)
+{
     SpanScope span(ctx, "fuzz", Budget::minutes(options.budget_minutes));
 
     FuzzResult result;
-    (void)sema;
     result.coverage.setNumBranches(kernelBranchCount(tu, kernel));
 
     Rng rng(options.rng_seed);
     Mutator mutator(kernelParamTypes(tu, kernel), rng);
-
-    // One interpreter for the whole campaign: the bytecode engine
-    // compiles the program once and every execution reuses it.
-    interp::Interpreter interp(tu);
 
     // --- getKernelSeed (Algorithm 1, line 4) -----------------------------
     std::vector<KernelArg> seed;
@@ -119,8 +131,7 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         host_opts.captured_args = &seed;
         host_opts.max_steps = options.max_steps_per_run;
         host_opts.trace = &ctx;
-        host_opts.engine = options.engine;
-        interp.run(options.host_function, options.host_args, host_opts);
+        runner(options.host_function, options.host_args, host_opts);
     }
     if (seed.empty())
         seed = mutator.randomInput();
@@ -182,8 +193,7 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
             opts.coverage = &locals[i];
             opts.max_steps = options.max_steps_per_run;
             opts.trace = &ctx;
-            opts.engine = options.engine;
-            runs[i] = interp.run(kernel, batch[i], opts);
+            runs[i] = runner(kernel, batch[i], opts);
         });
         for (size_t i = 0; i < batch.size(); ++i) {
             if (result.executions >= options.max_executions ||
@@ -201,8 +211,7 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         opts.coverage = &local;
         opts.max_steps = options.max_steps_per_run;
         opts.trace = &ctx;
-        opts.engine = options.engine;
-        RunResult run = interp.run(kernel, seed, opts);
+        RunResult run = runner(kernel, seed, opts);
         result.executions += 1;
         ctx.count("fuzz.executions");
         ctx.charge(executionMinutes(run));

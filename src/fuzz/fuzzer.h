@@ -14,6 +14,7 @@
 #define HETEROGEN_FUZZ_FUZZER_H
 
 #include <deque>
+#include <functional>
 #include <string>
 
 #include "cir/ast.h"
@@ -55,13 +56,6 @@ struct FuzzOptions
     int min_suite_size = 48;
     /** Interpreter step cap per execution. */
     uint64_t max_steps_per_run = 2'000'000;
-    /**
-     * Interpreter engine for the host run and every kernel execution.
-     * All engines are bit-identical (docs/INTERP.md), so the campaign's
-     * corpus, coverage and simulated clock do not depend on the choice;
-     * bytecode is simply faster on the host.
-     */
-    interp::EngineKind engine = interp::defaultEngine();
     /**
      * Host threads executing each mutation batch (0 = HETEROGEN_JOBS /
      * hardware default). Purely an execution detail: mutation drawing
@@ -115,6 +109,23 @@ FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
                       const std::string &kernel,
                       const cir::SemaResult &sema,
                       const FuzzOptions &options = {});
+
+/**
+ * One interpreter run of a campaign. A batch's executions fan out
+ * across the pool, so a runner must be safe to call concurrently.
+ */
+using Runner = std::function<interp::RunResult(
+    const std::string &function, const std::vector<interp::KernelArg> &args,
+    const interp::RunOptions &options)>;
+
+/**
+ * The same campaign with every execution, host seed capture included,
+ * made through `runner` instead of the VM. Tests and benches pass the
+ * reference walker here to prove a whole campaign engine-independent.
+ */
+FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
+                      const std::string &kernel, const FuzzOptions &options,
+                      const Runner &runner);
 
 /**
  * Measure the branch coverage an existing (handcrafted) suite achieves —

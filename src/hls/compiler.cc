@@ -73,11 +73,11 @@ HlsToolchain::compile(RunContext &ctx, const TranslationUnit &tu)
 }
 
 FpgaRunResult
-HlsToolchain::cosim(const TranslationUnit &tu, const std::string &kernel,
+HlsToolchain::cosim(const FpgaDesign &design, const std::string &kernel,
                     const std::vector<interp::KernelArg> &args,
                     interp::RunOptions options)
 {
-    FpgaRunResult r = simulateFpga(tu, config_, kernel, args,
+    FpgaRunResult r = simulateFpga(design, config_, kernel, args,
                                    std::move(options));
     stats_.cosim_invocations += 1;
     // RTL co-simulation cost scales with executed work.

@@ -97,7 +97,7 @@ class HlsToolchain
     CompileResult compile(RunContext &ctx, const cir::TranslationUnit &tu);
 
     /** Co-simulate the kernel (charges simulation cost). */
-    FpgaRunResult cosim(const cir::TranslationUnit &tu,
+    FpgaRunResult cosim(const FpgaDesign &design,
                         const std::string &kernel,
                         const std::vector<interp::KernelArg> &args,
                         interp::RunOptions options = {});

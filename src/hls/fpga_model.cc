@@ -16,21 +16,6 @@ using interp::LoopRecord;
 
 namespace {
 
-/** Static facts about one loop statement gathered from the AST. */
-struct LoopInfo
-{
-    bool has_pipeline = false;
-    long pipeline_ii = 1;
-    bool has_unroll = false;
-    long unroll_factor = 1;
-    std::string function;
-    bool function_has_dataflow = false;
-    /** Max array_partition factor declared in the same function. */
-    long partition_factor = 1;
-    /** Number of sibling top-level loops in the same function. */
-    int dataflow_siblings = 1;
-};
-
 /** Collect per-loop pragma facts across the design. */
 std::map<int, LoopInfo>
 collectLoopInfo(const TranslationUnit &tu)
@@ -122,8 +107,13 @@ constexpr double kMaxLoopAcceleration = 64.0;
 
 } // namespace
 
+FpgaDesign::FpgaDesign(const TranslationUnit &tu)
+    : interp_(tu), loops_(collectLoopInfo(tu))
+{
+}
+
 FpgaRunResult
-simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
+simulateFpga(const FpgaDesign &design, const HlsConfig &config,
              const std::string &kernel, const std::vector<KernelArg> &args,
              interp::RunOptions options,
              std::vector<LoopAcceleration> *accel_out)
@@ -131,9 +121,10 @@ simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
     FpgaRunResult result;
     LoopProfile profile;
     options.loop_profile = &profile;
-    result.run = interp::runProgram(tu, kernel, args, options);
+    result.run = design.interpreter().run(kernel, args, options);
 
-    auto loop_info = collectLoopInfo(tu);
+    const TranslationUnit &tu = design.tu();
+    const std::map<int, LoopInfo> &loop_info = design.loops();
 
     // First pass: per-loop acceleration from its own pragmas.
     std::map<int, LoopAcceleration> accel_by_node;

@@ -13,11 +13,50 @@
 #ifndef HETEROGEN_HLS_FPGA_MODEL_H
 #define HETEROGEN_HLS_FPGA_MODEL_H
 
+#include <map>
+#include <string>
+
 #include "cir/ast.h"
 #include "hls/config.h"
 #include "interp/interp.h"
 
 namespace heterogen::hls {
+
+/** Static pragma facts about one loop statement, read off the AST. */
+struct LoopInfo
+{
+    bool has_pipeline = false;
+    long pipeline_ii = 1;
+    bool has_unroll = false;
+    long unroll_factor = 1;
+    std::string function;
+    bool function_has_dataflow = false;
+    /** Max array_partition factor declared in the same function. */
+    long partition_factor = 1;
+    /** Number of sibling top-level loops in the same function. */
+    int dataflow_siblings = 1;
+};
+
+/**
+ * A design prepared for co-simulation: one interpreter over it and its
+ * per-loop pragma facts (keyed by loop node id). A difftest campaign
+ * builds one per candidate and simulates every test against it, so the
+ * bytecode compile and the pragma scan are paid once per campaign, not
+ * once per test. Concurrent simulateFpga calls may share one design.
+ */
+class FpgaDesign
+{
+  public:
+    explicit FpgaDesign(const cir::TranslationUnit &tu);
+
+    const cir::TranslationUnit &tu() const { return interp_.tu(); }
+    const interp::Interpreter &interpreter() const { return interp_; }
+    const std::map<int, LoopInfo> &loops() const { return loops_; }
+
+  private:
+    interp::Interpreter interp_;
+    std::map<int, LoopInfo> loops_;
+};
 
 /** Outcome of one FPGA co-simulation. */
 struct FpgaRunResult
@@ -54,14 +93,14 @@ struct LoopAcceleration
 /**
  * Co-simulate `kernel` on the modeled FPGA.
  *
- * @param tu        design (must be HLS-clean for meaningful latency)
+ * @param design    design (must be HLS-clean for meaningful latency)
  * @param config    toolchain configuration (clock)
  * @param kernel    kernel function name
  * @param args      kernel arguments
  * @param options   interpreter knobs; coverage/profile hooks pass through
  * @param accel_out optional: per-loop acceleration factors
  */
-FpgaRunResult simulateFpga(const cir::TranslationUnit &tu,
+FpgaRunResult simulateFpga(const FpgaDesign &design,
                            const HlsConfig &config,
                            const std::string &kernel,
                            const std::vector<interp::KernelArg> &args,

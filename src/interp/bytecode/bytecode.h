@@ -1,16 +1,18 @@
 /**
  * @file
- * Bytecode engine for the CIR interpreter (docs/INTERP.md).
+ * The bytecode VM: the CIR interpreter's only production engine
+ * (docs/INTERP.md).
  *
  * A one-pass compiler lowers a TranslationUnit into a compact register
  * bytecode — flattened constant pool, statically resolved variable
  * slots, precomputed branch targets and interned profile keys — which a
  * dispatch-loop VM then executes.
  *
- * The contract is bit-identity with the tree walker in interp.cc: every
- * opcode handler performs exactly the primitive effects (step charges,
- * cycle charges, memory operations, coverage records, profile notes) of
- * the walker fragment it replaces, in the same order. Consecutive
+ * The contract is bit-identity with the reference tree walker
+ * (interp/reference/walker.cc): every opcode handler performs exactly
+ * the primitive effects (step charges, cycle charges, memory
+ * operations, coverage records, profile notes) of the walker fragment
+ * it replaces, in the same order. Consecutive
  * walker step() calls are folded into each op's `pre_steps` count,
  * which is safe because nothing observable happens between them; the
  * step-limit trap clamps the counter to the walker's exact value.
@@ -317,14 +319,15 @@ struct Program
 };
 
 /**
- * Compile a sema-analyzed TU. Returns nullptr (with a reason) only for
- * constructs the compiler cannot lower, in which case callers fall back
- * to the tree walker; the current compiler covers the full CIR surface.
+ * Compile a sema-analyzed TU. The compiler covers the full CIR
+ * surface: its switches over statement, expression and operator kinds
+ * are exhaustive, so an unlowerable construct is an internal invariant
+ * violation and panics.
  */
 std::unique_ptr<const Program>
-compileProgram(const cir::TranslationUnit &tu, std::string *reason);
+compileProgram(const cir::TranslationUnit &tu);
 
-/** Execute one run on the VM. Mirrors the walker's Engine::run. */
+/** Execute one run on the VM. Mirrors the reference walker's run. */
 RunResult executeProgram(const Program &program,
                          const std::string &function,
                          const std::vector<KernelArg> &args,

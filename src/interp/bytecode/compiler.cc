@@ -21,18 +21,13 @@
 #include <utility>
 
 #include "cir/sema.h"
+#include "support/diagnostics.h"
 
 namespace heterogen::interp::bytecode {
 
 namespace {
 
 using namespace cir;
-
-/** Raised for constructs the compiler cannot lower (defensive only). */
-struct CompileBail
-{
-    std::string reason;
-};
 
 /** Compile-time view of a bound name. */
 struct SlotInfo
@@ -803,7 +798,7 @@ class Compiler
             addStep(); // scheduling hint: the walker only steps
             return;
         }
-        throw CompileBail{"unhandled statement kind"};
+        panic("bytecode compiler: unhandled statement kind");
     }
 
     void
@@ -1001,7 +996,7 @@ class Compiler
             compileStructLit(static_cast<const StructLit &>(expr));
             return;
         }
-        throw CompileBail{"unhandled expression kind"};
+        panic("bytecode compiler: unhandled expression kind");
     }
 
     void
@@ -1060,7 +1055,7 @@ class Compiler
             return;
           }
         }
-        throw CompileBail{"unhandled unary operator"};
+        panic("bytecode compiler: unhandled unary operator");
     }
 
     void
@@ -1446,18 +1441,12 @@ class Compiler
 } // namespace
 
 std::unique_ptr<const Program>
-compileProgram(const TranslationUnit &tu, std::string *reason)
+compileProgram(const TranslationUnit &tu)
 {
-    try {
-        std::unique_ptr<Program> program = Compiler(tu).compile();
-        static std::atomic<uint64_t> next_serial{0};
-        program->serial = ++next_serial;
-        return program;
-    } catch (const CompileBail &bail) {
-        if (reason)
-            *reason = bail.reason;
-        return nullptr;
-    }
+    std::unique_ptr<Program> program = Compiler(tu).compile();
+    static std::atomic<uint64_t> next_serial{0};
+    program->serial = ++next_serial;
+    return program;
 }
 
 } // namespace heterogen::interp::bytecode

@@ -64,7 +64,7 @@ class CoverageMap
     /**
      * Fold another map in preserving raw per-edge counts — equivalent
      * to having recorded the other map's edges directly here. The
-     * differential engine uses this to forward a private run's
+     * differential runner uses this to forward a private run's
      * coverage into a caller sink bit-identically.
      */
     void

@@ -1,57 +1,11 @@
 #include "interp/interp.h"
 
-#include <cmath>
-#include <cstdlib>
-#include <functional>
-#include <sstream>
-
-#include "cir/sema.h"
 #include "interp/bytecode/bytecode.h"
-#include "support/diagnostics.h"
 #include "support/run_context.h"
 
 namespace heterogen::interp {
 
 using namespace cir;
-
-EngineKind
-defaultEngine()
-{
-    static const EngineKind kDefault = [] {
-        EngineKind out = EngineKind::TreeWalk;
-        if (const char *env = std::getenv("HETEROGEN_ENGINE"))
-            parseEngineName(env, &out); // unknown names keep the default
-        return out;
-    }();
-    return kDefault;
-}
-
-bool
-parseEngineName(const std::string &name, EngineKind *out)
-{
-    if (name.empty())
-        return true;
-    if (name == "tree_walk")
-        *out = EngineKind::TreeWalk;
-    else if (name == "bytecode")
-        *out = EngineKind::Bytecode;
-    else if (name == "differential")
-        *out = EngineKind::Differential;
-    else
-        return false;
-    return true;
-}
-
-const char *
-engineName(EngineKind engine)
-{
-    switch (engine) {
-      case EngineKind::TreeWalk: return "tree_walk";
-      case EngineKind::Bytecode: return "bytecode";
-      case EngineKind::Differential: return "differential";
-    }
-    return "tree_walk";
-}
 
 bool
 RunResult::sameBehavior(const RunResult &other) const
@@ -67,1597 +21,30 @@ RunResult::sameBehavior(const RunResult &other) const
     return out_args == other.out_args;
 }
 
-namespace {
-
-/** Control-flow signal from statement execution. */
-enum class Flow { Normal, Break, Continue, Return };
-
-/** Struct layout: field order and per-field types. */
-struct Layout
-{
-    std::vector<std::string> field_names;
-    std::vector<const Type *> field_types;
-    std::vector<bool> field_is_ref;
-
-    int
-    indexOf(const std::string &name) const
-    {
-        for (size_t i = 0; i < field_names.size(); ++i) {
-            if (field_names[i] == name)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
-
-    int size() const { return static_cast<int>(field_names.size()); }
-};
-
-/** A named binding in a scope frame. */
-struct Binding
-{
-    Place place;
-    const cir::Type *type = nullptr;
-};
-
-/** One call frame of lexical scopes. */
-struct Frame
-{
-    std::vector<std::map<std::string, Binding>> scopes;
-    std::string function;
-
-    void pushScope() { scopes.emplace_back(); }
-    void popScope() { scopes.pop_back(); }
-
-    Binding *
-    find(const std::string &name)
-    {
-        for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-            auto hit = it->find(name);
-            if (hit != it->end())
-                return &hit->second;
-        }
-        return nullptr;
-    }
-
-    void
-    bind(const std::string &name, Binding b)
-    {
-        scopes.back()[name] = std::move(b);
-    }
-};
-
-/** Result of lvalue evaluation: a cell plus its static type. */
-struct PlaceAndType
-{
-    Place place;
-    const cir::Type *type = nullptr;
-};
-
-class Engine
-{
-  public:
-    Engine(const TranslationUnit &tu, const RunOptions &opts)
-        : tu_(tu), opts_(opts)
-    {
-        buildLayouts();
-    }
-
-    RunResult
-    run(const std::string &function, const std::vector<KernelArg> &args)
-    {
-        RunResult result;
-        try {
-            initGlobals();
-            const FunctionDecl *fn = tu_.findFunction(function);
-            if (!fn)
-                throw Trap("no such function: " + function);
-            std::vector<Value> arg_values;
-            std::vector<int32_t> arg_blocks(args.size(), 0);
-            std::vector<int32_t> arg_streams(args.size(), -1);
-            for (size_t i = 0; i < args.size(); ++i) {
-                if (i >= fn->params.size())
-                    throw Trap("too many kernel arguments");
-                arg_values.push_back(materialize(args[i],
-                                                 fn->params[i].type,
-                                                 arg_blocks[i],
-                                                 arg_streams[i]));
-            }
-            if (arg_values.size() != fn->params.size())
-                throw Trap("missing kernel arguments for " + function);
-            Value ret = callFunction(*fn, arg_values, nullptr);
-            if (!fn->ret_type->isVoid()) {
-                result.has_ret = true;
-                result.ret = valueToArg(ret);
-            }
-            for (size_t i = 0; i < args.size(); ++i) {
-                result.out_args.push_back(
-                    readBack(args[i], fn->params[i].type, arg_blocks[i],
-                             arg_streams[i]));
-            }
-            result.ok = true;
-        } catch (const Trap &t) {
-            result.ok = false;
-            result.trap = t.what();
-        }
-        result.cycles = cycles_;
-        result.steps = steps_;
-        return result;
-    }
-
-  private:
-    // --- setup ---------------------------------------------------------------
-
-    void
-    buildLayouts()
-    {
-        for (const auto &sd : tu_.structs) {
-            Layout layout;
-            for (const Field &f : sd->fields) {
-                layout.field_names.push_back(f.name);
-                layout.field_types.push_back(f.type.get());
-                layout.field_is_ref.push_back(f.is_reference);
-            }
-            layouts_[sd->name] = std::move(layout);
-        }
-    }
-
-    void
-    initGlobals()
-    {
-        frames_.clear();
-        frames_.emplace_back();
-        frames_.back().function = "<globals>";
-        frames_.back().pushScope();
-        for (const auto &g : tu_.globals) {
-            if (g->kind() == StmtKind::Decl)
-                execDecl(static_cast<const DeclStmt &>(*g), true);
-        }
-    }
-
-    const Layout &
-    layoutOf(const std::string &name) const
-    {
-        auto it = layouts_.find(name);
-        if (it == layouts_.end())
-            throw Trap("unknown struct layout: " + name);
-        return it->second;
-    }
-
-    /** Flattened cell count of one instance of a type. */
-    int
-    flatCells(const cir::Type *t) const
-    {
-        if (!t)
-            return 1;
-        if (t->isArray()) {
-            long n = t->arraySize();
-            if (n == kUnknownArraySize)
-                throw Trap("sizeof of unknown-size array");
-            return static_cast<int>(n) * flatCells(t->element().get());
-        }
-        if (t->isStruct())
-            return layoutOf(t->structName()).size();
-        return 1;
-    }
-
-    // --- kernel-arg materialization ------------------------------------------
-
-    Value
-    materialize(const KernelArg &arg, const TypePtr &param_type,
-                int32_t &block_out, int32_t &stream_out)
-    {
-        if (param_type->isStream()) {
-            int32_t id = memory_.createStream();
-            stream_out = id;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                for (long v : arg.ints)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeInt(v),
-                                         param_type->element()));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                for (double v : arg.floats)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeFloat(v),
-                                         param_type->element()));
-            }
-            return Value::makeStream(id);
-        }
-        if (param_type->isArray() || param_type->isPointer()) {
-            TypePtr elem = param_type->element();
-            int32_t block;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                block = memory_.allocate(int(arg.ints.size()), elem);
-                for (size_t k = 0; k < arg.ints.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeInt(arg.ints[k]));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                block = memory_.allocate(int(arg.floats.size()), elem);
-                for (size_t k = 0; k < arg.floats.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeFloat(arg.floats[k]));
-            } else {
-                throw Trap("scalar kernel arg for array parameter");
-            }
-            block_out = block;
-            return Value::makePointer({block, 0});
-        }
-        if (arg.kind == KernelArg::Kind::Int)
-            return coerceToType(Value::makeInt(arg.i), param_type);
-        if (arg.kind == KernelArg::Kind::Float)
-            return coerceToType(Value::makeFloat(arg.f), param_type);
-        throw Trap("array kernel arg for scalar parameter");
-    }
-
-    KernelArg
-    readBack(const KernelArg &input, const TypePtr &param_type,
-             int32_t block, int32_t stream)
-    {
-        if (param_type->isStream()) {
-            bool is_float = param_type->element() &&
-                            param_type->element()->isFloating();
-            std::vector<long> iv;
-            std::vector<double> fv;
-            while (!memory_.streamEmpty(stream)) {
-                Value v = memory_.streamRead(stream);
-                if (is_float)
-                    fv.push_back(v.asFloat());
-                else
-                    iv.push_back(v.asInt());
-            }
-            return is_float ? KernelArg::ofFloats(std::move(fv))
-                            : KernelArg::ofInts(std::move(iv));
-        }
-        if (block > 0) {
-            int n = memory_.blockSize(block);
-            if (input.kind == KernelArg::Kind::FloatArray) {
-                std::vector<double> out(n);
-                for (int k = 0; k < n; ++k)
-                    out[k] = memory_.load({block, k}).asFloat();
-                return KernelArg::ofFloats(std::move(out));
-            }
-            std::vector<long> out(n);
-            for (int k = 0; k < n; ++k) {
-                const Value &v = memory_.load({block, k});
-                out[k] = v.isFloat() ? long(v.asFloat()) : v.asInt();
-            }
-            return KernelArg::ofInts(std::move(out));
-        }
-        return input; // scalars are passed by value
-    }
-
-    KernelArg
-    valueToArg(const Value &v) const
-    {
-        if (v.isFloat())
-            return KernelArg::ofFloat(v.asFloat());
-        return KernelArg::ofInt(v.asInt());
-    }
-
-    // --- bookkeeping ----------------------------------------------------------
-
-    void
-    step()
-    {
-        if (++steps_ > opts_.max_steps)
-            throw Trap("step limit exceeded (possible non-termination)");
-    }
-
-    void
-    charge(uint64_t c)
-    {
-        cycles_ += c;
-        if (opts_.loop_profile) {
-            if (loop_stack_.empty())
-                opts_.loop_profile->root_cycles += c;
-            else
-                opts_.loop_profile->loops[loop_stack_.back()]
-                    .cycles_exclusive += c;
-        }
-    }
-
-    /** RAII frame attributing cycles to a loop while it runs. */
-    class LoopScope
-    {
-      public:
-        LoopScope(Engine &engine, int node_id) : engine_(engine)
-        {
-            rec_ = nullptr;
-            if (engine_.opts_.loop_profile) {
-                rec_ = &engine_.opts_.loop_profile->loops[node_id];
-                rec_->node_id = node_id;
-                rec_->parent_id = engine_.loop_stack_.empty()
-                                      ? -1
-                                      : engine_.loop_stack_.back();
-                rec_->entries += 1;
-                engine_.loop_stack_.push_back(node_id);
-            }
-        }
-
-        ~LoopScope()
-        {
-            if (rec_)
-                engine_.loop_stack_.pop_back();
-        }
-
-        void
-        iteration()
-        {
-            if (rec_)
-                rec_->iterations += 1;
-        }
-
-      private:
-        Engine &engine_;
-        LoopRecord *rec_;
-    };
-
-    void
-    recordBranch(int branch_id, bool taken)
-    {
-        charge(CpuCosts::kBranch);
-        if (opts_.coverage)
-            opts_.coverage->record(branch_id, taken);
-        if (opts_.branch_log)
-            opts_.branch_log->events.push_back(
-                {branch_id, taken, steps_, cycles_});
-    }
-
-    void
-    profileStore(const std::string &var, const Value &v)
-    {
-        if (!opts_.profile)
-            return;
-        std::string key = frames_.back().function + "::" + var;
-        if (v.isInt())
-            opts_.profile->note(key, v.asInt());
-        else if (v.isFloat())
-            opts_.profile->noteFloat(key, v.asFloat());
-    }
-
-    // --- declarations / frames -------------------------------------------------
-
-    Frame &frame() { return frames_.back(); }
-    Frame &globalFrame() { return frames_.front(); }
-
-    Binding *
-    lookup(const std::string &name)
-    {
-        if (Binding *b = frame().find(name))
-            return b;
-        if (Binding *b = globalFrame().find(name))
-            return b;
-        return nullptr;
-    }
-
-    /** Allocate storage for a declared variable and bind it. */
-    void
-    execDecl(const DeclStmt &decl, bool /*is_global*/)
-    {
-        step();
-        const TypePtr &t = decl.type;
-        Binding b;
-        b.type = t.get();
-        if (t->isArray()) {
-            TypePtr scalar = t;
-            long total = 1;
-            // Flatten nested dims; a single unknown dim uses vla_size.
-            while (scalar->isArray()) {
-                long d = scalar->arraySize();
-                if (d == kUnknownArraySize) {
-                    if (!decl.vla_size)
-                        throw Trap("array '" + decl.name +
-                                   "' has unknown size");
-                    Value sz = eval(*decl.vla_size);
-                    d = sz.asInt();
-                    if (d < 0)
-                        throw Trap("negative array size");
-                }
-                total *= d;
-                scalar = scalar->element();
-            }
-            if (scalar->isStruct()) {
-                const Layout &layout = layoutOf(scalar->structName());
-                b.place = {memory_.allocatePattern(int(total), scalar,
-                                                   layout.field_types),
-                           0};
-            } else {
-                b.place = {memory_.allocate(int(total), scalar), 0};
-            }
-        } else if (t->isStruct()) {
-            const Layout &layout = layoutOf(t->structName());
-            b.place = {memory_.allocatePattern(1, t, layout.field_types),
-                       0};
-        } else if (t->isStream()) {
-            int32_t block = memory_.allocate(1, t);
-            int32_t id;
-            if (decl.is_static) {
-                auto hit = static_streams_.find(decl.node_id);
-                if (hit != static_streams_.end()) {
-                    id = hit->second;
-                } else {
-                    id = memory_.createStream();
-                    static_streams_[decl.node_id] = id;
-                }
-            } else {
-                id = memory_.createStream();
-            }
-            memory_.storeRaw({block, 0}, Value::makeStream(id));
-            b.place = {block, 0};
-        } else {
-            b.place = {memory_.allocate(1, t), 0};
-        }
-        if (decl.init) {
-            Value v = eval(*decl.init);
-            charge(CpuCosts::kMem);
-            if (t->isStruct() && v.isPointer()) {
-                copyStruct(v.asPlace(), b.place, t.get());
-            } else {
-                memory_.store(b.place, v);
-                profileStore(decl.name, memory_.load(b.place));
-            }
-        }
-        frame().bind(decl.name, b);
-    }
-
-    void
-    copyStruct(Place from, Place to, const cir::Type *t)
-    {
-        const Layout &layout = layoutOf(t->structName());
-        for (int i = 0; i < layout.size(); ++i) {
-            Value v = memory_.load({from.block, from.offset + i});
-            memory_.store({to.block, to.offset + i}, v);
-            charge(CpuCosts::kMem);
-        }
-    }
-
-    // --- function calls ---------------------------------------------------------
-
-    Value
-    callFunction(const FunctionDecl &fn, std::vector<Value> &args,
-                 const StructDecl *owner_struct, Place self = {})
-    {
-        if (static_cast<int>(frames_.size()) > opts_.max_call_depth)
-            throw Trap("call depth exceeded (runaway recursion?)");
-        charge(CpuCosts::kCall);
-        maybeCaptureSeed(fn.name, args, fn);
-
-        frames_.emplace_back();
-        frame().function = owner_struct
-                               ? owner_struct->name + "::" + fn.name
-                               : fn.name;
-        frame().pushScope();
-
-        if (owner_struct) {
-            const Layout &layout = layoutOf(owner_struct->name);
-            for (int i = 0; i < layout.size(); ++i) {
-                Binding b;
-                b.place = {self.block, self.offset + i};
-                b.type = layout.field_types[i];
-                frame().bind(layout.field_names[i], b);
-            }
-        }
-
-        for (size_t i = 0; i < fn.params.size(); ++i) {
-            const Param &p = fn.params[i];
-            Binding b;
-            b.type = p.type.get();
-            if (p.type->isArray() || p.type->isPointer() ||
-                p.type->isStream() || p.is_reference) {
-                // Decay/reference semantics: one cell holding the handle.
-                // An array parameter decays to a pointer binding so name
-                // lookups load the handle instead of aliasing the cell.
-                if (p.type->isArray())
-                    b.type = Type::pointer(p.type->element()).get();
-                int32_t cell = memory_.allocate(1, nullptr);
-                memory_.storeRaw({cell, 0}, args[i]);
-                b.place = {cell, 0};
-            } else if (p.type->isStruct()) {
-                const Layout &layout = layoutOf(p.type->structName());
-                int32_t block = memory_.allocatePattern(
-                    1, p.type, layout.field_types);
-                if (!args[i].isPointer())
-                    throw Trap("struct argument mismatch");
-                copyStruct(args[i].asPlace(), {block, 0}, p.type.get());
-                b.place = {block, 0};
-            } else {
-                int32_t cell = memory_.allocate(1, p.type);
-                memory_.store({cell, 0}, args[i]);
-                profileStore(p.name, memory_.load({cell, 0}));
-                b.place = {cell, 0};
-            }
-            frame().bind(p.name, b);
-        }
-
-        Value ret;
-        Flow flow = execBlock(*fn.body, ret);
-        if (flow != Flow::Return)
-            ret = Value::makeInt(0);
-        frames_.pop_back();
-        if (!fn.ret_type->isVoid())
-            return coerceToType(ret, fn.ret_type);
-        return Value::makeInt(0);
-    }
-
-    void
-    maybeCaptureSeed(const std::string &name, const std::vector<Value> &args,
-                     const FunctionDecl &fn)
-    {
-        if (opts_.capture_function.empty() ||
-            name != opts_.capture_function || !opts_.captured_args ||
-            seed_captured_) {
-            return;
-        }
-        seed_captured_ = true;
-        std::vector<KernelArg> captured;
-        for (size_t i = 0; i < args.size(); ++i) {
-            const TypePtr &pt = fn.params[i].type;
-            const Value &v = args[i];
-            if ((pt->isArray() || pt->isPointer()) && v.isPointer()) {
-                Place p = v.asPlace();
-                int n = memory_.blockSize(p.block);
-                bool is_float = pt->element() && pt->element()->isFloating();
-                if (is_float) {
-                    std::vector<double> xs;
-                    for (int k = p.offset; k < n; ++k)
-                        xs.push_back(memory_.load({p.block, k}).asFloat());
-                    captured.push_back(KernelArg::ofFloats(std::move(xs)));
-                } else {
-                    std::vector<long> xs;
-                    for (int k = p.offset; k < n; ++k) {
-                        const Value &cell = memory_.load({p.block, k});
-                        xs.push_back(cell.isFloat() ? long(cell.asFloat())
-                                                    : cell.asInt());
-                    }
-                    captured.push_back(KernelArg::ofInts(std::move(xs)));
-                }
-            } else if (pt->isStream() && v.isStream()) {
-                // Snapshot without consuming.
-                size_t n = memory_.streamSize(v.streamId());
-                std::vector<long> xs;
-                for (size_t k = 0; k < n; ++k) {
-                    Value x = memory_.streamRead(v.streamId());
-                    xs.push_back(x.isFloat() ? long(x.asFloat())
-                                             : x.asInt());
-                    memory_.streamWrite(v.streamId(), x);
-                }
-                captured.push_back(KernelArg::ofInts(std::move(xs)));
-            } else if (v.isFloat()) {
-                captured.push_back(KernelArg::ofFloat(v.asFloat()));
-            } else {
-                captured.push_back(KernelArg::ofInt(v.asInt()));
-            }
-        }
-        *opts_.captured_args = std::move(captured);
-    }
-
-    // --- statements ---------------------------------------------------------------
-
-    Flow
-    execBlock(const Block &block, Value &ret)
-    {
-        frame().pushScope();
-        Flow flow = Flow::Normal;
-        for (const auto &s : block.stmts) {
-            flow = execStmt(*s, ret);
-            if (flow != Flow::Normal)
-                break;
-        }
-        frame().popScope();
-        return flow;
-    }
-
-    Flow
-    execStmt(const Stmt &stmt, Value &ret)
-    {
-        step();
-        switch (stmt.kind()) {
-          case StmtKind::Block:
-            return execBlock(static_cast<const Block &>(stmt), ret);
-          case StmtKind::Decl:
-            execDecl(static_cast<const DeclStmt &>(stmt), false);
-            return Flow::Normal;
-          case StmtKind::ExprStmt:
-            eval(*static_cast<const ExprStmt &>(stmt).expr);
-            return Flow::Normal;
-          case StmtKind::If: {
-            const auto &s = static_cast<const IfStmt &>(stmt);
-            bool cond = eval(*s.cond).truthy();
-            recordBranch(s.branch_id, cond);
-            if (cond)
-                return execBlock(*s.then_block, ret);
-            if (s.else_block)
-                return execBlock(*s.else_block, ret);
-            return Flow::Normal;
-          }
-          case StmtKind::While: {
-            const auto &s = static_cast<const WhileStmt &>(stmt);
-            LoopScope scope(*this, s.node_id);
-            for (;;) {
-                step();
-                bool cond = eval(*s.cond).truthy();
-                recordBranch(s.branch_id, cond);
-                if (!cond)
-                    return Flow::Normal;
-                scope.iteration();
-                Flow flow = execBlock(*s.body, ret);
-                if (flow == Flow::Break)
-                    return Flow::Normal;
-                if (flow == Flow::Return)
-                    return flow;
-            }
-          }
-          case StmtKind::For: {
-            const auto &s = static_cast<const ForStmt &>(stmt);
-            frame().pushScope();
-            Value ignored;
-            if (s.init)
-                execStmt(*s.init, ignored);
-            Flow out = Flow::Normal;
-            LoopScope scope(*this, s.node_id);
-            for (;;) {
-                step();
-                bool cond = true;
-                if (s.cond)
-                    cond = eval(*s.cond).truthy();
-                recordBranch(s.branch_id, cond);
-                if (!cond)
-                    break;
-                scope.iteration();
-                Flow flow = execBlock(*s.body, ret);
-                if (flow == Flow::Break)
-                    break;
-                if (flow == Flow::Return) {
-                    out = flow;
-                    break;
-                }
-                if (s.step)
-                    eval(*s.step);
-            }
-            frame().popScope();
-            return out;
-          }
-          case StmtKind::Return: {
-            const auto &s = static_cast<const ReturnStmt &>(stmt);
-            if (s.value)
-                ret = eval(*s.value);
-            else
-                ret = Value::makeInt(0);
-            return Flow::Return;
-          }
-          case StmtKind::Break:
-            return Flow::Break;
-          case StmtKind::Continue:
-            return Flow::Continue;
-          case StmtKind::Pragma:
-            return Flow::Normal; // pragmas are scheduling hints only
-        }
-        return Flow::Normal;
-    }
-
-    // --- expressions -----------------------------------------------------------------
-
-    Value
-    eval(const Expr &expr)
-    {
-        step();
-        switch (expr.kind()) {
-          case ExprKind::IntLit:
-            return Value::makeInt(static_cast<const IntLit &>(expr).value);
-          case ExprKind::FloatLit:
-            return Value::makeFloat(
-                static_cast<const FloatLit &>(expr).value);
-          case ExprKind::StringLit:
-            return Value::makeInt(0);
-          case ExprKind::Ident:
-            return evalIdent(static_cast<const Ident &>(expr));
-          case ExprKind::Unary:
-            return evalUnary(static_cast<const Unary &>(expr));
-          case ExprKind::Binary:
-            return evalBinary(static_cast<const Binary &>(expr));
-          case ExprKind::Assign:
-            return evalAssign(static_cast<const Assign &>(expr));
-          case ExprKind::Call:
-            return evalCall(static_cast<const Call &>(expr));
-          case ExprKind::MethodCall:
-            return evalMethodCall(static_cast<const MethodCall &>(expr));
-          case ExprKind::Index:
-          case ExprKind::Member: {
-            PlaceAndType pt = evalPlace(expr);
-            charge(CpuCosts::kMem);
-            if (pt.type && (pt.type->isArray() || pt.type->isStruct()))
-                return Value::makePointer(pt.place); // decay
-            return memory_.load(pt.place);
-          }
-          case ExprKind::Cast: {
-            const auto &e = static_cast<const Cast &>(expr);
-            Value v = eval(*e.operand);
-            if (e.type->isPointer())
-                return v; // pointer reinterpretation
-            return coerceToType(v, e.type);
-          }
-          case ExprKind::Ternary: {
-            const auto &e = static_cast<const Ternary &>(expr);
-            bool cond = eval(*e.cond).truthy();
-            recordBranch(e.branch_id, cond);
-            return cond ? eval(*e.then_expr) : eval(*e.else_expr);
-          }
-          case ExprKind::SizeofType: {
-            const auto &e = static_cast<const SizeofType &>(expr);
-            return Value::makeInt(flatCells(e.type.get()));
-          }
-          case ExprKind::StructLit:
-            return evalStructLit(static_cast<const StructLit &>(expr));
-        }
-        throw Trap("unhandled expression kind");
-    }
-
-    Value
-    evalIdent(const Ident &e)
-    {
-        Binding *b = lookup(e.name);
-        if (!b)
-            throw Trap("unbound identifier: " + e.name);
-        charge(CpuCosts::kMem);
-        if (b->type &&
-            (b->type->isArray() || b->type->isStruct())) {
-            return Value::makePointer(b->place); // decay to handle
-        }
-        return memory_.load(b->place);
-    }
-
-    Value
-    evalUnary(const Unary &e)
-    {
-        switch (e.op) {
-          case UnaryOp::AddrOf: {
-            PlaceAndType pt = evalPlace(*e.operand);
-            return Value::makePointer(pt.place);
-          }
-          case UnaryOp::Deref: {
-            Value p = eval(*e.operand);
-            if (!p.isPointer())
-                throw Trap("dereference of non-pointer");
-            charge(CpuCosts::kMem);
-            return memory_.load(p.asPlace());
-          }
-          case UnaryOp::Neg: {
-            Value v = eval(*e.operand);
-            charge(v.isFloat() ? CpuCosts::kFloatAlu : CpuCosts::kIntAlu);
-            if (v.isFloat())
-                return Value::makeFloat(-v.asFloat());
-            return Value::makeInt(-v.asInt());
-          }
-          case UnaryOp::Not: {
-            Value v = eval(*e.operand);
-            charge(CpuCosts::kIntAlu);
-            return Value::makeInt(v.truthy() ? 0 : 1);
-          }
-          case UnaryOp::BitNot: {
-            Value v = eval(*e.operand);
-            charge(CpuCosts::kIntAlu);
-            return Value::makeInt(~v.asInt());
-          }
-          case UnaryOp::PreInc:
-          case UnaryOp::PreDec:
-          case UnaryOp::PostInc:
-          case UnaryOp::PostDec: {
-            PlaceAndType pt = evalPlace(*e.operand);
-            Value old = memory_.load(pt.place);
-            charge(CpuCosts::kIntAlu + 2 * CpuCosts::kMem);
-            long delta =
-                (e.op == UnaryOp::PreInc || e.op == UnaryOp::PostInc) ? 1
-                                                                      : -1;
-            Value updated;
-            if (old.isFloat())
-                updated = Value::makeFloat(old.asFloat() + delta);
-            else if (old.isPointer())
-                updated = Value::makePointer(
-                    {old.asPlace().block,
-                     old.asPlace().offset +
-                         int32_t(delta * placeStride(pt.type))});
-            else
-                updated = Value::makeInt(old.asInt() + delta);
-            memory_.store(pt.place, updated);
-            if (e.operand->kind() == ExprKind::Ident) {
-                profileStore(static_cast<const Ident &>(*e.operand).name,
-                             memory_.load(pt.place));
-            }
-            bool post = e.op == UnaryOp::PostInc || e.op == UnaryOp::PostDec;
-            return post ? old : memory_.load(pt.place);
-          }
-        }
-        throw Trap("unhandled unary operator");
-    }
-
-    /** Pointer-arithmetic stride for a pointer-typed cell. */
-    int
-    placeStride(const cir::Type *ptr_type) const
-    {
-        if (ptr_type && ptr_type->isPointer())
-            return flatCells(ptr_type->element().get());
-        return 1;
-    }
-
-    Value
-    evalBinary(const Binary &e)
-    {
-        if (e.op == BinaryOp::LogAnd || e.op == BinaryOp::LogOr) {
-            bool lhs = eval(*e.lhs).truthy();
-            bool shortcut = (e.op == BinaryOp::LogAnd) ? !lhs : lhs;
-            recordBranch(e.branch_id, lhs);
-            if (shortcut)
-                return Value::makeInt(e.op == BinaryOp::LogAnd ? 0 : 1);
-            return Value::makeInt(eval(*e.rhs).truthy() ? 1 : 0);
-        }
-        Value a = eval(*e.lhs);
-        Value b = eval(*e.rhs);
-        return applyBinary(e.op, a, b, e.lhs.get());
-    }
-
-    Value
-    applyBinary(BinaryOp op, const Value &a, const Value &b,
-                const Expr *lhs_expr)
-    {
-        // Pointer arithmetic and comparison.
-        if (a.isPointer() || b.isPointer())
-            return applyPointerBinary(op, a, b, lhs_expr);
-        bool flt = a.isFloat() || b.isFloat();
-        switch (op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-            charge(flt ? CpuCosts::kFloatAlu : CpuCosts::kIntAlu);
-            break;
-          case BinaryOp::Mul:
-            charge(flt ? CpuCosts::kFloatMul : CpuCosts::kIntMul);
-            break;
-          case BinaryOp::Div:
-          case BinaryOp::Mod:
-            charge(flt ? CpuCosts::kFloatDiv : CpuCosts::kIntDiv);
-            break;
-          default:
-            charge(CpuCosts::kIntAlu);
-            break;
-        }
-        if (flt) {
-            double x = a.asFloat();
-            double y = b.asFloat();
-            switch (op) {
-              case BinaryOp::Add: return Value::makeFloat(x + y);
-              case BinaryOp::Sub: return Value::makeFloat(x - y);
-              case BinaryOp::Mul: return Value::makeFloat(x * y);
-              case BinaryOp::Div:
-                if (y == 0.0)
-                    throw Trap("floating division by zero");
-                return Value::makeFloat(x / y);
-              case BinaryOp::Lt: return Value::makeInt(x < y);
-              case BinaryOp::Gt: return Value::makeInt(x > y);
-              case BinaryOp::Le: return Value::makeInt(x <= y);
-              case BinaryOp::Ge: return Value::makeInt(x >= y);
-              case BinaryOp::Eq: return Value::makeInt(x == y);
-              case BinaryOp::Ne: return Value::makeInt(x != y);
-              default:
-                throw Trap("invalid float operation");
-            }
-        }
-        long x = a.asInt();
-        long y = b.asInt();
-        switch (op) {
-          case BinaryOp::Add: return Value::makeInt(x + y);
-          case BinaryOp::Sub: return Value::makeInt(x - y);
-          case BinaryOp::Mul: return Value::makeInt(x * y);
-          case BinaryOp::Div:
-            if (y == 0)
-                throw Trap("integer division by zero");
-            return Value::makeInt(x / y);
-          case BinaryOp::Mod:
-            if (y == 0)
-                throw Trap("integer modulo by zero");
-            return Value::makeInt(x % y);
-          case BinaryOp::Lt: return Value::makeInt(x < y);
-          case BinaryOp::Gt: return Value::makeInt(x > y);
-          case BinaryOp::Le: return Value::makeInt(x <= y);
-          case BinaryOp::Ge: return Value::makeInt(x >= y);
-          case BinaryOp::Eq: return Value::makeInt(x == y);
-          case BinaryOp::Ne: return Value::makeInt(x != y);
-          case BinaryOp::BitAnd: return Value::makeInt(x & y);
-          case BinaryOp::BitOr: return Value::makeInt(x | y);
-          case BinaryOp::BitXor: return Value::makeInt(x ^ y);
-          case BinaryOp::Shl: return Value::makeInt(x << (y & 63));
-          case BinaryOp::Shr: return Value::makeInt(x >> (y & 63));
-          default:
-            throw Trap("unhandled integer operation");
-        }
-    }
-
-    Value
-    applyPointerBinary(BinaryOp op, const Value &a, const Value &b,
-                       const Expr *lhs_expr)
-    {
-        charge(CpuCosts::kIntAlu);
-        auto stride = [this, lhs_expr](const Value &ptr) {
-            // Find the pointee stride from the pointer's origin type if
-            // available; default 1.
-            (void)lhs_expr;
-            Place p = ptr.asPlace();
-            const cir::Type *bt = memory_.blockType(p.block);
-            if (bt && bt->isStruct())
-                return layoutOf(bt->structName()).size();
-            return 1;
-        };
-        if (op == BinaryOp::Add || op == BinaryOp::Sub) {
-            if (a.isPointer() && b.isInt()) {
-                long delta = b.asInt() * stride(a);
-                if (op == BinaryOp::Sub)
-                    delta = -delta;
-                Place p = a.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isInt() && b.isPointer() && op == BinaryOp::Add) {
-                long delta = a.asInt() * stride(b);
-                Place p = b.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isPointer() && b.isPointer() && op == BinaryOp::Sub) {
-                if (a.asPlace().block != b.asPlace().block)
-                    throw Trap("subtraction of unrelated pointers");
-                return Value::makeInt(
-                    (a.asPlace().offset - b.asPlace().offset) / stride(a));
-            }
-            throw Trap("invalid pointer arithmetic");
-        }
-        auto as_pair = [](const Value &v) {
-            if (v.isPointer())
-                return std::pair<long, long>(v.asPlace().block,
-                                             v.asPlace().offset);
-            return std::pair<long, long>(0, v.asInt());
-        };
-        auto [ab, ao] = as_pair(a);
-        auto [bb, bo] = as_pair(b);
-        switch (op) {
-          case BinaryOp::Eq:
-            return Value::makeInt(ab == bb && ao == bo);
-          case BinaryOp::Ne:
-            return Value::makeInt(!(ab == bb && ao == bo));
-          case BinaryOp::Lt: return Value::makeInt(ao < bo);
-          case BinaryOp::Gt: return Value::makeInt(ao > bo);
-          case BinaryOp::Le: return Value::makeInt(ao <= bo);
-          case BinaryOp::Ge: return Value::makeInt(ao >= bo);
-          default:
-            throw Trap("invalid pointer operation");
-        }
-    }
-
-    Value
-    evalAssign(const Assign &e)
-    {
-        PlaceAndType pt = evalPlace(*e.lhs);
-        Value rhs = eval(*e.rhs);
-        charge(CpuCosts::kMem);
-        Value result;
-        if (e.op == AssignOp::Plain) {
-            if (pt.type && pt.type->isStruct() && rhs.isPointer()) {
-                copyStruct(rhs.asPlace(), pt.place, pt.type);
-                result = rhs;
-            } else {
-                memory_.store(pt.place, rhs);
-                result = memory_.load(pt.place);
-            }
-        } else {
-            Value old = memory_.load(pt.place);
-            BinaryOp op;
-            switch (e.op) {
-              case AssignOp::Add: op = BinaryOp::Add; break;
-              case AssignOp::Sub: op = BinaryOp::Sub; break;
-              case AssignOp::Mul: op = BinaryOp::Mul; break;
-              case AssignOp::Div: op = BinaryOp::Div; break;
-              default: op = BinaryOp::Mod; break;
-            }
-            Value combined = applyBinary(op, old, rhs, e.lhs.get());
-            memory_.store(pt.place, combined);
-            result = memory_.load(pt.place);
-        }
-        if (e.lhs->kind() == ExprKind::Ident) {
-            profileStore(static_cast<const Ident &>(*e.lhs).name, result);
-        }
-        return result;
-    }
-
-    Value
-    evalCall(const Call &e)
-    {
-        if (isBuiltin(e.callee))
-            return evalBuiltin(e);
-        const FunctionDecl *fn = tu_.findFunction(e.callee);
-        if (!fn)
-            throw Trap("call to unknown function: " + e.callee);
-        if (fn->params.size() != e.args.size())
-            throw Trap("wrong argument count calling " + e.callee);
-        std::vector<Value> args;
-        args.reserve(e.args.size());
-        for (const auto &a : e.args)
-            args.push_back(eval(*a));
-        return callFunction(*fn, args, nullptr);
-    }
-
-    bool
-    isBuiltin(const std::string &name) const
-    {
-        return cir::isIntrinsic(name);
-    }
-
-    Value
-    evalBuiltin(const Call &e)
-    {
-        const std::string &name = e.callee;
-        if (name == "malloc")
-            return evalMalloc(e);
-        if (name == "free") {
-            if (e.args.size() != 1)
-                throw Trap("free expects one argument");
-            Value p = eval(*e.args[0]);
-            if (!p.isPointer())
-                throw Trap("free of non-pointer");
-            memory_.release(p.asPlace());
-            return Value::makeInt(0);
-        }
-        if (name == "printf") {
-            for (const auto &a : e.args)
-                eval(*a);
-            charge(CpuCosts::kCall);
-            return Value::makeInt(0);
-        }
-        std::vector<Value> args;
-        for (const auto &a : e.args)
-            args.push_back(eval(*a));
-        charge(CpuCosts::kMath);
-        auto need = [&](size_t n) {
-            if (args.size() != n)
-                throw Trap(name + " expects " + std::to_string(n) +
-                           " argument(s)");
-        };
-        if (name == "sqrt" || name == "sqrtf") {
-            need(1);
-            double x = args[0].asFloat();
-            if (x < 0)
-                throw Trap("sqrt of negative value");
-            return Value::makeFloat(std::sqrt(x));
-        }
-        if (name == "fabs") {
-            need(1);
-            return Value::makeFloat(std::fabs(args[0].asFloat()));
-        }
-        if (name == "abs") {
-            need(1);
-            return Value::makeInt(std::labs(args[0].asInt()));
-        }
-        if (name == "pow" || name == "powf") {
-            need(2);
-            return Value::makeFloat(
-                std::pow(args[0].asFloat(), args[1].asFloat()));
-        }
-        if (name == "sin") {
-            need(1);
-            return Value::makeFloat(std::sin(args[0].asFloat()));
-        }
-        if (name == "cos") {
-            need(1);
-            return Value::makeFloat(std::cos(args[0].asFloat()));
-        }
-        if (name == "tan") {
-            need(1);
-            return Value::makeFloat(std::tan(args[0].asFloat()));
-        }
-        if (name == "exp") {
-            need(1);
-            return Value::makeFloat(std::exp(args[0].asFloat()));
-        }
-        if (name == "log") {
-            need(1);
-            double x = args[0].asFloat();
-            if (x <= 0)
-                throw Trap("log of non-positive value");
-            return Value::makeFloat(std::log(x));
-        }
-        if (name == "floor") {
-            need(1);
-            return Value::makeFloat(std::floor(args[0].asFloat()));
-        }
-        if (name == "ceil") {
-            need(1);
-            return Value::makeFloat(std::ceil(args[0].asFloat()));
-        }
-        if (name == "min" || name == "max") {
-            need(2);
-            bool flt = args[0].isFloat() || args[1].isFloat();
-            bool take_first =
-                flt ? (args[0].asFloat() < args[1].asFloat())
-                    : (args[0].asInt() < args[1].asInt());
-            if (name == "max")
-                take_first = !take_first;
-            return take_first ? args[0] : args[1];
-        }
-        throw Trap("unimplemented intrinsic: " + name);
-    }
-
-    Value
-    evalMalloc(const Call &e)
-    {
-        if (e.args.size() != 1)
-            throw Trap("malloc expects one argument");
-        const Expr &arg = *e.args[0];
-        charge(CpuCosts::kCall + CpuCosts::kMem);
-        // Recognize malloc(sizeof(T)), malloc(n * sizeof(T)),
-        // malloc(sizeof(T) * n); anything else allocates untyped cells.
-        const SizeofType *so = nullptr;
-        const Expr *count_expr = nullptr;
-        if (arg.kind() == ExprKind::SizeofType) {
-            so = static_cast<const SizeofType *>(&arg);
-        } else if (arg.kind() == ExprKind::Binary) {
-            const auto &bin = static_cast<const Binary &>(arg);
-            if (bin.op == BinaryOp::Mul) {
-                if (bin.lhs->kind() == ExprKind::SizeofType) {
-                    so = static_cast<const SizeofType *>(bin.lhs.get());
-                    count_expr = bin.rhs.get();
-                } else if (bin.rhs->kind() == ExprKind::SizeofType) {
-                    so = static_cast<const SizeofType *>(bin.rhs.get());
-                    count_expr = bin.lhs.get();
-                }
-            }
-        }
-        if (!so) {
-            long cells = eval(arg).asInt();
-            if (cells > Memory::kMaxCells)
-                throw Trap("allocation exceeds interpreter heap limit");
-            int32_t block =
-                memory_.allocate(int(cells), nullptr, true);
-            return Value::makePointer({block, 0});
-        }
-        long count = 1;
-        if (count_expr)
-            count = eval(*count_expr).asInt();
-        if (count < 0)
-            throw Trap("malloc with negative count");
-        const TypePtr &t = so->type;
-        int32_t block;
-        if (t->isStruct()) {
-            const Layout &layout = layoutOf(t->structName());
-            if (count > Memory::kMaxCells)
-                throw Trap("allocation exceeds interpreter heap limit");
-            block = memory_.allocatePattern(int(count), t,
-                                            layout.field_types, true);
-        } else {
-            long cells = count * static_cast<long>(flatCells(t.get()));
-            if (cells > Memory::kMaxCells)
-                throw Trap("allocation exceeds interpreter heap limit");
-            block = memory_.allocate(int(cells), t, true);
-        }
-        return Value::makePointer({block, 0});
-    }
-
-    Value
-    evalMethodCall(const MethodCall &e)
-    {
-        // Stream methods operate on the stream handle value.
-        Value base = eval(*e.base);
-        if (base.isStream())
-            return evalStreamMethod(base, e);
-        // Struct method: need the object place and its struct type.
-        PlaceAndType pt = evalPlaceOfObject(*e.base, base);
-        if (!pt.type || !pt.type->isStruct())
-            throw Trap("method call on non-struct value");
-        const StructDecl *sd = tu_.findStruct(pt.type->structName());
-        if (!sd)
-            throw Trap("unknown struct: " + pt.type->structName());
-        const FunctionDecl *method = sd->findMethod(e.method);
-        if (!method)
-            throw Trap("no method '" + e.method + "' on struct " +
-                       sd->name);
-        if (method->params.size() != e.args.size())
-            throw Trap("wrong argument count calling method " + e.method);
-        std::vector<Value> args;
-        for (const auto &a : e.args)
-            args.push_back(eval(*a));
-        return callFunction(*method, args, sd, pt.place);
-    }
-
-    Value
-    evalStreamMethod(const Value &stream, const MethodCall &e)
-    {
-        charge(CpuCosts::kStream);
-        int32_t id = stream.streamId();
-        if (e.method == "write") {
-            if (e.args.size() != 1)
-                throw Trap("stream.write expects one argument");
-            memory_.streamWrite(id, eval(*e.args[0]));
-            return Value::makeInt(0);
-        }
-        if (e.method == "read") {
-            if (!e.args.empty())
-                throw Trap("stream.read expects no arguments");
-            return memory_.streamRead(id);
-        }
-        if (e.method == "empty")
-            return Value::makeInt(memory_.streamEmpty(id) ? 1 : 0);
-        if (e.method == "full")
-            return Value::makeInt(0);
-        if (e.method == "size")
-            return Value::makeInt(long(memory_.streamSize(id)));
-        throw Trap("unknown stream method: " + e.method);
-    }
-
-    Value
-    evalStructLit(const StructLit &e)
-    {
-        const StructDecl *sd = tu_.findStruct(e.struct_name);
-        if (!sd)
-            throw Trap("unknown struct: " + e.struct_name);
-        const Layout &layout = layoutOf(e.struct_name);
-        int32_t block = memory_.allocatePattern(
-            1, Type::structType(e.struct_name), layout.field_types);
-        std::vector<Value> args;
-        for (const auto &a : e.args)
-            args.push_back(eval(*a));
-        if (sd->ctor) {
-            if (args.size() != sd->ctor->params.size())
-                throw Trap("wrong argument count for " + e.struct_name +
-                           " constructor");
-            for (const auto &[field, param] : sd->ctor->inits) {
-                int fi = layout.indexOf(field);
-                int pi = -1;
-                for (size_t k = 0; k < sd->ctor->params.size(); ++k) {
-                    if (sd->ctor->params[k].name == param)
-                        pi = static_cast<int>(k);
-                }
-                if (fi < 0 || pi < 0)
-                    throw Trap("bad constructor initializer in " +
-                               e.struct_name);
-                memory_.store({block, fi}, args[pi]);
-            }
-        } else {
-            if (args.size() > layout.field_names.size())
-                throw Trap("too many initializers for " + e.struct_name);
-            for (size_t k = 0; k < args.size(); ++k)
-                memory_.store({block, int32_t(k)}, args[k]);
-        }
-        return Value::makePointer({block, 0});
-    }
-
-    // --- lvalues ----------------------------------------------------------------
-
-    PlaceAndType
-    evalPlace(const Expr &expr)
-    {
-        step();
-        switch (expr.kind()) {
-          case ExprKind::Ident: {
-            const auto &e = static_cast<const Ident &>(expr);
-            Binding *b = lookup(e.name);
-            if (!b)
-                throw Trap("unbound identifier: " + e.name);
-            // Array/pointer parameter cells hold handles; using the name
-            // as a place targets the cell itself.
-            return {b->place, b->type};
-          }
-          case ExprKind::Unary: {
-            const auto &e = static_cast<const Unary &>(expr);
-            if (e.op == UnaryOp::Deref) {
-                Value p = eval(*e.operand);
-                if (!p.isPointer())
-                    throw Trap("dereference of non-pointer");
-                // Static pointee type when the operand type is known.
-                return {p.asPlace(), nullptr};
-            }
-            break;
-          }
-          case ExprKind::Index: {
-            const auto &e = static_cast<const Index &>(expr);
-            PlaceAndType base = evalIndexBase(*e.base);
-            Value idx = eval(*e.index);
-            long i = idx.asInt();
-            charge(CpuCosts::kIntAlu);
-            int stride = 1;
-            const cir::Type *elem = nullptr;
-            if (base.type && base.type->isArray()) {
-                elem = base.type->element().get();
-                stride = flatCells(elem);
-            } else if (base.type && base.type->isPointer()) {
-                elem = base.type->element().get();
-                stride = flatCells(elem);
-            } else {
-                const cir::Type *bt = memory_.blockType(base.place.block);
-                if (bt && bt->isStruct()) {
-                    elem = bt;
-                    stride = layoutOf(bt->structName()).size();
-                }
-            }
-            return {{base.place.block,
-                     base.place.offset + int32_t(i * stride)},
-                    elem};
-          }
-          case ExprKind::Member: {
-            const auto &e = static_cast<const Member &>(expr);
-            PlaceAndType base;
-            if (e.is_arrow) {
-                Value p = eval(*e.base);
-                if (!p.isPointer())
-                    throw Trap("-> on non-pointer");
-                base.place = p.asPlace();
-                base.type = memory_.blockType(base.place.block);
-            } else {
-                Value v = eval(*e.base);
-                if (v.isPointer()) {
-                    base.place = v.asPlace();
-                    base.type = memory_.blockType(base.place.block);
-                } else {
-                    base = evalPlace(*e.base);
-                }
-            }
-            if (!base.type || !base.type->isStruct())
-                throw Trap("member access on non-struct");
-            const Layout &layout = layoutOf(base.type->structName());
-            int fi = layout.indexOf(e.field);
-            if (fi < 0)
-                throw Trap("no field '" + e.field + "' in struct " +
-                           base.type->structName());
-            return {{base.place.block, base.place.offset + fi},
-                    layout.field_types[fi]};
-          }
-          default:
-            break;
-        }
-        throw Trap("expression is not assignable");
-    }
-
-    /**
-     * Base resolution for indexing: arrays decay via their binding; a
-     * pointer value loads the handle cell.
-     */
-    PlaceAndType
-    evalIndexBase(const Expr &base)
-    {
-        if (base.kind() == ExprKind::Ident) {
-            const auto &e = static_cast<const Ident &>(base);
-            Binding *b = lookup(e.name);
-            if (!b)
-                throw Trap("unbound identifier: " + e.name);
-            if (b->type && b->type->isArray())
-                return {b->place, b->type};
-            // Pointer variable (including decayed array params).
-            Value v = memory_.load(b->place);
-            if (v.isPointer())
-                return {v.asPlace(), b->type};
-            throw Trap("subscript of non-array: " + e.name);
-        }
-        // Nested index/member/deref: evaluate place then decay.
-        PlaceAndType pt = evalPlace(base);
-        if (pt.type && pt.type->isArray())
-            return pt;
-        Value v = memory_.load(pt.place);
-        if (v.isPointer())
-            return {v.asPlace(), pt.type};
-        throw Trap("subscript of non-array value");
-    }
-
-    /** Place+type for a method call receiver. */
-    PlaceAndType
-    evalPlaceOfObject(const Expr &base, const Value &value)
-    {
-        if (value.isPointer()) {
-            Place p = value.asPlace();
-            const cir::Type *bt = memory_.blockType(p.block);
-            if (bt && bt->isStruct())
-                return {p, bt};
-        }
-        return evalPlace(base);
-    }
-
-    const TranslationUnit &tu_;
-    const RunOptions &opts_;
-    Memory memory_;
-    std::vector<Frame> frames_;
-    std::map<std::string, Layout> layouts_;
-    std::map<int, int32_t> static_streams_;
-    std::vector<int> loop_stack_;
-    uint64_t steps_ = 0;
-    uint64_t cycles_ = 0;
-    bool seed_captured_ = false;
-};
-
-} // namespace
-
-Interpreter::Interpreter(const TranslationUnit &tu, RunOptions options)
-    : tu_(tu), options_(std::move(options))
-{
-}
+Interpreter::Interpreter(const TranslationUnit &tu) : tu_(tu) {}
 
 Interpreter::~Interpreter() = default;
 
-const bytecode::Program *
-Interpreter::compiled(RunContext *trace)
+const bytecode::Program &
+Interpreter::compiled(RunContext *trace) const
 {
     std::call_once(compile_once_, [&] {
-        std::string reason;
-        program_ = bytecode::compileProgram(tu_, &reason);
-        compile_failed_ = program_ == nullptr;
+        program_ = bytecode::compileProgram(tu_);
         if (trace)
             trace->count("interp.bytecode.compiles");
     });
-    return program_.get();
-}
-
-namespace {
-
-/** One engine's observables, collected into private sinks. */
-struct Observed
-{
-    RunResult result;
-    CoverageMap coverage;
-    ValueProfile profile;
-    LoopProfile loop_profile;
-    std::vector<KernelArg> captured_args;
-    BranchEventLog branch_log;
-};
-
-/**
- * Run one engine with every sink redirected to private storage so the
- * two sides of a differential run can be compared field by field.
- */
-Observed
-observeRun(const TranslationUnit &tu, const bytecode::Program *program,
-           const std::string &function, const std::vector<KernelArg> &args,
-           const RunOptions &options)
-{
-    Observed out;
-    RunOptions opts = options;
-    opts.coverage = &out.coverage;
-    opts.profile = &out.profile;
-    opts.loop_profile = &out.loop_profile;
-    if (!opts.capture_function.empty())
-        opts.captured_args = &out.captured_args;
-    opts.trace = nullptr;
-    opts.branch_log = &out.branch_log;
-    if (program) {
-        out.result = bytecode::executeProgram(*program, function, args,
-                                              opts);
-    } else {
-        Engine engine(tu, opts);
-        out.result = engine.run(function, args);
-    }
-    return out;
-}
-
-/**
- * Describe the first difference between the two observations, or ""
- * when the runs were bit-identical. Branch events are checked first:
- * they are timestamped with the step and cycle clocks, so the earliest
- * differing event localizes a divergence in execution order, not just
- * in the end-of-run summary.
- */
-std::string
-firstDivergence(const Observed &walk, const Observed &vm)
-{
-    std::ostringstream out;
-    const auto &we = walk.branch_log.events;
-    const auto &ve = vm.branch_log.events;
-    size_t n = std::min(we.size(), ve.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (we[i] == ve[i])
-            continue;
-        out << "branch event " << i << ": tree_walk {branch "
-            << we[i].branch_id << (we[i].taken ? " taken" : " not-taken")
-            << ", step " << we[i].steps << ", cycle " << we[i].cycles
-            << "} vs bytecode {branch " << ve[i].branch_id
-            << (ve[i].taken ? " taken" : " not-taken") << ", step "
-            << ve[i].steps << ", cycle " << ve[i].cycles << "}";
-        return out.str();
-    }
-    if (we.size() != ve.size()) {
-        out << "branch event count: tree_walk " << we.size()
-            << " vs bytecode " << ve.size();
-        return out.str();
-    }
-    if (walk.result.ok != vm.result.ok ||
-        walk.result.trap != vm.result.trap) {
-        out << "outcome: tree_walk "
-            << (walk.result.ok ? "ok" : "trap '" + walk.result.trap + "'")
-            << " vs bytecode "
-            << (vm.result.ok ? "ok" : "trap '" + vm.result.trap + "'");
-        return out.str();
-    }
-    if (walk.result.steps != vm.result.steps) {
-        out << "steps: tree_walk " << walk.result.steps << " vs bytecode "
-            << vm.result.steps;
-        return out.str();
-    }
-    if (walk.result.cycles != vm.result.cycles) {
-        out << "cycles: tree_walk " << walk.result.cycles
-            << " vs bytecode " << vm.result.cycles;
-        return out.str();
-    }
-    if (walk.result.has_ret != vm.result.has_ret ||
-        (walk.result.has_ret && !(walk.result.ret == vm.result.ret)))
-        return "return value differs";
-    if (!(walk.result.out_args == vm.result.out_args))
-        return "output arguments differ";
-    if (!(walk.coverage == vm.coverage))
-        return "branch coverage differs";
-    if (!(walk.profile == vm.profile))
-        return "value-range profile differs";
-    if (!(walk.loop_profile == vm.loop_profile))
-        return "loop profile differs";
-    if (!(walk.captured_args == vm.captured_args))
-        return "captured seed arguments differ";
-    return "";
-}
-
-} // namespace
-
-RunResult
-Interpreter::runDifferential(const std::string &function,
-                             const std::vector<KernelArg> &args,
-                             const RunOptions &options)
-{
-    Observed walk = observeRun(tu_, nullptr, function, args, options);
-    const bytecode::Program *program = compiled(options.trace);
-    Observed vm =
-        program ? observeRun(tu_, program, function, args, options)
-                : observeRun(tu_, nullptr, function, args, options);
-
-    RunResult result = walk.result;
-    result.divergence = firstDivergence(walk, vm);
-
-    // The tree walker is the reference: forward its observations into
-    // the caller's sinks so differential mode is a drop-in engine.
-    if (options.coverage)
-        options.coverage->absorb(walk.coverage);
-    if (options.profile)
-        options.profile->merge(walk.profile);
-    if (options.loop_profile)
-        options.loop_profile->absorb(walk.loop_profile);
-    if (options.captured_args && !options.capture_function.empty() &&
-        !walk.captured_args.empty())
-        *options.captured_args = std::move(walk.captured_args);
-    if (options.branch_log)
-        options.branch_log->events = std::move(walk.branch_log.events);
-    return result;
-}
-
-RunResult
-Interpreter::run(const std::string &function,
-                 const std::vector<KernelArg> &args)
-{
-    return run(function, args, options_);
+    return *program_;
 }
 
 RunResult
 Interpreter::run(const std::string &function,
                  const std::vector<KernelArg> &args,
-                 const RunOptions &options)
+                 const RunOptions &options) const
 {
-    EngineKind engine = options.engine;
-    RunResult result;
-    if (engine == EngineKind::Differential) {
-        result = runDifferential(function, args, options);
-    } else if (engine == EngineKind::Bytecode) {
-        const bytecode::Program *program = compiled(options.trace);
-        if (program) {
-            result = bytecode::executeProgram(*program, function, args,
-                                              options);
-        } else {
-            engine = EngineKind::TreeWalk; // unsupported construct
-            Engine walker(tu_, options);
-            result = walker.run(function, args);
-        }
-    } else {
-        Engine walker(tu_, options);
-        result = walker.run(function, args);
-    }
+    RunResult result = bytecode::executeProgram(compiled(options.trace),
+                                                function, args, options);
     if (options.trace) {
         options.trace->count("interp.runs");
-        options.trace->count(std::string("interp.execs.") +
-                             engineName(engine));
         options.trace->count("interp.steps",
                              static_cast<int64_t>(result.steps));
         if (!result.ok)
@@ -1668,10 +55,9 @@ Interpreter::run(const std::string &function,
 
 RunResult
 runProgram(const TranslationUnit &tu, const std::string &function,
-           const std::vector<KernelArg> &args, RunOptions options)
+           const std::vector<KernelArg> &args, const RunOptions &options)
 {
-    Interpreter interp(tu, std::move(options));
-    return interp.run(function, args);
+    return Interpreter(tu).run(function, args, options);
 }
 
 } // namespace heterogen::interp

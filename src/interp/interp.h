@@ -1,14 +1,17 @@
 /**
  * @file
- * Tree-walking interpreter for CIR programs.
+ * Interpreter for CIR programs.
  *
- * The interpreter executes a translation unit's functions with precise
- * memory safety (traps), branch-coverage recording, value-range profiling,
- * and a CPU cycle model used as the paper's "original C on CPU" latency
- * baseline. The same engine, driven through hls::FpgaSimulator, provides
- * functional FPGA co-simulation.
+ * The interpreter compiles a translation unit to register bytecode once
+ * and executes its functions on a dispatch-loop VM (docs/INTERP.md),
+ * with precise memory safety (traps), branch-coverage recording,
+ * value-range profiling, and a CPU cycle model used as the paper's
+ * "original C on CPU" latency baseline. The same VM, driven through
+ * hls::simulateFpga, provides functional FPGA co-simulation. A
+ * tree-walking reference (interp/reference/) is the oracle the VM is
+ * proven against; only tests and benches link it.
  *
- * Concurrency contract: the engine holds no mutable process-wide state —
+ * Concurrency contract: the VM holds no mutable process-wide state —
  * memory, frames, static-local stream bindings and the RNG-free step
  * accounting all live per run — so any number of runs may execute
  * concurrently over the same (const) TranslationUnit, provided the
@@ -22,7 +25,6 @@
 #define HETEROGEN_INTERP_INTERP_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,8 +49,8 @@ struct Program;
 
 /**
  * Per-operation cycle costs for the CPU latency model (2 GHz core).
- * Shared by the tree walker and the bytecode VM so the two engines
- * charge identical cycles by construction.
+ * Shared by the VM and the reference walker so the two charge
+ * identical cycles by construction.
  */
 struct CpuCosts
 {
@@ -66,36 +68,11 @@ struct CpuCosts
 };
 
 /**
- * Which execution engine runs the program. All engines are observably
- * bit-identical (docs/INTERP.md documents the contract); they differ
- * only in host-side speed.
- */
-enum class EngineKind
-{
-    TreeWalk,     ///< the reference AST walker
-    Bytecode,     ///< compile once, dispatch-loop VM (the fast path)
-    Differential, ///< run both, compare every observable, report drift
-};
-
-/**
- * Process default engine: the HETEROGEN_ENGINE environment variable
- * ("tree_walk", "bytecode", "differential") or TreeWalk when unset.
- * CI uses the variable to rerun the property and golden suites on the
- * bytecode engine without touching any call site.
- */
-EngineKind defaultEngine();
-
-/** Parse an engine name; "" keeps `out` untouched. False on unknown. */
-bool parseEngineName(const std::string &name, EngineKind *out);
-
-/** Canonical name for an engine ("tree_walk", ...). */
-const char *engineName(EngineKind engine);
-
-/**
  * One observed branch decision with the clock state at the record.
- * Sequences of these are the differential engine's alignment points:
- * two bit-identical runs produce identical event sequences, so the
- * first differing event localizes a divergence in time.
+ * Sequences of these are the differential runner's alignment points
+ * (interp/reference/reference.h): two bit-identical runs produce
+ * identical event sequences, so the first differing event localizes a
+ * divergence in time.
  */
 struct BranchEvent
 {
@@ -116,8 +93,6 @@ struct BranchEventLog
 /** Knobs for one interpreter run. */
 struct RunOptions
 {
-    /** Execution engine (see EngineKind; default honours HETEROGEN_ENGINE). */
-    EngineKind engine = defaultEngine();
     /** Abort with a trap after this many evaluation steps. */
     uint64_t max_steps = 20'000'000;
     /** Abort with a trap beyond this call depth (recursion guard). */
@@ -143,8 +118,8 @@ struct RunOptions
      */
     RunContext *trace = nullptr;
     /**
-     * Differential-engine internal: when non-null, every recordBranch
-     * appends a BranchEvent here. Costs nothing when unset.
+     * When non-null, every branch record appends a BranchEvent here
+     * (the differential runner's input). Costs nothing when unset.
      */
     BranchEventLog *branch_log = nullptr;
 };
@@ -160,13 +135,6 @@ struct RunResult
     std::vector<KernelArg> out_args;
     uint64_t cycles = 0;
     uint64_t steps = 0;
-    /**
-     * Engine::Differential only: empty when both engines agreed on
-     * every observable; otherwise a description of the first diverging
-     * site (branch-event index, then summary field). Always empty for
-     * the single-engine modes.
-     */
-    std::string divergence;
 
     /** Wall-clock estimate at the CPU model's 2 GHz clock. */
     double cpuMillis() const { return double(cycles) * 0.5e-6; }
@@ -178,53 +146,47 @@ struct RunResult
 /**
  * Interpreter facade bound to one translation unit.
  *
- * Each call to run() executes with fresh memory and fresh globals; struct
- * layouts — and, for the bytecode engine, the compiled program — are
- * cached across runs. Hot loops (fuzzing, difftest) construct one
- * Interpreter per campaign and call the per-run-options overload so the
- * compile cost is paid once; compilation is thread-safe, so concurrent
- * run() calls over one instance are fine.
+ * Each call to run() executes with fresh memory and fresh globals; the
+ * compiled program is cached across runs, built by the first run. Hot
+ * loops (fuzzing, difftest, co-simulation) construct one Interpreter
+ * per campaign so the compile cost is paid once; compilation is
+ * thread-safe, so concurrent run() calls over one instance are fine.
  */
 class Interpreter
 {
   public:
-    explicit Interpreter(const cir::TranslationUnit &tu,
-                         RunOptions options = {});
+    explicit Interpreter(const cir::TranslationUnit &tu);
     ~Interpreter();
 
     Interpreter(const Interpreter &) = delete;
     Interpreter &operator=(const Interpreter &) = delete;
 
     /**
-     * Run `function` with the given kernel arguments.
-     * Traps are reported in the result, never thrown.
+     * Run `function` with the given kernel arguments and per-run
+     * options (sinks, limits). Traps are reported in the result, never
+     * thrown.
      */
     RunResult run(const std::string &function,
-                  const std::vector<KernelArg> &args);
-
-    /** Same, with per-run options (engine, sinks, limits). */
-    RunResult run(const std::string &function,
                   const std::vector<KernelArg> &args,
-                  const RunOptions &options);
+                  const RunOptions &options = {}) const;
+
+    const cir::TranslationUnit &tu() const { return tu_; }
 
   private:
-    const bytecode::Program *compiled(RunContext *trace);
-    RunResult runDifferential(const std::string &function,
-                              const std::vector<KernelArg> &args,
-                              const RunOptions &options);
+    /** The compiled program; the first call compiles and counts
+     * interp.bytecode.compiles on `trace`. */
+    const bytecode::Program &compiled(RunContext *trace) const;
 
     const cir::TranslationUnit &tu_;
-    RunOptions options_;
-    std::once_flag compile_once_;
-    std::unique_ptr<const bytecode::Program> program_;
-    bool compile_failed_ = false;
+    mutable std::once_flag compile_once_;
+    mutable std::unique_ptr<const bytecode::Program> program_;
 };
 
 /** Convenience one-shot run. */
 RunResult runProgram(const cir::TranslationUnit &tu,
                      const std::string &function,
                      const std::vector<KernelArg> &args,
-                     RunOptions options = {});
+                     const RunOptions &options = {});
 
 } // namespace heterogen::interp
 

@@ -52,7 +52,7 @@ struct LoopProfile
 
     /**
      * Fold another profile in as if its loops had run here directly
-     * (the differential engine forwards private sinks this way).
+     * (the differential runner forwards private sinks this way).
      */
     void
     absorb(const LoopProfile &other)

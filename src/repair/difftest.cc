@@ -42,19 +42,19 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
     result.total = limit;
 
     // Map phase: every test is independent (fresh interpreter state per
-    // run), writes only its own record. The original-program
-    // interpreter is shared so the bytecode engine compiles it once.
+    // run), writes only its own record. Both sides are shared across
+    // the campaign, so each program is compiled once.
     interp::Interpreter cpu_interp(original);
+    hls::FpgaDesign fpga_design(candidate);
     std::vector<TestRecord> records(static_cast<size_t>(limit));
     parallelForEach(options.pool, records.size(), [&](size_t i) {
         const fuzz::TestCase &test = suite[i];
         TestRecord &rec = records[i];
         RunOptions opts;
         opts.trace = ctx;
-        opts.engine = options.engine;
         RunResult cpu = cpu_interp.run(original_kernel, test.args, opts);
         hls::FpgaRunResult fpga = hls::simulateFpga(
-            candidate, config, config.top_function, test.args, opts);
+            fpga_design, config, config.top_function, test.args, opts);
         rec.steps = cpu.steps + fpga.run.steps;
         rec.cpu_ms = cpu.cpuMillis();
         rec.fpga_ms = fpga.millis;

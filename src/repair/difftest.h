@@ -4,10 +4,11 @@
  * (candidate) over a generated test suite — HeteroGen's fitness oracle.
  *
  * Evaluation is embarrassingly parallel across test inputs: each test
- * runs both sides in its own interpreter instance and writes a private
+ * runs both sides with fresh interpreter state and writes a private
  * per-test record; the records are then reduced serially in input
  * order. Results are therefore byte-identical at any host thread
- * count (tests/test_parallel.cc asserts this).
+ * count (tests/test_parallel.cc asserts this). Each side is compiled
+ * once per campaign.
  */
 
 #ifndef HETEROGEN_REPAIR_DIFFTEST_H
@@ -45,12 +46,6 @@ struct DiffTestOptions
      * an execution detail: results are invariant to the pool size.
      */
     WorkerPool *pool = nullptr;
-    /**
-     * Interpreter engine for both sides of every test. Bit-identical
-     * across engines (docs/INTERP.md), so pass/fail results and
-     * sim_minutes never depend on it.
-     */
-    interp::EngineKind engine = interp::defaultEngine();
 };
 
 /** Outcome of one differential-testing campaign. */

@@ -293,7 +293,6 @@ class Search
         dt.max_tests = options_.difftest_sample;
         dt.sim_workers = options_.difftest_sim_workers;
         dt.pool = pool_;
-        dt.engine = options_.engine;
         DiffTestResult fitness = diffTest(ctx_, original_, kernel_,
                                           *cand_, config_, suite_, dt);
         if (options_.use_memo && !fitness.tool_failure)

@@ -100,11 +100,6 @@ struct SearchOptions
      */
     std::set<std::string> allowed_edits;
     /**
-     * Interpreter engine for every fitness-check execution. Engines are
-     * bit-identical, so search traces do not depend on the choice.
-     */
-    interp::EngineKind engine = interp::defaultEngine();
-    /**
      * Candidate proposer driving the search ("template", "corpus" or
      * "mixed"; see repair/proposer.h). Defaults to HETEROGEN_PROPOSER
      * when set, else the paper's template enumeration. The judge side

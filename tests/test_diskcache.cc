@@ -797,7 +797,6 @@ fastServiceOptions(uint64_t seed)
     opts.search.max_iterations = 40;
     opts.search.difftest_sample = 4;
     opts.search.rng_seed = seed * 31 + 7;
-    opts.engine = "bytecode";
     return opts;
 }
 

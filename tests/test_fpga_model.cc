@@ -99,9 +99,9 @@ TEST(FpgaModel, PipelineAccelerationBoundedByBodyLatency)
     )");
     cir::analyzeOrDie(*tiny_body);
     std::vector<LoopAcceleration> accel;
-    simulateFpga(*tiny_body, HlsConfig::forTop("kernel"), "kernel",
-                 {KernelArg::ofInts(std::vector<long>(64, 1))}, {},
-                 &accel);
+    simulateFpga(FpgaDesign(*tiny_body), HlsConfig::forTop("kernel"),
+                 "kernel", {KernelArg::ofInts(std::vector<long>(64, 1))},
+                 {}, &accel);
     ASSERT_EQ(accel.size(), 1u);
     EXPECT_LT(accel[0].pipeline_factor, 32.0);
     EXPECT_GE(accel[0].pipeline_factor, 1.0);
@@ -130,10 +130,10 @@ TEST(FpgaModel, HigherIIReducesPipelineCredit)
     auto slow = program_for("4");
     std::vector<KernelArg> args{
         KernelArg::ofInts(std::vector<long>(64, 2))};
-    auto a = simulateFpga(*fast, HlsConfig::forTop("kernel"), "kernel",
-                          args);
-    auto b = simulateFpga(*slow, HlsConfig::forTop("kernel"), "kernel",
-                          args);
+    auto a = simulateFpga(FpgaDesign(*fast), HlsConfig::forTop("kernel"),
+                          "kernel", args);
+    auto b = simulateFpga(FpgaDesign(*slow), HlsConfig::forTop("kernel"),
+                          "kernel", args);
     EXPECT_LT(a.millis, b.millis);
 }
 
@@ -167,10 +167,10 @@ TEST(FpgaModel, UnrollBoundedByMemoryPortsUnlessPartitioned)
     std::vector<LoopAcceleration> a1, a2;
     std::vector<KernelArg> args{
         KernelArg::ofInts(std::vector<long>(64, 1))};
-    simulateFpga(*tu1, HlsConfig::forTop("kernel"), "kernel", args, {},
-                 &a1);
-    simulateFpga(*tu2, HlsConfig::forTop("kernel"), "kernel", args, {},
-                 &a2);
+    simulateFpga(FpgaDesign(*tu1), HlsConfig::forTop("kernel"), "kernel",
+                 args, {}, &a1);
+    simulateFpga(FpgaDesign(*tu2), HlsConfig::forTop("kernel"), "kernel",
+                 args, {}, &a2);
     ASSERT_EQ(a1.size(), 1u);
     ASSERT_EQ(a2.size(), 1u);
     EXPECT_DOUBLE_EQ(a1[0].unroll_factor, 2.0)
@@ -195,8 +195,8 @@ TEST(FpgaModel, DataflowOnlyOverlapsTopLevelLoops)
     std::vector<KernelArg> args{
         KernelArg::ofInts(std::vector<long>(32, 1)),
         KernelArg::ofInts(std::vector<long>(32, 1))};
-    simulateFpga(*tu, HlsConfig::forTop("kernel"), "kernel", args, {},
-                 &accel);
+    simulateFpga(FpgaDesign(*tu), HlsConfig::forTop("kernel"), "kernel",
+                 args, {}, &accel);
     int overlapped = 0;
     int serial = 0;
     for (const auto &a : accel) {
@@ -215,11 +215,11 @@ TEST(FpgaModel, TransferScalesWithArgumentCells)
         int kernel(int a[1024]) { return a[0]; }
     )");
     cir::analyzeOrDie(*tu);
-    auto small = simulateFpga(*tu, HlsConfig::forTop("kernel"), "kernel",
+    FpgaDesign design(*tu);
+    auto small = simulateFpga(design, HlsConfig::forTop("kernel"), "kernel",
                               {KernelArg::ofInts(std::vector<long>(8))});
-    auto large = simulateFpga(
-        *tu, HlsConfig::forTop("kernel"), "kernel",
-        {KernelArg::ofInts(std::vector<long>(1024))});
+    auto large = simulateFpga(design, HlsConfig::forTop("kernel"), "kernel",
+                              {KernelArg::ofInts(std::vector<long>(1024))});
     EXPECT_GT(large.transfer_cycles, small.transfer_cycles);
     EXPECT_GE(large.transfer_cycles - small.transfer_cycles,
               (1024 - 8) / 8);
@@ -239,8 +239,9 @@ TEST(Toolchain, StatsAccumulateAcrossCalls)
     cir::analyzeOrDie(*tu);
     HlsToolchain tool(HlsConfig::forTop("kernel"));
     tool.compile(*tu);
-    tool.cosim(*tu, "kernel", {KernelArg::ofInt(1)});
-    tool.cosim(*tu, "kernel", {KernelArg::ofInt(2)});
+    FpgaDesign design(*tu);
+    tool.cosim(design, "kernel", {KernelArg::ofInt(1)});
+    tool.cosim(design, "kernel", {KernelArg::ofInt(2)});
     EXPECT_EQ(tool.stats().compile_invocations, 1);
     EXPECT_EQ(tool.stats().cosim_invocations, 2);
     double before_reset = tool.stats().total_minutes;

@@ -432,7 +432,7 @@ TEST(Toolchain, CosimMatchesInterpreterFunctionally)
     )");
     cir::analyzeOrDie(*tu);
     HlsToolchain tool(HlsConfig::forTop("kernel"));
-    auto r = tool.cosim(*tu, "kernel",
+    auto r = tool.cosim(FpgaDesign(*tu), "kernel",
                         {KernelArg::ofInts({1, 2, 3, 4, 5, 6, 7, 8})});
     ASSERT_TRUE(r.run.ok) << r.run.trap;
     EXPECT_EQ(r.run.ret.i, 36);
@@ -451,8 +451,8 @@ TEST(FpgaModel, UnoptimizedFpgaSlowerThanCpu)
     cir::analyzeOrDie(*tu);
     std::vector<KernelArg> args{KernelArg::ofInts(std::vector<long>(256, 2))};
     auto cpu = interp::runProgram(*tu, "kernel", args);
-    auto fpga = simulateFpga(*tu, HlsConfig::forTop("kernel"), "kernel",
-                             args);
+    auto fpga = simulateFpga(FpgaDesign(*tu), HlsConfig::forTop("kernel"),
+                             "kernel", args);
     ASSERT_TRUE(cpu.ok);
     ASSERT_TRUE(fpga.run.ok);
     EXPECT_GT(fpga.millis, cpu.cpuMillis())
@@ -484,10 +484,10 @@ TEST(FpgaModel, PipelineAndUnrollBeatCpu)
     cir::analyzeOrDie(*tuned);
     std::vector<KernelArg> args{KernelArg::ofInts(std::vector<long>(256, 2))};
     auto cpu = interp::runProgram(*plain, "kernel", args);
-    auto slow = simulateFpga(*plain, HlsConfig::forTop("kernel"), "kernel",
-                             args);
-    auto fast = simulateFpga(*tuned, HlsConfig::forTop("kernel"), "kernel",
-                             args);
+    auto slow = simulateFpga(FpgaDesign(*plain),
+                             HlsConfig::forTop("kernel"), "kernel", args);
+    auto fast = simulateFpga(FpgaDesign(*tuned),
+                             HlsConfig::forTop("kernel"), "kernel", args);
     ASSERT_TRUE(fast.run.ok) << fast.run.trap;
     EXPECT_EQ(fast.run.ret.i, cpu.ret.i) << "pragmas must not change results";
     EXPECT_LT(fast.millis, slow.millis);
@@ -515,10 +515,10 @@ TEST(FpgaModel, DataflowOverlapsTopLevelLoops)
     std::vector<KernelArg> args{
         KernelArg::ofInts(std::vector<long>(128, 1)),
         KernelArg::ofInts(std::vector<long>(128, 1))};
-    auto a = simulateFpga(*serial, HlsConfig::forTop("kernel"), "kernel",
-                          args);
-    auto b = simulateFpga(*overlapped, HlsConfig::forTop("kernel"),
+    auto a = simulateFpga(FpgaDesign(*serial), HlsConfig::forTop("kernel"),
                           "kernel", args);
+    auto b = simulateFpga(FpgaDesign(*overlapped),
+                          HlsConfig::forTop("kernel"), "kernel", args);
     EXPECT_LT(b.millis, a.millis);
 }
 
@@ -537,8 +537,9 @@ TEST(FpgaModel, HigherClockIsFaster)
     slow_cfg.clock_mhz = 100;
     HlsConfig fast_cfg = HlsConfig::forTop("kernel");
     fast_cfg.clock_mhz = 400;
-    auto slow = simulateFpga(*tu, slow_cfg, "kernel", args);
-    auto fast = simulateFpga(*tu, fast_cfg, "kernel", args);
+    FpgaDesign design(*tu);
+    auto slow = simulateFpga(design, slow_cfg, "kernel", args);
+    auto fast = simulateFpga(design, fast_cfg, "kernel", args);
     EXPECT_LT(fast.millis, slow.millis);
 }
 

@@ -5,6 +5,7 @@
 #include "cir/parser.h"
 #include "cir/sema.h"
 #include "interp/interp.h"
+#include "interp/reference/reference.h"
 
 namespace heterogen::interp {
 namespace {
@@ -19,6 +20,18 @@ runSrc(const std::string &src, const std::string &fn,
     auto tu = parse(src);
     cir::analyzeOrDie(*tu);
     return runProgram(*tu, fn, args, opts);
+}
+
+/** Run on the VM and the reference walker; the walker's result plus
+ * the first divergence between the two ("" when they agree). */
+reference::DifferentialResult
+runBoth(const std::string &src, const std::string &fn,
+        std::vector<KernelArg> args)
+{
+    auto tu = parse(src);
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    return reference::runDifferential(interp, fn, args);
 }
 
 TEST(Interp, ArithmeticAndReturn)
@@ -303,9 +316,7 @@ TEST(Interp, OversizedMallocTraps)
 {
     // A fuzzed size argument must trap at the heap limit instead of
     // exhausting host memory; both engines must agree on the trap.
-    RunOptions opts;
-    opts.engine = EngineKind::Differential;
-    auto r = runSrc(R"(
+    auto both = runBoth(R"(
         int f(int n) {
             int *p = (int*)malloc(sizeof(int) * n);
             p[0] = n;
@@ -314,17 +325,17 @@ TEST(Interp, OversizedMallocTraps)
             return v;
         }
     )",
-                    "f", {KernelArg::ofInt(2000000000)}, opts);
-    ASSERT_FALSE(r.ok);
-    EXPECT_NE(r.trap.find("allocation exceeds interpreter heap limit"),
-              std::string::npos);
+                        "f", {KernelArg::ofInt(2000000000)});
+    EXPECT_EQ(both.divergence, "");
+    ASSERT_FALSE(both.result.ok);
+    EXPECT_NE(
+        both.result.trap.find("allocation exceeds interpreter heap limit"),
+        std::string::npos);
 }
 
 TEST(Interp, OversizedStructMallocTraps)
 {
-    RunOptions opts;
-    opts.engine = EngineKind::Differential;
-    auto r = runSrc(R"(
+    auto both = runBoth(R"(
         struct Pair { int a; int b; };
         int f(int n) {
             struct Pair *p =
@@ -335,10 +346,12 @@ TEST(Interp, OversizedStructMallocTraps)
             return v;
         }
     )",
-                    "f", {KernelArg::ofInt(2000000000)}, opts);
-    ASSERT_FALSE(r.ok);
-    EXPECT_NE(r.trap.find("allocation exceeds interpreter heap limit"),
-              std::string::npos);
+                        "f", {KernelArg::ofInt(2000000000)});
+    EXPECT_EQ(both.divergence, "");
+    ASSERT_FALSE(both.result.ok);
+    EXPECT_NE(
+        both.result.trap.find("allocation exceeds interpreter heap limit"),
+        std::string::npos);
 }
 
 TEST(Interp, VlaAllocation)

@@ -1,17 +1,18 @@
 /**
  * @file
- * Differential harness proving the bytecode engine bit-identical to the
- * tree walker (docs/INTERP.md).
+ * Differential harness proving the bytecode VM bit-identical to the
+ * reference tree walker (docs/INTERP.md).
  *
- * Every program here runs under both engines with private observation
- * sinks, and EVERY observable is compared: outcome (return value, out
- * args, trap message), step count, modeled CPU cycles, branch coverage,
- * value-range profile, per-loop cycle attribution, and the full ordered
- * branch-event log. Inputs come from the ten evaluation subjects (with
- * fuzzer-generated suites), their manual HLS ports, all 1000
- * forum-corpus repro snippets across argument seeds, and a randomized
- * program generator — plus directed trap-path cases and a self-test
- * that the differential engine localizes an injected divergence.
+ * Every program here runs on the walker and on the VM with private
+ * observation sinks, and EVERY observable is compared: outcome (return
+ * value, out args, trap message), step count, modeled CPU cycles,
+ * branch coverage, value-range profile, per-loop cycle attribution, and
+ * the full ordered branch-event log. Inputs come from the ten
+ * evaluation subjects (with fuzzer-generated suites), their manual HLS
+ * ports, all 1000 forum-corpus repro snippets across argument seeds,
+ * and a randomized program generator — plus whole fuzz campaigns,
+ * directed trap-path cases and a self-test that the differential
+ * runner localizes an injected divergence.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "fuzz/fuzzer.h"
 #include "interp/bytecode/bytecode.h"
 #include "interp/interp.h"
+#include "interp/reference/reference.h"
 #include "subjects/forum_corpus.h"
 #include "subjects/subjects.h"
 #include "support/rng.h"
@@ -31,6 +33,15 @@ namespace heterogen::interp {
 namespace {
 
 using cir::parse;
+using reference::runDifferential;
+using reference::runWalker;
+
+/** Which side of a differential comparison runs. */
+enum class Side
+{
+    Walker,
+    Vm,
+};
 
 /** Everything observable from one run, collected into private sinks. */
 struct Observation
@@ -43,19 +54,18 @@ struct Observation
 };
 
 Observation
-observe(Interpreter &interp, const std::string &fn,
-        const std::vector<KernelArg> &args, EngineKind engine,
-        uint64_t max_steps)
+observe(const Interpreter &interp, const std::string &fn,
+        const std::vector<KernelArg> &args, Side side, uint64_t max_steps)
 {
     Observation o;
     RunOptions opts;
-    opts.engine = engine;
     opts.max_steps = max_steps;
     opts.coverage = &o.coverage;
     opts.profile = &o.profile;
     opts.loop_profile = &o.loops;
     opts.branch_log = &o.branch_log;
-    o.result = interp.run(fn, args, opts);
+    o.result = side == Side::Walker ? runWalker(interp.tu(), fn, args, opts)
+                                    : interp.run(fn, args, opts);
     return o;
 }
 
@@ -64,15 +74,13 @@ observe(Interpreter &interp, const std::string &fn,
  * every observable matches. `label` names the case in failures.
  */
 void
-expectEnginesAgree(Interpreter &interp, const std::string &fn,
+expectEnginesAgree(const Interpreter &interp, const std::string &fn,
                    const std::vector<KernelArg> &args,
                    const std::string &label,
                    uint64_t max_steps = 2'000'000)
 {
-    Observation walk =
-        observe(interp, fn, args, EngineKind::TreeWalk, max_steps);
-    Observation vm =
-        observe(interp, fn, args, EngineKind::Bytecode, max_steps);
+    Observation walk = observe(interp, fn, args, Side::Walker, max_steps);
+    Observation vm = observe(interp, fn, args, Side::Vm, max_steps);
 
     EXPECT_EQ(walk.result.ok, vm.result.ok) << label;
     EXPECT_EQ(walk.result.trap, vm.result.trap) << label;
@@ -91,25 +99,11 @@ expectEnginesAgree(Interpreter &interp, const std::string &fn,
             << label << " at branch event " << i;
     }
 
-    // The differential engine must reach the same verdict.
+    // The differential runner must reach the same verdict.
     RunOptions diff;
-    diff.engine = EngineKind::Differential;
     diff.max_steps = max_steps;
-    RunResult both = interp.run(fn, args, diff);
-    EXPECT_EQ(both.divergence, "") << label;
-}
-
-/**
- * The harness proves nothing if the compiler silently bailed and the
- * "bytecode" runs fell back to the walker: require compilation.
- */
-void
-expectCompiles(const cir::TranslationUnit &tu, const std::string &label)
-{
-    std::string reason;
-    auto program = bytecode::compileProgram(tu, &reason);
-    ASSERT_NE(program, nullptr)
-        << label << ": bytecode compile bailed: " << reason;
+    EXPECT_EQ(runDifferential(interp, fn, args, diff).divergence, "")
+        << label;
 }
 
 /** Deterministic argument vector for a function's parameter list. */
@@ -166,16 +160,14 @@ TEST(InterpDiff, SubjectsBitIdenticalOverFuzzedSuites)
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = parse(subject.source);
         cir::SemaResult sema = cir::analyzeOrDie(*tu);
-        expectCompiles(*tu, subject.id);
 
         fuzz::FuzzOptions options = smallCampaign(subject.fuzz_seed);
         options.host_function = subject.host;
-        options.engine = EngineKind::TreeWalk;
-        fuzz::FuzzResult reference =
+        fuzz::FuzzResult campaign =
             fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
 
         Interpreter interp(*tu);
-        for (const auto &test : reference.suite.cases()) {
+        for (const auto &test : campaign.suite.cases()) {
             expectEnginesAgree(interp, subject.kernel, test.args,
                                subject.id + "/" + test.str(), 200'000);
         }
@@ -186,33 +178,42 @@ TEST(InterpDiff, SubjectsBitIdenticalOverFuzzedSuites)
     }
 }
 
+/** Two campaigns made the same decisions on the same simulated clock. */
+void
+expectSameCampaign(const fuzz::FuzzResult &a, const fuzz::FuzzResult &b,
+                   const std::string &label)
+{
+    ASSERT_EQ(a.suite.size(), b.suite.size()) << label;
+    for (size_t i = 0; i < a.suite.size(); ++i)
+        EXPECT_TRUE(a.suite[i].args == b.suite[i].args)
+            << label << " case " << i;
+    EXPECT_TRUE(a.coverage == b.coverage) << label;
+    EXPECT_EQ(a.executions, b.executions) << label;
+    EXPECT_EQ(a.sim_minutes, b.sim_minutes) << label;
+    EXPECT_EQ(a.last_progress_minutes, b.last_progress_minutes) << label;
+}
+
 TEST(InterpDiff, FuzzCampaignsIdenticalAcrossEngines)
 {
     // The whole campaign — corpus decisions, coverage, simulated clock —
-    // must come out the same when every execution runs on the VM.
+    // must come out the same when every execution, host seed capture
+    // included, runs on the walker instead of the VM.
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = parse(subject.source);
         cir::SemaResult sema = cir::analyzeOrDie(*tu);
 
         fuzz::FuzzOptions options = smallCampaign(subject.fuzz_seed);
         options.host_function = subject.host;
-        options.engine = EngineKind::TreeWalk;
-        fuzz::FuzzResult walk =
-            fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
-
-        options.engine = EngineKind::Bytecode;
+        RunContext walk_ctx;
+        fuzz::FuzzResult walk = fuzz::fuzzKernel(
+            walk_ctx, *tu, subject.kernel, options,
+            [&](const std::string &fn, const std::vector<KernelArg> &args,
+                const RunOptions &opts) {
+                return runWalker(*tu, fn, args, opts);
+            });
         fuzz::FuzzResult vm =
             fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
-
-        ASSERT_EQ(walk.suite.size(), vm.suite.size()) << subject.id;
-        for (size_t i = 0; i < walk.suite.size(); ++i)
-            EXPECT_TRUE(walk.suite[i].args == vm.suite[i].args)
-                << subject.id << " case " << i;
-        EXPECT_TRUE(walk.coverage == vm.coverage) << subject.id;
-        EXPECT_EQ(walk.executions, vm.executions) << subject.id;
-        EXPECT_EQ(walk.sim_minutes, vm.sim_minutes) << subject.id;
-        EXPECT_EQ(walk.last_progress_minutes, vm.last_progress_minutes)
-            << subject.id;
+        expectSameCampaign(walk, vm, subject.id);
     }
 }
 
@@ -223,7 +224,6 @@ TEST(InterpDiff, ManualPortsBitIdentical)
             continue;
         auto tu = parse(subject.manual_source);
         cir::analyzeOrDie(*tu);
-        expectCompiles(*tu, subject.id + "/manual");
 
         const cir::FunctionDecl *kernel =
             tu->findFunction(subject.kernel);
@@ -258,7 +258,6 @@ TEST(InterpDiff, ForumCorpusSnippetsBitIdentical)
         const cir::FunctionDecl *kernel = tu->findFunction("kernel");
         if (!kernel)
             continue;
-        expectCompiles(*tu, "post " + std::to_string(post.post_id));
         Interpreter interp(*tu);
         for (uint64_t seed = 1; seed <= 3; ++seed) {
             expectEnginesAgree(interp, "kernel",
@@ -382,7 +381,6 @@ TEST(InterpDiff, RandomProgramsBitIdentical)
         std::string src = gen.generate();
         auto tu = parse(src);
         cir::analyzeOrDie(*tu);
-        expectCompiles(*tu, "gen seed " + std::to_string(seed));
         Interpreter interp(*tu);
         for (uint64_t arg_seed = 1; arg_seed <= 2; ++arg_seed) {
             Rng rng(seed * 100 + arg_seed);
@@ -521,7 +519,7 @@ TEST(InterpDiff, CallDepthTrapsIdentically)
     EXPECT_EQ(r.trap, "call depth exceeded (runaway recursion?)");
 }
 
-// --- the differential engine's own reporting ------------------------------
+// --- the differential runner's own reporting ------------------------------
 
 TEST(InterpDiff, DifferentialEngineReportsFirstDivergingSite)
 {
@@ -536,24 +534,21 @@ TEST(InterpDiff, DifferentialEngineReportsFirstDivergingSite)
     )");
     cir::analyzeOrDie(*tu);
     Interpreter interp(*tu);
-    RunOptions opts;
-    opts.engine = EngineKind::Differential;
 
     // Healthy engines: no divergence on any input.
     for (int n = 0; n <= 4; ++n) {
-        RunResult clean =
-            interp.run("kernel", {KernelArg::ofInt(n)}, opts);
-        EXPECT_TRUE(clean.ok);
+        auto clean = runDifferential(interp, "kernel", {KernelArg::ofInt(n)});
+        EXPECT_TRUE(clean.result.ok);
         EXPECT_EQ(clean.divergence, "") << "n=" << n;
     }
 
     // Inject a single-opcode fault: the VM charges one extra cycle at
     // branch record #2. The harness must localize exactly that event.
     bytecode::testing::corrupt_branch_event = 2;
-    RunResult hurt = interp.run("kernel", {KernelArg::ofInt(4)}, opts);
+    auto hurt = runDifferential(interp, "kernel", {KernelArg::ofInt(4)});
     bytecode::testing::corrupt_branch_event = -1;
 
-    EXPECT_TRUE(hurt.ok); // the reference side still succeeded
+    EXPECT_TRUE(hurt.result.ok); // the reference side still succeeded
     ASSERT_NE(hurt.divergence, "");
     EXPECT_NE(hurt.divergence.find("branch event 2"), std::string::npos)
         << hurt.divergence;
@@ -561,7 +556,7 @@ TEST(InterpDiff, DifferentialEngineReportsFirstDivergingSite)
         << hurt.divergence;
 
     // The corruption is scoped to the hook: clean again afterwards.
-    RunResult after = interp.run("kernel", {KernelArg::ofInt(4)}, opts);
+    auto after = runDifferential(interp, "kernel", {KernelArg::ofInt(4)});
     EXPECT_EQ(after.divergence, "");
 }
 
@@ -578,12 +573,20 @@ TEST(InterpDiff, DifferentialForwardsReferenceObservables)
     Interpreter interp(*tu);
 
     Observation walk = observe(interp, "kernel", {KernelArg::ofInt(5)},
-                               EngineKind::TreeWalk, 100'000);
-    Observation diff = observe(interp, "kernel", {KernelArg::ofInt(5)},
-                               EngineKind::Differential, 100'000);
+                               Side::Walker, 100'000);
+    Observation diff;
+    RunOptions opts;
+    opts.max_steps = 100'000;
+    opts.coverage = &diff.coverage;
+    opts.profile = &diff.profile;
+    opts.loop_profile = &diff.loops;
+    opts.branch_log = &diff.branch_log;
+    auto both = runDifferential(interp, "kernel", {KernelArg::ofInt(5)},
+                                opts);
+    diff.result = both.result;
 
     EXPECT_TRUE(diff.result.ok);
-    EXPECT_EQ(diff.result.divergence, "");
+    EXPECT_EQ(both.divergence, "");
     EXPECT_TRUE(diff.result.ret == walk.result.ret);
     EXPECT_EQ(diff.result.steps, walk.result.steps);
     EXPECT_EQ(diff.result.cycles, walk.result.cycles);
@@ -592,29 +595,6 @@ TEST(InterpDiff, DifferentialForwardsReferenceObservables)
     EXPECT_TRUE(diff.loops == walk.loops);
     ASSERT_EQ(diff.branch_log.events.size(),
               walk.branch_log.events.size());
-}
-
-// --- engine selection plumbing -------------------------------------------
-
-TEST(InterpDiff, ParseEngineNameRoundTrips)
-{
-    EngineKind kind = EngineKind::TreeWalk;
-    EXPECT_TRUE(parseEngineName("bytecode", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode);
-    EXPECT_TRUE(parseEngineName("differential", &kind));
-    EXPECT_EQ(kind, EngineKind::Differential);
-    EXPECT_TRUE(parseEngineName("tree_walk", &kind));
-    EXPECT_EQ(kind, EngineKind::TreeWalk);
-
-    kind = EngineKind::Bytecode;
-    EXPECT_TRUE(parseEngineName("", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode) << "empty keeps the value";
-    EXPECT_FALSE(parseEngineName("jit", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode) << "unknown keeps the value";
-
-    EXPECT_STREQ(engineName(EngineKind::TreeWalk), "tree_walk");
-    EXPECT_STREQ(engineName(EngineKind::Bytecode), "bytecode");
-    EXPECT_STREQ(engineName(EngineKind::Differential), "differential");
 }
 
 } // namespace

@@ -159,10 +159,11 @@ TEST_P(RandomProgramTest, PipelinePragmasNeverChangeBehavior)
     repair::xform::insertPipeline(ctx);
     repair::xform::insertUnroll(ctx);
     cir::analyzeOrDie(*tuned);
+    hls::FpgaDesign design(*tuned);
     for (int k = 0; k < 4; ++k) {
         auto args = someArgs(GetParam() * 31 + k);
         auto a = interp::runProgram(*original, "kernel", args);
-        auto fpga = hls::simulateFpga(*tuned, config, "kernel", args);
+        auto fpga = hls::simulateFpga(design, config, "kernel", args);
         EXPECT_TRUE(a.sameBehavior(fpga.run))
             << src << "\nargs " << interp::argsToString(args);
     }

@@ -14,6 +14,7 @@
 #include "repair/localizer.h"
 #include "support/strings.h"
 #include "repair/transforms.h"
+#include "support/run_context.h"
 
 namespace heterogen::repair {
 namespace {
@@ -547,6 +548,26 @@ TEST(DiffTest, DetectsDivergence)
     EXPECT_EQ(fail.identical, 0);
     EXPECT_EQ(fail.failing.size(), 4u);
     EXPECT_GT(fail.sim_minutes, 0.0);
+}
+
+TEST(DiffTest, CompilesEachSideOncePerCampaign)
+{
+    auto orig = program("int kernel(int x) { return x + 1; }");
+    auto cand = program("int kernel(int x) { return 1 + x; }");
+    fuzz::TestSuite suite;
+    for (long v = 0; v < 9; ++v)
+        suite.add({KernelArg::ofInt(v)});
+    RunContext ctx;
+    auto result = diffTest(ctx, *orig, "kernel", *cand,
+                           hls::HlsConfig::forTop("kernel"), suite,
+                           DiffTestOptions{});
+    ASSERT_EQ(result.total, 9);
+    EXPECT_TRUE(result.allIdentical());
+    const TraceSpan &root = ctx.trace().root();
+    EXPECT_EQ(root.counterTotal("interp.runs"), 18);
+    // One compile for the CPU oracle and one for the candidate, not
+    // one more per co-simulated test.
+    EXPECT_EQ(root.counterTotal("interp.bytecode.compiles"), 2);
 }
 
 // --- end-to-end on the working example ----------------------------------------------

@@ -51,7 +51,6 @@ fastOptions(const std::string &kernel, uint64_t seed)
     opts.search.max_iterations = 40;
     opts.search.difftest_sample = 4;
     opts.search.rng_seed = seed * 31 + 7;
-    opts.engine = "bytecode";
     return opts;
 }
 

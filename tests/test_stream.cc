@@ -223,14 +223,15 @@ TEST(StreamStalls, FpgaModelChargesStallsAndCreditsOverlap)
     HlsConfig config = HlsConfig::forTop(s.kernel);
     std::vector<interp::KernelArg> args = s.existing_tests.at(0);
     hls::FpgaRunResult r =
-        hls::simulateFpga(*tu, config, s.kernel, args);
+        hls::simulateFpga(hls::FpgaDesign(*tu), config, s.kernel, args);
     ASSERT_TRUE(r.run.ok) << r.run.trap;
     EXPECT_EQ(r.stream_processes, 2);
     EXPECT_GT(r.fifo_stall_cycles, 0u);
 
     auto fixed_tu = cir::parse(s.manual_source);
     hls::FpgaRunResult fixed =
-        hls::simulateFpga(*fixed_tu, config, s.kernel, args);
+        hls::simulateFpga(hls::FpgaDesign(*fixed_tu), config, s.kernel,
+                          args);
     ASSERT_TRUE(fixed.run.ok) << fixed.run.trap;
     EXPECT_EQ(fixed.fifo_stall_cycles, 0u);
     EXPECT_LT(fixed.fpga_cycles, r.fpga_cycles)

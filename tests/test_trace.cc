@@ -319,44 +319,26 @@ TEST(SpineFuzz, ContextOverloadMatchesLegacyOverloadByteForByte)
         EXPECT_EQ(legacy.suite[i].args, spine.suite[i].args);
 }
 
-TEST(SpineFuzz, ExecCountersNameTheEngineThatRan)
+TEST(SpineFuzz, EveryExecutionLandsOnInterpRuns)
 {
     auto tu = cir::parse(kKernel);
     cir::SemaResult sema = cir::analyzeOrDie(*tu);
 
-    // Tree walker: every run lands on interp.execs.tree_walk and the
-    // bytecode compiler never fires.
-    RunContext walk_ctx;
+    // The seed plus ten whole batches of eight: no speculative batch
+    // tail is discarded, so every execution is exactly one run. Every
+    // run lands on interp.runs, and the campaign-shared interpreter
+    // compiled exactly once.
+    RunContext ctx;
     fuzz::FuzzOptions options = smallFuzzOptions(3);
-    options.engine = interp::EngineKind::TreeWalk;
-    fuzz::fuzzKernel(walk_ctx, *tu, "kernel", sema, options);
-    const TraceSpan *walk_span = walk_ctx.trace().root().find("fuzz");
-    ASSERT_NE(walk_span, nullptr);
-    EXPECT_EQ(walk_span->counter("interp.execs.tree_walk"),
-              walk_span->counter("interp.runs"));
-    EXPECT_EQ(walk_span->counter("interp.execs.bytecode"), 0);
-    EXPECT_EQ(walk_span->counter("interp.bytecode.compiles"), 0);
-
-    // Bytecode: same campaign, every run lands on interp.execs.bytecode
-    // and the campaign-shared interpreter compiled exactly once.
-    RunContext vm_ctx;
-    options.engine = interp::EngineKind::Bytecode;
-    fuzz::fuzzKernel(vm_ctx, *tu, "kernel", sema, options);
-    const TraceSpan *vm_span = vm_ctx.trace().root().find("fuzz");
-    ASSERT_NE(vm_span, nullptr);
-    EXPECT_EQ(vm_span->counter("interp.execs.bytecode"),
-              vm_span->counter("interp.runs"));
-    EXPECT_EQ(vm_span->counter("interp.execs.tree_walk"), 0);
-    EXPECT_EQ(vm_span->counter("interp.bytecode.compiles"), 1);
-
-    // The engines are bit-identical, so every other number agrees.
-    EXPECT_EQ(walk_span->counter("interp.runs"),
-              vm_span->counter("interp.runs"));
-    EXPECT_EQ(walk_span->counter("interp.steps"),
-              vm_span->counter("interp.steps"));
-    EXPECT_EQ(walk_span->counter("fuzz.executions"),
-              vm_span->counter("fuzz.executions"));
-    EXPECT_EQ(walk_span->minutes, vm_span->minutes);
+    options.max_executions = 1 + 10 * options.mutations_per_input;
+    fuzz::FuzzResult result =
+        fuzz::fuzzKernel(ctx, *tu, "kernel", sema, options);
+    ASSERT_EQ(result.executions, options.max_executions);
+    const TraceSpan *span = ctx.trace().root().find("fuzz");
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->counter("interp.runs"), result.executions);
+    EXPECT_GT(span->counter("interp.steps"), 0);
+    EXPECT_EQ(span->counter("interp.bytecode.compiles"), 1);
 }
 
 TEST(SpineFuzz, CancellationStopsTheCampaignAfterTheSeed)
@@ -574,35 +556,6 @@ TEST(ValidateOptions, RejectsOutOfRangeFaultProbability)
     EXPECT_THROW(core::validateOptions(opts), FatalError);
     opts.faults.rules[0].probability = -0.1;
     EXPECT_THROW(core::validateOptions(opts), FatalError);
-}
-
-TEST(ValidateOptions, RejectsUnknownEngineName)
-{
-    core::HeteroGenOptions opts;
-    opts.kernel = "kernel";
-    opts.engine = "qemu";
-    try {
-        core::validateOptions(opts);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        // The diagnostic must name the bad value and the legal ones.
-        EXPECT_NE(std::string(e.what()).find("qemu"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("tree_walk"),
-                  std::string::npos);
-    }
-    opts.engine = "bytecodes"; // near-miss spelling still rejected
-    EXPECT_THROW(core::validateOptions(opts), FatalError);
-}
-
-TEST(ValidateOptions, AcceptsEveryKnownEngineName)
-{
-    core::HeteroGenOptions opts;
-    opts.kernel = "kernel";
-    for (const char *name :
-         {"", "tree_walk", "bytecode", "differential"}) {
-        opts.engine = name;
-        EXPECT_NO_THROW(core::validateOptions(opts)) << name;
-    }
 }
 
 TEST(ValidateOptions, RejectsUnknownProposerName)
