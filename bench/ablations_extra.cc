@@ -33,18 +33,21 @@ mutationAblation()
     for (const char *id : {"P3", "P4", "P5", "P8", "P9"}) {
         const subjects::Subject &s = subjects::subjectById(id);
         auto tu = cir::parse(s.source);
-        auto sema = cir::analyzeOrDie(*tu);
+        cir::analyzeOrDie(*tu);
 
         fuzz::FuzzOptions seeded;
         seeded.host_function = s.host;
         seeded.rng_seed = s.fuzz_seed;
         seeded.max_executions = 600;
         seeded.plateau_minutes = 1e9;
-        auto with_seed = fuzz::fuzzKernel(*tu, s.kernel, sema, seeded);
+        RunContext seeded_ctx;
+        auto with_seed = fuzz::fuzzKernel(seeded_ctx, *tu, s.kernel, seeded);
 
         fuzz::FuzzOptions blind = seeded;
         blind.host_function.clear(); // random seed instead of captured
-        auto without_seed = fuzz::fuzzKernel(*tu, s.kernel, sema, blind);
+        RunContext blind_ctx;
+        auto without_seed =
+            fuzz::fuzzKernel(blind_ctx, *tu, s.kernel, blind);
 
         std::printf("%-4s %9.0f%% %11.0f%%\n", id,
                     100.0 * with_seed.branchCoverage(),

@@ -167,7 +167,7 @@ benchMain(int argc, char **argv)
 
     auto subjectOpts = [&](const subjects::Subject &s) {
         core::HeteroGenOptions opts = bench::standardOptions(s);
-        opts.search.cache_dir = cache_dir.string();
+        opts.cache_dir = cache_dir.string();
         return opts;
     };
 
@@ -226,7 +226,7 @@ benchMain(int argc, char **argv)
     forum_opts.fuzz.max_executions = 400;
     forum_opts.fuzz.min_suite_size = 12;
     forum_opts.search.difftest_sample = 10;
-    forum_opts.search.cache_dir = forum_dir.string();
+    forum_opts.cache_dir = forum_dir.string();
     PhaseTotals forum_cold_t, forum_warm_t;
     std::vector<RunSample> forum_cold;
     for (const auto &post : posts) {

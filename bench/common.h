@@ -91,8 +91,8 @@ standardOptions(const subjects::Subject &subject)
 {
     core::HeteroGenOptions opts;
     opts.kernel = subject.kernel;
-    opts.host_function = subject.host;
-    opts.initial_top = subject.initial_top;
+    opts.fuzz.host_function = subject.host;
+    opts.config.top_function = subject.top_function;
     opts.fuzz.rng_seed = subject.fuzz_seed;
     opts.fuzz.max_executions = 4000;
     opts.fuzz.mutations_per_input = 12;

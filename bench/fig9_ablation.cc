@@ -12,7 +12,7 @@
  *
  * --proposers switches to the proposer race: the same P1-P10 repairs
  * under identical simulated-minute budgets, once per candidate proposer
- * (template enumeration, corpus-mined rewrites, mixed round-robin), and
+ * (template enumeration, corpus-mined rewrites), and
  * writes the per-proposer repair/latency/invocation numbers to
  * BENCH_proposers.json (--out overrides; --smoke shrinks the sweep for
  * CI). Deterministic end to end — reruns reproduce the JSON exactly.
@@ -72,7 +72,7 @@ runProposerRace(bool smoke, const std::string &out_path,
         std::vector<RaceRun> runs;
         for (const subjects::Subject &subject : pool) {
             auto opts = bench::standardOptions(subject);
-            opts.proposer = proposer;
+            opts.search.proposer = proposer;
             if (smoke) {
                 opts.fuzz.max_executions = 800;
                 opts.search.max_iterations = 200;

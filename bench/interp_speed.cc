@@ -121,7 +121,7 @@ main(int argc, char **argv)
     std::vector<SubjectRow> rows;
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = cir::parse(subject.source);
-        cir::SemaResult sema = cir::analyzeOrDie(*tu);
+        cir::analyzeOrDie(*tu);
 
         fuzz::FuzzOptions fuzz_opts;
         fuzz_opts.host_function = subject.host;
@@ -149,8 +149,9 @@ main(int argc, char **argv)
             walk_ctx, *tu, subject.kernel, fuzz_opts, walker);
         double walk_campaign = seconds(t0, Clock::now());
 
+        RunContext vm_ctx;
         t0 = Clock::now();
-        fuzz::fuzzKernel(*tu, subject.kernel, sema, fuzz_opts);
+        fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, fuzz_opts);
         double vm_campaign = seconds(t0, Clock::now());
 
         SubjectRow row;

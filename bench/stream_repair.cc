@@ -64,7 +64,7 @@ streamOptions(const subjects::Subject &s, const std::string &cache_dir)
     opts.search.difftest_sim_workers = 1;
     opts.search.eval_threads = 1;
     opts.search.proposer = "template";
-    opts.search.cache_dir = cache_dir;
+    opts.cache_dir = cache_dir;
     return opts;
 }
 

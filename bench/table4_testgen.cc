@@ -29,14 +29,13 @@ main(int argc, char **argv)
     double total_cov = 0;
     for (const subjects::Subject &subject : subjects::allSubjects()) {
         auto tu = cir::parse(subject.source);
-        auto sema = cir::analyzeOrDie(*tu);
+        cir::analyzeOrDie(*tu);
 
         auto opts = bench::standardOptions(subject);
         fuzz::FuzzOptions fo = opts.fuzz;
         fo.host_function = subject.host;
         RunContext ctx;
-        fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, subject.kernel,
-                                              sema, fo);
+        fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, subject.kernel, fo);
         traces.add(subject.id, ctx.traceJson());
         total_tests += double(r.suite.size());
         total_cov += r.branchCoverage();
@@ -50,8 +49,7 @@ main(int argc, char **argv)
             fuzz::TestSuite existing;
             for (const auto &args : subject.existing_tests)
                 existing.add(args);
-            auto cov = fuzz::measureCoverage(*tu, subject.kernel, sema,
-                                             existing);
+            auto cov = fuzz::measureCoverage(*tu, subject.kernel, existing);
             std::printf("%-4s %10zu %8.0f %6.0f%%   %10zu %6.0f%%\n",
                         subject.id.c_str(), r.suite.size(),
                         r.sim_minutes, 100.0 * r.branchCoverage(),

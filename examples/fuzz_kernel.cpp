@@ -20,7 +20,7 @@ main()
 {
     const subjects::Subject &subject = subjects::subjectById("P4");
     auto tu = cir::parse(subject.source);
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
 
     std::printf("fuzzing %s (%s), kernel '%s'\n", subject.id.c_str(),
                 subject.name.c_str(), subject.kernel.c_str());
@@ -31,8 +31,8 @@ main()
                      KernelArg::ofInts(std::vector<long>(256, 0)),
                      KernelArg::ofInt(8), KernelArg::ofInt(8),
                      KernelArg::ofInt(100)});
-    auto manual_cov = fuzz::measureCoverage(*tu, subject.kernel, sema,
-                                            handcrafted);
+    auto manual_cov =
+        fuzz::measureCoverage(*tu, subject.kernel, handcrafted);
     std::printf("handcrafted input:   %zu test, %.0f%% branch coverage\n",
                 handcrafted.size(), 100.0 * manual_cov.coverage());
 
@@ -42,7 +42,8 @@ main()
     options.host_function = subject.host;
     options.rng_seed = subject.fuzz_seed;
     options.max_executions = 3000;
-    auto result = fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
+    RunContext ctx;
+    auto result = fuzz::fuzzKernel(ctx, *tu, subject.kernel, options);
 
     std::printf("generated campaign:  %zu tests retained from %d "
                 "executions, %.0f%% branch coverage, %.0f simulated "

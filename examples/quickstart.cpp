@@ -72,7 +72,7 @@ main()
     core::HeteroGen engine(kProgram);
     core::HeteroGenOptions options;
     options.kernel = "kernel";
-    options.host_function = "host";
+    options.fuzz.host_function = "host";
     options.fuzz.max_executions = 1000;
     options.search.budget_minutes = 240;
 

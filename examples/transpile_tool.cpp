@@ -68,7 +68,7 @@ main(int argc, char **argv)
         core::HeteroGen engine(source);
         core::HeteroGenOptions options;
         options.kernel = kernel;
-        options.host_function = host;
+        options.fuzz.host_function = host;
         options.fuzz.max_executions = 2000;
         options.search.budget_minutes = 180;
 

@@ -1,5 +1,9 @@
 #include "cir/parser.h"
 
+#include <pthread.h>
+
+#include <exception>
+#include <functional>
 #include <optional>
 #include <set>
 
@@ -32,10 +36,44 @@ isReservedWord(const std::string &word)
     return kws.count(word) > 0 || isTypeKeyword(word);
 }
 
+/**
+ * Deepest nesting a source may use. Each nested block or statement
+ * body, else-if link, parenthesis, subscript, call or struct-literal
+ * argument, assignment or conditional operand, prefix operator, cast
+ * and stream element type adds one level, and so does each link of a
+ * binary-operator, postfix, pointer or array-dimension chain; a
+ * function body's own statements and their top-level expressions sit
+ * at level 0. The parser and every AST walker after it (sema, printer,
+ * clone, the bytecode compiler, synth_check) recurse once per level,
+ * so this one bound keeps hostile input from exhausting any of their
+ * stacks.
+ */
+constexpr int kMaxNestingDepth = 1000;
+
+/**
+ * Nesting a parse may reach on the caller's stack. An AddressSanitizer
+ * build spends ~24 KB of frames per parenthesis level (an unoptimized
+ * one ~7 KB), so kMaxNestingDepth levels need more than a default 8 MB
+ * thread stack; the few sources that nest deeper than this start over
+ * on a dedicated stack (see parseOnFittingStack).
+ */
+constexpr int kCallerStackDepth = 128;
+
+/** Thrown when a parse on the caller's stack nests past
+ * kCallerStackDepth. */
+struct OutgrewCallerStack
+{
+};
+
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
+    /** `stack_depth` caps nesting before OutgrewCallerStack is thrown;
+     * kMaxNestingDepth means the parse already runs on a big stack. */
+    Parser(const std::vector<Token> &tokens, int stack_depth)
+        : toks_(tokens), stack_depth_(stack_depth)
+    {
+    }
 
     TuPtr
     parseTu()
@@ -64,6 +102,47 @@ class Parser
     }
 
   private:
+    /**
+     * RAII: `levels` nesting levels deeper (plus one per deeper() call)
+     * for the guard's lifetime; a FatalError past kMaxNestingDepth.
+     */
+    class Nested
+    {
+      public:
+        explicit Nested(Parser &parser, int levels = 1) : parser_(parser)
+        {
+            while (levels_ < levels)
+                deeper();
+        }
+        ~Nested() { parser_.depth_ -= levels_; }
+        Nested(const Nested &) = delete;
+        Nested &operator=(const Nested &) = delete;
+
+        void
+        deeper()
+        {
+            if (parser_.depth_ >= kMaxNestingDepth)
+                fatal("nesting deeper than ", kMaxNestingDepth,
+                      " levels at ", parser_.peek().loc.str());
+            if (parser_.depth_ >= parser_.stack_depth_)
+                throw OutgrewCallerStack{};
+            ++parser_.depth_;
+            ++levels_;
+        }
+
+      private:
+        Parser &parser_;
+        int levels_ = 0;
+    };
+
+    /** An expression nested inside another one. */
+    ExprPtr
+    parseNestedExpr()
+    {
+        Nested nested(*this);
+        return parseAssignExpr();
+    }
+
     // --- token plumbing ----------------------------------------------------
 
     const Token &peek() const { return toks_[pos_]; }
@@ -209,6 +288,7 @@ class Parser
                                    static_cast<int>(m.int_value));
         } else if (t.text == "hls::stream") {
             expectPunct("<");
+            Nested nested(*this);
             TypePtr elem = parseType();
             expectPunct(">");
             base = Type::stream(std::move(elem));
@@ -236,8 +316,11 @@ class Parser
     parseType()
     {
         TypePtr t = parseTypeBase();
-        while (accept("*"))
+        Nested chain(*this, 0);
+        while (accept("*")) {
+            chain.deeper();
             t = Type::pointer(t);
+        }
         return t;
     }
 
@@ -251,7 +334,9 @@ class Parser
     {
         std::vector<long> dims;
         ExprPtr vla;
+        Nested chain(*this, 0);
         while (accept("[")) {
+            chain.deeper();
             if (accept("]")) {
                 dims.push_back(kUnknownArraySize);
                 continue;
@@ -436,6 +521,7 @@ class Parser
     BlockPtr
     parseBlockOrSingle()
     {
+        Nested nested(*this);
         if (peek().isPunct("{"))
             return parseBlock();
         auto block = std::make_unique<Block>();
@@ -450,8 +536,10 @@ class Parser
         const Token &t = peek();
         if (t.is(Tok::Pragma))
             return parsePragmaStmt();
-        if (t.isPunct("{"))
+        if (t.isPunct("{")) {
+            Nested nested(*this);
             return parseBlock();
+        }
         if (t.isIdent("if"))
             return parseIf();
         if (t.isIdent("while"))
@@ -542,6 +630,7 @@ class Parser
         if (acceptIdent("else")) {
             if (peek().isIdent("if")) {
                 // else-if chains become a nested IfStmt in a block.
+                Nested nested(*this);
                 auto wrapper = std::make_unique<Block>();
                 wrapper->stmts.push_back(parseIf());
                 else_block = std::move(wrapper);
@@ -633,7 +722,7 @@ class Parser
         if (!op)
             return lhs;
         SourceLoc loc = advance().loc;
-        ExprPtr rhs = parseAssignExpr();
+        ExprPtr rhs = parseNestedExpr();
         auto e = std::make_unique<Assign>(*op, std::move(lhs),
                                           std::move(rhs));
         e->loc = loc;
@@ -646,9 +735,9 @@ class Parser
         ExprPtr cond = parseBinary(0);
         if (!accept("?"))
             return cond;
-        ExprPtr then_expr = parseExpr();
+        ExprPtr then_expr = parseNestedExpr();
         expectPunct(":");
-        ExprPtr else_expr = parseAssignExpr();
+        ExprPtr else_expr = parseNestedExpr();
         auto e = std::make_unique<Ternary>(std::move(cond),
                                            std::move(then_expr),
                                            std::move(else_expr));
@@ -697,6 +786,7 @@ class Parser
         if (level >= kMaxBinaryLevel)
             return parseUnary();
         ExprPtr lhs = parseBinary(level + 1);
+        Nested chain(*this, 0);
         for (;;) {
             const OpLevel *matched = nullptr;
             for (const OpLevel &cand : binaryOps()) {
@@ -707,6 +797,7 @@ class Parser
             }
             if (!matched)
                 return lhs;
+            chain.deeper();
             SourceLoc loc = advance().loc;
             ExprPtr rhs = parseBinary(level + 1);
             auto e = std::make_unique<Binary>(matched->op, std::move(lhs),
@@ -748,6 +839,7 @@ class Parser
             advance();
             TypePtr t = parseType();
             expectPunct(")");
+            Nested nested(*this);
             ExprPtr operand = parseUnary();
             auto e = std::make_unique<Cast>(std::move(t),
                                             std::move(operand));
@@ -760,6 +852,7 @@ class Parser
     ExprPtr
     makeUnary(UnaryOp op, SourceLoc loc)
     {
+        Nested nested(*this);
         ExprPtr operand = parseUnary();
         auto e = std::make_unique<Unary>(op, std::move(operand));
         e->loc = loc;
@@ -813,10 +906,12 @@ class Parser
     parsePostfix()
     {
         ExprPtr e = parsePrimary();
-        for (;;) {
+        // Every pass that does not return wraps e in one more node.
+        Nested chain(*this, 0);
+        for (;; chain.deeper()) {
             SourceLoc loc = peek().loc;
             if (accept("[")) {
-                ExprPtr idx = parseExpr();
+                ExprPtr idx = parseNestedExpr();
                 expectPunct("]");
                 auto n = std::make_unique<Index>(std::move(e),
                                                  std::move(idx));
@@ -865,7 +960,7 @@ class Parser
         if (accept(")"))
             return args;
         do {
-            args.push_back(parseAssignExpr());
+            args.push_back(parseNestedExpr());
         } while (accept(","));
         expectPunct(")");
         return args;
@@ -897,7 +992,7 @@ class Parser
         }
         if (t.isPunct("(")) {
             advance();
-            ExprPtr e = parseExpr();
+            ExprPtr e = parseNestedExpr();
             expectPunct(")");
             return e;
         }
@@ -920,7 +1015,7 @@ class Parser
                 std::vector<ExprPtr> args;
                 if (!accept("}")) {
                     do {
-                        args.push_back(parseAssignExpr());
+                        args.push_back(parseNestedExpr());
                     } while (accept(","));
                     expectPunct("}");
                 }
@@ -936,25 +1031,85 @@ class Parser
         fatal("unexpected token '", t.text, "' at ", loc.str());
     }
 
-    std::vector<Token> toks_;
+    const std::vector<Token> &toks_;
     size_t pos_ = 0;
+    /** Open Nested guards (see kMaxNestingDepth). */
+    int depth_ = 0;
+    const int stack_depth_;
     std::set<std::string> struct_names_;
 };
+
+/** Stack of the dedicated parse thread; pages are committed only as
+ * they are touched. */
+constexpr size_t kParseStackBytes = size_t(256) << 20;
+
+/** Run `parse` on a thread with a kParseStackBytes stack, rethrowing
+ * whatever it throws. */
+template <typename Result>
+Result
+onParseStack(const std::function<Result()> &parse)
+{
+    struct Call
+    {
+        const std::function<Result()> &parse;
+        Result result;
+        std::exception_ptr error;
+    } call{parse, nullptr, nullptr};
+    void *(*body)(void *) = [](void *arg) -> void * {
+        auto *c = static_cast<Call *>(arg);
+        try {
+            c->result = c->parse();
+        } catch (...) {
+            c->error = std::current_exception();
+        }
+        return nullptr;
+    };
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setstacksize(&attr, kParseStackBytes);
+    pthread_t thread;
+    int rc = pthread_create(&thread, &attr, body, &call);
+    pthread_attr_destroy(&attr);
+    if (rc != 0)
+        fatal("parser: cannot start a thread for a deeply nested source");
+    pthread_join(thread, nullptr);
+    if (call.error)
+        std::rethrow_exception(call.error);
+    return std::move(call.result);
+}
+
+/**
+ * Run `entry` over the tokens of `source` on the caller's stack, or,
+ * if the source nests past kCallerStackDepth, over again on a
+ * dedicated stack. The outcome is the same either way: the first
+ * attempt only stops early where the second would go on.
+ */
+template <typename Result>
+Result
+parseOnFittingStack(const std::string &source, Result (Parser::*entry)())
+{
+    std::vector<Token> tokens = tokenize(source);
+    try {
+        return (Parser(tokens, kCallerStackDepth).*entry)();
+    } catch (const OutgrewCallerStack &) {
+        return onParseStack<Result>([&tokens, entry] {
+            return (Parser(tokens, kMaxNestingDepth).*entry)();
+        });
+    }
+}
 
 } // namespace
 
 TuPtr
 parse(const std::string &source)
 {
-    Parser p(tokenize(source));
-    return p.parseTu();
+    return parseOnFittingStack(source, &Parser::parseTu);
 }
 
 ExprPtr
 parseExpression(const std::string &source)
 {
-    Parser p(tokenize(source));
-    return p.parseSingleExpr();
+    return parseOnFittingStack(source, &Parser::parseSingleExpr);
 }
 
 } // namespace heterogen::cir

@@ -49,23 +49,11 @@ validateOptions(const HeteroGenOptions &options)
         fatal("HeteroGen: config.stream_depth must be in [",
               hls::kMinStreamDepth, ", ", hls::kMaxStreamDepth,
               "], got ", options.config.stream_depth);
-    if (!repair::parseProposerName(options.proposer))
-        fatal("HeteroGen: unknown proposer '", options.proposer,
-              "' (expected template, corpus or mixed)");
-    if (!repair::parseProposerName(options.search.proposer))
-        fatal("HeteroGen: unknown proposer '", options.search.proposer,
-              "' (expected template, corpus or mixed)");
-    if (!options.cache_dir.empty()) {
-        std::string err = repair::cacheDirError(options.cache_dir);
-        if (!err.empty())
-            fatal("HeteroGen: ", err);
-    }
-    if (!options.search.cache_dir.empty() &&
-        options.search.cache_dir != options.cache_dir) {
-        std::string err = repair::cacheDirError(options.search.cache_dir);
-        if (!err.empty())
-            fatal("HeteroGen: ", err);
-    }
+    std::string err = repair::proposerError(options.search.proposer);
+    if (err.empty() && !options.cache_dir.empty())
+        err = repair::cacheDirError(options.cache_dir);
+    if (!err.empty())
+        fatal("HeteroGen: ", err);
     for (const FaultRule &rule : options.faults.rules) {
         if (rule.probability < 0 || rule.probability > 1)
             fatal("HeteroGen: fault probability for '", rule.site,
@@ -128,12 +116,6 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
 
     fuzz::FuzzOptions fuzz_opts = options.fuzz;
     repair::SearchOptions search_opts = options.search;
-    // Resolve the pipeline-wide proposer override (validated above).
-    if (!options.proposer.empty())
-        search_opts.proposer = options.proposer;
-    // Resolve the pipeline-wide cache-dir override (validated above).
-    if (!options.cache_dir.empty())
-        search_opts.cache_dir = options.cache_dir;
     if (options.eval_pool) {
         fuzz_opts.pool = options.eval_pool;
         search_opts.pool = options.eval_pool;
@@ -144,11 +126,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     };
 
     // (1) Test input generation (opens the "fuzz" span).
-    if (fuzz_opts.host_function.empty())
-        fuzz_opts.host_function = options.host_function;
     stage("fuzz");
-    report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel, sema_,
-                                      fuzz_opts);
+    report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel, fuzz_opts);
 
     // (2) Initial HLS version: profile value ranges, estimate types.
     {
@@ -159,15 +138,29 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     }
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;
-    config.top_function = options.initial_top.empty()
-                              ? options.kernel
-                              : options.initial_top;
+    if (config.top_function.empty())
+        config.top_function = options.kernel;
     if (options.narrow_bitwidths) {
         stage("init_hls");
         SpanScope init(ctx, "init_hls");
         repair::RepairContext rctx{*broken, config, "", &report.profile,
                                    nullptr, false};
         repair::xform::bitwidthNarrow(rctx);
+    }
+
+    // The persistent verdict store named by cache_dir, unless the
+    // caller lent one (the service shares a store per directory). It
+    // stays closed while a fault plan is armed: the search would
+    // bypass it anyway.
+    std::unique_ptr<repair::VerdictStore> store;
+    if (search_opts.use_memo && !search_opts.verdict_store &&
+        !options.cache_dir.empty() && !ctx.faultsEnabled()) {
+        repair::VerdictStoreOptions vopts;
+        vopts.dir = options.cache_dir;
+        store = std::make_unique<repair::VerdictStore>(vopts);
+        search_opts.verdict_store = store.get();
+        if (int64_t invalid = store->diskStats().invalid; invalid > 0)
+            ctx.count("repair.diskcache.invalid", invalid);
     }
 
     // (3)-(5) Iterative repair with fitness evaluation (opens the
@@ -177,6 +170,11 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
                                          *broken, config,
                                          report.testgen.suite,
                                          report.profile, search_opts);
+    if (store) {
+        store->flush();
+        if (int64_t evicted = store->diskStats().evictions; evicted > 0)
+            ctx.count("repair.diskcache.evictions", evicted);
+    }
 
     report.hls_source = cir::print(*report.search.program);
     report.final_loc = countLines(report.hls_source);

@@ -18,8 +18,10 @@
 #include <functional>
 #include <string>
 
+#include "cir/sema.h"
 #include "fuzz/fuzzer.h"
 #include "repair/search.h"
+#include "repair/store.h"
 #include "support/run_context.h"
 
 namespace heterogen::core {
@@ -29,11 +31,6 @@ struct HeteroGenOptions
 {
     /** Kernel function to transpile (required). */
     std::string kernel;
-    /** Optional host entry used for kernel-seed capture. */
-    std::string host_function;
-    /** Initial top-function name; empty = use `kernel`. A wrong name
-     * reproduces the paper's Top Function configuration errors. */
-    std::string initial_top;
     /** Profile-guided bitwidth narrowing for the initial HLS version. */
     bool narrow_bitwidths = true;
     /**
@@ -61,8 +58,16 @@ struct HeteroGenOptions
      */
     RetryPolicy retry;
 
+    /** Fuzzing campaign; fuzz.host_function names the optional host
+     * entry used for kernel-seed capture. */
     fuzz::FuzzOptions fuzz;
+    /** Repair search; search.proposer picks the candidate proposer. */
     repair::SearchOptions search;
+    /**
+     * Initial toolchain configuration. An empty config.top_function
+     * means `kernel`; a wrong name reproduces the paper's Top Function
+     * configuration errors.
+     */
     hls::HlsConfig config;
     /**
      * Shared host pool (non-owning) for every parallel leaf of the run
@@ -80,31 +85,24 @@ struct HeteroGenOptions
      */
     std::function<void(const std::string &)> stage_hook;
     /**
-     * Candidate proposer for the repair search ("" = inherit
-     * search.proposer, which honours HETEROGEN_PROPOSER). Accepted
-     * names: "template", "corpus", "mixed"; anything else is rejected
-     * by validateOptions. A non-empty value overrides search.proposer
-     * wholesale.
-     */
-    std::string proposer;
-    /**
      * Persistent verdict-cache directory for the repair search ("" =
-     * inherit search.cache_dir, which honours HETEROGEN_CACHE_DIR; see
-     * docs/CACHING.md). A non-empty value overrides search.cache_dir
-     * wholesale. Non-empty values — here or on search.cache_dir — must
-     * name a creatable, writable directory or validateOptions rejects
-     * the run with a "cache:" diagnostic.
+     * memory only; see docs/CACHING.md). Defaults to the
+     * HETEROGEN_CACHE_DIR environment variable. run() opens the store,
+     * lends it to the search and flushes it afterwards; a non-empty
+     * value must name a creatable, writable directory or
+     * validateOptions rejects the run with a "cache:" diagnostic.
      */
-    std::string cache_dir;
+    std::string cache_dir = repair::defaultCacheDir();
 };
 
 /**
  * Reject malformed options with a FatalError before any stage runs:
  * empty kernel, negative budgets, non-positive difftest sim-worker
- * counts, retry policies that could never attempt anything or would
- * wait negative time, and fault rules with out-of-range probabilities
- * or latencies. (Kernel existence is checked against the program by
- * run().)
+ * counts, out-of-range stream depths, unknown proposers, unusable cache
+ * directories, retry policies that could never attempt anything or
+ * would wait negative time, and fault rules with out-of-range
+ * probabilities or latencies. (Kernel existence is checked against
+ * the program by run().)
  */
 void validateOptions(const HeteroGenOptions &options);
 

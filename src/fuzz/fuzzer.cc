@@ -86,19 +86,9 @@ kernelParamTypes(const cir::TranslationUnit &tu, const std::string &kernel)
 } // namespace
 
 FuzzResult
-fuzzKernel(const cir::TranslationUnit &tu, const std::string &kernel,
-           const cir::SemaResult &sema, const FuzzOptions &options)
-{
-    RunContext ctx;
-    return fuzzKernel(ctx, tu, kernel, sema, options);
-}
-
-FuzzResult
 fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
-           const std::string &kernel, const cir::SemaResult &sema,
-           const FuzzOptions &options)
+           const std::string &kernel, const FuzzOptions &options)
 {
-    (void)sema;
     // One interpreter for the whole campaign: the program is compiled
     // once and every execution reuses it.
     interp::Interpreter interp(tu);
@@ -243,10 +233,8 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
 
 CoverageMap
 measureCoverage(const cir::TranslationUnit &tu, const std::string &kernel,
-                const cir::SemaResult &sema, const TestSuite &suite,
-                uint64_t max_steps_per_run)
+                const TestSuite &suite, uint64_t max_steps_per_run)
 {
-    (void)sema;
     int branches = kernelBranchCount(tu, kernel);
     CoverageMap total(branches);
     interp::Interpreter interp(tu);

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "cir/ast.h"
-#include "cir/sema.h"
 #include "fuzz/mutator.h"
 #include "fuzz/testsuite.h"
 #include "interp/interp.h"
@@ -89,25 +88,15 @@ struct FuzzResult
 };
 
 /**
- * Run one fuzzing campaign against `kernel` in `tu`.
- * The TU must already be sema-analyzed (branch ids assigned).
- */
-FuzzResult fuzzKernel(const cir::TranslationUnit &tu,
-                      const std::string &kernel,
-                      const cir::SemaResult &sema,
-                      const FuzzOptions &options = {});
-
-/**
- * Spine-aware variant: opens a "fuzz" span budgeted at
- * options.budget_minutes on the context, charges every simulated
- * execution minute to it, bumps fuzz.* counters (executions,
- * coverage_edges, suite_size), and stops early on ctx cancellation or
- * an exhausted enclosing budget. With a fresh context this produces a
- * byte-identical FuzzResult to the plain overload.
+ * Run one fuzzing campaign against `kernel` in `tu` (which must
+ * already be sema-analyzed, so branch ids are assigned). Opens a
+ * "fuzz" span budgeted at options.budget_minutes on the context,
+ * charges every simulated execution minute to it, bumps fuzz.*
+ * counters (executions, coverage_edges, suite_size), and stops early
+ * on ctx cancellation or an exhausted enclosing budget.
  */
 FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
                       const std::string &kernel,
-                      const cir::SemaResult &sema,
                       const FuzzOptions &options = {});
 
 /**
@@ -133,7 +122,6 @@ FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
  */
 interp::CoverageMap measureCoverage(const cir::TranslationUnit &tu,
                                     const std::string &kernel,
-                                    const cir::SemaResult &sema,
                                     const TestSuite &suite,
                                     uint64_t max_steps_per_run =
                                         2'000'000);

@@ -1,7 +1,5 @@
 #include "hls/config.h"
 
-#include <cstdlib>
-
 namespace heterogen::hls {
 
 const std::vector<DeviceSpec> &
@@ -23,20 +21,6 @@ findDevice(const std::string &name)
             return &d;
     }
     return nullptr;
-}
-
-long
-defaultStreamDepth()
-{
-    if (const char *env = std::getenv("HETEROGEN_STREAM_DEPTH")) {
-        char *end = nullptr;
-        long depth = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && depth >= kMinStreamDepth &&
-            depth <= kMaxStreamDepth) {
-            return depth;
-        }
-    }
-    return 2;
 }
 
 } // namespace heterogen::hls

@@ -31,13 +31,6 @@ const DeviceSpec *findDevice(const std::string &name);
 constexpr long kMinStreamDepth = 1;
 constexpr long kMaxStreamDepth = 1024;
 
-/**
- * Process default FIFO depth: the HETEROGEN_STREAM_DEPTH environment
- * variable when it parses to a value in [kMinStreamDepth,
- * kMaxStreamDepth], else 2 (out-of-range values keep the default).
- */
-long defaultStreamDepth();
-
 /** Configuration handed to the simulated HLS toolchain. */
 struct HlsConfig
 {
@@ -54,7 +47,7 @@ struct HlsConfig
      * never share a cached verdict). Valid range is [kMinStreamDepth,
      * kMaxStreamDepth] — validated by core::validateOptions.
      */
-    long stream_depth = defaultStreamDepth();
+    long stream_depth = 2;
 
     static HlsConfig
     forTop(std::string top)

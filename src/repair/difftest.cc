@@ -22,15 +22,17 @@ struct TestRecord
     double fpga_ms = 0;
 };
 
+} // namespace
+
 DiffTestResult
-diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
-             const std::string &original_kernel,
-             const cir::TranslationUnit &candidate,
-             const hls::HlsConfig &config, const fuzz::TestSuite &suite,
-             const DiffTestOptions &options)
+diffTest(RunContext &ctx, const cir::TranslationUnit &original,
+         const std::string &original_kernel,
+         const cir::TranslationUnit &candidate,
+         const hls::HlsConfig &config, const fuzz::TestSuite &suite,
+         const DiffTestOptions &options)
 {
     DiffTestResult result;
-    if (ctx && !admitFaultSite(*ctx, "difftest.cosim")) {
+    if (!admitFaultSite(ctx, "difftest.cosim")) {
         // The shared co-sim session never came up: no tests ran, no
         // campaign cost beyond what the faults already charged.
         result.tool_failure = true;
@@ -51,7 +53,7 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
         const fuzz::TestCase &test = suite[i];
         TestRecord &rec = records[i];
         RunOptions opts;
-        opts.trace = ctx;
+        opts.trace = &ctx;
         RunResult cpu = cpu_interp.run(original_kernel, test.args, opts);
         hls::FpgaRunResult fpga = hls::simulateFpga(
             fpga_design, config, config.top_function, test.args, opts);
@@ -89,21 +91,17 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
         *std::max_element(worker_steps.begin(), worker_steps.end());
     result.sim_minutes = 0.2 + double(critical) / 5.0e6;
 
-    if (ctx) {
-        // One charge for the whole campaign: the caller-visible cost is
-        // a single number, so the span accumulates exactly what the
-        // pre-spine code added to its own sim_minutes.
-        ctx->charge(result.sim_minutes);
-        ctx->count("difftest.campaigns");
-        ctx->count("difftest.tests", result.total);
-        ctx->count("difftest.mismatches",
-                   static_cast<int64_t>(result.failing.size()));
-    }
+    // One charge for the whole campaign: the caller-visible cost is a
+    // single number, so the span accumulates exactly what the
+    // pre-spine code added to its own sim_minutes.
+    ctx.charge(result.sim_minutes);
+    ctx.count("difftest.campaigns");
+    ctx.count("difftest.tests", result.total);
+    ctx.count("difftest.mismatches",
+              static_cast<int64_t>(result.failing.size()));
     return result;
 }
 
-} // namespace
-
 DiffTestResult
 diffTest(const cir::TranslationUnit &original,
          const std::string &original_kernel,
@@ -111,32 +109,9 @@ diffTest(const cir::TranslationUnit &original,
          const hls::HlsConfig &config, const fuzz::TestSuite &suite,
          const DiffTestOptions &options)
 {
-    return diffTestImpl(nullptr, original, original_kernel, candidate,
-                        config, suite, options);
-}
-
-DiffTestResult
-diffTest(RunContext &ctx, const cir::TranslationUnit &original,
-         const std::string &original_kernel,
-         const cir::TranslationUnit &candidate,
-         const hls::HlsConfig &config, const fuzz::TestSuite &suite,
-         const DiffTestOptions &options)
-{
-    return diffTestImpl(&ctx, original, original_kernel, candidate,
-                        config, suite, options);
-}
-
-DiffTestResult
-diffTest(const cir::TranslationUnit &original,
-         const std::string &original_kernel,
-         const cir::TranslationUnit &candidate,
-         const hls::HlsConfig &config, const fuzz::TestSuite &suite,
-         int max_tests)
-{
-    DiffTestOptions options;
-    options.max_tests = max_tests;
-    return diffTest(original, original_kernel, candidate, config, suite,
-                    options);
+    RunContext ctx;
+    return diffTest(ctx, original, original_kernel, candidate, config,
+                    suite, options);
 }
 
 } // namespace heterogen::repair

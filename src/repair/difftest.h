@@ -84,6 +84,16 @@ struct DiffTestResult
 
 /**
  * Run the suite on both sides and compare input-output behaviour.
+ * Charges the campaign's simulated minutes to the context's current
+ * span, bumps difftest.campaigns / difftest.tests /
+ * difftest.mismatches, and threads the context into the interpreter
+ * runs (interp.* counters).
+ *
+ * Also the "difftest.cosim" fault site: with a FaultPlan armed on the
+ * context the whole campaign is gated through admitFaultSite (the
+ * fault models the shared co-simulation session dying, not one test),
+ * and a permanent failure returns a DiffTestResult with tool_failure
+ * set and zero tests run.
  *
  * @param original        the input C program (CPU reference)
  * @param original_kernel kernel entry in the original program
@@ -92,40 +102,21 @@ struct DiffTestResult
  * @param suite           generated + pre-existing tests
  * @param options         sampling cap, modeled workers, host pool
  */
-DiffTestResult diffTest(const cir::TranslationUnit &original,
-                        const std::string &original_kernel,
-                        const cir::TranslationUnit &candidate,
-                        const hls::HlsConfig &config,
-                        const fuzz::TestSuite &suite,
-                        const DiffTestOptions &options);
-
-/**
- * Spine-aware variant: charges the campaign's simulated minutes to the
- * context's current span, bumps difftest.campaigns / difftest.tests /
- * difftest.mismatches, and threads the context into the interpreter
- * runs (interp.* counters). Pass/fail results and sim_minutes are
- * identical to the plain overload.
- *
- * Also the "difftest.cosim" fault site: with a FaultPlan armed on the
- * context the whole campaign is gated through admitFaultSite (the
- * fault models the shared co-simulation session dying, not one test),
- * and a permanent failure returns a DiffTestResult with tool_failure
- * set and zero tests run.
- */
 DiffTestResult diffTest(RunContext &ctx,
                         const cir::TranslationUnit &original,
                         const std::string &original_kernel,
                         const cir::TranslationUnit &candidate,
                         const hls::HlsConfig &config,
                         const fuzz::TestSuite &suite,
-                        const DiffTestOptions &options);
+                        const DiffTestOptions &options = {});
 
-/** Serial campaign over up to max_tests inputs (0 = all). */
+/** The same campaign on a fresh RunContext (for one-off checks). */
 DiffTestResult diffTest(const cir::TranslationUnit &original,
                         const std::string &original_kernel,
                         const cir::TranslationUnit &candidate,
                         const hls::HlsConfig &config,
-                        const fuzz::TestSuite &suite, int max_tests = 0);
+                        const fuzz::TestSuite &suite,
+                        const DiffTestOptions &options);
 
 } // namespace heterogen::repair
 

@@ -1,14 +1,15 @@
-/** @file The built-in candidate proposers: Table-2 template enumeration
- * (the paper's §5.3 search, re-expressed behind the seam), and the
- * round-robin mix of template and corpus proposals. */
+/** @file The built-in template proposer — Table-2 template enumeration
+ * (the paper's §5.3 search, re-expressed behind the seam) — and the
+ * proposer factory. */
 
 #include "repair/proposer.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 
 #include "repair/corpus.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 
 namespace heterogen::repair {
 
@@ -154,100 +155,34 @@ class TemplateProposer : public CandidateProposer
     std::map<std::string, int> noop_counts_;
 };
 
-/**
- * Round-robin race of template enumeration and corpus retrieval: odd
- * requests ask the corpus first, even requests the templates, and an
- * empty answer falls through to the other side. Feedback fans out to
- * both so each keeps its own retire/ban state consistent.
- */
-class MixedProposer : public CandidateProposer
-{
-  public:
-    explicit MixedProposer(const ProposerConfig &config)
-        : template_(std::make_unique<TemplateProposer>(config)),
-          corpus_(makeCorpusProposer(config))
-    {
-    }
-
-    std::string name() const override { return "mixed"; }
-
-    Proposal
-    propose(const ProposalRequest &request) override
-    {
-        CandidateProposer *first = template_.get();
-        CandidateProposer *second = corpus_.get();
-        if (calls_++ % 2 == 1)
-            std::swap(first, second);
-        Proposal out = first->propose(request);
-        if (out.candidates.empty())
-            out = second->propose(request);
-        return out;
-    }
-
-    void
-    observe(const AttemptFeedback &feedback) override
-    {
-        template_->observe(feedback);
-        corpus_->observe(feedback);
-    }
-
-  private:
-    std::unique_ptr<CandidateProposer> template_;
-    std::unique_ptr<CandidateProposer> corpus_;
-    uint64_t calls_ = 0;
-};
-
 } // namespace
 
 const std::vector<std::string> &
 proposerNames()
 {
-    static const std::vector<std::string> names = {"template", "corpus",
-                                                   "mixed"};
+    static const std::vector<std::string> names = {"template", "corpus"};
     return names;
 }
 
-bool
-parseProposerName(const std::string &name, std::string *canonical)
-{
-    if (name.empty()) {
-        if (canonical)
-            *canonical = "template";
-        return true;
-    }
-    for (const std::string &known : proposerNames()) {
-        if (name == known) {
-            if (canonical)
-                *canonical = known;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
-defaultProposerName()
+proposerError(const std::string &name)
 {
-    if (const char *env = std::getenv("HETEROGEN_PROPOSER")) {
-        std::string canonical;
-        if (parseProposerName(env, &canonical))
-            return canonical; // unknown names keep the default
-    }
-    return "template";
+    const std::vector<std::string> &names = proposerNames();
+    if (std::find(names.begin(), names.end(), name) != names.end())
+        return "";
+    return "unknown proposer '" + name + "' (expected one of: " +
+           join(names, ", ") + ")";
 }
 
 std::unique_ptr<CandidateProposer>
 makeProposer(const std::string &name, const ProposerConfig &config)
 {
-    std::string canonical;
-    if (!parseProposerName(name, &canonical))
-        fatal("repair: unknown proposer '", name,
-              "' (expected template, corpus or mixed)");
-    if (canonical == "template")
-        return std::make_unique<TemplateProposer>(config);
-    if (canonical == "corpus")
+    std::string err = proposerError(name);
+    if (!err.empty())
+        fatal("repair: ", err);
+    if (name == "corpus")
         return makeCorpusProposer(config);
-    return std::make_unique<MixedProposer>(config);
+    return std::make_unique<TemplateProposer>(config);
 }
 
 } // namespace heterogen::repair

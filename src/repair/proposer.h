@@ -147,7 +147,7 @@ class CandidateProposer
   public:
     virtual ~CandidateProposer() = default;
 
-    /** Stable name ("template", "corpus", "mixed", ...). */
+    /** Stable name ("template", "corpus", ...). */
     virtual std::string name() const = 0;
 
     /** Emit candidate rewrites for the current search state. */
@@ -159,27 +159,20 @@ class CandidateProposer
     virtual void observe(const AttemptFeedback &feedback) {}
 };
 
-/** Known proposer names, in factory order: template, corpus, mixed. */
+/** Known proposer names, in factory order: template, corpus. */
 const std::vector<std::string> &proposerNames();
 
 /**
- * Validate a proposer name. "" is legal and means the default. When
- * `canonical` is non-null it receives the resolved name ("" becomes
- * "template"). Returns false for anything unknown.
+ * "" when `name` is one of proposerNames() (names are exact: no
+ * trimming, no case folding); otherwise an "unknown proposer"
+ * diagnostic listing the known names. core::validateOptions and
+ * makeProposer reject names this check fails.
  */
-bool parseProposerName(const std::string &name,
-                       std::string *canonical = nullptr);
+std::string proposerError(const std::string &name);
 
 /**
- * Process default proposer: the HETEROGEN_PROPOSER environment
- * variable when it names a known proposer, else "template".
- */
-std::string defaultProposerName();
-
-/**
- * Construct a proposer by validated name ("" = default). Fatal on
- * unknown names — callers that accept user input should have gone
- * through parseProposerName/validateOptions first.
+ * Construct a proposer by name. Fatal on unknown names — callers that
+ * accept user input should have gone through validateOptions first.
  */
 std::unique_ptr<CandidateProposer>
 makeProposer(const std::string &name, const ProposerConfig &config);

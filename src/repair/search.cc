@@ -116,7 +116,6 @@ class Search
             if (!handleDivergence())
                 break;
         }
-        flushOwnedStore();
         finalize();
         span_ = nullptr;
         return std::move(result_);
@@ -144,8 +143,8 @@ class Search
     // --- memoized candidate evaluation ------------------------------------
 
     /**
-     * Open the persistent verdict store (L2 under the memo), when
-     * configured. The disk stays out of the loop entirely while a fault
+     * Attach the borrowed verdict store (L2 under the memo), when
+     * given. The disk stays out of the loop entirely while a fault
      * plan is armed: fault draws are keyed by invocation index, so
      * serving verdicts from disk would shift every subsequent draw and
      * change which invocations fail.
@@ -153,29 +152,11 @@ class Search
     void
     initStore()
     {
-        if (!options_.use_memo || ctx_.faultsEnabled())
+        if (!options_.use_memo || ctx_.faultsEnabled() ||
+            !options_.verdict_store || !options_.verdict_store->enabled())
             return;
-        if (options_.verdict_store) {
-            store_ = options_.verdict_store;
-        } else if (!options_.cache_dir.empty()) {
-            VerdictStoreOptions vopts;
-            vopts.dir = options_.cache_dir;
-            owned_store_ = std::make_unique<VerdictStore>(vopts);
-            store_ = owned_store_.get();
-        }
-        if (!store_ || !store_->enabled()) {
-            store_ = nullptr;
-            owned_store_.reset();
-            return;
-        }
+        store_ = options_.verdict_store;
         memo_.setStore(store_);
-        // Load-time stale/corrupt line count, mirrored once for stores
-        // this search owns (the service mirrors shared stores itself).
-        if (owned_store_) {
-            int64_t invalid = store_->diskStats().invalid;
-            if (invalid > 0)
-                ctx_.count("repair.diskcache.invalid", invalid);
-        }
         // Campaign context of every difftest in this run: the verdict
         // depends on the CPU reference, kernel, suite and sampling too,
         // not just the candidate fingerprint.
@@ -193,19 +174,6 @@ class Search
         difftest_ctx_ += std::to_string(options_.difftest_sample);
         difftest_ctx_ += '\x1f';
         difftest_ctx_ += std::to_string(options_.difftest_sim_workers);
-    }
-
-    /** Publish buffered verdicts of a store this search opened itself
-     * (externally-supplied stores are flushed by their owner). */
-    void
-    flushOwnedStore()
-    {
-        if (!owned_store_)
-            return;
-        owned_store_->flush();
-        int64_t evicted = owned_store_->diskStats().evictions;
-        if (evicted > 0)
-            ctx_.count("repair.diskcache.evictions", evicted);
     }
 
     /** Printed text of cand_, computed at most once per iteration. */
@@ -627,10 +595,8 @@ class Search
     std::unique_ptr<WorkerPool> owned_pool_;
     WorkerPool *pool_ = nullptr;
     CandidateMemo memo_;
-    /** Active verdict store (owned or external); null = memory only. */
+    /** Active verdict store (borrowed); null = memory only. */
     VerdictStore *store_ = nullptr;
-    /** Owned only when options_.verdict_store did not supply one. */
-    std::unique_ptr<VerdictStore> owned_store_;
     /** Fingerprint of cand_ as of the last compileCandidate(). */
     std::string fingerprint_;
     /** Lazily-printed text of cand_; cleared each iteration. */
@@ -660,18 +626,6 @@ class Search
 };
 
 } // namespace
-
-SearchResult
-repairSearch(const TranslationUnit &original, const std::string &kernel,
-             const TranslationUnit &broken, const hls::HlsConfig &config,
-             const fuzz::TestSuite &suite,
-             const interp::ValueProfile &profile,
-             const SearchOptions &options)
-{
-    RunContext ctx;
-    return repairSearch(ctx, original, kernel, broken, config, suite,
-                        profile, options);
-}
 
 SearchResult
 repairSearch(RunContext &ctx, const TranslationUnit &original,

@@ -78,19 +78,14 @@ struct SearchOptions
      */
     bool use_memo = true;
     /**
-     * Directory of the persistent verdict cache (the on-disk L2 under
-     * the memo; see docs/CACHING.md). "" disables persistence.
-     * Defaults to HETEROGEN_CACHE_DIR when set. Requires use_memo; the
-     * disk is also bypassed entirely while a fault plan is armed (fault
-     * draws are keyed by invocation index — replaying verdicts would
-     * shift every subsequent draw).
-     */
-    std::string cache_dir = defaultCacheDir();
-    /**
-     * Externally-owned verdict store to use instead of opening
-     * cache_dir (non-owning; the conversion service shares one store
-     * per directory across concurrent jobs). When set, cache_dir is
-     * ignored and the owner is responsible for flush().
+     * Persistent verdict store to consult under the memo (non-owning;
+     * the on-disk L2, see docs/CACHING.md). Null = memory only. The
+     * search borrows it: HeteroGen::run opens the store named by
+     * HeteroGenOptions::cache_dir, and the conversion service shares
+     * one store per directory across concurrent jobs; the owner
+     * flushes. Requires use_memo; the disk is also bypassed entirely
+     * while a fault plan is armed (fault draws are keyed by invocation
+     * index — replaying verdicts would shift every subsequent draw).
      */
     VerdictStore *verdict_store = nullptr;
     /**
@@ -100,13 +95,12 @@ struct SearchOptions
      */
     std::set<std::string> allowed_edits;
     /**
-     * Candidate proposer driving the search ("template", "corpus" or
-     * "mixed"; see repair/proposer.h). Defaults to HETEROGEN_PROPOSER
-     * when set, else the paper's template enumeration. The judge side
-     * (style gate, toolchain, difftest, memo, backtracking) is
+     * Candidate proposer driving the search ("template" — the paper's
+     * enumeration — or "corpus"; see repair/proposer.h). The judge
+     * side (style gate, toolchain, difftest, memo, backtracking) is
      * proposer-independent.
      */
-    std::string proposer = defaultProposerName();
+    std::string proposer = "template";
 };
 
 /** One recorded search step (for traces and ablation analysis). */
@@ -183,7 +177,19 @@ struct SearchResult
 };
 
 /**
- * Run the repair search.
+ * Run the repair search: opens a "repair" span budgeted at
+ * options.budget_minutes, charges every style-check/edit/synthesis/
+ * difftest minute through the context, bumps search.* counters
+ * (candidates, style checks/rejections, memo hits/misses, edits,
+ * reverts) plus the hls.* and difftest.* counters of the stages it
+ * drives, and stops early on cancellation or an exhausted enclosing
+ * budget.
+ *
+ * When the context has a FaultPlan armed (support/faults.h), the
+ * toolchain sites it drives may fail permanently; the search then
+ * degrades instead of crashing — a dead co-sim downgrades fitness to
+ * style-check + compile only, a dead compiler aborts with the best
+ * candidate so far — and records every degradation in the result.
  *
  * @param original  the input C program (CPU reference for difftesting)
  * @param kernel    kernel entry-point name in the original
@@ -192,30 +198,6 @@ struct SearchResult
  * @param config    initial toolchain configuration
  * @param suite     generated tests (fitness oracle)
  * @param profile   value profile of the original under the suite
- */
-SearchResult repairSearch(const cir::TranslationUnit &original,
-                          const std::string &kernel,
-                          const cir::TranslationUnit &broken,
-                          const hls::HlsConfig &config,
-                          const fuzz::TestSuite &suite,
-                          const interp::ValueProfile &profile,
-                          const SearchOptions &options = {});
-
-/**
- * Spine-aware variant: opens a "repair" span budgeted at
- * options.budget_minutes, charges every style-check/edit/synthesis/
- * difftest minute through the context, bumps search.* counters
- * (candidates, style checks/rejections, memo hits/misses, edits,
- * reverts) plus the hls.* and difftest.* counters of the stages it
- * drives, and stops early on cancellation or an exhausted enclosing
- * budget. With a fresh context the SearchResult is byte-identical to
- * the plain overload (the golden-trace tests pin this).
- *
- * When the context has a FaultPlan armed (support/faults.h), the
- * toolchain sites it drives may fail permanently; the search then
- * degrades instead of crashing — a dead co-sim downgrades fitness to
- * style-check + compile only, a dead compiler aborts with the best
- * candidate so far — and records every degradation in the result.
  */
 SearchResult repairSearch(RunContext &ctx,
                           const cir::TranslationUnit &original,

@@ -98,8 +98,8 @@ struct VerdictStats
  * whenever the load-time snapshot lacks the key — a pure function of
  * (snapshot, job), independent of which concurrent job happened to
  * buffer the physical write first. Load-time invalid counts and
- * flush-time evictions live in diskStats(); the search mirrors them
- * onto its trace for stores it owns.
+ * flush-time evictions live in diskStats(); HeteroGen::run mirrors them
+ * onto the run trace for the store it opens.
  */
 class VerdictStore
 {

@@ -111,10 +111,6 @@ validateJobSpec(const JobSpec &spec)
               "' is scheduled to cancel at ", spec.cancel_at_minutes,
               " before it arrives at ", spec.arrival_minutes);
     }
-    if (!repair::parseProposerName(spec.proposer))
-        fatal("service: job for tenant '", spec.tenant,
-              "' names unknown proposer '", spec.proposer,
-              "' (expected template, corpus or mixed)");
     if (!spec.cache_dir.empty()) {
         std::string err = repair::cacheDirError(spec.cache_dir);
         if (!err.empty())

@@ -80,20 +80,12 @@ struct JobSpec
      */
     core::HeteroGenOptions options;
     /**
-     * Per-job repair-proposer override ("" = keep options.proposer /
-     * options.search.proposer). Accepted names: "template", "corpus",
-     * "mixed"; anything else is rejected at submit. Lets one service
-     * run race proposers across tenants, as bench/fig9_ablation's
-     * --proposers mode does.
-     */
-    std::string proposer;
-    /**
      * Per-job persistent verdict-cache directory ("" = keep
-     * options.cache_dir / options.search.cache_dir). The service opens
-     * one shared store per distinct directory, so jobs naming the same
-     * directory share verdicts safely; a non-empty value must name a
-     * creatable, writable directory or submit rejects it with a
-     * "cache:" diagnostic. See docs/CACHING.md.
+     * options.cache_dir). The service opens one shared store per
+     * distinct directory, so jobs naming the same directory share
+     * verdicts safely; a non-empty value must name a creatable,
+     * writable directory or submit rejects it with a "cache:"
+     * diagnostic. See docs/CACHING.md.
      */
     std::string cache_dir;
 };

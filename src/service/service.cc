@@ -363,16 +363,13 @@ ConversionService::startRunLocked(Job &job)
     }
     job.cached.reset();
     // Resolve the job's persistent verdict cache (spec override, then
-    // the pipeline-level knob, then the search-level one) to one store
-    // shared by every job naming that directory. A caller-supplied
-    // search.verdict_store wins untouched.
+    // the pipeline knob) to one store shared by every job naming that
+    // directory. A caller-supplied search.verdict_store wins untouched.
     const core::HeteroGenOptions &o = job.spec.options;
     if (!o.search.verdict_store && o.search.use_memo) {
         const std::string &dir = !job.spec.cache_dir.empty()
                                      ? job.spec.cache_dir
-                                     : (!o.cache_dir.empty()
-                                            ? o.cache_dir
-                                            : o.search.cache_dir);
+                                     : o.cache_dir;
         if (!dir.empty())
             job.store = storeForLocked(dir);
     }
@@ -482,8 +479,6 @@ ConversionService::executeRunning(std::unique_lock<std::mutex> &lock)
                 try {
                     core::HeteroGen hg(job->spec.source);
                     core::HeteroGenOptions opts = job->spec.options;
-                    if (!job->spec.proposer.empty())
-                        opts.proposer = job->spec.proposer;
                     if (job->store)
                         opts.search.verdict_store = job->store;
                     opts.eval_pool = eval_pool_.get();

@@ -29,8 +29,9 @@ struct Subject
     std::string source; ///< original C program (CIR subset)
     std::string kernel; ///< kernel function name
     std::string host;   ///< host entry for seed capture ("" = none)
-    /** Initial top-function configuration; "" = correct (the kernel). */
-    std::string initial_top;
+    /** Initial top-function configuration; "" = correct (the kernel).
+     * A wrong name reproduces the paper's Top Function errors (P9). */
+    std::string top_function;
     /** Hand-written HLS-C port (the paper's Manual column). */
     std::string manual_source;
     /** Pre-existing handcrafted tests (empty = N/A in Table 4). */

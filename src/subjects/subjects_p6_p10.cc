@@ -387,7 +387,7 @@ makeP9()
     // Misconfigured module entry point: the design's top is fd_kernel
     // but the project is configured with a stale name (Top Function
     // error, the paper's post no. 810885).
-    s.initial_top = "fd_top_v1";
+    s.top_function = "fd_top_v1";
     s.fuzz_seed = 109;
     // A Viola-Jones-flavoured cascade on 16x16 frames: integral image,
     // streamed window pipeline built from struct stages (unsynthesizable

@@ -20,8 +20,8 @@ testOptions(const subjects::Subject &subject)
 {
     HeteroGenOptions opts;
     opts.kernel = subject.kernel;
-    opts.host_function = subject.host;
-    opts.initial_top = subject.initial_top;
+    opts.fuzz.host_function = subject.host;
+    opts.config.top_function = subject.top_function;
     opts.fuzz.rng_seed = subject.fuzz_seed;
     opts.fuzz.max_executions = 700;
     opts.fuzz.mutations_per_input = 8;
@@ -105,12 +105,28 @@ TEST(Pipeline, BitwidthNarrowingAppearsInOutput)
 TEST(Pipeline, TopFunctionErrorIsRepaired)
 {
     const auto &s = subjects::subjectById("P9");
-    ASSERT_FALSE(s.initial_top.empty());
+    ASSERT_FALSE(s.top_function.empty());
     HeteroGen engine(s.source);
     auto report = engine.run(testOptions(s));
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.search.config.top_function, s.kernel)
         << "the top_name edit must point the config at the real kernel";
+}
+
+TEST(Pipeline, ConfigTopFunctionReachesTheSearch)
+{
+    // options.config is the one home of the initial top function: a
+    // set name is handed to the search untouched (with no iterations
+    // the search reports its initial config), an empty one means the
+    // kernel.
+    const auto &s = subjects::subjectById("P1");
+    HeteroGen engine(s.source);
+    HeteroGenOptions opts = testOptions(s);
+    opts.search.max_iterations = 0;
+    opts.config.top_function = "custom_top";
+    EXPECT_EQ(engine.run(opts).search.config.top_function, "custom_top");
+    opts.config.top_function.clear();
+    EXPECT_EQ(engine.run(opts).search.config.top_function, s.kernel);
 }
 
 TEST(Pipeline, StackTransformShowsUpForRecursiveSubjects)
@@ -146,8 +162,9 @@ TEST(Pipeline, GeneratedTestsCatchWhatExistingTestsMiss)
     repair::SearchOptions sopts;
     sopts.budget_minutes = 400;
     sopts.difftest_sample = 0;
-    auto weak = repair::repairSearch(engine.program(), s.kernel, *tu,
-                                     hls::HlsConfig::forTop(s.kernel),
+    RunContext weak_ctx;
+    auto weak = repair::repairSearch(weak_ctx, engine.program(), s.kernel,
+                                     *tu, hls::HlsConfig::forTop(s.kernel),
                                      existing, profile, sopts);
     ASSERT_TRUE(weak.hls_compatible)
         << join(weak.applied_order, ", ");
@@ -158,11 +175,13 @@ TEST(Pipeline, GeneratedTestsCatchWhatExistingTestsMiss)
     fuzz::FuzzOptions fopts = opts.fuzz;
     fopts.host_function = s.host;
     fopts.rng_seed = s.fuzz_seed;
-    auto generated = fuzz::fuzzKernel(engine.program(), s.kernel,
-                                      engine.sema(), fopts);
-    auto dt = repair::diffTest(engine.program(), s.kernel,
+    RunContext fuzz_ctx;
+    auto generated =
+        fuzz::fuzzKernel(fuzz_ctx, engine.program(), s.kernel, fopts);
+    RunContext dt_ctx;
+    auto dt = repair::diffTest(dt_ctx, engine.program(), s.kernel,
                                *weak.program, weak.config,
-                               generated.suite, 0);
+                               generated.suite);
     EXPECT_LT(dt.passRatio(), 1.0)
         << "generated tests must expose the undersized finitization";
 

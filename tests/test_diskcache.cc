@@ -492,11 +492,12 @@ TEST(CacheDirValidation, ValidateOptionsRejectsUnusableCacheDir)
                   std::string::npos)
             << e.what();
     }
-    opts.cache_dir.clear();
-    opts.search.cache_dir = "  \t ";
+    opts.cache_dir = "  \t ";
     EXPECT_THROW(core::validateOptions(opts), FatalError);
-    opts.search.cache_dir = freshDir("valid");
+    opts.cache_dir = freshDir("valid");
     core::validateOptions(opts); // now fine
+    opts.cache_dir.clear();
+    core::validateOptions(opts); // "" = memory only
 }
 
 TEST(CacheDirValidation, JobSpecRejectsUnusableCacheDirAtSubmit)
@@ -518,8 +519,10 @@ TEST(CacheDirValidation, EnvironmentKnobFeedsTheDefault)
     std::string dir = freshDir("env");
     ASSERT_EQ(setenv("HETEROGEN_CACHE_DIR", dir.c_str(), 1), 0);
     EXPECT_EQ(repair::defaultCacheDir(), dir);
+    EXPECT_EQ(core::HeteroGenOptions{}.cache_dir, dir);
     ASSERT_EQ(unsetenv("HETEROGEN_CACHE_DIR"), 0);
     EXPECT_EQ(repair::defaultCacheDir(), "");
+    EXPECT_EQ(core::HeteroGenOptions{}.cache_dir, "");
 }
 
 // --- warm-start repair: end-to-end ---------------------------------------
@@ -550,7 +553,7 @@ cachedOptions(const std::string &cache_dir)
     opts.fuzz.max_executions = 400;
     opts.fuzz.min_suite_size = 12;
     opts.search.difftest_sample = 10;
-    opts.search.cache_dir = cache_dir;
+    opts.cache_dir = cache_dir;
     return opts;
 }
 
@@ -748,7 +751,7 @@ streamCachedOptions(const subjects::Subject &s, const std::string &dir)
     opts.fuzz.min_suite_size = 8;
     opts.fuzz.max_steps_per_run = 400000;
     opts.search.difftest_sample = 8;
-    opts.search.cache_dir = dir;
+    opts.cache_dir = dir;
     return opts;
 }
 

@@ -9,6 +9,7 @@
 #include "repair/edit.h"
 #include "repair/localizer.h"
 #include "repair/search.h"
+#include "support/run_context.h"
 
 namespace heterogen::repair {
 namespace {
@@ -90,7 +91,8 @@ TEST_F(ExtensibilityTest, RegisteredTemplateParticipatesInSearch)
     interp::ValueProfile profile;
     SearchOptions options;
     options.budget_minutes = 300;
-    auto result = repairSearch(*tu, "kernel", *tu,
+    RunContext ctx;
+    auto result = repairSearch(ctx, *tu, "kernel", *tu,
                                hls::HlsConfig::forTop("kernel"), suite,
                                profile, options);
     EXPECT_TRUE(result.hls_compatible);

@@ -100,11 +100,12 @@ TEST(Fuzzer, CoversBothBranchDirections)
             return 0;
         }
     )");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.max_executions = 400;
     options.rng_seed = 11;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     EXPECT_DOUBLE_EQ(result.branchCoverage(), 1.0);
     EXPECT_GE(result.suite.size(), 2u);
 }
@@ -123,11 +124,12 @@ TEST(Fuzzer, SeedCapturedFromHostRun)
             return kernel(data, 3);
         }
     )");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.host_function = "host";
     options.max_executions = 10;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     ASSERT_FALSE(result.suite.empty());
     // The first retained test is the captured host seed.
     EXPECT_EQ(result.suite[0].args[0].ints,
@@ -152,12 +154,13 @@ TEST(Fuzzer, CoverageCountsKernelReachableBranchesOnly)
             return acc;
         }
     )");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.host_function = "host";
     options.max_executions = 300;
     options.rng_seed = 3;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     EXPECT_DOUBLE_EQ(result.branchCoverage(), 1.0)
         << "only the kernel's single branch should count";
 }
@@ -167,12 +170,13 @@ TEST(Fuzzer, PlateauStopsCampaign)
     // Branchless kernel: after the seed there is never new coverage, so
     // the campaign stops once the plateau window elapses.
     auto tu = cir::parse("int kernel(int x) { return x + 1; }");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.max_executions = 1000000;
     options.plateau_minutes = 2.0;
     options.budget_minutes = 1000.0;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     EXPECT_LT(result.executions, 10000);
     EXPECT_GT(result.sim_minutes, 2.0);
     EXPECT_LT(result.sim_minutes - result.last_progress_minutes, 3.5);
@@ -189,12 +193,13 @@ TEST(Fuzzer, DeterministicGivenSeed)
             return acc;
         }
     )");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.max_executions = 200;
     options.rng_seed = 99;
-    auto a = fuzzKernel(*tu, "kernel", sema, options);
-    auto b = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx_a, ctx_b;
+    auto a = fuzzKernel(ctx_a, *tu, "kernel", options);
+    auto b = fuzzKernel(ctx_b, *tu, "kernel", options);
     EXPECT_EQ(a.suite.size(), b.suite.size());
     EXPECT_EQ(a.executions, b.executions);
     for (size_t i = 0; i < a.suite.size(); ++i)
@@ -204,12 +209,13 @@ TEST(Fuzzer, DeterministicGivenSeed)
 TEST(Fuzzer, MinSuiteFloorRetainsDiverseInputs)
 {
     auto tu = cir::parse("int kernel(int x) { return x * 2; }");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.max_executions = 300;
     options.min_suite_size = 24;
     options.plateau_minutes = 1000.0;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     EXPECT_GE(result.suite.size(), 24u)
         << "branchless programs still get a difftest corpus";
 }
@@ -227,12 +233,13 @@ TEST(Fuzzer, HitCountBucketsRetainLoopMagnitudes)
             return acc;
         }
     )");
-    auto sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     FuzzOptions options;
     options.max_executions = 2000;
     options.min_suite_size = 0;
     options.rng_seed = 17;
-    auto result = fuzzKernel(*tu, "kernel", sema, options);
+    RunContext ctx;
+    auto result = fuzzKernel(ctx, *tu, "kernel", options);
     EXPECT_GT(result.suite.size(), 6u)
         << "hit-count bucketing should retain multiple loop magnitudes";
 }

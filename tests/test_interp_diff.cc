@@ -159,12 +159,13 @@ TEST(InterpDiff, SubjectsBitIdenticalOverFuzzedSuites)
 {
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = parse(subject.source);
-        cir::SemaResult sema = cir::analyzeOrDie(*tu);
+        cir::analyzeOrDie(*tu);
 
         fuzz::FuzzOptions options = smallCampaign(subject.fuzz_seed);
         options.host_function = subject.host;
+        RunContext ctx;
         fuzz::FuzzResult campaign =
-            fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
+            fuzz::fuzzKernel(ctx, *tu, subject.kernel, options);
 
         Interpreter interp(*tu);
         for (const auto &test : campaign.suite.cases()) {
@@ -200,7 +201,7 @@ TEST(InterpDiff, FuzzCampaignsIdenticalAcrossEngines)
     // included, runs on the walker instead of the VM.
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = parse(subject.source);
-        cir::SemaResult sema = cir::analyzeOrDie(*tu);
+        cir::analyzeOrDie(*tu);
 
         fuzz::FuzzOptions options = smallCampaign(subject.fuzz_seed);
         options.host_function = subject.host;
@@ -211,8 +212,9 @@ TEST(InterpDiff, FuzzCampaignsIdenticalAcrossEngines)
                 const RunOptions &opts) {
                 return runWalker(*tu, fn, args, opts);
             });
+        RunContext vm_ctx;
         fuzz::FuzzResult vm =
-            fuzz::fuzzKernel(*tu, subject.kernel, sema, options);
+            fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, options);
         expectSameCampaign(walk, vm, subject.id);
     }
 }

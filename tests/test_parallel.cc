@@ -36,8 +36,9 @@ program(const std::string &src)
 fuzz::FuzzResult
 runFuzz(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options)
 {
-    cir::SemaResult sema = cir::analyzeOrDie(tu);
-    return fuzz::fuzzKernel(tu, "kernel", sema, options);
+    cir::analyzeOrDie(tu);
+    RunContext ctx;
+    return fuzz::fuzzKernel(ctx, tu, "kernel", options);
 }
 
 // --- worker pool ---------------------------------------------------------
@@ -228,7 +229,8 @@ TEST(ParallelDiffTest, SimWorkersChangeOnlySimulatedCost)
     hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
     fuzz::TestSuite suite = suiteForSeed(*orig, 3);
 
-    auto serial = repair::diffTest(*orig, "kernel", *cand, config, suite);
+    auto serial = repair::diffTest(*orig, "kernel", *cand, config, suite,
+                                   repair::DiffTestOptions{});
     repair::DiffTestOptions opts;
     opts.sim_workers = 4;
     auto fleet = repair::diffTest(*orig, "kernel", *cand, config, suite, opts);
@@ -295,7 +297,6 @@ TEST(ParallelFuzz, SameCorpusAndCoverageAcrossThreadCounts)
 TEST(ParallelTrace, FuzzTraceJsonIdenticalAcrossThreadCounts)
 {
     auto tu = program(kOriginal);
-    cir::SemaResult sema = cir::analyzeOrDie(*tu);
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         fuzz::FuzzOptions options;
         options.rng_seed = seed;
@@ -306,13 +307,13 @@ TEST(ParallelTrace, FuzzTraceJsonIdenticalAcrossThreadCounts)
 
         options.threads = 1;
         RunContext serial_ctx;
-        fuzz::fuzzKernel(serial_ctx, *tu, "kernel", sema, options);
+        fuzz::fuzzKernel(serial_ctx, *tu, "kernel", options);
         std::string serial_json = serial_ctx.traceJson();
 
         for (int threads : kThreadCounts) {
             options.threads = threads;
             RunContext ctx;
-            fuzz::fuzzKernel(ctx, *tu, "kernel", sema, options);
+            fuzz::fuzzKernel(ctx, *tu, "kernel", options);
             SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                          std::to_string(threads));
             EXPECT_EQ(ctx.traceJson(), serial_json);

@@ -263,6 +263,55 @@ TEST(Parser, SyntaxErrorsThrow)
     EXPECT_THROW(parseExpression("a b"), FatalError);
 }
 
+std::string
+repeat(const std::string &s, int n)
+{
+    std::string out;
+    for (int i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+/** cir::parse(src) throws a FatalError naming the nesting limit. */
+void
+expectNestingRejected(const std::string &src)
+{
+    try {
+        parse(src);
+        FAIL() << "expected a nesting-depth FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Parser, HostileNestingIsADiagnosticNotACrash)
+{
+    // Each shape used to overflow the parser's stack.
+    expectNestingRejected("int kernel(int x) { return " +
+                          repeat("(", 100000) + "x" +
+                          repeat(")", 100000) + "; }");
+    expectNestingRejected("int kernel(int x) { " + repeat("{", 100000) +
+                          repeat("}", 100000) + " return x; }");
+    expectNestingRejected("int kernel(int x) { return " +
+                          repeat("- ", 100000) + "x; }");
+}
+
+TEST(Parser, ThousandDeepParenthesesStillParse)
+{
+    auto tu = parse("int kernel(int x) { return " + repeat("(", 1000) +
+                    "x" + repeat(")", 1000) + "; }");
+    const FunctionDecl *fn = tu->findFunction("kernel");
+    ASSERT_NE(fn, nullptr);
+    ASSERT_EQ(fn->body->stmts.size(), 1u);
+    EXPECT_EQ(fn->body->stmts[0]->kind(), StmtKind::Return);
+    // One level deeper is over the limit.
+    expectNestingRejected("int kernel(int x) { return " +
+                          repeat("(", 1001) + "x" + repeat(")", 1001) +
+                          "; }");
+}
+
 TEST(Parser, UnknownPragmaRejected)
 {
     EXPECT_THROW(parse("void f() { #pragma HLS frobnicate\n }"),

@@ -1,7 +1,7 @@
 /** @file CandidateProposer seam tests: name parsing and the factory,
  * corpus mining invariants (evidence-driven support, dependence-ordered
- * chains, deterministic ranking), the corpus/mixed proposers' retrieval
- * and retire behaviour, and the end-to-end contracts — searches driven
+ * chains, deterministic ranking), the corpus proposer's retrieval and
+ * retire behaviour, and the end-to-end contracts — searches driven
  * by every proposer are deterministic across eval-thread counts and
  * seeds, report proposer counters on the trace, and never memoize
  * tool failures under fault injection.
@@ -26,19 +26,17 @@ using hls::ErrorCategory;
 
 // --- names, parsing, factory ---------------------------------------------
 
-TEST(ProposerNames, ParsesEveryKnownNameAndTheEmptyDefault)
+TEST(ProposerNames, AcceptsExactlyTheKnownNames)
 {
-    for (const std::string &name : proposerNames()) {
-        std::string canonical;
-        EXPECT_TRUE(parseProposerName(name, &canonical)) << name;
-        EXPECT_EQ(canonical, name);
-    }
-    std::string canonical;
-    EXPECT_TRUE(parseProposerName("", &canonical));
-    EXPECT_EQ(canonical, "template");
-    EXPECT_FALSE(parseProposerName("gpt4"));
-    EXPECT_FALSE(parseProposerName("Template")); // names are exact
-    EXPECT_FALSE(parseProposerName("corpus ")); // no trimming
+    EXPECT_EQ(proposerNames(),
+              (std::vector<std::string>{"template", "corpus"}));
+    for (const std::string &name : proposerNames())
+        EXPECT_EQ(proposerError(name), "") << name;
+    EXPECT_NE(proposerError(""), ""); // no "default" alias
+    EXPECT_NE(proposerError("gpt4"), "");
+    EXPECT_NE(proposerError("mixed"), ""); // measured dominated, removed
+    EXPECT_NE(proposerError("Template"), ""); // names are exact
+    EXPECT_NE(proposerError("corpus "), ""); // no trimming
 }
 
 TEST(ProposerNames, FactoryBuildsEveryKnownNameAndRejectsUnknown)
@@ -49,7 +47,6 @@ TEST(ProposerNames, FactoryBuildsEveryKnownNameAndRejectsUnknown)
         ASSERT_NE(proposer, nullptr);
         EXPECT_EQ(proposer->name(), name);
     }
-    EXPECT_EQ(makeProposer("", config)->name(), "template");
     try {
         makeProposer("gpt4", config);
         FAIL() << "expected FatalError";
@@ -58,27 +55,33 @@ TEST(ProposerNames, FactoryBuildsEveryKnownNameAndRejectsUnknown)
         EXPECT_TRUE(contains(e.what(), "gpt4"));
         EXPECT_TRUE(contains(e.what(), "template"));
         EXPECT_TRUE(contains(e.what(), "corpus"));
-        EXPECT_TRUE(contains(e.what(), "mixed"));
     }
 }
 
-TEST(ProposerNames, DefaultHonoursEnvironmentWhenValid)
+TEST(ConfigDefaults, IgnoreRetiredEnvironmentVariables)
 {
-    const char *saved = std::getenv("HETEROGEN_PROPOSER");
-    std::string restore = saved ? saved : "";
-
-    ::setenv("HETEROGEN_PROPOSER", "corpus", 1);
-    EXPECT_EQ(defaultProposerName(), "corpus");
-    ::setenv("HETEROGEN_PROPOSER", "mixed", 1);
-    EXPECT_EQ(defaultProposerName(), "mixed");
-    // Unknown names are ignored, not fatal: the env is advisory.
-    ::setenv("HETEROGEN_PROPOSER", "gpt4", 1);
-    EXPECT_EQ(defaultProposerName(), "template");
-    ::unsetenv("HETEROGEN_PROPOSER");
-    EXPECT_EQ(defaultProposerName(), "template");
-
-    if (saved)
-        ::setenv("HETEROGEN_PROPOSER", restore.c_str(), 1);
+    // The proposer and the FIFO depth have one home each, a field with
+    // a constant default; the environment variables that used to
+    // override those defaults no longer exist.
+    const char *names[] = {"HETEROGEN_PROPOSER", "HETEROGEN_STREAM_DEPTH"};
+    const char *values[] = {"corpus", "64"};
+    std::string saved[2];
+    bool had[2];
+    for (int i = 0; i < 2; ++i) {
+        const char *old = std::getenv(names[i]);
+        had[i] = old != nullptr;
+        saved[i] = old ? old : "";
+        ::setenv(names[i], values[i], 1);
+    }
+    EXPECT_EQ(SearchOptions{}.proposer, "template");
+    EXPECT_EQ(hls::HlsConfig{}.stream_depth, 2);
+    EXPECT_EQ(core::HeteroGenOptions{}.search.proposer, "template");
+    for (int i = 0; i < 2; ++i) {
+        if (had[i])
+            ::setenv(names[i], saved[i].c_str(), 1);
+        else
+            ::unsetenv(names[i]);
+    }
 }
 
 // --- corpus mining --------------------------------------------------------
@@ -286,26 +289,6 @@ TEST(CorpusProposer, HonoursAllowedEditsAndTheAppliedSet)
     }
 }
 
-TEST(MixedProposer, AlternatesWhichSideProposesFirst)
-{
-    auto proposer = makeProposer("mixed", ProposerConfig{});
-    std::set<std::string> applied;
-    Rng rng(7);
-    auto request = repairRequest(ErrorCategory::DynamicDataStructures,
-                                 &applied, &rng);
-    // Call 0: template side first (a bare template name); call 1: the
-    // corpus side leads with a "corpus:" rewrite; then it repeats.
-    Proposal a = proposer->propose(request);
-    Proposal b = proposer->propose(request);
-    Proposal c = proposer->propose(request);
-    ASSERT_FALSE(a.candidates.empty());
-    ASSERT_FALSE(b.candidates.empty());
-    ASSERT_FALSE(c.candidates.empty());
-    EXPECT_FALSE(startsWith(a.candidates[0].label, "corpus:"));
-    EXPECT_TRUE(startsWith(b.candidates[0].label, "corpus:"));
-    EXPECT_EQ(c.candidates[0].label, a.candidates[0].label);
-}
-
 // --- end-to-end: the search under each proposer ---------------------------
 
 const char *kSubject =
@@ -358,7 +341,7 @@ TEST(ProposerSearch, TraceCarriesProposerCounters)
 TEST(ProposerSearch, DeterministicAcrossEvalThreadsAndSeeds)
 {
     core::HeteroGen engine(kSubject);
-    for (const std::string &proposer : {"corpus", "mixed"}) {
+    for (const std::string &proposer : proposerNames()) {
         for (uint64_t seed : {1, 2, 9}) {
             SCOPED_TRACE(proposer + " seed " + std::to_string(seed));
             auto base = pipelineOptions(proposer, seed);

@@ -541,10 +541,12 @@ TEST(DiffTest, DetectsDivergence)
     for (long v : {1, 2, 3, -7})
         suite.add({KernelArg::ofInt(v)});
     hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
-    auto ok = diffTest(*orig, "kernel", *good, config, suite);
+    RunContext ok_ctx;
+    auto ok = diffTest(ok_ctx, *orig, "kernel", *good, config, suite);
     EXPECT_TRUE(ok.allIdentical());
     EXPECT_EQ(ok.total, 4);
-    auto fail = diffTest(*orig, "kernel", *bad, config, suite);
+    RunContext fail_ctx;
+    auto fail = diffTest(fail_ctx, *orig, "kernel", *bad, config, suite);
     EXPECT_EQ(fail.identical, 0);
     EXPECT_EQ(fail.failing.size(), 4u);
     EXPECT_GT(fail.sim_minutes, 0.0);

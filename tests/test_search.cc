@@ -25,7 +25,7 @@ runPipeline(const std::string &src, const std::string &kernel,
     core::HeteroGen engine(src);
     core::HeteroGenOptions opts;
     opts.kernel = kernel;
-    opts.host_function = host;
+    opts.fuzz.host_function = host;
     opts.fuzz.max_executions = 400;
     opts.fuzz.min_suite_size = 12;
     opts.search.budget_minutes = budget_minutes;

@@ -184,16 +184,12 @@ TEST(ServiceValidation, RejectsMalformedJobSpecs)
     EXPECT_THROW(validateJobSpec(bad), FatalError);
 
     bad = spec;
-    bad.proposer = "gpt4"; // per-job proposer names are validated
+    bad.options.search.proposer = "gpt4"; // proposer names are validated
     EXPECT_THROW(validateJobSpec(bad), FatalError);
 
-    bad = spec;
-    bad.options.proposer = "gpt4"; // and the nested pipeline knob
-    EXPECT_THROW(validateJobSpec(bad), FatalError);
-
-    for (const char *name : {"", "template", "corpus", "mixed"}) {
+    for (const char *name : {"template", "corpus"}) {
         JobSpec ok = spec;
-        ok.proposer = name;
+        ok.options.search.proposer = name;
         EXPECT_NO_THROW(validateJobSpec(ok)) << name;
     }
 }
@@ -202,7 +198,7 @@ TEST(ServiceValidation, PerJobProposerOverrideReachesTheRun)
 {
     ConversionService svc(ServiceOptions{});
     JobSpec corpus_job = tinyJob("acme");
-    corpus_job.proposer = "corpus";
+    corpus_job.options.search.proposer = "corpus";
     int corpus_id = svc.submit(corpus_job);
     int default_id = svc.submit(tinyJob("acme"));
     svc.drain();
@@ -294,6 +290,40 @@ TEST(Service, ParseFailureMeansFailedJob)
     EXPECT_FALSE(svc.collect(id).has_report);
     // The failure releases its slot: the good job still completes.
     EXPECT_EQ(svc.poll(good).state, JobState::Completed);
+}
+
+TEST(Service, HostileNestingFailsOnlyItsOwnJob)
+{
+    // A source nested far past the parser's limit must end its own job
+    // Failed with the diagnostic — not crash the process every tenant
+    // shares — and leave its neighbour's outcome exactly as a lone run.
+    JobSpec neighbour = tinyJob("acme");
+    ConversionService lone;
+    int lone_id = lone.submit(neighbour);
+    lone.drain();
+    const JobOutcome &alone = lone.collect(lone_id);
+    ASSERT_EQ(alone.status.state, JobState::Completed);
+
+    ConversionService svc;
+    JobSpec hostile = tinyJob("evil");
+    hostile.source = "int scale(int x, int y) { return " +
+                     std::string(100000, '(') + "x" +
+                     std::string(100000, ')') + "; }";
+    int bad = svc.submit(hostile);
+    int good = svc.submit(neighbour);
+    svc.drain();
+
+    JobStatus status = svc.poll(bad);
+    EXPECT_EQ(status.state, JobState::Failed);
+    EXPECT_NE(status.stop_reason.find("nesting deeper than"),
+              std::string::npos)
+        << status.stop_reason;
+    const JobOutcome &out = svc.collect(good);
+    ASSERT_EQ(out.status.state, JobState::Completed);
+    ASSERT_TRUE(out.has_report);
+    EXPECT_EQ(out.report.hls_source, alone.report.hls_source);
+    EXPECT_EQ(out.report.total_minutes, alone.report.total_minutes);
+    EXPECT_EQ(out.trace_json, alone.trace_json);
 }
 
 // ---------------------------------------------------------------------

@@ -46,7 +46,7 @@ TEST_P(SubjectTest, OriginalHasHlsErrors)
     auto tu = cir::parse(s.source);
     cir::analyzeOrDie(*tu);
     hls::HlsConfig config = hls::HlsConfig::forTop(
-        s.initial_top.empty() ? s.kernel : s.initial_top);
+        s.top_function.empty() ? s.kernel : s.top_function);
     auto errors = hls::checkSynthesizability(*tu, config);
     EXPECT_FALSE(errors.empty())
         << s.id << " must be HLS-incompatible before repair";
@@ -139,7 +139,7 @@ TEST(Subjects, ErrorCategoryMixMatchesDesign)
         auto tu = cir::parse(s.source);
         cir::analyzeOrDie(*tu);
         auto errors = hls::checkSynthesizability(
-            *tu, hls::HlsConfig::forTop(s.initial_top));
+            *tu, hls::HlsConfig::forTop(s.top_function));
         std::set<ErrorCategory> seen;
         for (const auto &e : errors)
             seen.insert(e.category);

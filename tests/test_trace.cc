@@ -280,11 +280,11 @@ smallFuzzOptions(uint64_t seed)
 TEST(SpineFuzz, CountersMatchFuzzResultExactly)
 {
     auto tu = cir::parse(kKernel);
-    cir::SemaResult sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     for (uint64_t seed = 1; seed <= 5; ++seed) {
         RunContext ctx;
-        fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, "kernel", sema,
-                                              smallFuzzOptions(seed));
+        fuzz::FuzzResult r =
+            fuzz::fuzzKernel(ctx, *tu, "kernel", smallFuzzOptions(seed));
         const TraceSpan *span = ctx.trace().root().find("fuzz");
         ASSERT_NE(span, nullptr) << "seed " << seed;
         EXPECT_EQ(span->counter("fuzz.executions"), r.executions);
@@ -299,30 +299,10 @@ TEST(SpineFuzz, CountersMatchFuzzResultExactly)
     }
 }
 
-TEST(SpineFuzz, ContextOverloadMatchesLegacyOverloadByteForByte)
-{
-    auto tu = cir::parse(kKernel);
-    cir::SemaResult sema = cir::analyzeOrDie(*tu);
-    fuzz::FuzzOptions options = smallFuzzOptions(7);
-    fuzz::FuzzResult legacy =
-        fuzz::fuzzKernel(*tu, "kernel", sema, options);
-    RunContext ctx;
-    fuzz::FuzzResult spine =
-        fuzz::fuzzKernel(ctx, *tu, "kernel", sema, options);
-
-    EXPECT_EQ(legacy.executions, spine.executions);
-    EXPECT_EQ(legacy.sim_minutes, spine.sim_minutes);
-    EXPECT_EQ(legacy.last_progress_minutes,
-              spine.last_progress_minutes);
-    ASSERT_EQ(legacy.suite.size(), spine.suite.size());
-    for (size_t i = 0; i < legacy.suite.size(); ++i)
-        EXPECT_EQ(legacy.suite[i].args, spine.suite[i].args);
-}
-
 TEST(SpineFuzz, EveryExecutionLandsOnInterpRuns)
 {
     auto tu = cir::parse(kKernel);
-    cir::SemaResult sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
 
     // The seed plus ten whole batches of eight: no speculative batch
     // tail is discarded, so every execution is exactly one run. Every
@@ -332,7 +312,7 @@ TEST(SpineFuzz, EveryExecutionLandsOnInterpRuns)
     fuzz::FuzzOptions options = smallFuzzOptions(3);
     options.max_executions = 1 + 10 * options.mutations_per_input;
     fuzz::FuzzResult result =
-        fuzz::fuzzKernel(ctx, *tu, "kernel", sema, options);
+        fuzz::fuzzKernel(ctx, *tu, "kernel", options);
     ASSERT_EQ(result.executions, options.max_executions);
     const TraceSpan *span = ctx.trace().root().find("fuzz");
     ASSERT_NE(span, nullptr);
@@ -344,11 +324,11 @@ TEST(SpineFuzz, EveryExecutionLandsOnInterpRuns)
 TEST(SpineFuzz, CancellationStopsTheCampaignAfterTheSeed)
 {
     auto tu = cir::parse(kKernel);
-    cir::SemaResult sema = cir::analyzeOrDie(*tu);
+    cir::analyzeOrDie(*tu);
     RunContext ctx;
     ctx.requestCancel();
-    fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, "kernel", sema,
-                                          smallFuzzOptions(1));
+    fuzz::FuzzResult r =
+        fuzz::fuzzKernel(ctx, *tu, "kernel", smallFuzzOptions(1));
     // The seed input always executes; cancellation stops the loop.
     EXPECT_EQ(r.executions, 1);
     EXPECT_EQ(ctx.trace().root().find("fuzz")->counter(
@@ -562,7 +542,7 @@ TEST(ValidateOptions, RejectsUnknownProposerName)
 {
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    opts.proposer = "gpt4";
+    opts.search.proposer = "gpt4";
     try {
         core::validateOptions(opts);
         FAIL() << "expected FatalError";
@@ -572,11 +552,11 @@ TEST(ValidateOptions, RejectsUnknownProposerName)
         EXPECT_NE(std::string(e.what()).find("template"),
                   std::string::npos);
     }
-    opts.proposer = "corpuses"; // near-miss spelling still rejected
+    opts.search.proposer = "corpuses"; // near-miss spelling rejected
     EXPECT_THROW(core::validateOptions(opts), FatalError);
-    // The nested search knob is validated too, not just the override.
-    opts.proposer.clear();
-    opts.search.proposer = "gpt4";
+    opts.search.proposer = ""; // no "inherit" alias
+    EXPECT_THROW(core::validateOptions(opts), FatalError);
+    opts.search.proposer = "mixed"; // measured dominated and removed
     EXPECT_THROW(core::validateOptions(opts), FatalError);
 }
 
@@ -584,8 +564,7 @@ TEST(ValidateOptions, AcceptsEveryKnownProposerName)
 {
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    for (const char *name : {"", "template", "corpus", "mixed"}) {
-        opts.proposer = name;
+    for (const char *name : {"template", "corpus"}) {
         opts.search.proposer = name;
         EXPECT_NO_THROW(core::validateOptions(opts)) << name;
     }
