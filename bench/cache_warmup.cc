@@ -13,17 +13,26 @@
  * traffic shape — where even the cold pass amortizes because every
  * run's flush feeds the next run's snapshot.
  *
+ * Each phase also reports its stage 1-2 side: the host milliseconds
+ * from the start of fuzzing to the end of profiling, the stage-record
+ * hits, and the interpreter steps the fuzz and profile spans ran — a
+ * warm phase replays stage records, so it runs none. The verdict
+ * columns count the repair span only, where verdict lookups happen.
+ *
  * --smoke runs a reduced workload (CI golden job); the full run covers
  * all ten paper subjects plus 40 forum posts and is what
- * BENCH_cache.json records.
+ * BENCH_cache.json records, with the build type and machine it ran on.
  */
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -31,6 +40,7 @@
 #include "bench/common.h"
 #include "subjects/forum_corpus.h"
 #include "support/run_context.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace heterogen {
@@ -38,14 +48,22 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using Clock = std::chrono::steady_clock;
+
 /** One pipeline run's outcome plus the toolchain-work counters. */
 struct RunSample
 {
     core::HeteroGenReport report;
+    /** Verdict work and lookups: the repair span. */
     int64_t hls_compiles = 0;
     int64_t difftest_campaigns = 0;
     int64_t disk_hits = 0;
     int64_t disk_writes = 0;
+    /** Stage 1-2: fuzz start to profile end. */
+    double stage_ms = 0;
+    int64_t stage_hits = 0;
+    int64_t fuzz_steps = 0;
+    int64_t profile_steps = 0;
 };
 
 /** Counters summed over one whole phase (cold or warm). */
@@ -55,6 +73,10 @@ struct PhaseTotals
     int64_t difftest_campaigns = 0;
     int64_t disk_hits = 0;
     int64_t disk_writes = 0;
+    double stage_ms = 0;
+    int64_t stage_hits = 0;
+    int64_t fuzz_steps = 0;
+    int64_t profile_steps = 0;
 
     void
     add(const RunSample &s)
@@ -63,24 +85,68 @@ struct PhaseTotals
         difftest_campaigns += s.difftest_campaigns;
         disk_hits += s.disk_hits;
         disk_writes += s.disk_writes;
+        stage_ms += s.stage_ms;
+        stage_hits += s.stage_hits;
+        fuzz_steps += s.fuzz_steps;
+        profile_steps += s.profile_steps;
     }
 };
 
+/** Counter `key` summed under the first span named `span` (0 when the
+ * run never opened it). */
+int64_t
+spanTotal(const RunContext &ctx, const char *span, const char *key)
+{
+    const TraceSpan *s = ctx.trace().root().find(span);
+    return s ? s->counterTotal(key) : 0;
+}
+
 RunSample
-runSource(const std::string &source, const core::HeteroGenOptions &opts)
+runSource(const std::string &source, core::HeteroGenOptions opts)
 {
     core::HeteroGen engine(source);
     RunContext ctx;
     RunSample sample;
+    // Stage 1-2 ends where the next stage (init_hls or repair) begins.
+    Clock::time_point fuzz_start, stage_end;
+    opts.stage_hook = [&](const std::string &stage) {
+        if (stage == "fuzz")
+            fuzz_start = Clock::now();
+        else if (stage != "profile" && stage_end == Clock::time_point{})
+            stage_end = Clock::now();
+    };
     sample.report = engine.run(ctx, opts);
-    sample.hls_compiles = ctx.trace().counterTotal("hls.compiles");
+    sample.hls_compiles = spanTotal(ctx, "repair", "hls.compiles");
     sample.difftest_campaigns =
-        ctx.trace().counterTotal("difftest.campaigns");
-    sample.disk_hits =
-        ctx.trace().counterTotal("repair.diskcache.hits");
+        spanTotal(ctx, "repair", "difftest.campaigns");
+    sample.disk_hits = spanTotal(ctx, "repair", "repair.diskcache.hits");
     sample.disk_writes =
-        ctx.trace().counterTotal("repair.diskcache.writes");
+        spanTotal(ctx, "repair", "repair.diskcache.writes");
+    sample.stage_ms =
+        std::chrono::duration<double, std::milli>(stage_end - fuzz_start)
+            .count();
+    const TraceSpan *pipeline = ctx.trace().root().find("pipeline");
+    sample.stage_hits =
+        pipeline ? pipeline->counter("repair.diskcache.hits") : 0;
+    sample.fuzz_steps = spanTotal(ctx, "fuzz", "interp.steps");
+    sample.profile_steps = spanTotal(ctx, "profile", "interp.steps");
     return sample;
+}
+
+/** The CPU model name, for the record of where host times came from. */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            size_t colon = line.find(':');
+            if (colon != std::string::npos)
+                return trim(line.substr(colon + 1));
+        }
+    }
+    return "unknown";
 }
 
 /** The cold/warm identity contract, field by field. */
@@ -110,6 +176,23 @@ identical(const core::HeteroGenReport &a, const core::HeteroGenReport &b,
         complain("search.style_checks");
     if (a.search.applied_order != b.search.applied_order)
         complain("search.applied_order");
+    if (a.testgen.executions != b.testgen.executions ||
+        a.testgen.sim_minutes != b.testgen.sim_minutes ||
+        a.testgen.last_progress_minutes != b.testgen.last_progress_minutes ||
+        !(a.testgen.coverage == b.testgen.coverage))
+        complain("testgen");
+    if (a.testgen.suite.size() != b.testgen.suite.size()) {
+        complain("testgen.suite.size");
+    } else {
+        for (size_t i = 0; i < a.testgen.suite.size(); ++i) {
+            if (a.testgen.suite[i].args != b.testgen.suite[i].args) {
+                complain("testgen.suite case");
+                break;
+            }
+        }
+    }
+    if (!(a.profile == b.profile))
+        complain("profile");
     if (a.search.trace.size() != b.search.trace.size()) {
         complain("search.trace.size");
     } else {
@@ -136,6 +219,18 @@ emitPhase(std::FILE *out, const char *name, const PhaseTotals &t,
                  ", \"diskcache_writes\": %" PRId64 "}%s\n",
                  name, t.hls_compiles, t.difftest_campaigns, t.disk_hits,
                  t.disk_writes, tail);
+}
+
+void
+emitStages(std::FILE *out, const char *name, const PhaseTotals &t)
+{
+    std::fprintf(out,
+                 "  \"%s_stage12\": {\"host_ms\": %.1f"
+                 ", \"stage_hits\": %" PRId64
+                 ", \"fuzz_interp_steps\": %" PRId64
+                 ", \"profile_interp_steps\": %" PRId64 "},\n",
+                 name, t.stage_ms, t.stage_hits, t.fuzz_steps,
+                 t.profile_steps);
 }
 
 int
@@ -209,6 +304,12 @@ benchMain(int argc, char **argv)
                 " speedup=%.1fx identical=%s\n",
                 cold_t.hls_compiles, warm_t.hls_compiles, ratio,
                 identity_ok ? "yes" : "NO");
+    std::printf("stage 1-2: cold %.1f ms (%" PRId64
+                " fuzz + %" PRId64 " profile steps), warm %.1f ms (%" PRId64
+                " record hits, %" PRId64 " steps)\n",
+                cold_t.stage_ms, cold_t.fuzz_steps, cold_t.profile_steps,
+                warm_t.stage_ms, warm_t.stage_hits,
+                warm_t.fuzz_steps + warm_t.profile_steps);
 
     // Near-duplicate axis: forum-corpus repro snippets duplicate
     // heavily (6 templates x 14 symbols), so even the COLD pass
@@ -263,6 +364,16 @@ benchMain(int argc, char **argv)
                  unique_snippets.size());
     emitPhase(out, "forum_cold", forum_cold_t, ",");
     emitPhase(out, "forum_warm", forum_warm_t, ",");
+    emitStages(out, "cold", cold_t);
+    emitStages(out, "warm", warm_t);
+    emitStages(out, "warm2", warm2_t);
+    emitStages(out, "forum_cold", forum_cold_t);
+    emitStages(out, "forum_warm", forum_warm_t);
+    std::fprintf(out,
+                 "  \"host\": {\"build_type\": \"%s\", \"cpu\": \"%s\""
+                 ", \"hardware_threads\": %u},\n",
+                 HG_BUILD_TYPE, cpuModel().c_str(),
+                 std::thread::hardware_concurrency());
     std::fprintf(out, "  \"warm_compile_speedup\": %.2f,\n", ratio);
     std::fprintf(out, "  \"reports_bit_identical\": %s\n",
                  identity_ok ? "true" : "false");

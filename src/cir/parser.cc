@@ -1079,15 +1079,18 @@ onParseStack(const std::function<Result()> &parse)
 }
 
 /**
- * Run `entry` over the tokens of `source` on the caller's stack, or,
- * if the source nests past kCallerStackDepth, over again on a
- * dedicated stack. The outcome is the same either way: the first
+ * Reject sources past kMaxSourceBytes, then run `entry` over the
+ * tokens of `source` on the caller's stack, or, if the source nests
+ * past kCallerStackDepth, over again on a dedicated stack. The outcome is the same either way: the first
  * attempt only stops early where the second would go on.
  */
 template <typename Result>
 Result
 parseOnFittingStack(const std::string &source, Result (Parser::*entry)())
 {
+    if (source.size() > kMaxSourceBytes)
+        fatal("source larger than ", kMaxSourceBytes, " bytes (got ",
+              source.size(), ")");
     std::vector<Token> tokens = tokenize(source);
     try {
         return (Parser(tokens, kCallerStackDepth).*entry)();

@@ -1,5 +1,7 @@
 #include "core/heterogen.h"
 
+#include <optional>
+
 #include "cir/parser.h"
 #include "cir/printer.h"
 #include "repair/transforms.h"
@@ -65,17 +67,11 @@ validateOptions(const HeteroGenOptions &options)
 }
 
 interp::ValueProfile
-profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite)
+profileUnderSuite(RunContext &ctx, repair::CpuOracle &oracle)
 {
     interp::ValueProfile profile;
-    interp::Interpreter interp(tu);
-    for (const fuzz::TestCase &test : suite.cases()) {
-        interp::RunOptions opts;
-        opts.profile = &profile;
-        opts.trace = &ctx;
-        interp.run(kernel, test.args, opts);
-    }
+    for (size_t i = 0; i < oracle.suite().size(); ++i)
+        oracle.result(ctx, i, &profile);
     return profile;
 }
 
@@ -112,7 +108,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     SpanScope pipeline(ctx, "pipeline", pipeline_budget);
 
     HeteroGenReport report;
-    report.orig_loc = countLines(cir::print(*tu_));
+    std::string printed = cir::print(*tu_);
+    report.orig_loc = countLines(printed);
 
     fuzz::FuzzOptions fuzz_opts = options.fuzz;
     repair::SearchOptions search_opts = options.search;
@@ -125,17 +122,79 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
             options.stage_hook(name);
     };
 
+    // The persistent verdict store named by cache_dir, unless the
+    // caller lent one (the service shares a store per directory). It
+    // holds this run's stage record as well as the search's verdicts,
+    // and stays out of the run while a fault plan is armed (the search
+    // bypasses it too: fault draws are keyed by invocation index).
+    std::unique_ptr<repair::VerdictStore> owned_store;
+    if (search_opts.use_memo && !search_opts.verdict_store &&
+        !options.cache_dir.empty() && !ctx.faultsEnabled()) {
+        repair::VerdictStoreOptions vopts;
+        vopts.dir = options.cache_dir;
+        owned_store = std::make_unique<repair::VerdictStore>(vopts);
+        search_opts.verdict_store = owned_store.get();
+        if (int64_t invalid = owned_store->diskStats().invalid;
+            invalid > 0)
+            ctx.count("repair.diskcache.invalid", invalid);
+    }
+    repair::VerdictStore *store =
+        search_opts.use_memo && !ctx.faultsEnabled() &&
+                search_opts.verdict_store &&
+                search_opts.verdict_store->enabled()
+            ? search_opts.verdict_store
+            : nullptr;
+
+    // A job seen before replays its stage 1-2 output: the fuzz span is
+    // charged the stored minutes and counters in one go, and the
+    // original does not run. Only a record that the run's remaining
+    // budget would not have cut is replayed.
+    std::string stage_key;
+    std::optional<repair::StageRecord> replay;
+    if (store) {
+        stage_key = repair::stageRecordKey(printed, options.kernel,
+                                           fuzz_opts);
+        if (!ctx.shouldStop())
+            replay = store->findStage(&ctx, stage_key, ctx.headroom());
+    }
+
     // (1) Test input generation (opens the "fuzz" span).
     stage("fuzz");
-    report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel, fuzz_opts);
+    if (replay) {
+        SpanScope fuzzing(ctx, "fuzz",
+                          Budget::minutes(fuzz_opts.budget_minutes));
+        ctx.charge(replay->testgen.sim_minutes);
+        for (const auto &[key, value] : replay->fuzz_counters)
+            ctx.count(key, value);
+        report.testgen = std::move(replay->testgen);
+    } else {
+        report.testgen =
+            fuzz::fuzzKernel(ctx, *tu_, options.kernel, fuzz_opts);
+    }
+    // A campaign a budget or a cancellation cut short is not the one
+    // the key names, so it is never recorded.
+    bool record_stage = store && !replay && !ctx.shouldStop();
 
     // (2) Initial HLS version: profile value ranges, estimate types.
+    // Profiling runs the original over the whole suite, so it fills
+    // the CPU oracle every difftest campaign reads.
+    repair::CpuOracle oracle(*tu_, options.kernel, report.testgen.suite);
     {
         stage("profile");
         SpanScope profiling(ctx, "profile");
-        report.profile = profileUnderSuite(ctx, *tu_, options.kernel,
-                                           report.testgen.suite);
+        report.profile = replay ? std::move(replay->profile)
+                                : profileUnderSuite(ctx, oracle);
     }
+    if (record_stage) {
+        repair::StageRecord record{report.testgen, report.profile, {}};
+        for (const auto &[key, value] :
+             pipeline.span().child("fuzz")->counters) {
+            if (startsWith(key, "fuzz."))
+                record.fuzz_counters[key] = value;
+        }
+        store->storeStage(&ctx, stage_key, record);
+    }
+
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;
     if (config.top_function.empty())
@@ -148,31 +207,15 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         repair::xform::bitwidthNarrow(rctx);
     }
 
-    // The persistent verdict store named by cache_dir, unless the
-    // caller lent one (the service shares a store per directory). It
-    // stays closed while a fault plan is armed: the search would
-    // bypass it anyway.
-    std::unique_ptr<repair::VerdictStore> store;
-    if (search_opts.use_memo && !search_opts.verdict_store &&
-        !options.cache_dir.empty() && !ctx.faultsEnabled()) {
-        repair::VerdictStoreOptions vopts;
-        vopts.dir = options.cache_dir;
-        store = std::make_unique<repair::VerdictStore>(vopts);
-        search_opts.verdict_store = store.get();
-        if (int64_t invalid = store->diskStats().invalid; invalid > 0)
-            ctx.count("repair.diskcache.invalid", invalid);
-    }
-
     // (3)-(5) Iterative repair with fitness evaluation (opens the
     // "repair" span).
     stage("repair");
-    report.search = repair::repairSearch(ctx, *tu_, options.kernel,
-                                         *broken, config,
-                                         report.testgen.suite,
+    report.search = repair::repairSearch(ctx, oracle, *broken, config,
                                          report.profile, search_opts);
-    if (store) {
-        store->flush();
-        if (int64_t evicted = store->diskStats().evictions; evicted > 0)
+    if (owned_store) {
+        owned_store->flush();
+        if (int64_t evicted = owned_store->diskStats().evictions;
+            evicted > 0)
             ctx.count("repair.diskcache.evictions", evicted);
     }
 

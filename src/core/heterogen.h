@@ -85,12 +85,13 @@ struct HeteroGenOptions
      */
     std::function<void(const std::string &)> stage_hook;
     /**
-     * Persistent verdict-cache directory for the repair search ("" =
-     * memory only; see docs/CACHING.md). Defaults to the
-     * HETEROGEN_CACHE_DIR environment variable. run() opens the store,
-     * lends it to the search and flushes it afterwards; a non-empty
-     * value must name a creatable, writable directory or
-     * validateOptions rejects the run with a "cache:" diagnostic.
+     * Persistent cache directory for the repair search's verdicts and
+     * the run's stage 1-2 record ("" = memory only; see
+     * docs/CACHING.md). Defaults to the HETEROGEN_CACHE_DIR environment
+     * variable. run() opens the store before fuzzing, lends it to the
+     * search and flushes it afterwards; a non-empty value must name a
+     * creatable, writable directory or validateOptions rejects the run
+     * with a "cache:" diagnostic.
      */
     std::string cache_dir = repair::defaultCacheDir();
 };
@@ -178,13 +179,14 @@ class HeteroGen
 };
 
 /**
- * Profile the program's value ranges by running every test in the suite
- * (used for initial HLS version generation); bumps interp.* counters on
- * the context.
+ * Profile the original program's value ranges by running it on every
+ * case of the oracle's suite (used for initial HLS version generation).
+ * These runs are the oracle's first reads, so they fill it: the repair
+ * search's difftest campaigns then never run the original again. Bumps
+ * interp.* counters on the context.
  */
-interp::ValueProfile
-profileUnderSuite(RunContext &ctx, const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite);
+interp::ValueProfile profileUnderSuite(RunContext &ctx,
+                                       repair::CpuOracle &oracle);
 
 } // namespace heterogen::core
 

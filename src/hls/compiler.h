@@ -31,8 +31,10 @@ namespace heterogen::hls {
 /**
  * Version stamp of the simulated toolchain's judging behaviour. Bump
  * whenever a change could alter any CompileResult or co-simulation
- * outcome for an unchanged design: persisted verdicts (repair/store.h)
- * carry this stamp, and a mismatch invalidates every stale entry.
+ * outcome for an unchanged design, or a fuzz campaign or value profile
+ * for unchanged options: persisted verdicts and stage records
+ * (repair/store.h) carry this stamp, and a mismatch invalidates every
+ * stale entry.
  */
 inline constexpr const char *kSimulatorVersion = "2022.1-sim2";
 

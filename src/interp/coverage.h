@@ -142,6 +142,34 @@ class CoverageMap
         return static_cast<double>(hitCount()) / (2.0 * num_branches_);
     }
 
+    /** The whole state of a map, for persistence (repair/store.cc). */
+    struct State
+    {
+        int num_branches = 0;
+        std::vector<uint64_t> counts;
+        std::set<size_t> merged_hits;
+        std::set<std::tuple<int, bool, int>> buckets;
+    };
+
+    State
+    state() const
+    {
+        return {num_branches_, counts_, merged_hits_, buckets_};
+    }
+
+    /** The map whose state() is `state`. */
+    static CoverageMap
+    fromState(State state)
+    {
+        CoverageMap map(state.num_branches);
+        map.counts_ = std::move(state.counts);
+        for (uint64_t count : map.counts_)
+            map.distinct_counted_ += count != 0;
+        map.merged_hits_ = std::move(state.merged_hits);
+        map.buckets_ = std::move(state.buckets);
+        return map;
+    }
+
     void
     clear()
     {

@@ -24,12 +24,30 @@ struct TestRecord
 
 } // namespace
 
+CpuOracle::CpuOracle(const cir::TranslationUnit &original,
+                     std::string kernel, const fuzz::TestSuite &suite)
+    : interp_(original), kernel_(std::move(kernel)), suite_(suite),
+      results_(suite.size())
+{
+}
+
+const RunResult &
+CpuOracle::result(RunContext &ctx, size_t i, interp::ValueProfile *profile)
+{
+    std::optional<RunResult> &slot = results_.at(i);
+    if (!slot) {
+        RunOptions opts;
+        opts.profile = profile;
+        opts.trace = &ctx;
+        slot = interp_.run(kernel_, suite_[i].args, opts);
+    }
+    return *slot;
+}
+
 DiffTestResult
-diffTest(RunContext &ctx, const cir::TranslationUnit &original,
-         const std::string &original_kernel,
+diffTest(RunContext &ctx, CpuOracle &oracle,
          const cir::TranslationUnit &candidate,
-         const hls::HlsConfig &config, const fuzz::TestSuite &suite,
-         const DiffTestOptions &options)
+         const hls::HlsConfig &config, const DiffTestOptions &options)
 {
     DiffTestResult result;
     if (!admitFaultSite(ctx, "difftest.cosim")) {
@@ -38,23 +56,23 @@ diffTest(RunContext &ctx, const cir::TranslationUnit &original,
         result.tool_failure = true;
         return result;
     }
+    const fuzz::TestSuite &suite = oracle.suite();
     int limit = options.max_tests > 0
                     ? std::min<int>(options.max_tests, int(suite.size()))
                     : int(suite.size());
     result.total = limit;
 
     // Map phase: every test is independent (fresh interpreter state per
-    // run), writes only its own record. Both sides are shared across
-    // the campaign, so each program is compiled once.
-    interp::Interpreter cpu_interp(original);
+    // run), writes only its own record and reads only its own oracle
+    // case. The candidate is compiled once for the whole campaign.
     hls::FpgaDesign fpga_design(candidate);
     std::vector<TestRecord> records(static_cast<size_t>(limit));
     parallelForEach(options.pool, records.size(), [&](size_t i) {
         const fuzz::TestCase &test = suite[i];
         TestRecord &rec = records[i];
+        const RunResult &cpu = oracle.result(ctx, i);
         RunOptions opts;
         opts.trace = &ctx;
-        RunResult cpu = cpu_interp.run(original_kernel, test.args, opts);
         hls::FpgaRunResult fpga = hls::simulateFpga(
             fpga_design, config, config.top_function, test.args, opts);
         rec.steps = cpu.steps + fpga.run.steps;
@@ -110,8 +128,8 @@ diffTest(const cir::TranslationUnit &original,
          const DiffTestOptions &options)
 {
     RunContext ctx;
-    return diffTest(ctx, original, original_kernel, candidate, config,
-                    suite, options);
+    CpuOracle oracle(original, original_kernel, suite);
+    return diffTest(ctx, oracle, candidate, config, options);
 }
 
 } // namespace heterogen::repair

@@ -3,17 +3,24 @@
  * Differential testing: CPU (original) versus FPGA co-simulation
  * (candidate) over a generated test suite — HeteroGen's fitness oracle.
  *
+ * The CPU side depends only on the original program, its kernel and
+ * the suite, never on the candidate, so one CpuOracle per job holds it:
+ * profiling fills it while it runs the original over the suite, and
+ * every campaign of the repair search reads it instead of running the
+ * original again.
+ *
  * Evaluation is embarrassingly parallel across test inputs: each test
- * runs both sides with fresh interpreter state and writes a private
+ * runs the candidate with fresh interpreter state and writes a private
  * per-test record; the records are then reduced serially in input
  * order. Results are therefore byte-identical at any host thread
- * count (tests/test_parallel.cc asserts this). Each side is compiled
- * once per campaign.
+ * count (tests/test_parallel.cc asserts this). The candidate is
+ * compiled once per campaign, the original once per oracle.
  */
 
 #ifndef HETEROGEN_REPAIR_DIFFTEST_H
 #define HETEROGEN_REPAIR_DIFFTEST_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +35,42 @@ class RunContext;
 }
 
 namespace heterogen::repair {
+
+/**
+ * The original program's behaviour on each suite case — the CPU half of
+ * every difftest campaign over one (original, kernel, suite). A case is
+ * run at most once per oracle: the first reader runs it and every later
+ * reader gets the kept RunResult. Concurrent readers must ask for
+ * distinct cases (a campaign's parallel map does). The original and
+ * the suite must outlive the oracle.
+ */
+class CpuOracle
+{
+  public:
+    CpuOracle(const cir::TranslationUnit &original, std::string kernel,
+              const fuzz::TestSuite &suite);
+
+    /**
+     * Case `i`'s CPU result. The first call runs the original with the
+     * default step limit, bumping interp.* on `ctx` and recording value
+     * ranges into `profile` when given — profiling is the first reader
+     * of every case; later calls return the kept result and leave
+     * `ctx` and `profile` untouched.
+     */
+    const interp::RunResult &result(RunContext &ctx, size_t i,
+                                    interp::ValueProfile *profile =
+                                        nullptr);
+
+    const cir::TranslationUnit &original() const { return interp_.tu(); }
+    const std::string &kernel() const { return kernel_; }
+    const fuzz::TestSuite &suite() const { return suite_; }
+
+  private:
+    interp::Interpreter interp_;
+    std::string kernel_;
+    const fuzz::TestSuite &suite_;
+    std::vector<std::optional<interp::RunResult>> results_;
+};
 
 /** Knobs for one differential-testing campaign. */
 struct DiffTestOptions
@@ -87,7 +130,9 @@ struct DiffTestResult
  * Charges the campaign's simulated minutes to the context's current
  * span, bumps difftest.campaigns / difftest.tests /
  * difftest.mismatches, and threads the context into the interpreter
- * runs (interp.* counters).
+ * runs (interp.* counters). The simulated cost counts the CPU steps of
+ * every test whether the oracle ran it now or earlier, so it does not
+ * depend on who filled the oracle.
  *
  * Also the "difftest.cosim" fault site: with a FaultPlan armed on the
  * context the whole campaign is gated through admitFaultSite (the
@@ -95,22 +140,19 @@ struct DiffTestResult
  * and a permanent failure returns a DiffTestResult with tool_failure
  * set and zero tests run.
  *
- * @param original        the input C program (CPU reference)
- * @param original_kernel kernel entry in the original program
- * @param candidate       the HLS candidate
- * @param config          toolchain config (top function, clock)
- * @param suite           generated + pre-existing tests
- * @param options         sampling cap, modeled workers, host pool
+ * @param oracle    the original's behaviour on the suite (CPU side);
+ *                  cases no one has run yet run here, on `ctx`
+ * @param candidate the HLS candidate
+ * @param config    toolchain config (top function, clock)
+ * @param options   sampling cap, modeled workers, host pool
  */
-DiffTestResult diffTest(RunContext &ctx,
-                        const cir::TranslationUnit &original,
-                        const std::string &original_kernel,
+DiffTestResult diffTest(RunContext &ctx, CpuOracle &oracle,
                         const cir::TranslationUnit &candidate,
                         const hls::HlsConfig &config,
-                        const fuzz::TestSuite &suite,
                         const DiffTestOptions &options = {});
 
-/** The same campaign on a fresh RunContext (for one-off checks). */
+/** The same campaign on a fresh RunContext and a fresh oracle over
+ * (original, original_kernel, suite), for one-off checks. */
 DiffTestResult diffTest(const cir::TranslationUnit &original,
                         const std::string &original_kernel,
                         const cir::TranslationUnit &candidate,

@@ -156,7 +156,7 @@ class CandidateProposer
     /** Outcome feedback for a previously proposed candidate. The
      * search also reports Reverted for rewrites undone by backtracking
      * — a proposer should stop re-proposing those. */
-    virtual void observe(const AttemptFeedback &feedback) {}
+    virtual void observe(const AttemptFeedback & /*feedback*/) {}
 };
 
 /** Known proposer names, in factory order: template, corpus. */

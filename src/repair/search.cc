@@ -41,14 +41,12 @@ struct Snapshot
 class Search
 {
   public:
-    Search(RunContext &ctx, const TranslationUnit &original,
-           const std::string &kernel, const TranslationUnit &broken,
-           const hls::HlsConfig &config, const fuzz::TestSuite &suite,
+    Search(RunContext &ctx, CpuOracle &oracle, const TranslationUnit &broken,
+           const hls::HlsConfig &config,
            const interp::ValueProfile &profile,
            const SearchOptions &options)
-        : ctx_(ctx), original_(original), kernel_(kernel), suite_(suite),
-          profile_(profile), options_(options), rng_(options.rng_seed),
-          memo_(&ctx)
+        : ctx_(ctx), oracle_(oracle), profile_(profile), options_(options),
+          rng_(options.rng_seed), memo_(&ctx)
     {
         if (options.pool) {
             pool_ = options.pool;
@@ -161,13 +159,13 @@ class Search
         // depends on the CPU reference, kernel, suite and sampling too,
         // not just the candidate fingerprint.
         std::string suite_fp;
-        for (const fuzz::TestCase &test : suite_.cases()) {
+        for (const fuzz::TestCase &test : oracle_.suite().cases()) {
             suite_fp += test.str();
             suite_fp += '\x1e';
         }
-        difftest_ctx_ = cir::print(original_);
+        difftest_ctx_ = cir::print(oracle_.original());
         difftest_ctx_ += '\x1f';
-        difftest_ctx_ += kernel_;
+        difftest_ctx_ += oracle_.kernel();
         difftest_ctx_ += '\x1f';
         difftest_ctx_ += suite_fp;
         difftest_ctx_ += '\x1f';
@@ -261,8 +259,8 @@ class Search
         dt.max_tests = options_.difftest_sample;
         dt.sim_workers = options_.difftest_sim_workers;
         dt.pool = pool_;
-        DiffTestResult fitness = diffTest(ctx_, original_, kernel_,
-                                          *cand_, config_, suite_, dt);
+        DiffTestResult fitness =
+            diffTest(ctx_, oracle_, *cand_, config_, dt);
         if (options_.use_memo && !fitness.tool_failure)
             memo_.storeDiffTest(fingerprint_, fitness, disk_key);
         return fitness;
@@ -574,7 +572,7 @@ class Search
             result_.program = std::move(cand_);
             result_.config = config_;
         }
-        result_.diff = diffLines(cir::print(original_),
+        result_.diff = diffLines(cir::print(oracle_.original()),
                                  cir::print(*result_.program));
         result_.memo = memo_.stats();
         result_.sim_minutes = minutes();
@@ -585,9 +583,8 @@ class Search
     RunContext &ctx_;
     /** Open for the duration of run(); null outside it. */
     SpanScope *span_ = nullptr;
-    const TranslationUnit &original_;
-    const std::string kernel_;
-    const fuzz::TestSuite &suite_;
+    /** The original, its kernel and suite, and its CPU behaviour. */
+    CpuOracle &oracle_;
     const interp::ValueProfile &profile_;
     SearchOptions options_;
     Rng rng_;
@@ -628,15 +625,12 @@ class Search
 } // namespace
 
 SearchResult
-repairSearch(RunContext &ctx, const TranslationUnit &original,
-             const std::string &kernel, const TranslationUnit &broken,
-             const hls::HlsConfig &config, const fuzz::TestSuite &suite,
+repairSearch(RunContext &ctx, CpuOracle &oracle,
+             const TranslationUnit &broken, const hls::HlsConfig &config,
              const interp::ValueProfile &profile,
              const SearchOptions &options)
 {
-    return Search(ctx, original, kernel, broken, config, suite, profile,
-                  options)
-        .run();
+    return Search(ctx, oracle, broken, config, profile, options).run();
 }
 
 } // namespace heterogen::repair

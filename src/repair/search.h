@@ -25,6 +25,7 @@
 #include "interp/interp.h"
 #include "interp/profile.h"
 #include "repair/diffstat.h"
+#include "repair/difftest.h"
 #include "repair/edit.h"
 #include "repair/memo.h"
 #include "repair/proposer.h"
@@ -191,20 +192,17 @@ struct SearchResult
  * style-check + compile only, a dead compiler aborts with the best
  * candidate so far — and records every degradation in the result.
  *
- * @param original  the input C program (CPU reference for difftesting)
- * @param kernel    kernel entry-point name in the original
+ * @param oracle    the input C program, its kernel and the generated
+ *                  tests, with the original's behaviour on each test
+ *                  (the CPU side of every difftest campaign)
  * @param broken    the initial HLS candidate (typically the bitwidth-
  *                  narrowed clone of the original)
  * @param config    initial toolchain configuration
- * @param suite     generated tests (fitness oracle)
  * @param profile   value profile of the original under the suite
  */
-SearchResult repairSearch(RunContext &ctx,
-                          const cir::TranslationUnit &original,
-                          const std::string &kernel,
+SearchResult repairSearch(RunContext &ctx, CpuOracle &oracle,
                           const cir::TranslationUnit &broken,
                           const hls::HlsConfig &config,
-                          const fuzz::TestSuite &suite,
                           const interp::ValueProfile &profile,
                           const SearchOptions &options = {});
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -250,6 +251,294 @@ decodeStyle(const std::string &payload)
     return r;
 }
 
+/** Separator of the parts of one kernel argument or coverage bucket. */
+constexpr char kPart = ':';
+
+/** `items` mapped through `fn` and joined by `sep`. */
+template <typename Range, typename Fn>
+std::string
+joinMapped(const Range &items, char sep, Fn fn)
+{
+    std::string out;
+    bool first = true;
+    for (const auto &item : items) {
+        if (!first)
+            out.push_back(sep);
+        first = false;
+        out += fn(item);
+    }
+    return out;
+}
+
+/** Feed each `sep`-separated item of `list` ("" = none) to `fn`;
+ * false as soon as one does not decode. */
+template <typename Fn>
+bool
+decodeEach(const std::string &list, char sep, Fn fn)
+{
+    if (list.empty())
+        return true;
+    for (const std::string &item : split(list, sep)) {
+        if (!fn(item))
+            return false;
+    }
+    return true;
+}
+
+/** A double as its 16-hex-digit bit pattern: exact for every value,
+ * NaN payloads and signed zeros included. */
+std::string
+hexDouble(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(bits));
+    return buf;
+}
+
+bool
+parseHexDouble(const std::string &s, double *out)
+{
+    char *end = nullptr;
+    uint64_t bits = std::strtoull(s.c_str(), &end, 16);
+    if (s.size() != 16 || *end != '\0')
+        return false;
+    std::memcpy(out, &bits, sizeof bits);
+    return true;
+}
+
+bool
+parseFlag(const std::string &s, bool *out)
+{
+    *out = s == "1";
+    return s == "0" || s == "1";
+}
+
+/** Every field of a KernelArg, whatever its kind, so equality and
+ * printing survive the round trip. */
+std::string
+encodeArg(const interp::KernelArg &a)
+{
+    std::string out = std::to_string(static_cast<int>(a.kind));
+    out.push_back(kPart);
+    out += std::to_string(a.i);
+    out.push_back(kPart);
+    out += hexDouble(a.f);
+    out.push_back(kPart);
+    out += joinMapped(a.ints, ',', [](long v) { return std::to_string(v); });
+    out.push_back(kPart);
+    out += joinMapped(a.floats, ',', hexDouble);
+    return out;
+}
+
+std::optional<interp::KernelArg>
+decodeArg(const std::string &enc)
+{
+    std::vector<std::string> parts = split(enc, kPart);
+    interp::KernelArg a;
+    long long kind = 0, i = 0;
+    std::vector<long long> ints;
+    bool ok = parts.size() == 5 && parseLong(parts[0], &kind) &&
+              kind >= 0 &&
+              kind <= static_cast<int>(interp::KernelArg::Kind::FloatArray) &&
+              parseLong(parts[1], &i) && parseHexDouble(parts[2], &a.f) &&
+              splitLongs(parts[3], &ints) &&
+              decodeEach(parts[4], ',', [&](const std::string &item) {
+                  a.floats.push_back(0);
+                  return parseHexDouble(item, &a.floats.back());
+              });
+    if (!ok)
+        return std::nullopt;
+    a.kind = static_cast<interp::KernelArg::Kind>(kind);
+    a.i = static_cast<long>(i);
+    a.ints.assign(ints.begin(), ints.end());
+    return a;
+}
+
+/** Case count, then each case's arguments; the count tells a suite of
+ * one argument-less case from an empty suite. */
+std::string
+encodeSuite(const fuzz::TestSuite &suite)
+{
+    std::string out = std::to_string(suite.size());
+    for (const fuzz::TestCase &test : suite.cases()) {
+        out.push_back(kElem);
+        out += joinMapped(test.args, kSub, encodeArg);
+    }
+    return out;
+}
+
+/** Rebuilt through TestSuite::add, so case ids come out as the
+ * campaign numbered them. */
+std::optional<fuzz::TestSuite>
+decodeSuite(const std::string &field)
+{
+    std::vector<std::string> cases = split(field, kElem);
+    long long n = 0;
+    if (cases.empty() || !parseLong(cases[0], &n) ||
+        n != static_cast<long long>(cases.size()) - 1) {
+        return std::nullopt;
+    }
+    fuzz::TestSuite suite;
+    for (size_t c = 1; c < cases.size(); ++c) {
+        std::vector<interp::KernelArg> args;
+        bool ok = decodeEach(cases[c], kSub, [&](const std::string &enc) {
+            std::optional<interp::KernelArg> arg = decodeArg(enc);
+            if (arg)
+                args.push_back(std::move(*arg));
+            return arg.has_value();
+        });
+        // A stored suite has no duplicate cases.
+        if (!ok || !suite.add(std::move(args)))
+            return std::nullopt;
+    }
+    return suite;
+}
+
+std::string
+encodeCoverage(const interp::CoverageMap &coverage)
+{
+    interp::CoverageMap::State st = coverage.state();
+    auto number = [](auto v) { return std::to_string(v); };
+    std::string out = std::to_string(st.num_branches);
+    out.push_back(kSub);
+    out += joinMapped(st.counts, ',', number);
+    out.push_back(kSub);
+    out += joinMapped(st.merged_hits, ',', number);
+    out.push_back(kSub);
+    out += joinMapped(st.buckets, ',', [](const auto &b) {
+        const auto &[branch, taken, bucket] = b;
+        return std::to_string(branch) + kPart + (taken ? "1" : "0") +
+               kPart + std::to_string(bucket);
+    });
+    return out;
+}
+
+std::optional<interp::CoverageMap>
+decodeCoverage(const std::string &field)
+{
+    std::vector<std::string> parts = split(field, kSub);
+    interp::CoverageMap::State st;
+    long long branches = 0;
+    std::vector<long long> counts, hits;
+    bool ok =
+        parts.size() == 4 && parseLong(parts[0], &branches) &&
+        splitLongs(parts[1], &counts) && splitLongs(parts[2], &hits) &&
+        decodeEach(parts[3], ',', [&](const std::string &item) {
+            std::vector<std::string> b = split(item, kPart);
+            long long branch = 0, bucket = 0;
+            bool taken = false;
+            return b.size() == 3 && parseLong(b[0], &branch) &&
+                   parseFlag(b[1], &taken) && parseLong(b[2], &bucket) &&
+                   st.buckets
+                       .insert({static_cast<int>(branch), taken,
+                                static_cast<int>(bucket)})
+                       .second;
+        });
+    for (long long v : counts)
+        ok = ok && v >= 0;
+    for (long long v : hits)
+        ok = ok && v >= 0 && st.merged_hits.insert(size_t(v)).second;
+    if (!ok)
+        return std::nullopt;
+    st.counts.assign(counts.begin(), counts.end());
+    st.num_branches = static_cast<int>(branches);
+    return interp::CoverageMap::fromState(std::move(st));
+}
+
+std::string
+encodeProfile(const interp::ValueProfile &profile)
+{
+    return joinMapped(profile.ranges(), kElem, [](const auto &entry) {
+        const auto &[key, r] = entry;
+        return join({key, r.saw_int ? "1" : "0", std::to_string(r.min_int),
+                     std::to_string(r.max_int), r.saw_float ? "1" : "0",
+                     hexDouble(r.max_abs_float)},
+                    std::string(1, kSub));
+    });
+}
+
+/** Rebuilt through note()/noteFloat(): two int notes restore
+ * [min, max] and one float note the largest magnitude. */
+std::optional<interp::ValueProfile>
+decodeProfile(const std::string &field)
+{
+    interp::ValueProfile profile;
+    bool ok = decodeEach(field, kElem, [&](const std::string &enc) {
+        std::vector<std::string> sub = split(enc, kSub);
+        long long lo = 0, hi = 0;
+        double max_abs = 0;
+        bool saw_int = false, saw_float = false;
+        if (sub.size() != 6 || !parseFlag(sub[1], &saw_int) ||
+            !parseLong(sub[2], &lo) || !parseLong(sub[3], &hi) ||
+            !parseFlag(sub[4], &saw_float) ||
+            !parseHexDouble(sub[5], &max_abs) || !(saw_int || saw_float))
+            return false;
+        if (saw_int) {
+            profile.note(sub[0], static_cast<long>(lo));
+            profile.note(sub[0], static_cast<long>(hi));
+        }
+        if (saw_float)
+            profile.noteFloat(sub[0], max_abs);
+        return true;
+    });
+    if (!ok)
+        return std::nullopt;
+    return profile;
+}
+
+std::string
+encodeStage(const StageRecord &r)
+{
+    std::string counters =
+        joinMapped(r.fuzz_counters, kElem, [](const auto &entry) {
+            return entry.first + kSub + std::to_string(entry.second);
+        });
+    return join({std::to_string(r.testgen.executions),
+                 fmtDouble(r.testgen.sim_minutes),
+                 fmtDouble(r.testgen.last_progress_minutes),
+                 encodeCoverage(r.testgen.coverage),
+                 encodeSuite(r.testgen.suite), encodeProfile(r.profile),
+                 counters},
+                std::string(1, kField));
+}
+
+std::optional<StageRecord>
+decodeStage(const std::string &payload)
+{
+    std::vector<std::string> fields = split(payload, kField);
+    StageRecord r;
+    long long executions = 0;
+    if (fields.size() != 7 || !parseLong(fields[0], &executions) ||
+        !parseDouble(fields[1], &r.testgen.sim_minutes) ||
+        !parseDouble(fields[2], &r.testgen.last_progress_minutes)) {
+        return std::nullopt;
+    }
+    r.testgen.executions = static_cast<int>(executions);
+    std::optional<interp::CoverageMap> coverage =
+        decodeCoverage(fields[3]);
+    std::optional<fuzz::TestSuite> suite = decodeSuite(fields[4]);
+    std::optional<interp::ValueProfile> profile =
+        decodeProfile(fields[5]);
+    bool ok = coverage && suite && profile &&
+              decodeEach(fields[6], kElem, [&](const std::string &enc) {
+                  std::vector<std::string> sub = split(enc, kSub);
+                  long long value = 0;
+                  if (sub.size() != 2 || !parseLong(sub[1], &value))
+                      return false;
+                  r.fuzz_counters[sub[0]] = value;
+                  return true;
+              });
+    if (!ok)
+        return std::nullopt;
+    r.testgen.coverage = std::move(*coverage);
+    r.testgen.suite = std::move(*suite);
+    r.profile = std::move(*profile);
+    return r;
+}
+
 std::string
 kindKey(const char *kind, const std::string &key)
 {
@@ -274,6 +563,31 @@ defaultToolchainVersion()
 {
     return std::string("hgc1;sim=") + hls::kSimulatorVersion +
            ";style=" + style::kStyleCheckerVersion;
+}
+
+std::string
+stageRecordKey(const std::string &printed_source, const std::string &kernel,
+               const fuzz::FuzzOptions &options)
+{
+    std::string host_args;
+    for (const interp::KernelArg &arg : options.host_args) {
+        host_args += encodeArg(arg);
+        host_args.push_back(kSub);
+    }
+    std::string key = printed_source;
+    for (const std::string &part :
+         {kernel, options.host_function, host_args,
+          std::to_string(options.rng_seed),
+          std::to_string(options.mutations_per_input),
+          std::to_string(options.max_executions),
+          fmtDouble(options.budget_minutes),
+          fmtDouble(options.plateau_minutes),
+          std::to_string(options.min_suite_size),
+          std::to_string(options.max_steps_per_run)}) {
+        key.push_back(kField);
+        key += part;
+    }
+    return key;
 }
 
 std::string
@@ -324,13 +638,18 @@ std::optional<std::string>
 VerdictStore::findRaw(RunContext *ctx, const std::string &key)
 {
     std::optional<std::string> raw = cache_.find(key);
-    if (!raw) {
-        if (ctx)
-            ctx->count("repair.diskcache.misses");
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.misses += 1;
-    }
+    if (!raw)
+        countMiss(ctx);
     return raw;
+}
+
+void
+VerdictStore::countMiss(RunContext *ctx)
+{
+    if (ctx)
+        ctx->count("repair.diskcache.misses");
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.misses += 1;
 }
 
 void
@@ -364,12 +683,9 @@ VerdictStore::countSaved(double minutes)
 void
 VerdictStore::countDecodeFailure(RunContext *ctx)
 {
-    if (ctx) {
-        ctx->count("repair.diskcache.misses");
+    if (ctx)
         ctx->count("repair.diskcache.invalid");
-    }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.misses += 1;
+    countMiss(ctx);
 }
 
 std::optional<hls::CompileResult>
@@ -455,6 +771,36 @@ VerdictStore::storeStyle(RunContext *ctx,
 {
     storeRaw(ctx, kindKey("style", printed_program),
              encodeStyle(report));
+}
+
+std::optional<StageRecord>
+VerdictStore::findStage(RunContext *ctx, const std::string &key,
+                        double max_minutes)
+{
+    std::optional<std::string> raw =
+        findRaw(ctx, kindKey("stage", key));
+    if (!raw)
+        return std::nullopt;
+    std::optional<StageRecord> decoded = decodeStage(*raw);
+    if (!decoded) {
+        countDecodeFailure(ctx);
+        return std::nullopt;
+    }
+    if (!(decoded->testgen.sim_minutes < max_minutes)) {
+        countMiss(ctx);
+        return std::nullopt;
+    }
+    if (ctx)
+        ctx->count("repair.diskcache.hits");
+    countSaved(decoded->testgen.sim_minutes);
+    return decoded;
+}
+
+void
+VerdictStore::storeStage(RunContext *ctx, const std::string &key,
+                         const StageRecord &record)
+{
+    storeRaw(ctx, kindKey("stage", key), encodeStage(record));
 }
 
 VerdictStats

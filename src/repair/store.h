@@ -20,15 +20,27 @@
  * actual-work trace counters (hls.compiles, difftest.*, interp.*)
  * stay still, which is precisely how bench/cache_warmup measures the
  * saved work while proving reports identical.
+ *
+ * One more record kind holds a run's stage 1–2 output (StageRecord:
+ * the fuzz campaign's result and counters plus the value profile),
+ * keyed by stageRecordKey. HeteroGen::run replays a hit under the same
+ * contract: the fuzz span is charged the stored minutes in one go and
+ * its fuzz.* counters bumped by the stored amounts, while interp.*
+ * stays still. It writes a record only for a campaign that no
+ * enclosing budget or cancellation cut short, and replays one only
+ * when the record's minutes fit the run's remaining budgets, so a hit
+ * is exactly what fuzzing would have produced.
  */
 
 #ifndef HETEROGEN_REPAIR_STORE_H
 #define HETEROGEN_REPAIR_STORE_H
 
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 
+#include "fuzz/fuzzer.h"
 #include "hls/compiler.h"
 #include "repair/difftest.h"
 #include "stylecheck/stylecheck.h"
@@ -62,6 +74,27 @@ std::string defaultToolchainVersion();
  * reject non-empty cache_dir values this probe fails.
  */
 std::string cacheDirError(const std::string &dir);
+
+/** Stage 1–2 output of one run: what fuzzing and profiling produced. */
+struct StageRecord
+{
+    /** The campaign result; testgen.sim_minutes is also every minute
+     * the fuzz span was charged. */
+    fuzz::FuzzResult testgen;
+    interp::ValueProfile profile;
+    /** The fuzz span's own fuzz.* counters, by name. */
+    std::map<std::string, int64_t> fuzz_counters;
+};
+
+/**
+ * Content key of a StageRecord: the printed source, the kernel and
+ * every FuzzOptions field that shapes the campaign (threads and pool
+ * are execution details and stay out). Budgets enclosing the campaign
+ * are not part of it: see VerdictStore::findStage.
+ */
+std::string stageRecordKey(const std::string &printed_source,
+                           const std::string &kernel,
+                           const fuzz::FuzzOptions &options);
 
 /** Configuration of one VerdictStore. */
 struct VerdictStoreOptions
@@ -134,6 +167,19 @@ class VerdictStore
     void storeStyle(RunContext *ctx, const std::string &printed_program,
                     const style::StyleReport &report);
 
+    /**
+     * The stage record under `key`, if its fuzz minutes are below
+     * `max_minutes` — the run's remaining budget, so the replayed
+     * campaign is one the budget would not have cut. A record that
+     * does not fit counts as a miss.
+     */
+    std::optional<StageRecord> findStage(RunContext *ctx,
+                                         const std::string &key,
+                                         double max_minutes);
+
+    void storeStage(RunContext *ctx, const std::string &key,
+                    const StageRecord &record);
+
     /** Publish buffered verdicts (see DiskCache::flush). */
     bool flush() { return cache_.flush(); }
 
@@ -147,6 +193,7 @@ class VerdictStore
     void storeRaw(RunContext *ctx, const std::string &key,
                   const std::string &value);
     void countSaved(double minutes);
+    void countMiss(RunContext *ctx);
     /** Decoding failed on a served value: treat as miss + invalid. */
     void countDecodeFailure(RunContext *ctx);
 

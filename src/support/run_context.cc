@@ -1,5 +1,7 @@
 #include "support/run_context.h"
 
+#include <algorithm>
+
 #include "support/diagnostics.h"
 
 namespace heterogen {
@@ -53,6 +55,20 @@ RunContext::deadlineExceeded() const
             return true;
     }
     return false;
+}
+
+double
+RunContext::headroom() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto &open = trace_.openSpans();
+    double room = Budget::unlimited().limit_minutes;
+    for (size_t i = 0; i < open.size(); ++i) {
+        if (!budgets_[i].isUnlimited())
+            room = std::min(room,
+                            budgets_[i].limit_minutes - open[i]->minutes);
+    }
+    return room;
 }
 
 void

@@ -106,6 +106,14 @@ class RunContext
     bool deadlineExceeded() const;
 
     /**
+     * Least budget left over the open spans (infinity when none is
+     * budgeted). A stage opened now and charged less than this in total
+     * leaves every enclosing budget unexhausted — exactly so while
+     * those spans are still at zero minutes, up to rounding otherwise.
+     */
+    double headroom() const;
+
+    /**
      * Budget the whole context: the root span's allowance, checked by
      * the same deadlineExceeded() every stage already consults. This is
      * how a caller parents a run under an external allowance (the

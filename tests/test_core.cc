@@ -7,6 +7,7 @@
 #include "core/baselines.h"
 #include "core/heterogen.h"
 #include "repair/difftest.h"
+#include "repair/transforms.h"
 #include "hls/synth_check.h"
 #include "subjects/subjects.h"
 #include "support/strings.h"
@@ -163,9 +164,10 @@ TEST(Pipeline, GeneratedTestsCatchWhatExistingTestsMiss)
     sopts.budget_minutes = 400;
     sopts.difftest_sample = 0;
     RunContext weak_ctx;
-    auto weak = repair::repairSearch(weak_ctx, engine.program(), s.kernel,
-                                     *tu, hls::HlsConfig::forTop(s.kernel),
-                                     existing, profile, sopts);
+    repair::CpuOracle weak_oracle(engine.program(), s.kernel, existing);
+    auto weak = repair::repairSearch(weak_ctx, weak_oracle, *tu,
+                                     hls::HlsConfig::forTop(s.kernel),
+                                     profile, sopts);
     ASSERT_TRUE(weak.hls_compatible)
         << join(weak.applied_order, ", ");
 
@@ -179,9 +181,8 @@ TEST(Pipeline, GeneratedTestsCatchWhatExistingTestsMiss)
     auto generated =
         fuzz::fuzzKernel(fuzz_ctx, engine.program(), s.kernel, fopts);
     RunContext dt_ctx;
-    auto dt = repair::diffTest(dt_ctx, engine.program(), s.kernel,
-                               *weak.program, weak.config,
-                               generated.suite);
+    repair::CpuOracle oracle(engine.program(), s.kernel, generated.suite);
+    auto dt = repair::diffTest(dt_ctx, oracle, *weak.program, weak.config);
     EXPECT_LT(dt.passRatio(), 1.0)
         << "generated tests must expose the undersized finitization";
 
@@ -252,6 +253,91 @@ TEST(Baselines, HeteroRefactorOutputSlowerThanHeteroGen)
     ASSERT_TRUE(hg.ok());
     ASSERT_TRUE(hr.ok());
     EXPECT_GT(hr.search.fpga_ms, hg.search.fpga_ms);
+}
+
+// --- the CPU oracle ----------------------------------------------------
+
+TEST(CpuOracle, ProfilingRunsTheOriginalAndCampaignsOnlyTheCandidate)
+{
+    // The original runs once per suite case, in the profile span; the
+    // repair span's interpreter runs are all candidate runs, compiled
+    // once per campaign.
+    for (const char *id : {"P1", "P3"}) {
+        const auto &s = subjects::subjectById(id);
+        HeteroGen engine(s.source);
+        RunContext ctx;
+        auto report = engine.run(ctx, testOptions(s));
+        const TraceSpan &root = ctx.trace().root();
+        const TraceSpan *profile = root.find("profile");
+        const TraceSpan *repair = root.find("repair");
+        ASSERT_NE(profile, nullptr);
+        ASSERT_NE(repair, nullptr);
+        EXPECT_EQ(profile->counterTotal("interp.runs"),
+                  int64_t(report.testgen.suite.size()))
+            << id;
+        EXPECT_EQ(profile->counterTotal("interp.bytecode.compiles"), 1)
+            << id;
+        int64_t campaigns = repair->counterTotal("difftest.campaigns");
+        ASSERT_GT(campaigns, 0) << id;
+        EXPECT_EQ(repair->counterTotal("interp.runs"),
+                  repair->counterTotal("difftest.tests"))
+            << id;
+        EXPECT_EQ(repair->counterTotal("interp.bytecode.compiles"),
+                  campaigns)
+            << id;
+    }
+}
+
+TEST(CpuOracle, CampaignsMatchStandaloneDiffTest)
+{
+    // An oracle filled by profiling answers every campaign exactly as a
+    // standalone diffTest, which runs the original itself: on the
+    // original, the narrowed initial candidate and the search's result.
+    for (const char *id : {"P1", "P3"}) {
+        const auto &s = subjects::subjectById(id);
+        HeteroGen engine(s.source);
+        HeteroGenOptions opts = testOptions(s);
+        auto report = engine.run(opts);
+        ASSERT_TRUE(report.ok()) << id;
+        const fuzz::TestSuite &suite = report.testgen.suite;
+
+        RunContext ctx;
+        repair::CpuOracle oracle(engine.program(), s.kernel, suite);
+        EXPECT_EQ(profileUnderSuite(ctx, oracle), report.profile) << id;
+
+        cir::TuPtr narrowed = engine.program().clone();
+        hls::HlsConfig config = report.search.config;
+        repair::RepairContext rctx{*narrowed, config, "", &report.profile,
+                                   nullptr, false};
+        repair::xform::bitwidthNarrow(rctx);
+
+        repair::DiffTestOptions dt;
+        dt.max_tests = opts.search.difftest_sample;
+        dt.sim_workers = opts.search.difftest_sim_workers;
+        std::vector<const cir::TranslationUnit *> candidates = {
+            &engine.program(), narrowed.get(),
+            report.search.program.get()};
+        for (const cir::TranslationUnit *cand : candidates) {
+            auto shared = repair::diffTest(ctx, oracle, *cand, config, dt);
+            auto alone = repair::diffTest(engine.program(), s.kernel,
+                                          *cand, config, suite, dt);
+            EXPECT_EQ(shared.total, alone.total) << id;
+            EXPECT_EQ(shared.identical, alone.identical) << id;
+            EXPECT_EQ(shared.failing, alone.failing) << id;
+            EXPECT_EQ(shared.cpu_millis, alone.cpu_millis) << id;
+            EXPECT_EQ(shared.fpga_millis, alone.fpga_millis) << id;
+            EXPECT_EQ(shared.sim_minutes, alone.sim_minutes) << id;
+            if (cand == report.search.program.get()) {
+                EXPECT_EQ(report.search.pass_ratio, alone.passRatio());
+                EXPECT_EQ(report.search.fpga_ms, alone.fpga_millis);
+                EXPECT_EQ(report.search.orig_cpu_ms, alone.cpu_millis);
+            }
+        }
+        // Profiling ran every case; the campaigns ran none.
+        EXPECT_EQ(ctx.trace().counterTotal("interp.runs"),
+                  int64_t(suite.size()) +
+                      ctx.trace().counterTotal("difftest.tests"));
+    }
 }
 
 } // namespace

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <set>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +26,7 @@
 #include "support/run_context.h"
 #include "support/strings.h"
 #include "support/trace.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -701,6 +706,273 @@ TEST(WarmStart, ArmedFaultPlanBypassesTheDiskEntirely)
     EXPECT_TRUE(shardFiles(dir).empty());
 }
 
+// --- stage 1-2 records ----------------------------------------------------
+
+/** Counter `key` summed under the first span named `span`. */
+int64_t
+spanCounter(const RunContext &ctx, const char *span, const char *key)
+{
+    const TraceSpan *s = ctx.trace().root().find(span);
+    return s ? s->counterTotal(key) : 0;
+}
+
+/** A counter of the pipeline span itself (where stage-record lookups
+ * and writes count), excluding its stages. */
+int64_t
+pipelineCounter(const RunContext &ctx, const char *key)
+{
+    const TraceSpan *s = ctx.trace().root().find("pipeline");
+    return s ? s->counter(key) : 0;
+}
+
+std::string
+exact(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** Stage 1-2 output equality, beyond what expectIdenticalReports checks. */
+void
+expectIdenticalStages(const core::HeteroGenReport &a,
+                      const core::HeteroGenReport &b)
+{
+    EXPECT_EQ(exact(a.total_minutes), exact(b.total_minutes));
+    ASSERT_EQ(a.testgen.suite.size(), b.testgen.suite.size());
+    for (size_t i = 0; i < a.testgen.suite.size(); ++i) {
+        EXPECT_EQ(a.testgen.suite[i].id, b.testgen.suite[i].id);
+        EXPECT_EQ(a.testgen.suite[i].args, b.testgen.suite[i].args);
+    }
+    EXPECT_TRUE(a.testgen.coverage == b.testgen.coverage);
+    EXPECT_EQ(a.testgen.executions, b.testgen.executions);
+    EXPECT_EQ(exact(a.testgen.sim_minutes), exact(b.testgen.sim_minutes));
+    EXPECT_EQ(exact(a.testgen.last_progress_minutes),
+              exact(b.testgen.last_progress_minutes));
+    EXPECT_TRUE(a.profile == b.profile);
+}
+
+TEST(StageRecord, RoundTripsBitExactly)
+{
+    repair::StageRecord r;
+    r.testgen.suite.add({interp::KernelArg::ofInt(-3),
+                         interp::KernelArg::ofFloat(-0.0),
+                         interp::KernelArg::ofInts({1, -2, 1L << 40}),
+                         interp::KernelArg::ofFloats(
+                             {0.1, std::nan(""), -1e300})});
+    r.testgen.suite.add({interp::KernelArg::ofInt(7),
+                         interp::KernelArg::ofFloat(1.0 / 3),
+                         interp::KernelArg::ofInts({}),
+                         interp::KernelArg::ofFloats({})});
+    r.testgen.coverage.setNumBranches(5);
+    interp::CoverageMap local(5);
+    local.record(0, true);
+    local.record(3, false);
+    local.record(3, false);
+    r.testgen.coverage.merge(local);
+    r.testgen.executions = 321;
+    r.testgen.sim_minutes = 12.345678901234567;
+    r.testgen.last_progress_minutes = 0.1 + 0.2;
+    r.profile.note("kernel::x", -40);
+    r.profile.note("kernel::x", 1L << 33);
+    r.profile.noteFloat("kernel::y", -2.5e-7);
+    r.fuzz_counters = {{"fuzz.executions", 321},
+                       {"fuzz.coverage_edges", 2},
+                       {"fuzz.suite_size", 2}};
+
+    std::string dir = freshDir("stage-rt");
+    repair::VerdictStoreOptions o;
+    o.dir = dir;
+    {
+        repair::VerdictStore store(o);
+        store.storeStage(nullptr, "key", r);
+        ASSERT_TRUE(store.flush());
+    }
+    repair::VerdictStore store(o);
+    RunContext ctx;
+    auto hit = store.findStage(&ctx, "key", 1e9);
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_EQ(hit->testgen.suite.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(hit->testgen.suite[i].id, r.testgen.suite[i].id);
+        EXPECT_EQ(hit->testgen.suite[i].str(), r.testgen.suite[i].str());
+    }
+    // NaN compares unequal to itself: check that element bit for bit.
+    double nan_back = hit->testgen.suite[0].args[3].floats[1];
+    double nan_orig = r.testgen.suite[0].args[3].floats[1];
+    EXPECT_EQ(std::memcmp(&nan_back, &nan_orig, sizeof nan_back), 0);
+    EXPECT_TRUE(std::signbit(hit->testgen.suite[0].args[1].f));
+    EXPECT_EQ(hit->testgen.suite[1].args, r.testgen.suite[1].args);
+    EXPECT_TRUE(hit->testgen.coverage == r.testgen.coverage);
+    EXPECT_EQ(hit->testgen.coverage.coverage(),
+              r.testgen.coverage.coverage());
+    EXPECT_EQ(hit->testgen.executions, 321);
+    EXPECT_EQ(hit->testgen.sim_minutes, r.testgen.sim_minutes);
+    EXPECT_EQ(hit->testgen.last_progress_minutes,
+              r.testgen.last_progress_minutes);
+    EXPECT_TRUE(hit->profile == r.profile);
+    EXPECT_EQ(hit->fuzz_counters, r.fuzz_counters);
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.hits"), 1);
+
+    // A record at least as long as the allowance would have been cut
+    // short, so it is a miss.
+    EXPECT_FALSE(
+        store.findStage(&ctx, "key", r.testgen.sim_minutes).has_value());
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.misses"), 1);
+}
+
+TEST(StageRecord, EveryKeyedFuzzOptionChangesTheKey)
+{
+    fuzz::FuzzOptions base;
+    const std::string key =
+        repair::stageRecordKey("int k(int x) { return x; }", "k", base);
+    std::vector<std::function<void(fuzz::FuzzOptions &)>> edits = {
+        [](fuzz::FuzzOptions &o) { o.host_function = "host"; },
+        [](fuzz::FuzzOptions &o) {
+            o.host_args.push_back(interp::KernelArg::ofInt(1));
+        },
+        [](fuzz::FuzzOptions &o) { o.rng_seed += 1; },
+        [](fuzz::FuzzOptions &o) { o.mutations_per_input += 1; },
+        [](fuzz::FuzzOptions &o) { o.max_executions += 1; },
+        [](fuzz::FuzzOptions &o) { o.budget_minutes += 1e-9; },
+        [](fuzz::FuzzOptions &o) { o.plateau_minutes += 1e-9; },
+        [](fuzz::FuzzOptions &o) { o.min_suite_size += 1; },
+        [](fuzz::FuzzOptions &o) { o.max_steps_per_run += 1; },
+    };
+    std::set<std::string> keys = {key};
+    for (const auto &edit : edits) {
+        fuzz::FuzzOptions changed = base;
+        edit(changed);
+        keys.insert(repair::stageRecordKey("int k(int x) { return x; }",
+                                           "k", changed));
+    }
+    keys.insert(repair::stageRecordKey("int k(int y) { return y; }", "k",
+                                       base));
+    keys.insert(
+        repair::stageRecordKey("int k(int x) { return x; }", "j", base));
+    EXPECT_EQ(keys.size(), edits.size() + 3);
+
+    // Host threads are an execution detail: never part of the key.
+    fuzz::FuzzOptions threaded = base;
+    threaded.threads = 7;
+    WorkerPool pool(2);
+    threaded.pool = &pool;
+    EXPECT_EQ(repair::stageRecordKey("int k(int x) { return x; }", "k",
+                                     threaded),
+              key);
+}
+
+TEST(StageRecord, SecondRunReplaysStagesByteIdentically)
+{
+    std::string dir = freshDir("stage-warm");
+    core::HeteroGen engine(kBacktracking);
+    RunContext cold_ctx;
+    auto cold = engine.run(cold_ctx, cachedOptions(dir));
+    ASSERT_TRUE(cold.ok());
+    EXPECT_GT(spanCounter(cold_ctx, "fuzz", "interp.steps"), 0);
+    EXPECT_GT(spanCounter(cold_ctx, "profile", "interp.steps"), 0);
+    EXPECT_EQ(pipelineCounter(cold_ctx, "repair.diskcache.misses"), 1);
+    EXPECT_EQ(pipelineCounter(cold_ctx, "repair.diskcache.writes"), 1);
+
+    RunContext warm_ctx;
+    auto warm = engine.run(warm_ctx, cachedOptions(dir));
+    expectIdenticalReports(cold, warm);
+    expectIdenticalStages(cold, warm);
+    EXPECT_EQ(pipelineCounter(warm_ctx, "repair.diskcache.hits"), 1);
+    EXPECT_EQ(pipelineCounter(warm_ctx, "repair.diskcache.writes"), 0);
+    // Neither stage ran the original...
+    EXPECT_EQ(spanCounter(warm_ctx, "fuzz", "interp.steps"), 0);
+    EXPECT_EQ(spanCounter(warm_ctx, "profile", "interp.steps"), 0);
+    // ...yet the fuzz span reads as it did cold: same minutes, same
+    // fuzz.* counters.
+    const TraceSpan *cold_fuzz = cold_ctx.trace().root().find("fuzz");
+    const TraceSpan *warm_fuzz = warm_ctx.trace().root().find("fuzz");
+    ASSERT_NE(cold_fuzz, nullptr);
+    ASSERT_NE(warm_fuzz, nullptr);
+    EXPECT_EQ(exact(warm_fuzz->minutes), exact(cold_fuzz->minutes));
+    for (const auto &[k, v] : cold_fuzz->counters) {
+        if (startsWith(k, "fuzz.")) {
+            EXPECT_EQ(warm_fuzz->counter(k), v) << k;
+        }
+    }
+
+    // A changed campaign option is a different campaign: it misses.
+    core::HeteroGenOptions reseeded = cachedOptions(dir);
+    reseeded.fuzz.rng_seed += 1;
+    RunContext miss_ctx;
+    engine.run(miss_ctx, reseeded);
+    EXPECT_EQ(pipelineCounter(miss_ctx, "repair.diskcache.hits"), 0);
+    EXPECT_GT(spanCounter(miss_ctx, "fuzz", "interp.steps"), 0);
+}
+
+TEST(StageRecord, ReplaysOnlyWhatTheBudgetWouldNotCut)
+{
+    std::string dir = freshDir("stage-budget");
+    core::HeteroGen engine(kBacktracking);
+    auto cold = engine.run(cachedOptions(dir));
+    double fuzz_minutes = cold.testgen.sim_minutes;
+    ASSERT_GT(fuzz_minutes, 0);
+
+    // A pipeline budget that cuts the campaign: the record would
+    // overstate it, so the run fuzzes afresh and records nothing.
+    core::HeteroGenOptions tight = cachedOptions(dir);
+    tight.pipeline_budget_minutes = fuzz_minutes / 2;
+    RunContext tight_ctx;
+    auto cut = engine.run(tight_ctx, tight);
+    EXPECT_EQ(pipelineCounter(tight_ctx, "repair.diskcache.hits"), 0);
+    EXPECT_EQ(pipelineCounter(tight_ctx, "repair.diskcache.writes"), 0);
+    EXPECT_GT(spanCounter(tight_ctx, "fuzz", "interp.steps"), 0);
+    core::HeteroGenOptions tight_alone = tight;
+    tight_alone.cache_dir = "";
+    auto reference = engine.run(tight_alone);
+    expectIdenticalReports(reference, cut);
+    expectIdenticalStages(reference, cut);
+
+    // A budget the campaign fits in replays it.
+    core::HeteroGenOptions roomy = cachedOptions(dir);
+    roomy.pipeline_budget_minutes = fuzz_minutes + 500;
+    RunContext roomy_ctx;
+    auto replayed = engine.run(roomy_ctx, roomy);
+    EXPECT_EQ(pipelineCounter(roomy_ctx, "repair.diskcache.hits"), 1);
+    roomy.cache_dir = "";
+    auto fresh = engine.run(roomy);
+    expectIdenticalReports(fresh, replayed);
+    expectIdenticalStages(fresh, replayed);
+}
+
+TEST(StageRecord, ArmedFaultPlanNeitherReadsNorWritesIt)
+{
+    // A zero-probability rule arms the plan without firing, so the run
+    // is the clean one — only the store is bypassed.
+    std::string dir = freshDir("stage-faults");
+    core::HeteroGen engine(kBacktracking);
+    auto cold = engine.run(cachedOptions(dir));
+    size_t entries = 0;
+    {
+        repair::VerdictStoreOptions probe;
+        probe.dir = dir;
+        entries = repair::VerdictStore(probe).snapshotSize();
+    }
+    ASSERT_GT(entries, 0u);
+
+    core::HeteroGenOptions armed = cachedOptions(dir);
+    armed.faults = FaultPlan::parse("hls.compile:0:transient", 11);
+    RunContext ctx;
+    auto report = engine.run(ctx, armed);
+    expectIdenticalReports(cold, report);
+    expectIdenticalStages(cold, report);
+    EXPECT_GT(spanCounter(ctx, "fuzz", "interp.steps"), 0);
+    EXPECT_GT(spanCounter(ctx, "profile", "interp.steps"), 0);
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.hits"), 0);
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.misses"), 0);
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.writes"), 0);
+
+    std::string empty = freshDir("stage-faults-empty");
+    armed.cache_dir = empty;
+    engine.run(armed);
+    EXPECT_TRUE(shardFiles(empty).empty());
+}
+
 // --- streaming subjects through the cache --------------------------------
 
 TEST(VerdictStore, StreamingDeadlockVerdictRoundTripsBitExactly)
@@ -893,6 +1165,85 @@ TEST(ServiceCache, SharedCacheOutcomesAreHostThreadInvariant)
     EXPECT_EQ(w1.minutes, w2.minutes);
     EXPECT_EQ(w1.sources, w8.sources);
     EXPECT_EQ(w1.traces, w8.traces);
+}
+
+/** Per-job schedule and outcome of a two-wave drain. */
+struct WaveRecord
+{
+    std::vector<double> starts;
+    std::vector<double> finishes;
+    std::vector<std::string> sources;
+    std::vector<std::string> traces;
+    std::vector<std::string> minutes;
+    std::vector<int64_t> fuzz_steps;
+};
+
+/**
+ * Two waves through one service and one cache directory: wave 0 runs
+ * two seed groups, wave 1 resubmits both next to a new one, so the
+ * repeats replay wave 0's stage records from the snapshot the flush
+ * between the waves published.
+ */
+WaveRecord
+drainTwoWaves(const std::string &dir, int host_threads)
+{
+    service::ServiceOptions so;
+    so.slots = 2;
+    so.host_threads = host_threads;
+    so.eval_threads = 2;
+    service::ConversionService svc(so);
+    std::vector<int> ids;
+    const std::vector<std::vector<uint64_t>> waves = {{3, 4}, {3, 5, 4}};
+    for (size_t w = 0; w < waves.size(); ++w) {
+        for (size_t i = 0; i < waves[w].size(); ++i) {
+            service::JobSpec spec;
+            spec.tenant = i % 2 ? "alpha" : "beta";
+            spec.arrival_minutes = 200.0 * double(w) + 0.3 * double(i);
+            spec.source = kScaleSource;
+            spec.options = fastServiceOptions(waves[w][i]);
+            spec.cache_dir = dir;
+            ids.push_back(svc.submit(std::move(spec)));
+        }
+        svc.drain();
+    }
+    WaveRecord rec;
+    for (int id : ids) {
+        const service::JobOutcome &out = svc.collect(id);
+        EXPECT_TRUE(out.has_report);
+        rec.starts.push_back(out.status.start_minutes);
+        rec.finishes.push_back(out.status.finish_minutes);
+        rec.sources.push_back(out.report.hls_source);
+        rec.traces.push_back(out.trace_json);
+        rec.minutes.push_back(exact(out.report.total_minutes));
+        auto trace = parseTraceJson(out.trace_json);
+        const TraceSpan *fuzz = trace->find("fuzz");
+        rec.fuzz_steps.push_back(fuzz ? fuzz->counterTotal("interp.steps")
+                                      : -1);
+    }
+    return rec;
+}
+
+TEST(ServiceCache, RepeatedSourceInALaterWaveIsHostThreadInvariant)
+{
+    WaveRecord one = drainTwoWaves(freshDir("svc-waves-1"), 1);
+    WaveRecord four = drainTwoWaves(freshDir("svc-waves-4"), 4);
+    EXPECT_EQ(one.starts, four.starts);
+    EXPECT_EQ(one.finishes, four.finishes);
+    EXPECT_EQ(one.sources, four.sources);
+    EXPECT_EQ(one.traces, four.traces);
+    EXPECT_EQ(one.minutes, four.minutes);
+    // Wave 1's repeats (jobs 2 and 4) replayed their stage records and
+    // match their wave-0 twins; the new seed (job 3) fuzzed.
+    ASSERT_EQ(one.fuzz_steps.size(), 5u);
+    EXPECT_GT(one.fuzz_steps[0], 0);
+    EXPECT_GT(one.fuzz_steps[1], 0);
+    EXPECT_EQ(one.fuzz_steps[2], 0);
+    EXPECT_GT(one.fuzz_steps[3], 0);
+    EXPECT_EQ(one.fuzz_steps[4], 0);
+    EXPECT_EQ(one.sources[2], one.sources[0]);
+    EXPECT_EQ(one.minutes[2], one.minutes[0]);
+    EXPECT_EQ(one.sources[4], one.sources[1]);
+    EXPECT_EQ(one.minutes[4], one.minutes[1]);
 }
 
 } // namespace

@@ -92,9 +92,10 @@ TEST_F(ExtensibilityTest, RegisteredTemplateParticipatesInSearch)
     SearchOptions options;
     options.budget_minutes = 300;
     RunContext ctx;
-    auto result = repairSearch(ctx, *tu, "kernel", *tu,
-                               hls::HlsConfig::forTop("kernel"), suite,
-                               profile, options);
+    CpuOracle oracle(*tu, "kernel", suite);
+    auto result = repairSearch(ctx, oracle, *tu,
+                               hls::HlsConfig::forTop("kernel"), profile,
+                               options);
     EXPECT_TRUE(result.hls_compatible);
     EXPECT_TRUE(applied);
     EXPECT_NE(cir::print(*result.program)

@@ -297,11 +297,9 @@ TEST(FaultSites, DiffTestReportsToolFailureWithZeroTestsRun)
     RunContext ctx;
     ctx.installFaults(singleRule("difftest.cosim", 1.0),
                       RetryPolicy::none());
-    repair::DiffTestOptions options;
-    repair::DiffTestResult r =
-        repair::diffTest(ctx, *tu, "kernel", *tu,
-                         hls::HlsConfig::forTop("kernel"), suite,
-                         options);
+    repair::CpuOracle oracle(*tu, "kernel", suite);
+    repair::DiffTestResult r = repair::diffTest(
+        ctx, oracle, *tu, hls::HlsConfig::forTop("kernel"));
     EXPECT_TRUE(r.tool_failure);
     EXPECT_EQ(r.total, 0);
     EXPECT_EQ(ctx.trace().root().counter("difftest.campaigns"), 0);

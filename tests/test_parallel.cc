@@ -330,8 +330,9 @@ TEST(ParallelTrace, DiffTestTraceJsonIdenticalAcrossThreadCounts)
         fuzz::TestSuite suite = suiteForSeed(*orig, seed);
 
         RunContext serial_ctx;
-        repair::diffTest(serial_ctx, *orig, "kernel", *cand, config,
-                         suite, repair::DiffTestOptions{});
+        repair::CpuOracle serial_oracle(*orig, "kernel", suite);
+        repair::diffTest(serial_ctx, serial_oracle, *cand, config,
+                         repair::DiffTestOptions{});
         std::string serial_json = serial_ctx.traceJson();
 
         for (int threads : kThreadCounts) {
@@ -339,8 +340,8 @@ TEST(ParallelTrace, DiffTestTraceJsonIdenticalAcrossThreadCounts)
             repair::DiffTestOptions opts;
             opts.pool = &pool;
             RunContext ctx;
-            repair::diffTest(ctx, *orig, "kernel", *cand, config, suite,
-                             opts);
+            repair::CpuOracle oracle(*orig, "kernel", suite);
+            repair::diffTest(ctx, oracle, *cand, config, opts);
             SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                          std::to_string(threads));
             EXPECT_EQ(ctx.traceJson(), serial_json);

@@ -298,6 +298,26 @@ TEST(Parser, HostileNestingIsADiagnosticNotACrash)
                           repeat("- ", 100000) + "x; }");
 }
 
+TEST(Parser, SourceSizeLimitIsADiagnostic)
+{
+    // A source exactly at the limit parses; one byte more is refused
+    // before lexing, with a diagnostic naming the bound.
+    std::string body = "int kernel(int x) { return x; }";
+    std::string at_limit =
+        body + std::string(kMaxSourceBytes - body.size(), ' ');
+    EXPECT_NO_THROW(parse(at_limit));
+    try {
+        parse(at_limit + " ");
+        FAIL() << "expected a source-size FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "source larger than " +
+                      std::to_string(kMaxSourceBytes) + " bytes"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Parser, ThousandDeepParenthesesStillParse)
 {
     auto tu = parse("int kernel(int x) { return " + repeat("(", 1000) +

@@ -234,8 +234,9 @@ TEST(CorpusProposer, RetiresARecipeAfterThreeNoops)
         << "two noops are not yet disqualifying";
     proposer->observe({best, AttemptOutcome::Noop});
     Proposal after = proposer->propose(request);
-    if (!after.candidates.empty())
+    if (!after.candidates.empty()) {
         EXPECT_NE(after.candidates[0].label, best);
+    }
 }
 
 TEST(CorpusProposer, RetiresARecipeOnInvalidOrRevert)
@@ -251,8 +252,9 @@ TEST(CorpusProposer, RetiresARecipeOnInvalidOrRevert)
             proposer->propose(request).candidates[0].label;
         proposer->observe({best, outcome});
         Proposal after = proposer->propose(request);
-        if (!after.candidates.empty())
+        if (!after.candidates.empty()) {
             EXPECT_NE(after.candidates[0].label, best);
+        }
     }
 }
 
@@ -283,9 +285,10 @@ TEST(CorpusProposer, HonoursAllowedEditsAndTheAppliedSet)
         // With its whole chain applied the recipe must stop coming
         // back even though no feedback retired it.
         Proposal again = proposer->propose(request);
-        if (!again.candidates.empty())
+        if (!again.candidates.empty()) {
             ASSERT_NE(again.candidates[0].label,
                       proposal.candidates[0].label);
+        }
     }
 }
 
@@ -394,8 +397,9 @@ TEST(ProposerSearch, NeverMemoizesToolFailuresUnderFaults)
         EXPECT_EQ(faulty.search.iterations, clean.search.iterations);
         EXPECT_EQ(faulty.search.applied_order,
                   clean.search.applied_order);
-        if (injected > 0)
+        if (injected > 0) {
             EXPECT_GT(faulty.total_minutes, clean.total_minutes);
+        }
     }
     // Deterministic in the plan seeds — a floor, not a flaky statistic.
     // (The corpus proposer repairs this subject in few toolchain calls,

@@ -542,11 +542,13 @@ TEST(DiffTest, DetectsDivergence)
         suite.add({KernelArg::ofInt(v)});
     hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
     RunContext ok_ctx;
-    auto ok = diffTest(ok_ctx, *orig, "kernel", *good, config, suite);
+    CpuOracle ok_oracle(*orig, "kernel", suite);
+    auto ok = diffTest(ok_ctx, ok_oracle, *good, config);
     EXPECT_TRUE(ok.allIdentical());
     EXPECT_EQ(ok.total, 4);
     RunContext fail_ctx;
-    auto fail = diffTest(fail_ctx, *orig, "kernel", *bad, config, suite);
+    CpuOracle fail_oracle(*orig, "kernel", suite);
+    auto fail = diffTest(fail_ctx, fail_oracle, *bad, config);
     EXPECT_EQ(fail.identical, 0);
     EXPECT_EQ(fail.failing.size(), 4u);
     EXPECT_GT(fail.sim_minutes, 0.0);
@@ -560,15 +562,17 @@ TEST(DiffTest, CompilesEachSideOncePerCampaign)
     for (long v = 0; v < 9; ++v)
         suite.add({KernelArg::ofInt(v)});
     RunContext ctx;
-    auto result = diffTest(ctx, *orig, "kernel", *cand,
-                           hls::HlsConfig::forTop("kernel"), suite,
+    CpuOracle oracle(*orig, "kernel", suite);
+    auto result = diffTest(ctx, oracle, *cand,
+                           hls::HlsConfig::forTop("kernel"),
                            DiffTestOptions{});
     ASSERT_EQ(result.total, 9);
     EXPECT_TRUE(result.allIdentical());
     const TraceSpan &root = ctx.trace().root();
     EXPECT_EQ(root.counterTotal("interp.runs"), 18);
-    // One compile for the CPU oracle and one for the candidate, not
-    // one more per co-simulated test.
+    // A fresh oracle — what the standalone diffTest wrapper builds —
+    // compiles the original once and the campaign compiles the
+    // candidate once, not one more per co-simulated test.
     EXPECT_EQ(root.counterTotal("interp.bytecode.compiles"), 2);
 }
 

@@ -8,6 +8,7 @@
 
 #include <thread>
 
+#include "cir/parser.h"
 #include "service/service.h"
 #include "support/diagnostics.h"
 
@@ -326,6 +327,37 @@ TEST(Service, HostileNestingFailsOnlyItsOwnJob)
     EXPECT_EQ(out.trace_json, alone.trace_json);
 }
 
+TEST(Service, OversizedSourceFailsOnlyItsOwnJob)
+{
+    // A source past the parser's size limit fails its own job with the
+    // diagnostic; the neighbour sharing the service runs as if alone.
+    JobSpec neighbour = tinyJob("acme");
+    ConversionService lone;
+    int lone_id = lone.submit(neighbour);
+    lone.drain();
+    const JobOutcome &alone = lone.collect(lone_id);
+    ASSERT_EQ(alone.status.state, JobState::Completed);
+
+    ConversionService svc;
+    JobSpec oversized = tinyJob("evil");
+    oversized.source += std::string(cir::kMaxSourceBytes, ' ');
+    int bad = svc.submit(oversized);
+    int good = svc.submit(neighbour);
+    svc.drain();
+
+    JobStatus status = svc.poll(bad);
+    EXPECT_EQ(status.state, JobState::Failed);
+    EXPECT_NE(status.stop_reason.find("source larger than"),
+              std::string::npos)
+        << status.stop_reason;
+    const JobOutcome &out = svc.collect(good);
+    ASSERT_EQ(out.status.state, JobState::Completed);
+    ASSERT_TRUE(out.has_report);
+    EXPECT_EQ(out.report.hls_source, alone.report.hls_source);
+    EXPECT_EQ(out.report.total_minutes, alone.report.total_minutes);
+    EXPECT_EQ(out.trace_json, alone.trace_json);
+}
+
 // ---------------------------------------------------------------------
 // Priority, fair share, preemption.
 
@@ -422,8 +454,9 @@ TEST(Service, HighPriorityArrivalPreemptsRunningJob)
     // Restart semantics: the wasted partial run is charged too.
     SchedulerStats stats = svc.stats();
     for (const TenantStats &t : stats.tenants) {
-        if (t.id == "slowpoke")
+        if (t.id == "slowpoke") {
             EXPECT_GT(t.consumed_minutes, victim_minutes);
+        }
     }
 }
 
@@ -585,8 +618,9 @@ TEST(Service, LiveCancelFromAnotherThread)
     EXPECT_TRUE(status.state == JobState::Cancelled ||
                 status.state == JobState::Completed)
         << jobStateName(status.state);
-    if (status.state == JobState::Cancelled)
+    if (status.state == JobState::Cancelled) {
         EXPECT_EQ(status.stop_reason, "cancel");
+    }
     EXPECT_NO_THROW(svc.collect(id));
 }
 

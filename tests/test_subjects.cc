@@ -36,8 +36,9 @@ TEST_P(SubjectTest, OriginalParsesAndAnalyzes)
                                 ? ""
                                 : sema.errors.front().message);
     EXPECT_NE(tu->findFunction(s.kernel), nullptr);
-    if (!s.host.empty())
+    if (!s.host.empty()) {
         EXPECT_NE(tu->findFunction(s.host), nullptr);
+    }
 }
 
 TEST_P(SubjectTest, OriginalHasHlsErrors)
