@@ -1,36 +1,9 @@
 #include "repair/memo.h"
 
-#include "cir/printer.h"
 #include "repair/store.h"
 #include "support/run_context.h"
 
 namespace heterogen::repair {
-
-std::string
-candidateFingerprint(const cir::TranslationUnit &candidate,
-                     const hls::HlsConfig &config)
-{
-    return candidateFingerprint(cir::print(candidate), config);
-}
-
-std::string
-candidateFingerprint(const std::string &printed,
-                     const hls::HlsConfig &config)
-{
-    // The printed text is the full syntactic identity; config fields are
-    // appended under a separator no printed program contains. Keys are
-    // exact — no hashing, so no collision can alias two candidates.
-    std::string key = printed;
-    key += '\x1f';
-    key += config.top_function;
-    key += '\x1f';
-    key += std::to_string(config.clock_mhz);
-    key += '\x1f';
-    key += config.device;
-    key += '\x1f';
-    key += std::to_string(config.stream_depth);
-    return key;
-}
 
 void
 CandidateMemo::count(int MemoStats::*field, const char *trace_key)
@@ -78,7 +51,7 @@ CandidateMemo::storeCompile(const std::string &fingerprint,
 
 std::optional<DiffTestResult>
 CandidateMemo::findDiffTest(const std::string &fingerprint,
-                            const std::string &disk_key,
+                            const std::string &campaign,
                             MemoLayer *layer)
 {
     auto it = entries_.find(fingerprint);
@@ -89,9 +62,9 @@ CandidateMemo::findDiffTest(const std::string &fingerprint,
         return it->second.difftest;
     }
     count(&MemoStats::difftest_misses, "repair.memo.difftest_misses");
-    if (store_ && !disk_key.empty()) {
+    if (store_ && !campaign.empty()) {
         std::optional<DiffTestResult> disk =
-            store_->findDiffTest(ctx_, disk_key);
+            store_->findDiffTest(ctx_, fingerprint, campaign);
         if (disk) {
             entries_[fingerprint].difftest = disk;
             if (layer)
@@ -107,11 +80,11 @@ CandidateMemo::findDiffTest(const std::string &fingerprint,
 void
 CandidateMemo::storeDiffTest(const std::string &fingerprint,
                              const DiffTestResult &result,
-                             const std::string &disk_key)
+                             const std::string &campaign)
 {
     entries_[fingerprint].difftest = result;
-    if (store_ && !disk_key.empty())
-        store_->storeDiffTest(ctx_, disk_key, result);
+    if (store_ && !campaign.empty())
+        store_->storeDiffTest(ctx_, fingerprint, campaign, result);
 }
 
 void

@@ -8,9 +8,10 @@
  * revisit repeats the most expensive steps of the loop for an answer
  * that is already known: both the simulated toolchain and the
  * interpreter are deterministic functions of (printed program, config).
- * The memo keys a candidate by exactly that pair and caches the compile
- * and difftest outcomes separately, since a candidate that fails to
- * compile never reaches difftesting.
+ * The memo keys a candidate by exactly that pair — candidateFingerprint,
+ * which repair/store.h defines with every other persisted key — and
+ * caches the compile and difftest outcomes separately, since a
+ * candidate that fails to compile never reaches difftesting.
  *
  * The memo is the in-memory L1 of a two-level cache: attach a
  * persistent VerdictStore (repair/store.h) with setStore() and L1
@@ -28,7 +29,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "cir/ast.h"
 #include "hls/compiler.h"
 #include "repair/difftest.h"
 
@@ -39,19 +39,6 @@ class RunContext;
 namespace heterogen::repair {
 
 class VerdictStore;
-
-/**
- * Stable identity of a candidate evaluation: the printed program plus
- * every HlsConfig field that influences compilation or co-simulation.
- * Two fingerprints compare equal iff the evaluations are interchangeable.
- */
-std::string candidateFingerprint(const cir::TranslationUnit &candidate,
-                                 const hls::HlsConfig &config);
-
-/** Same key, built from an already-printed program (byte-identical to
- * the TranslationUnit overload on the same candidate). */
-std::string candidateFingerprint(const std::string &printed,
-                                 const hls::HlsConfig &config);
 
 /** Which cache layer answered a lookup. */
 enum class MemoLayer
@@ -123,19 +110,19 @@ class CandidateMemo
 
     /**
      * Cached difftest outcome, or nullopt on miss. Counts the lookup.
-     * `disk_key` is the L2 key (carries campaign context beyond the
-     * fingerprint); "" skips the L2 even when a store is attached.
+     * `campaign` (a difftestCampaignKey) names the campaign on the L2;
+     * "" skips the L2 even when a store is attached.
      */
     std::optional<DiffTestResult>
     findDiffTest(const std::string &fingerprint,
-                 const std::string &disk_key = "",
+                 const std::string &campaign = "",
                  MemoLayer *layer = nullptr);
 
     /** Record the difftest outcome for the fingerprint, writing through
-     * to the attached store under `disk_key` when non-empty. */
+     * to the attached store under `campaign` when non-empty. */
     void storeDiffTest(const std::string &fingerprint,
                        const DiffTestResult &result,
-                       const std::string &disk_key = "");
+                       const std::string &campaign = "");
 
     const MemoStats &stats() const { return stats_; }
     size_t size() const { return entries_.size(); }

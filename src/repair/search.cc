@@ -155,23 +155,9 @@ class Search
             return;
         store_ = options_.verdict_store;
         memo_.setStore(store_);
-        // Campaign context of every difftest in this run: the verdict
-        // depends on the CPU reference, kernel, suite and sampling too,
-        // not just the candidate fingerprint.
-        std::string suite_fp;
-        for (const fuzz::TestCase &test : oracle_.suite().cases()) {
-            suite_fp += test.str();
-            suite_fp += '\x1e';
-        }
-        difftest_ctx_ = cir::print(oracle_.original());
-        difftest_ctx_ += '\x1f';
-        difftest_ctx_ += oracle_.kernel();
-        difftest_ctx_ += '\x1f';
-        difftest_ctx_ += suite_fp;
-        difftest_ctx_ += '\x1f';
-        difftest_ctx_ += std::to_string(options_.difftest_sample);
-        difftest_ctx_ += '\x1f';
-        difftest_ctx_ += std::to_string(options_.difftest_sim_workers);
+        difftest_campaign_ =
+            difftestCampaignKey(oracle_, options_.difftest_sample,
+                                options_.difftest_sim_workers);
     }
 
     /** Printed text of cand_, computed at most once per iteration. */
@@ -240,16 +226,10 @@ class Search
     DiffTestResult
     difftestCandidate()
     {
-        std::string disk_key;
-        if (store_) {
-            disk_key = fingerprint_;
-            disk_key += '\x1f';
-            disk_key += difftest_ctx_;
-        }
         if (options_.use_memo) {
             MemoLayer layer = MemoLayer::None;
-            if (auto hit =
-                    memo_.findDiffTest(fingerprint_, disk_key, &layer)) {
+            if (auto hit = memo_.findDiffTest(
+                    fingerprint_, difftest_campaign_, &layer)) {
                 if (layer == MemoLayer::Disk)
                     ctx_.charge(hit->sim_minutes);
                 return *hit;
@@ -262,7 +242,7 @@ class Search
         DiffTestResult fitness =
             diffTest(ctx_, oracle_, *cand_, config_, dt);
         if (options_.use_memo && !fitness.tool_failure)
-            memo_.storeDiffTest(fingerprint_, fitness, disk_key);
+            memo_.storeDiffTest(fingerprint_, fitness, difftest_campaign_);
         return fitness;
     }
 
@@ -598,8 +578,8 @@ class Search
     std::string fingerprint_;
     /** Lazily-printed text of cand_; cleared each iteration. */
     std::string printed_;
-    /** Fixed campaign context appended to every difftest disk key. */
-    std::string difftest_ctx_;
+    /** difftestCampaignKey of this run's campaigns; "" = no store. */
+    std::string difftest_campaign_;
     /** Where candidate rewrites come from (repair/proposer.h). */
     std::unique_ptr<CandidateProposer> proposer_;
 

@@ -1,14 +1,18 @@
 #include "repair/store.h"
 
 #include <atomic>
+#include <cerrno>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include <unistd.h>
 
+#include "cir/printer.h"
 #include "support/run_context.h"
 #include "support/strings.h"
 
@@ -18,241 +22,74 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Field / list-element / sub-field separators inside payloads. No
- * diagnostic or printed program contains these control characters. */
+/** Field / list-element / sub-field separators inside keys and payloads.
+ * No diagnostic or printed program contains these control characters. */
 constexpr char kField = '\x1f';
 constexpr char kElem = '\x1e';
 constexpr char kSub = '\x1d';
+/** Separator of the parts of one kernel argument or coverage bucket. */
+constexpr char kPart = ':';
 
-/**
- * Doubles are serialized at %.17g — the same round-trip guarantee the
- * trace JSON relies on — so replayed charges are bit-exact.
- */
+// --- the codec ------------------------------------------------------------
+//
+// Every key and payload the store reads or writes is built from one set
+// of forms: integers in decimal, flags as 0/1, doubles as their
+// 16-hex-digit bit pattern (exact for every value, NaN payloads and
+// signed zeros included), and lists joined by one separator.
+
 std::string
-fmtDouble(double v)
+text(double v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(bits));
     return buf;
 }
 
-bool
-parseDouble(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    *out = std::strtod(s.c_str(), &end);
-    return end != s.c_str() && *end == '\0';
-}
-
-bool
-parseLong(const std::string &s, long long *out)
-{
-    char *end = nullptr;
-    *out = std::strtoll(s.c_str(), &end, 10);
-    return end != s.c_str() && *end == '\0';
-}
-
+template <std::integral T>
 std::string
-joinLongs(const std::vector<long long> &vals)
+text(T v)
 {
-    std::string out;
-    for (size_t i = 0; i < vals.size(); ++i) {
-        if (i)
-            out.push_back(',');
-        out += std::to_string(vals[i]);
-    }
-    return out;
+    return std::to_string(v);
 }
 
+/** text() of any scalar, as a value joinMapped can take. */
+constexpr auto kText = [](auto v) { return text(v); };
+
 bool
-splitLongs(const std::string &s, std::vector<long long> *out)
+parse(const std::string &s, double *out)
 {
-    out->clear();
-    if (s.empty())
-        return true;
-    for (const std::string &part : split(s, ',')) {
-        long long v = 0;
-        if (!parseLong(part, &v))
-            return false;
-        out->push_back(v);
-    }
+    if (s.size() != 16 ||
+        s.find_first_not_of("0123456789abcdef") != std::string::npos)
+        return false;
+    uint64_t bits = std::strtoull(s.c_str(), nullptr, 16);
+    std::memcpy(out, &bits, sizeof bits);
     return true;
 }
 
-std::string
-encodeCompile(const hls::CompileResult &r)
+bool
+parse(const std::string &s, bool *out)
 {
-    std::string errors;
-    for (size_t i = 0; i < r.errors.size(); ++i) {
-        const hls::HlsError &e = r.errors[i];
-        if (i)
-            errors.push_back(kElem);
-        errors += e.code;
-        errors.push_back(kSub);
-        errors += e.message;
-        errors.push_back(kSub);
-        errors += std::to_string(static_cast<int>(e.category));
-        errors.push_back(kSub);
-        errors += e.symbol;
-        errors.push_back(kSub);
-        errors += std::to_string(e.loc.line);
-        errors.push_back(kSub);
-        errors += std::to_string(e.loc.column);
-    }
-    std::string out = r.ok ? "1" : "0";
-    out.push_back(kField);
-    out += fmtDouble(r.synth_minutes);
-    out.push_back(kField);
-    out += std::to_string(r.loc);
-    out.push_back(kField);
-    out += joinLongs({r.resources.luts, r.resources.ffs,
-                      r.resources.dsps, r.resources.bram_bits,
-                      r.resources.memory_banks});
-    out.push_back(kField);
-    out += errors;
-    return out;
+    *out = s == "1";
+    return s == "0" || s == "1";
 }
 
-std::optional<hls::CompileResult>
-decodeCompile(const std::string &payload)
+/** A decimal integer that fits T. */
+template <std::integral T>
+bool
+parse(const std::string &s, T *out)
 {
-    std::vector<std::string> fields = split(payload, kField);
-    if (fields.size() != 5 || (fields[0] != "0" && fields[0] != "1"))
-        return std::nullopt;
-    hls::CompileResult r;
-    r.ok = fields[0] == "1";
-    long long loc = 0;
-    std::vector<long long> res;
-    if (!parseDouble(fields[1], &r.synth_minutes) ||
-        !parseLong(fields[2], &loc) || !splitLongs(fields[3], &res) ||
-        res.size() != 5) {
-        return std::nullopt;
-    }
-    r.loc = static_cast<int>(loc);
-    r.resources.luts = res[0];
-    r.resources.ffs = res[1];
-    r.resources.dsps = res[2];
-    r.resources.bram_bits = res[3];
-    r.resources.memory_banks = res[4];
-    if (!fields[4].empty()) {
-        for (const std::string &enc : split(fields[4], kElem)) {
-            std::vector<std::string> sub = split(enc, kSub);
-            if (sub.size() != 6)
-                return std::nullopt;
-            long long category = 0, line = 0, column = 0;
-            if (!parseLong(sub[2], &category) ||
-                !parseLong(sub[4], &line) ||
-                !parseLong(sub[5], &column) || category < 0 ||
-                category >= hls::kNumErrorCategories) {
-                return std::nullopt;
-            }
-            hls::HlsError e;
-            e.code = sub[0];
-            e.message = sub[1];
-            e.category = static_cast<hls::ErrorCategory>(category);
-            e.symbol = sub[3];
-            e.loc.line = static_cast<int>(line);
-            e.loc.column = static_cast<int>(column);
-            r.errors.push_back(std::move(e));
-        }
-    }
-    return r;
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(s.c_str(), &end, 10);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::in_range<T>(v))
+        return false;
+    *out = static_cast<T>(v);
+    return true;
 }
-
-std::string
-encodeDiffTest(const DiffTestResult &r)
-{
-    std::vector<long long> failing(r.failing.begin(), r.failing.end());
-    std::string out = std::to_string(r.total);
-    out.push_back(kField);
-    out += std::to_string(r.identical);
-    out.push_back(kField);
-    out += joinLongs(failing);
-    out.push_back(kField);
-    out += fmtDouble(r.cpu_millis);
-    out.push_back(kField);
-    out += fmtDouble(r.fpga_millis);
-    out.push_back(kField);
-    out += fmtDouble(r.sim_minutes);
-    return out;
-}
-
-std::optional<DiffTestResult>
-decodeDiffTest(const std::string &payload)
-{
-    std::vector<std::string> fields = split(payload, kField);
-    if (fields.size() != 6)
-        return std::nullopt;
-    DiffTestResult r;
-    long long total = 0, identical = 0;
-    std::vector<long long> failing;
-    if (!parseLong(fields[0], &total) ||
-        !parseLong(fields[1], &identical) ||
-        !splitLongs(fields[2], &failing) ||
-        !parseDouble(fields[3], &r.cpu_millis) ||
-        !parseDouble(fields[4], &r.fpga_millis) ||
-        !parseDouble(fields[5], &r.sim_minutes)) {
-        return std::nullopt;
-    }
-    r.total = static_cast<int>(total);
-    r.identical = static_cast<int>(identical);
-    for (long long f : failing)
-        r.failing.push_back(static_cast<int>(f));
-    return r;
-}
-
-std::string
-encodeStyle(const style::StyleReport &r)
-{
-    std::string issues;
-    for (size_t i = 0; i < r.issues.size(); ++i) {
-        const style::StyleIssue &issue = r.issues[i];
-        if (i)
-            issues.push_back(kElem);
-        issues += issue.message;
-        issues.push_back(kSub);
-        issues += std::to_string(issue.loc.line);
-        issues.push_back(kSub);
-        issues += std::to_string(issue.loc.column);
-    }
-    std::string out = fmtDouble(r.check_minutes);
-    out.push_back(kField);
-    out += issues;
-    return out;
-}
-
-std::optional<style::StyleReport>
-decodeStyle(const std::string &payload)
-{
-    std::vector<std::string> fields = split(payload, kField);
-    if (fields.size() != 2)
-        return std::nullopt;
-    style::StyleReport r;
-    r.issues.clear();
-    if (!parseDouble(fields[0], &r.check_minutes))
-        return std::nullopt;
-    if (!fields[1].empty()) {
-        for (const std::string &enc : split(fields[1], kElem)) {
-            std::vector<std::string> sub = split(enc, kSub);
-            if (sub.size() != 3)
-                return std::nullopt;
-            long long line = 0, column = 0;
-            if (!parseLong(sub[1], &line) ||
-                !parseLong(sub[2], &column)) {
-                return std::nullopt;
-            }
-            style::StyleIssue issue;
-            issue.message = sub[0];
-            issue.loc.line = static_cast<int>(line);
-            issue.loc.column = static_cast<int>(column);
-            r.issues.push_back(std::move(issue));
-        }
-    }
-    return r;
-}
-
-/** Separator of the parts of one kernel argument or coverage bucket. */
-constexpr char kPart = ':';
 
 /** `items` mapped through `fn` and joined by `sep`. */
 template <typename Range, typename Fn>
@@ -285,35 +122,122 @@ decodeEach(const std::string &list, char sep, Fn fn)
     return true;
 }
 
-/** A double as its 16-hex-digit bit pattern: exact for every value,
- * NaN payloads and signed zeros included. */
-std::string
-hexDouble(double v)
+/** decodeEach item parser: parse one scalar onto the end of `out`. */
+template <typename T>
+auto
+appendTo(std::vector<T> *out)
 {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
+    return [out](const std::string &item) {
+        return parse(item, &out->emplace_back());
+    };
+}
+
+/** One key or record: `parts` joined by `sep`. */
+std::string
+fields(const std::vector<std::string> &parts, char sep = kField)
+{
+    return join(parts, std::string(1, sep));
+}
+
+// --- payloads -------------------------------------------------------------
+
+std::string
+encode(const hls::CompileResult &r)
+{
+    const hls::ResourceEstimate &res = r.resources;
+    return fields(
+        {text(r.ok), text(r.synth_minutes), text(r.loc),
+         joinMapped(std::vector<long>{res.luts, res.ffs, res.dsps,
+                                      res.bram_bits, res.memory_banks},
+                    ',', kText),
+         joinMapped(r.errors, kElem, [](const hls::HlsError &e) {
+             return fields({e.code, e.message,
+                            text(static_cast<int>(e.category)), e.symbol,
+                            text(e.loc.line), text(e.loc.column)},
+                           kSub);
+         })});
 }
 
 bool
-parseHexDouble(const std::string &s, double *out)
+decode(const std::string &payload, hls::CompileResult *r)
 {
-    char *end = nullptr;
-    uint64_t bits = std::strtoull(s.c_str(), &end, 16);
-    if (s.size() != 16 || *end != '\0')
+    std::vector<std::string> f = split(payload, kField);
+    std::vector<long> res;
+    bool ok =
+        f.size() == 5 && parse(f[0], &r->ok) &&
+        parse(f[1], &r->synth_minutes) && parse(f[2], &r->loc) &&
+        decodeEach(f[3], ',', appendTo(&res)) && res.size() == 5 &&
+        decodeEach(f[4], kElem, [&](const std::string &enc) {
+            std::vector<std::string> sub = split(enc, kSub);
+            hls::HlsError &e = r->errors.emplace_back();
+            int category = 0;
+            if (sub.size() != 6 || !parse(sub[2], &category) ||
+                category < 0 || category >= hls::kNumErrorCategories ||
+                !parse(sub[4], &e.loc.line) ||
+                !parse(sub[5], &e.loc.column))
+                return false;
+            e.code = sub[0];
+            e.message = sub[1];
+            e.category = static_cast<hls::ErrorCategory>(category);
+            e.symbol = sub[3];
+            return true;
+        });
+    if (!ok)
         return false;
-    std::memcpy(out, &bits, sizeof bits);
+    r->resources.luts = res[0];
+    r->resources.ffs = res[1];
+    r->resources.dsps = res[2];
+    r->resources.bram_bits = res[3];
+    r->resources.memory_banks = res[4];
     return true;
 }
 
-bool
-parseFlag(const std::string &s, bool *out)
+std::string
+encode(const DiffTestResult &r)
 {
-    *out = s == "1";
-    return s == "0" || s == "1";
+    return fields({text(r.total), text(r.identical),
+                   joinMapped(r.failing, ',', kText), text(r.cpu_millis),
+                   text(r.fpga_millis), text(r.sim_minutes)});
+}
+
+bool
+decode(const std::string &payload, DiffTestResult *r)
+{
+    std::vector<std::string> f = split(payload, kField);
+    return f.size() == 6 && parse(f[0], &r->total) &&
+           parse(f[1], &r->identical) &&
+           decodeEach(f[2], ',', appendTo(&r->failing)) &&
+           parse(f[3], &r->cpu_millis) && parse(f[4], &r->fpga_millis) &&
+           parse(f[5], &r->sim_minutes);
+}
+
+std::string
+encode(const style::StyleReport &r)
+{
+    return fields({text(r.check_minutes),
+                   joinMapped(r.issues, kElem,
+                              [](const style::StyleIssue &issue) {
+                                  return fields({issue.message,
+                                                 text(issue.loc.line),
+                                                 text(issue.loc.column)},
+                                                kSub);
+                              })});
+}
+
+bool
+decode(const std::string &payload, style::StyleReport *r)
+{
+    std::vector<std::string> f = split(payload, kField);
+    return f.size() == 2 && parse(f[0], &r->check_minutes) &&
+           decodeEach(f[1], kElem, [&](const std::string &enc) {
+               std::vector<std::string> sub = split(enc, kSub);
+               style::StyleIssue &issue = r->issues.emplace_back();
+               if (sub.size() != 3)
+                   return false;
+               issue.message = sub[0];
+               return parse(sub[1], &issue.loc.line) &&
+                      parse(sub[2], &issue.loc.column);
+           });
 }
 
 /** Every field of a KernelArg, whatever its kind, so equality and
@@ -321,40 +245,24 @@ parseFlag(const std::string &s, bool *out)
 std::string
 encodeArg(const interp::KernelArg &a)
 {
-    std::string out = std::to_string(static_cast<int>(a.kind));
-    out.push_back(kPart);
-    out += std::to_string(a.i);
-    out.push_back(kPart);
-    out += hexDouble(a.f);
-    out.push_back(kPart);
-    out += joinMapped(a.ints, ',', [](long v) { return std::to_string(v); });
-    out.push_back(kPart);
-    out += joinMapped(a.floats, ',', hexDouble);
-    return out;
+    return fields({text(static_cast<int>(a.kind)), text(a.i), text(a.f),
+                   joinMapped(a.ints, ',', kText),
+                   joinMapped(a.floats, ',', kText)},
+                  kPart);
 }
 
-std::optional<interp::KernelArg>
-decodeArg(const std::string &enc)
+bool
+decodeArg(const std::string &enc, interp::KernelArg *a)
 {
     std::vector<std::string> parts = split(enc, kPart);
-    interp::KernelArg a;
-    long long kind = 0, i = 0;
-    std::vector<long long> ints;
-    bool ok = parts.size() == 5 && parseLong(parts[0], &kind) &&
-              kind >= 0 &&
+    int kind = 0;
+    bool ok = parts.size() == 5 && parse(parts[0], &kind) && kind >= 0 &&
               kind <= static_cast<int>(interp::KernelArg::Kind::FloatArray) &&
-              parseLong(parts[1], &i) && parseHexDouble(parts[2], &a.f) &&
-              splitLongs(parts[3], &ints) &&
-              decodeEach(parts[4], ',', [&](const std::string &item) {
-                  a.floats.push_back(0);
-                  return parseHexDouble(item, &a.floats.back());
-              });
-    if (!ok)
-        return std::nullopt;
-    a.kind = static_cast<interp::KernelArg::Kind>(kind);
-    a.i = static_cast<long>(i);
-    a.ints.assign(ints.begin(), ints.end());
-    return a;
+              parse(parts[1], &a->i) && parse(parts[2], &a->f) &&
+              decodeEach(parts[3], ',', appendTo(&a->ints)) &&
+              decodeEach(parts[4], ',', appendTo(&a->floats));
+    a->kind = static_cast<interp::KernelArg::Kind>(kind);
+    return ok;
 }
 
 /** Case count, then each case's arguments; the count tells a suite of
@@ -362,7 +270,7 @@ decodeArg(const std::string &enc)
 std::string
 encodeSuite(const fuzz::TestSuite &suite)
 {
-    std::string out = std::to_string(suite.size());
+    std::string out = text(suite.size());
     for (const fuzz::TestCase &test : suite.cases()) {
         out.push_back(kElem);
         out += joinMapped(test.args, kSub, encodeArg);
@@ -372,80 +280,65 @@ encodeSuite(const fuzz::TestSuite &suite)
 
 /** Rebuilt through TestSuite::add, so case ids come out as the
  * campaign numbered them. */
-std::optional<fuzz::TestSuite>
-decodeSuite(const std::string &field)
+bool
+decodeSuite(const std::string &field, fuzz::TestSuite *suite)
 {
     std::vector<std::string> cases = split(field, kElem);
-    long long n = 0;
-    if (cases.empty() || !parseLong(cases[0], &n) ||
-        n != static_cast<long long>(cases.size()) - 1) {
-        return std::nullopt;
-    }
-    fuzz::TestSuite suite;
+    size_t n = 0;
+    if (cases.empty() || !parse(cases[0], &n) || n != cases.size() - 1)
+        return false;
     for (size_t c = 1; c < cases.size(); ++c) {
         std::vector<interp::KernelArg> args;
         bool ok = decodeEach(cases[c], kSub, [&](const std::string &enc) {
-            std::optional<interp::KernelArg> arg = decodeArg(enc);
-            if (arg)
-                args.push_back(std::move(*arg));
-            return arg.has_value();
+            return decodeArg(enc, &args.emplace_back());
         });
         // A stored suite has no duplicate cases.
-        if (!ok || !suite.add(std::move(args)))
-            return std::nullopt;
+        if (!ok || !suite->add(std::move(args)))
+            return false;
     }
-    return suite;
+    return true;
 }
 
 std::string
 encodeCoverage(const interp::CoverageMap &coverage)
 {
     interp::CoverageMap::State st = coverage.state();
-    auto number = [](auto v) { return std::to_string(v); };
-    std::string out = std::to_string(st.num_branches);
-    out.push_back(kSub);
-    out += joinMapped(st.counts, ',', number);
-    out.push_back(kSub);
-    out += joinMapped(st.merged_hits, ',', number);
-    out.push_back(kSub);
-    out += joinMapped(st.buckets, ',', [](const auto &b) {
-        const auto &[branch, taken, bucket] = b;
-        return std::to_string(branch) + kPart + (taken ? "1" : "0") +
-               kPart + std::to_string(bucket);
-    });
-    return out;
+    return fields(
+        {text(st.num_branches), joinMapped(st.counts, ',', kText),
+         joinMapped(st.merged_hits, ',', kText),
+         joinMapped(st.buckets, ',',
+                    [](const auto &b) {
+                        const auto &[branch, taken, bucket] = b;
+                        return fields(
+                            {text(branch), text(taken), text(bucket)},
+                            kPart);
+                    })},
+        kSub);
 }
 
-std::optional<interp::CoverageMap>
-decodeCoverage(const std::string &field)
+bool
+decodeCoverage(const std::string &field, interp::CoverageMap *coverage)
 {
     std::vector<std::string> parts = split(field, kSub);
     interp::CoverageMap::State st;
-    long long branches = 0;
-    std::vector<long long> counts, hits;
+    std::vector<size_t> hits;
     bool ok =
-        parts.size() == 4 && parseLong(parts[0], &branches) &&
-        splitLongs(parts[1], &counts) && splitLongs(parts[2], &hits) &&
+        parts.size() == 4 && parse(parts[0], &st.num_branches) &&
+        decodeEach(parts[1], ',', appendTo(&st.counts)) &&
+        decodeEach(parts[2], ',', appendTo(&hits)) &&
         decodeEach(parts[3], ',', [&](const std::string &item) {
             std::vector<std::string> b = split(item, kPart);
-            long long branch = 0, bucket = 0;
+            int branch = 0, bucket = 0;
             bool taken = false;
-            return b.size() == 3 && parseLong(b[0], &branch) &&
-                   parseFlag(b[1], &taken) && parseLong(b[2], &bucket) &&
-                   st.buckets
-                       .insert({static_cast<int>(branch), taken,
-                                static_cast<int>(bucket)})
-                       .second;
+            return b.size() == 3 && parse(b[0], &branch) &&
+                   parse(b[1], &taken) && parse(b[2], &bucket) &&
+                   st.buckets.insert({branch, taken, bucket}).second;
         });
-    for (long long v : counts)
-        ok = ok && v >= 0;
-    for (long long v : hits)
-        ok = ok && v >= 0 && st.merged_hits.insert(size_t(v)).second;
-    if (!ok)
-        return std::nullopt;
-    st.counts.assign(counts.begin(), counts.end());
-    st.num_branches = static_cast<int>(branches);
-    return interp::CoverageMap::fromState(std::move(st));
+    for (size_t h : hits)
+        ok = ok && st.merged_hits.insert(h).second;
+    if (ok)
+        *coverage = interp::CoverageMap::fromState(std::move(st));
+    return ok;
 }
 
 std::string
@@ -453,100 +346,73 @@ encodeProfile(const interp::ValueProfile &profile)
 {
     return joinMapped(profile.ranges(), kElem, [](const auto &entry) {
         const auto &[key, r] = entry;
-        return join({key, r.saw_int ? "1" : "0", std::to_string(r.min_int),
-                     std::to_string(r.max_int), r.saw_float ? "1" : "0",
-                     hexDouble(r.max_abs_float)},
-                    std::string(1, kSub));
+        return fields({key, text(r.saw_int), text(r.min_int),
+                       text(r.max_int), text(r.saw_float),
+                       text(r.max_abs_float)},
+                      kSub);
     });
 }
 
 /** Rebuilt through note()/noteFloat(): two int notes restore
  * [min, max] and one float note the largest magnitude. */
-std::optional<interp::ValueProfile>
-decodeProfile(const std::string &field)
+bool
+decodeProfile(const std::string &field, interp::ValueProfile *profile)
 {
-    interp::ValueProfile profile;
-    bool ok = decodeEach(field, kElem, [&](const std::string &enc) {
+    return decodeEach(field, kElem, [&](const std::string &enc) {
         std::vector<std::string> sub = split(enc, kSub);
-        long long lo = 0, hi = 0;
+        long lo = 0, hi = 0;
         double max_abs = 0;
         bool saw_int = false, saw_float = false;
-        if (sub.size() != 6 || !parseFlag(sub[1], &saw_int) ||
-            !parseLong(sub[2], &lo) || !parseLong(sub[3], &hi) ||
-            !parseFlag(sub[4], &saw_float) ||
-            !parseHexDouble(sub[5], &max_abs) || !(saw_int || saw_float))
+        if (sub.size() != 6 || !parse(sub[1], &saw_int) ||
+            !parse(sub[2], &lo) || !parse(sub[3], &hi) ||
+            !parse(sub[4], &saw_float) || !parse(sub[5], &max_abs) ||
+            !(saw_int || saw_float))
             return false;
         if (saw_int) {
-            profile.note(sub[0], static_cast<long>(lo));
-            profile.note(sub[0], static_cast<long>(hi));
+            profile->note(sub[0], lo);
+            profile->note(sub[0], hi);
         }
         if (saw_float)
-            profile.noteFloat(sub[0], max_abs);
+            profile->noteFloat(sub[0], max_abs);
         return true;
     });
-    if (!ok)
-        return std::nullopt;
-    return profile;
 }
 
 std::string
-encodeStage(const StageRecord &r)
+encode(const StageRecord &r)
 {
-    std::string counters =
-        joinMapped(r.fuzz_counters, kElem, [](const auto &entry) {
-            return entry.first + kSub + std::to_string(entry.second);
-        });
-    return join({std::to_string(r.testgen.executions),
-                 fmtDouble(r.testgen.sim_minutes),
-                 fmtDouble(r.testgen.last_progress_minutes),
-                 encodeCoverage(r.testgen.coverage),
-                 encodeSuite(r.testgen.suite), encodeProfile(r.profile),
-                 counters},
-                std::string(1, kField));
+    return fields(
+        {text(r.testgen.executions), text(r.testgen.sim_minutes),
+         text(r.testgen.last_progress_minutes),
+         encodeCoverage(r.testgen.coverage), encodeSuite(r.testgen.suite),
+         encodeProfile(r.profile),
+         joinMapped(r.fuzz_counters, kElem, [](const auto &entry) {
+             return fields({entry.first, text(entry.second)}, kSub);
+         })});
 }
 
-std::optional<StageRecord>
-decodeStage(const std::string &payload)
+bool
+decode(const std::string &payload, StageRecord *r)
 {
-    std::vector<std::string> fields = split(payload, kField);
-    StageRecord r;
-    long long executions = 0;
-    if (fields.size() != 7 || !parseLong(fields[0], &executions) ||
-        !parseDouble(fields[1], &r.testgen.sim_minutes) ||
-        !parseDouble(fields[2], &r.testgen.last_progress_minutes)) {
-        return std::nullopt;
-    }
-    r.testgen.executions = static_cast<int>(executions);
-    std::optional<interp::CoverageMap> coverage =
-        decodeCoverage(fields[3]);
-    std::optional<fuzz::TestSuite> suite = decodeSuite(fields[4]);
-    std::optional<interp::ValueProfile> profile =
-        decodeProfile(fields[5]);
-    bool ok = coverage && suite && profile &&
-              decodeEach(fields[6], kElem, [&](const std::string &enc) {
-                  std::vector<std::string> sub = split(enc, kSub);
-                  long long value = 0;
-                  if (sub.size() != 2 || !parseLong(sub[1], &value))
-                      return false;
-                  r.fuzz_counters[sub[0]] = value;
-                  return true;
-              });
-    if (!ok)
-        return std::nullopt;
-    r.testgen.coverage = std::move(*coverage);
-    r.testgen.suite = std::move(*suite);
-    r.profile = std::move(*profile);
-    return r;
+    std::vector<std::string> f = split(payload, kField);
+    return f.size() == 7 && parse(f[0], &r->testgen.executions) &&
+           parse(f[1], &r->testgen.sim_minutes) &&
+           parse(f[2], &r->testgen.last_progress_minutes) &&
+           decodeCoverage(f[3], &r->testgen.coverage) &&
+           decodeSuite(f[4], &r->testgen.suite) &&
+           decodeProfile(f[5], &r->profile) &&
+           decodeEach(f[6], kElem, [&](const std::string &enc) {
+               std::vector<std::string> sub = split(enc, kSub);
+               return sub.size() == 2 &&
+                      parse(sub[1], &r->fuzz_counters[sub[0]]);
+           });
 }
 
-std::string
-kindKey(const char *kind, const std::string &key)
-{
-    std::string out = kind;
-    out.push_back(kField);
-    out += key;
-    return out;
-}
+/** Simulated minutes a hit answers instead of re-evaluating. */
+double savedMinutes(const hls::CompileResult &r) { return r.synth_minutes; }
+double savedMinutes(const DiffTestResult &r) { return r.sim_minutes; }
+double savedMinutes(const style::StyleReport &r) { return r.check_minutes; }
+double savedMinutes(const StageRecord &r) { return r.testgen.sim_minutes; }
 
 } // namespace
 
@@ -561,33 +427,37 @@ defaultCacheDir()
 std::string
 defaultToolchainVersion()
 {
-    return std::string("hgc1;sim=") + hls::kSimulatorVersion +
+    return std::string("hgc2;sim=") + hls::kSimulatorVersion +
            ";style=" + style::kStyleCheckerVersion;
+}
+
+std::string
+candidateFingerprint(const std::string &printed,
+                     const hls::HlsConfig &config)
+{
+    return fields({printed, config.top_function, text(config.clock_mhz),
+                   config.device, text(config.stream_depth)});
+}
+
+std::string
+difftestCampaignKey(const CpuOracle &oracle, int sample, int sim_workers)
+{
+    return fields({cir::print(oracle.original()), oracle.kernel(),
+                   encodeSuite(oracle.suite()), text(sample),
+                   text(sim_workers)});
 }
 
 std::string
 stageRecordKey(const std::string &printed_source, const std::string &kernel,
                const fuzz::FuzzOptions &options)
 {
-    std::string host_args;
-    for (const interp::KernelArg &arg : options.host_args) {
-        host_args += encodeArg(arg);
-        host_args.push_back(kSub);
-    }
-    std::string key = printed_source;
-    for (const std::string &part :
-         {kernel, options.host_function, host_args,
-          std::to_string(options.rng_seed),
-          std::to_string(options.mutations_per_input),
-          std::to_string(options.max_executions),
-          fmtDouble(options.budget_minutes),
-          fmtDouble(options.plateau_minutes),
-          std::to_string(options.min_suite_size),
-          std::to_string(options.max_steps_per_run)}) {
-        key.push_back(kField);
-        key += part;
-    }
-    return key;
+    return fields({printed_source, kernel, options.host_function,
+                   joinMapped(options.host_args, kSub, encodeArg),
+                   text(options.rng_seed), text(options.mutations_per_input),
+                   text(options.max_executions), text(options.budget_minutes),
+                   text(options.plateau_minutes),
+                   text(options.min_suite_size),
+                   text(options.max_steps_per_run)});
 }
 
 std::string
@@ -624,44 +494,48 @@ VerdictStore::VerdictStore(VerdictStoreOptions options)
       cache_([&] {
           DiskCacheOptions dc;
           dc.dir = options.dir;
-          dc.version = options.version.empty()
-                           ? defaultToolchainVersion()
-                           : options.version;
-          dc.max_entries_per_shard = options.max_entries_per_shard;
-          dc.pre_publish_hook = options.pre_publish_hook;
+          dc.version = version_;
           return dc;
       }())
 {
 }
 
-std::optional<std::string>
-VerdictStore::findRaw(RunContext *ctx, const std::string &key)
+template <typename T>
+std::optional<T>
+VerdictStore::lookup(RunContext *ctx, const char *kind,
+                     const std::string &key, double max_minutes)
 {
-    std::optional<std::string> raw = cache_.find(key);
-    if (!raw)
-        countMiss(ctx);
-    return raw;
-}
-
-void
-VerdictStore::countMiss(RunContext *ctx)
-{
-    if (ctx)
-        ctx->count("repair.diskcache.misses");
+    std::optional<std::string> raw = cache_.find(fields({kind, key}));
+    T value;
+    bool invalid = raw && !decode(*raw, &value);
+    bool hit = raw && !invalid && savedMinutes(value) < max_minutes;
+    if (ctx) {
+        if (invalid)
+            ctx->count("repair.diskcache.invalid");
+        ctx->count(hit ? "repair.diskcache.hits"
+                       : "repair.diskcache.misses");
+    }
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.misses += 1;
+    if (!hit) {
+        stats_.misses += 1;
+        return std::nullopt;
+    }
+    stats_.hits += 1;
+    stats_.minutes_saved += savedMinutes(value);
+    return value;
 }
 
 void
-VerdictStore::storeRaw(RunContext *ctx, const std::string &key,
-                       const std::string &value)
+VerdictStore::put(RunContext *ctx, const char *kind, const std::string &key,
+                  const std::string &payload)
 {
     if (!cache_.enabled())
         return;
+    std::string raw_key = fields({kind, key});
     // Counted against the load-time snapshot — not the shared write
     // buffer — so a job's write count is a pure function of
     // (snapshot, job) and stays bit-identical at any thread count.
-    if (cache_.snapshotHas(key))
+    if (cache_.snapshotHas(raw_key))
         return;
     if (ctx)
         ctx->count("repair.diskcache.writes");
@@ -669,138 +543,66 @@ VerdictStore::storeRaw(RunContext *ctx, const std::string &key,
         std::lock_guard<std::mutex> lock(stats_mu_);
         stats_.writes += 1;
     }
-    cache_.put(key, value);
-}
-
-void
-VerdictStore::countSaved(double minutes)
-{
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.hits += 1;
-    stats_.minutes_saved += minutes;
-}
-
-void
-VerdictStore::countDecodeFailure(RunContext *ctx)
-{
-    if (ctx)
-        ctx->count("repair.diskcache.invalid");
-    countMiss(ctx);
+    cache_.put(raw_key, payload);
 }
 
 std::optional<hls::CompileResult>
-VerdictStore::findCompile(RunContext *ctx,
-                          const std::string &fingerprint)
+VerdictStore::findCompile(RunContext *ctx, const std::string &fingerprint)
 {
-    std::optional<std::string> raw =
-        findRaw(ctx, kindKey("compile", fingerprint));
-    if (!raw)
-        return std::nullopt;
-    std::optional<hls::CompileResult> decoded = decodeCompile(*raw);
-    if (!decoded) {
-        countDecodeFailure(ctx);
-        return std::nullopt;
-    }
-    if (ctx)
-        ctx->count("repair.diskcache.hits");
-    countSaved(decoded->synth_minutes);
-    return decoded;
+    return lookup<hls::CompileResult>(ctx, "compile", fingerprint);
 }
 
 void
-VerdictStore::storeCompile(RunContext *ctx,
-                           const std::string &fingerprint,
+VerdictStore::storeCompile(RunContext *ctx, const std::string &fingerprint,
                            const hls::CompileResult &result)
 {
-    if (result.tool_failure)
-        return; // never persisted — see the file comment
-    storeRaw(ctx, kindKey("compile", fingerprint),
-             encodeCompile(result));
+    if (!result.tool_failure) // never persisted — see the file comment
+        put(ctx, "compile", fingerprint, encode(result));
 }
 
 std::optional<DiffTestResult>
-VerdictStore::findDiffTest(RunContext *ctx, const std::string &key)
+VerdictStore::findDiffTest(RunContext *ctx, const std::string &fingerprint,
+                           const std::string &campaign)
 {
-    std::optional<std::string> raw =
-        findRaw(ctx, kindKey("difftest", key));
-    if (!raw)
-        return std::nullopt;
-    std::optional<DiffTestResult> decoded = decodeDiffTest(*raw);
-    if (!decoded) {
-        countDecodeFailure(ctx);
-        return std::nullopt;
-    }
-    if (ctx)
-        ctx->count("repair.diskcache.hits");
-    countSaved(decoded->sim_minutes);
-    return decoded;
+    return lookup<DiffTestResult>(ctx, "difftest",
+                                  fields({fingerprint, campaign}));
 }
 
 void
-VerdictStore::storeDiffTest(RunContext *ctx, const std::string &key,
+VerdictStore::storeDiffTest(RunContext *ctx, const std::string &fingerprint,
+                            const std::string &campaign,
                             const DiffTestResult &result)
 {
-    if (result.tool_failure)
-        return; // never persisted — see the file comment
-    storeRaw(ctx, kindKey("difftest", key), encodeDiffTest(result));
+    if (!result.tool_failure) // never persisted — see the file comment
+        put(ctx, "difftest", fields({fingerprint, campaign}),
+            encode(result));
 }
 
 std::optional<style::StyleReport>
-VerdictStore::findStyle(RunContext *ctx,
-                        const std::string &printed_program)
+VerdictStore::findStyle(RunContext *ctx, const std::string &printed_program)
 {
-    std::optional<std::string> raw =
-        findRaw(ctx, kindKey("style", printed_program));
-    if (!raw)
-        return std::nullopt;
-    std::optional<style::StyleReport> decoded = decodeStyle(*raw);
-    if (!decoded) {
-        countDecodeFailure(ctx);
-        return std::nullopt;
-    }
-    if (ctx)
-        ctx->count("repair.diskcache.hits");
-    countSaved(decoded->check_minutes);
-    return decoded;
+    return lookup<style::StyleReport>(ctx, "style", printed_program);
 }
 
 void
-VerdictStore::storeStyle(RunContext *ctx,
-                         const std::string &printed_program,
+VerdictStore::storeStyle(RunContext *ctx, const std::string &printed_program,
                          const style::StyleReport &report)
 {
-    storeRaw(ctx, kindKey("style", printed_program),
-             encodeStyle(report));
+    put(ctx, "style", printed_program, encode(report));
 }
 
 std::optional<StageRecord>
 VerdictStore::findStage(RunContext *ctx, const std::string &key,
                         double max_minutes)
 {
-    std::optional<std::string> raw =
-        findRaw(ctx, kindKey("stage", key));
-    if (!raw)
-        return std::nullopt;
-    std::optional<StageRecord> decoded = decodeStage(*raw);
-    if (!decoded) {
-        countDecodeFailure(ctx);
-        return std::nullopt;
-    }
-    if (!(decoded->testgen.sim_minutes < max_minutes)) {
-        countMiss(ctx);
-        return std::nullopt;
-    }
-    if (ctx)
-        ctx->count("repair.diskcache.hits");
-    countSaved(decoded->testgen.sim_minutes);
-    return decoded;
+    return lookup<StageRecord>(ctx, "stage", key, max_minutes);
 }
 
 void
 VerdictStore::storeStage(RunContext *ctx, const std::string &key,
                          const StageRecord &record)
 {
-    storeRaw(ctx, kindKey("stage", key), encodeStage(record));
+    put(ctx, "stage", key, encode(record));
 }
 
 VerdictStats

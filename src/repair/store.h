@@ -30,11 +30,21 @@
  * enclosing budget or cancellation cut short, and replays one only
  * when the record's minutes fit the run's remaining budgets, so a hit
  * is exactly what fuzzing would have produced.
+ *
+ * One codec (store.cc) builds every key and payload: integers in
+ * decimal, flags as 0/1, doubles as their exact 64-bit pattern in hex,
+ * lists joined by control-character separators. Keys are exact
+ * preimages, never hashes or display strings, so two evaluations share
+ * a key only when they are interchangeable. The raw DiskCache key of a
+ * record is "<kind>\x1f<key>", kind being compile, difftest, style or
+ * stage. A value that does not decode under its kind counts as one
+ * repair.diskcache.invalid plus one miss.
  */
 
 #ifndef HETEROGEN_REPAIR_STORE_H
 #define HETEROGEN_REPAIR_STORE_H
 
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -60,9 +70,9 @@ namespace heterogen::repair {
 std::string defaultCacheDir();
 
 /**
- * Version stamp persisted with every verdict: the store format plus
- * the simulator (hls::kSimulatorVersion) and style-checker
- * (style::kStyleCheckerVersion) versions. Bumping either tool version
+ * Version stamp persisted with every verdict: the store format (hgc2)
+ * plus the simulator (hls::kSimulatorVersion) and style-checker
+ * (style::kStyleCheckerVersion) versions. Bumping any of the three
  * invalidates every entry written under the old stamp.
  */
 std::string defaultToolchainVersion();
@@ -87,6 +97,25 @@ struct StageRecord
 };
 
 /**
+ * Stable identity of a candidate evaluation: the printed program plus
+ * every HlsConfig field that influences compilation or co-simulation,
+ * clock_mhz included bit for bit. Two fingerprints compare equal iff
+ * the evaluations are interchangeable. Keys the in-memory
+ * CandidateMemo and the compile records.
+ */
+std::string candidateFingerprint(const std::string &printed,
+                                 const hls::HlsConfig &config);
+
+/**
+ * Context of every difftest campaign over `oracle`: the printed
+ * original, the kernel, every suite case argument by argument (array
+ * elements and doubles exact), the sampling cap and the modeled
+ * workers. A difftest record is keyed by (candidateFingerprint, this).
+ */
+std::string difftestCampaignKey(const CpuOracle &oracle, int sample,
+                                int sim_workers);
+
+/**
  * Content key of a StageRecord: the printed source, the kernel and
  * every FuzzOptions field that shapes the campaign (threads and pool
  * are execution details and stay out). Budgets enclosing the campaign
@@ -104,10 +133,6 @@ struct VerdictStoreOptions
     /** Entry version; "" = defaultToolchainVersion(). Tests override
      * it to prove a simulated toolchain bump invalidates entries. */
     std::string version;
-    /** Per-shard entry cap (see DiskCacheOptions). */
-    int max_entries_per_shard = 2048;
-    /** Forwarded to DiskCacheOptions::pre_publish_hook (tests). */
-    std::function<bool(const std::string &)> pre_publish_hook;
 };
 
 /** Aggregate accounting of one VerdictStore (bench reporting). */
@@ -152,13 +177,15 @@ class VerdictStore
     void storeCompile(RunContext *ctx, const std::string &fingerprint,
                       const hls::CompileResult &result);
 
-    /** `key` must carry the campaign context too (original program,
-     * kernel, suite, sampling) — see Search::difftestDiskKey. */
-    std::optional<DiffTestResult> findDiffTest(RunContext *ctx,
-                                               const std::string &key);
+    /** The verdict of `fingerprint` under `campaign`, a
+     * difftestCampaignKey. */
+    std::optional<DiffTestResult>
+    findDiffTest(RunContext *ctx, const std::string &fingerprint,
+                 const std::string &campaign);
 
     /** No-op on tool_failure results (never persisted). */
-    void storeDiffTest(RunContext *ctx, const std::string &key,
+    void storeDiffTest(RunContext *ctx, const std::string &fingerprint,
+                       const std::string &campaign,
                        const DiffTestResult &result);
 
     std::optional<style::StyleReport>
@@ -188,14 +215,18 @@ class VerdictStore
     size_t snapshotSize() const { return cache_.snapshotSize(); }
 
   private:
-    std::optional<std::string> findRaw(RunContext *ctx,
-                                       const std::string &key);
-    void storeRaw(RunContext *ctx, const std::string &key,
-                  const std::string &value);
-    void countSaved(double minutes);
-    void countMiss(RunContext *ctx);
-    /** Decoding failed on a served value: treat as miss + invalid. */
-    void countDecodeFailure(RunContext *ctx);
+    /**
+     * The one lookup path: decode the `kind` record under `key` and
+     * count a hit, or a miss (plus an invalid when the value does not
+     * decode). A record whose minutes are not below `max_minutes`
+     * counts as a miss.
+     */
+    template <typename T>
+    std::optional<T>
+    lookup(RunContext *ctx, const char *kind, const std::string &key,
+           double max_minutes = std::numeric_limits<double>::infinity());
+    void put(RunContext *ctx, const char *kind, const std::string &key,
+             const std::string &payload);
 
     std::string version_;
     DiskCache cache_;

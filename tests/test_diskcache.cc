@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include "cir/parser.h"
+#include "cir/printer.h"
+#include "cir/sema.h"
 #include "core/heterogen.h"
+#include "repair/search.h"
 #include "repair/store.h"
 #include "service/service.h"
 #include "subjects/subjects.h"
@@ -402,12 +409,12 @@ TEST(VerdictStore, DiffTestAndStyleVerdictsRoundTrip)
                          SourceLoc{9, 2}});
     {
         repair::VerdictStore store(o);
-        store.storeDiffTest(nullptr, "dt-key", dt);
+        store.storeDiffTest(nullptr, "dt-fp", "dt-campaign", dt);
         store.storeStyle(nullptr, "int kernel() { return 0; }", sr);
         EXPECT_TRUE(store.flush());
     }
     repair::VerdictStore store(o);
-    auto dhit = store.findDiffTest(nullptr, "dt-key");
+    auto dhit = store.findDiffTest(nullptr, "dt-fp", "dt-campaign");
     ASSERT_TRUE(dhit.has_value());
     EXPECT_EQ(dhit->total, 16);
     EXPECT_EQ(dhit->identical, 14);
@@ -434,7 +441,7 @@ TEST(VerdictStore, ToolFailuresAreNeverPersisted)
         store.storeCompile(nullptr, "fp", broken);
         repair::DiffTestResult dt;
         dt.tool_failure = true;
-        store.storeDiffTest(nullptr, "dt", dt);
+        store.storeDiffTest(nullptr, "dt", "campaign", dt);
         EXPECT_EQ(store.stats().writes, 0);
         EXPECT_EQ(store.diskStats().writes, 0);
         store.flush();
@@ -442,7 +449,7 @@ TEST(VerdictStore, ToolFailuresAreNeverPersisted)
     repair::VerdictStore store(o);
     EXPECT_EQ(store.snapshotSize(), 0u);
     EXPECT_FALSE(store.findCompile(nullptr, "fp").has_value());
-    EXPECT_FALSE(store.findDiffTest(nullptr, "dt").has_value());
+    EXPECT_FALSE(store.findDiffTest(nullptr, "dt", "campaign").has_value());
 }
 
 TEST(VerdictStore, ToolchainVersionBumpInvalidatesVerdicts)
@@ -464,6 +471,174 @@ TEST(VerdictStore, ToolchainVersionBumpInvalidatesVerdicts)
     EXPECT_EQ(store.diskStats().invalid, 1);
     EXPECT_EQ(store.snapshotSize(), 0u);
     EXPECT_FALSE(store.findCompile(nullptr, "fp").has_value());
+}
+
+// --- VerdictStore: malformed payloads ------------------------------------
+
+/** `payload` with its `index`-th `sep`-separated field replaced. */
+std::string
+withField(const std::string &payload, size_t index,
+          const std::string &value, char sep = '\x1f')
+{
+    std::vector<std::string> fields = split(payload, sep);
+    fields.at(index) = value;
+    return join(fields, std::string(1, sep));
+}
+
+/**
+ * Cache files are input from outside the program. Store `write` as the
+ * valid record under `key`, read its payload back through a raw
+ * DiskCache, then check that `find` serves the valid payload and
+ * rejects each malformed variant `mangle` makes of it — as one
+ * repair.diskcache.invalid plus one miss.
+ */
+void
+expectMalformedRejected(
+    const std::string &kind, const std::string &key,
+    const std::function<void(repair::VerdictStore &)> &write,
+    const std::function<bool(repair::VerdictStore &, RunContext &)> &find,
+    const std::function<std::map<std::string, std::string>(
+        const std::string &)> &mangle)
+{
+    std::string raw_key = kind + '\x1f' + key;
+    DiskCacheOptions raw_opts;
+    raw_opts.version = repair::defaultToolchainVersion();
+    repair::VerdictStoreOptions o;
+    o.dir = raw_opts.dir = freshDir("bad-" + kind);
+    {
+        repair::VerdictStore store(o);
+        write(store);
+        ASSERT_TRUE(store.flush());
+    }
+    std::optional<std::string> good = DiskCache(raw_opts).find(raw_key);
+    ASSERT_TRUE(good.has_value()) << kind;
+    {
+        repair::VerdictStore store(o);
+        RunContext ctx;
+        ASSERT_TRUE(find(store, ctx)) << kind;
+    }
+    for (const auto &[what, payload] : mangle(*good)) {
+        raw_opts.dir = o.dir = freshDir("bad-" + kind);
+        {
+            DiskCache raw(raw_opts);
+            raw.put(raw_key, payload);
+            ASSERT_TRUE(raw.flush());
+        }
+        repair::VerdictStore store(o);
+        RunContext ctx;
+        EXPECT_FALSE(find(store, ctx)) << kind << ": " << what;
+        EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.invalid"), 1)
+            << kind << ": " << what;
+        EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.misses"), 1)
+            << kind << ": " << what;
+        EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.hits"), 0)
+            << kind << ": " << what;
+        EXPECT_EQ(store.stats().misses, 1) << kind << ": " << what;
+    }
+}
+
+/** Mangles every record kind shares: cut short, one field too many. */
+std::map<std::string, std::string>
+shapeMangles(const std::string &good)
+{
+    return {{"truncated", good.substr(0, good.size() / 2)},
+            {"extra field", good + '\x1f' + "0"}};
+}
+
+TEST(VerdictStore, MalformedCompilePayloadsAreInvalidMisses)
+{
+    hls::CompileResult r;
+    r.synth_minutes = 12.5;
+    hls::HlsError e;
+    e.code = "XFORM 202-876";
+    e.message = "recursive call";
+    e.category = hls::ErrorCategory::LoopParallelization;
+    r.errors.push_back(e);
+    expectMalformedRejected(
+        "compile", "fp",
+        [&](repair::VerdictStore &s) { s.storeCompile(nullptr, "fp", r); },
+        [](repair::VerdictStore &s, RunContext &ctx) {
+            return s.findCompile(&ctx, "fp").has_value();
+        },
+        [](const std::string &good) {
+            auto bad = shapeMangles(good);
+            bad["non-hex double"] = withField(good, 1, "12.5");
+            std::string error = split(good, '\x1f').at(4);
+            bad["category out of range"] = withField(
+                good, 4,
+                withField(error, 2,
+                          std::to_string(hls::kNumErrorCategories),
+                          '\x1d'));
+            return bad;
+        });
+}
+
+TEST(VerdictStore, MalformedDiffTestPayloadsAreInvalidMisses)
+{
+    repair::DiffTestResult dt;
+    dt.total = 4;
+    dt.identical = 3;
+    dt.failing = {2};
+    dt.cpu_millis = 1.0625;
+    expectMalformedRejected(
+        "difftest", std::string("fp") + '\x1f' + "campaign",
+        [&](repair::VerdictStore &s) {
+            s.storeDiffTest(nullptr, "fp", "campaign", dt);
+        },
+        [](repair::VerdictStore &s, RunContext &ctx) {
+            return s.findDiffTest(&ctx, "fp", "campaign").has_value();
+        },
+        [](const std::string &good) {
+            auto bad = shapeMangles(good);
+            bad["non-hex double"] = withField(good, 3, "1.0625");
+            return bad;
+        });
+}
+
+TEST(VerdictStore, MalformedStylePayloadsAreInvalidMisses)
+{
+    style::StyleReport sr;
+    sr.issues.push_back({"pointer arithmetic is not synthesizable",
+                         SourceLoc{9, 2}});
+    expectMalformedRejected(
+        "style", "program",
+        [&](repair::VerdictStore &s) {
+            s.storeStyle(nullptr, "program", sr);
+        },
+        [](repair::VerdictStore &s, RunContext &ctx) {
+            return s.findStyle(&ctx, "program").has_value();
+        },
+        [](const std::string &good) {
+            auto bad = shapeMangles(good);
+            bad["non-hex double"] = withField(good, 0, "0.05");
+            return bad;
+        });
+}
+
+TEST(VerdictStore, MalformedStagePayloadsAreInvalidMisses)
+{
+    repair::StageRecord r;
+    r.testgen.suite.add({interp::KernelArg::ofInt(5)});
+    r.testgen.sim_minutes = 12.5;
+    r.fuzz_counters = {{"fuzz.executions", 3}};
+    expectMalformedRejected(
+        "stage", "key",
+        [&](repair::VerdictStore &s) { s.storeStage(nullptr, "key", r); },
+        [](repair::VerdictStore &s, RunContext &ctx) {
+            return s.findStage(&ctx, "key", 1e9).has_value();
+        },
+        [](const std::string &good) {
+            auto bad = shapeMangles(good);
+            bad["non-hex double"] = withField(good, 1, "12.5");
+            // The suite field: case count, then the one case's one
+            // argument, whose first part is its KernelArg::Kind.
+            std::string suite = split(good, '\x1f').at(4);
+            std::string arg = split(suite, '\x1e').at(1);
+            bad["argument kind out of range"] = withField(
+                good, 4,
+                withField(suite, 1, withField(arg, 0, "4", ':'), '\x1e'));
+            return bad;
+        });
 }
 
 // --- cache_dir validation surface ----------------------------------------
@@ -704,6 +879,112 @@ TEST(WarmStart, ArmedFaultPlanBypassesTheDiskEntirely)
     EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.writes"), 0);
     EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.hits"), 0);
     EXPECT_TRUE(shardFiles(dir).empty());
+}
+
+// --- difftest verdicts are keyed by the exact suite -----------------------
+
+/** One repair search of `candidate` against `original` over `suite`,
+ * with `store` lent to it (null = memory only). */
+struct SuiteSearch
+{
+    repair::SearchResult result;
+    int64_t campaigns = 0;
+    int64_t disk_hits = 0;
+};
+
+SuiteSearch
+searchOverSuite(const char *original, const char *candidate,
+                const fuzz::TestSuite &suite, repair::VerdictStore *store)
+{
+    cir::TuPtr orig = cir::parse(original);
+    cir::analyzeOrDie(*orig);
+    cir::TuPtr cand = cir::parse(candidate);
+    cir::analyzeOrDie(*cand);
+    repair::CpuOracle oracle(*orig, "kernel", suite);
+    repair::SearchOptions options;
+    options.budget_minutes = 60;
+    options.verdict_store = store;
+    interp::ValueProfile profile;
+    RunContext ctx;
+    SuiteSearch run;
+    run.result = repair::repairSearch(ctx, oracle, *cand,
+                                      hls::HlsConfig::forTop("kernel"),
+                                      profile, options);
+    run.campaigns = ctx.trace().counterTotal("difftest.campaigns");
+    run.disk_hits = ctx.trace().counterTotal("repair.diskcache.hits");
+    return run;
+}
+
+/**
+ * Warm a store with the search over `suite_a`, then search the same
+ * candidate over `suite_b`: B must run every campaign itself (no
+ * difftest verdict of A's served) and end exactly as a cold search on
+ * B does.
+ */
+void
+expectSuiteKeysApart(const char *original, const char *candidate,
+                     const fuzz::TestSuite &suite_a,
+                     const fuzz::TestSuite &suite_b)
+{
+    SuiteSearch cold_b = searchOverSuite(original, candidate, suite_b,
+                                         nullptr);
+    ASSERT_GT(cold_b.campaigns, 0);
+
+    repair::VerdictStoreOptions o;
+    o.dir = freshDir("suite-key");
+    {
+        repair::VerdictStore store(o);
+        SuiteSearch a = searchOverSuite(original, candidate, suite_a,
+                                        &store);
+        ASSERT_GT(a.campaigns, 0);
+        ASSERT_NE(a.result.behavior_preserved,
+                  cold_b.result.behavior_preserved);
+        ASSERT_TRUE(store.flush());
+    }
+    repair::VerdictStore store(o);
+    SuiteSearch warm_b = searchOverSuite(original, candidate, suite_b,
+                                         &store);
+    // The compile and style verdicts do carry over: B saw the store.
+    EXPECT_GT(warm_b.disk_hits, 0);
+    EXPECT_EQ(warm_b.campaigns, cold_b.campaigns)
+        << "a difftest verdict of suite A was served to suite B";
+    EXPECT_EQ(warm_b.result.behavior_preserved,
+              cold_b.result.behavior_preserved);
+    EXPECT_EQ(warm_b.result.pass_ratio, cold_b.result.pass_ratio);
+    EXPECT_EQ(warm_b.result.iterations, cold_b.result.iterations);
+    EXPECT_EQ(warm_b.result.sim_minutes, cold_b.result.sim_minutes);
+    EXPECT_EQ(cir::print(*warm_b.result.program),
+              cir::print(*cold_b.result.program));
+}
+
+TEST(DifftestKey, SuitesDifferingOnlyAtArrayElementNineKeyApart)
+{
+    // The original reads a[9]; the candidate ignores it, so it agrees
+    // with the original on A (a[9] = 0) and diverges on B (a[9] = 7).
+    const char *original =
+        "int kernel(int a[16]) { return a[9] > 5 ? 1 : 0; }";
+    const char *candidate = "int kernel(int a[16]) { return 0; }";
+    std::vector<long> elems(16, 1);
+    elems[9] = 0;
+    fuzz::TestSuite suite_a;
+    suite_a.add({interp::KernelArg::ofInts(elems)});
+    elems[9] = 7;
+    fuzz::TestSuite suite_b;
+    suite_b.add({interp::KernelArg::ofInts(elems)});
+    expectSuiteKeysApart(original, candidate, suite_a, suite_b);
+}
+
+TEST(DifftestKey, SuitesDifferingOnlyInTheSeventhDigitKeyApart)
+{
+    // 1.234567 and 1.234568 print alike at six significant digits.
+    const char *original =
+        "int kernel(float x) { return x > 1.2345675 ? 1 : 0; }";
+    const char *candidate = "int kernel(float x) { return 0; }";
+    fuzz::TestSuite suite_a;
+    suite_a.add({interp::KernelArg::ofFloat(1.234567)});
+    fuzz::TestSuite suite_b;
+    suite_b.add({interp::KernelArg::ofFloat(1.234568)});
+    expectSuiteKeysApart(original, candidate, suite_a, suite_b);
 }
 
 // --- stage 1-2 records ----------------------------------------------------
@@ -1046,6 +1327,70 @@ TEST(WarmStart, StreamingSubjectWarmRunSkipsEveryCompile)
     expectIdenticalReports(cold.report, warm.report);
     EXPECT_GT(warm.disk_hits, 0);
     EXPECT_EQ(warm.hls_compiles, 0);
+}
+
+// --- stale-cache guard ----------------------------------------------------
+
+/**
+ * Digest of everything a directory persists: the sorted (key hash,
+ * value) pairs of its shard lines, generation stamps left out. Every
+ * line must be valid under `version`.
+ */
+std::string
+persistedDigest(const std::string &dir, const std::string &version)
+{
+    std::vector<std::string> records;
+    for (const std::string &shard : shardFiles(dir)) {
+        std::ifstream in(shard);
+        std::string line;
+        while (std::getline(in, line)) {
+            std::vector<std::string> f = split(line, '\t');
+            EXPECT_EQ(f.size(), 6u) << line;
+            if (f.size() == 6 && f[2] == version)
+                records.push_back(f[1] + '\t' + f[4]);
+        }
+    }
+    std::sort(records.begin(), records.end());
+    repair::VerdictStoreOptions o;
+    o.dir = dir;
+    repair::VerdictStore store(o);
+    EXPECT_EQ(store.diskStats().invalid, 0);
+    EXPECT_EQ(store.snapshotSize(), records.size());
+    return std::to_string(records.size()) + ":" +
+           DiskCache::keyHash(join(records, "\n"));
+}
+
+TEST(StaleCacheGuard, PersistedVerdictsMoveOnlyWithTheVersion)
+{
+    // A warm cache serves whatever an older build persisted, as long as
+    // the version stamp matches. So a change to the code behind any
+    // verdict or stage record must come with a version bump. Pinned:
+    // the stamp and the digest of what cold runs of these subjects
+    // persist.
+    const std::string pinned_version = "hgc2;sim=2022.1-sim2;style=sc-1";
+    const std::string pinned_digest = "23:e0f9f8e2d19eddc6469f7967b9d98934";
+
+    std::string dir = freshDir("guard");
+    ASSERT_TRUE(runCached(cachedOptions(dir)).report.ok());
+    const subjects::Subject &s3 = subjects::subjectById("S3");
+    ASSERT_TRUE(
+        runCached(streamCachedOptions(s3, dir), s3.source).report.ok());
+    std::string version = repair::defaultToolchainVersion();
+    std::string digest = persistedDigest(dir, version);
+    if (version == pinned_version) {
+        EXPECT_EQ(digest, pinned_digest)
+            << "What the verdict store persists changed, but its version "
+               "stamp did not: a warm cache from an older build would "
+               "serve stale verdicts. Bump hls::kSimulatorVersion "
+               "(src/hls/compiler.h), or the store format stamp in "
+               "repair::defaultToolchainVersion() (src/repair/store.cc) "
+               "when the codec changed, then re-pin this test with the "
+               "new version and digest.";
+    } else {
+        ADD_FAILURE() << "The store version moved to '" << version
+                      << "': re-pin this test with that version and "
+                         "digest '" << digest << "'.";
+    }
 }
 
 // --- shared cache under the conversion service ---------------------------

@@ -8,6 +8,7 @@
 #include "cir/sema.h"
 #include "core/heterogen.h"
 #include "repair/memo.h"
+#include "repair/store.h"
 #include "support/strings.h"
 
 namespace heterogen::repair {
@@ -28,10 +29,10 @@ TEST(CandidateFingerprint, IdenticalProgramsAgree)
     auto a = program("int kernel(int x) { return x + 1; }");
     auto b = program("int kernel(int x) { return x + 1; }");
     hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
-    EXPECT_EQ(candidateFingerprint(*a, config),
-              candidateFingerprint(*b, config));
-    EXPECT_EQ(candidateFingerprint(*a, config),
-              candidateFingerprint(*a->clone(), config));
+    EXPECT_EQ(candidateFingerprint(cir::print(*a), config),
+              candidateFingerprint(cir::print(*b), config));
+    EXPECT_EQ(candidateFingerprint(cir::print(*a), config),
+              candidateFingerprint(cir::print(*a->clone()), config));
 }
 
 TEST(CandidateFingerprint, OneTokenChangeMisses)
@@ -39,29 +40,44 @@ TEST(CandidateFingerprint, OneTokenChangeMisses)
     auto a = program("int kernel(int x) { return x + 1; }");
     auto b = program("int kernel(int x) { return x + 2; }");
     hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
-    EXPECT_NE(candidateFingerprint(*a, config),
-              candidateFingerprint(*b, config));
+    EXPECT_NE(candidateFingerprint(cir::print(*a), config),
+              candidateFingerprint(cir::print(*b), config));
 }
 
 TEST(CandidateFingerprint, ConfigChangeMisses)
 {
-    auto tu = program("int kernel(int x) { return x + 1; }");
+    std::string printed =
+        cir::print(*program("int kernel(int x) { return x + 1; }"));
     hls::HlsConfig base = hls::HlsConfig::forTop("kernel");
 
     hls::HlsConfig other_top = base;
     other_top.top_function = "main";
-    EXPECT_NE(candidateFingerprint(*tu, base),
-              candidateFingerprint(*tu, other_top));
+    EXPECT_NE(candidateFingerprint(printed, base),
+              candidateFingerprint(printed, other_top));
 
     hls::HlsConfig other_clock = base;
     other_clock.clock_mhz = 300.0;
-    EXPECT_NE(candidateFingerprint(*tu, base),
-              candidateFingerprint(*tu, other_clock));
+    EXPECT_NE(candidateFingerprint(printed, base),
+              candidateFingerprint(printed, other_clock));
 
     hls::HlsConfig other_device = base;
     other_device.device = "xc7z020";
-    EXPECT_NE(candidateFingerprint(*tu, base),
-              candidateFingerprint(*tu, other_device));
+    EXPECT_NE(candidateFingerprint(printed, base),
+              candidateFingerprint(printed, other_device));
+}
+
+TEST(CandidateFingerprint, ClockChangeBelowOneMicroMegahertzMisses)
+{
+    // The clock is part of the key bit for bit: two clocks that agree
+    // to six decimals are still two configurations.
+    std::string printed = cir::print(*program(
+        "int kernel(int x) { return x + 1; }"));
+    hls::HlsConfig base = hls::HlsConfig::forTop("kernel");
+    base.clock_mhz = 250.0;
+    hls::HlsConfig nudged = base;
+    nudged.clock_mhz = 250.0000001;
+    EXPECT_NE(candidateFingerprint(printed, base),
+              candidateFingerprint(printed, nudged));
 }
 
 TEST(CandidateFingerprint, StreamDepthChangeMisses)
@@ -70,22 +86,23 @@ TEST(CandidateFingerprint, StreamDepthChangeMisses)
     // Two candidates differing only in config.stream_depth must never
     // share a verdict — a depth-2 deadlock verdict served to a depth-64
     // candidate would mask the stream_depth repair entirely.
-    auto tu = program("int kernel(int x) { return x + 1; }");
+    std::string printed =
+        cir::print(*program("int kernel(int x) { return x + 1; }"));
     hls::HlsConfig shallow = hls::HlsConfig::forTop("kernel");
     shallow.stream_depth = 2;
     hls::HlsConfig deep = shallow;
     deep.stream_depth = 64;
-    EXPECT_NE(candidateFingerprint(*tu, shallow),
-              candidateFingerprint(*tu, deep));
+    EXPECT_NE(candidateFingerprint(printed, shallow),
+              candidateFingerprint(printed, deep));
 
     CandidateMemo memo;
     hls::CompileResult deadlocked;
     deadlocked.ok = false;
-    memo.storeCompile(candidateFingerprint(*tu, shallow), deadlocked);
+    memo.storeCompile(candidateFingerprint(printed, shallow), deadlocked);
     EXPECT_TRUE(
-        memo.findCompile(candidateFingerprint(*tu, shallow)).has_value());
+        memo.findCompile(candidateFingerprint(printed, shallow)).has_value());
     EXPECT_FALSE(
-        memo.findCompile(candidateFingerprint(*tu, deep)).has_value());
+        memo.findCompile(candidateFingerprint(printed, deep)).has_value());
 }
 
 // --- the memo itself -----------------------------------------------------
