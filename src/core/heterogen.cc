@@ -155,7 +155,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         stage_key = repair::stageRecordKey(printed, options.kernel,
                                            fuzz_opts);
         if (!ctx.shouldStop())
-            replay = store->findStage(&ctx, stage_key, ctx.headroom());
+            replay = store->findStage(ctx, stage_key, ctx.headroom());
     }
 
     // (1) Test input generation (opens the "fuzz" span).
@@ -192,7 +192,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
             if (startsWith(key, "fuzz."))
                 record.fuzz_counters[key] = value;
         }
-        store->storeStage(&ctx, stage_key, record);
+        store->storeStage(ctx, stage_key, record);
     }
 
     cir::TuPtr broken = tu_->clone();
@@ -221,7 +221,6 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
 
     report.hls_source = cir::print(*report.search.program);
     report.final_loc = countLines(report.hls_source);
-    report.degradations = report.search.degradations;
     report.total_minutes = pipeline.minutes();
     report.trace_json = ctx.traceJson();
     return report;

@@ -131,15 +131,13 @@ struct HeteroGenReport
      * documented in docs/TRACING.md; parse with parseTraceJson).
      */
     std::string trace_json;
-    /**
-     * Permanent toolchain failures the pipeline degraded around
-     * ("site: consequence", from SearchResult::degradations). Empty on
-     * a clean run. A degraded run never reports ok(): its artifacts
-     * are best-effort, not verified.
-     */
-    std::vector<std::string> degradations;
 
-    bool degraded() const { return !degradations.empty(); }
+    /**
+     * Did the pipeline degrade around a permanent toolchain failure
+     * (search.degradations)? A degraded run never reports ok(): its
+     * artifacts are best-effort, not verified.
+     */
+    bool degraded() const { return search.degraded(); }
 
     bool ok() const
     {

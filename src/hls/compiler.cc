@@ -33,8 +33,6 @@ HlsToolchain::compile(const TranslationUnit &tu)
     });
     result.synth_minutes = synthMinutes(result.loc, num_pragmas,
                                         int(tu.structs.size()));
-    stats_.compile_invocations += 1;
-    stats_.total_minutes += result.synth_minutes;
 
     result.errors = checkSynthesizability(tu, config_);
     if (!result.errors.empty())
@@ -70,19 +68,6 @@ HlsToolchain::compile(RunContext &ctx, const TranslationUnit &tu)
     for (const HlsError &error : result.errors)
         ctx.count("hls.errors." + categorySlug(error.category));
     return result;
-}
-
-FpgaRunResult
-HlsToolchain::cosim(const FpgaDesign &design, const std::string &kernel,
-                    const std::vector<interp::KernelArg> &args,
-                    interp::RunOptions options)
-{
-    FpgaRunResult r = simulateFpga(design, config_, kernel, args,
-                                   std::move(options));
-    stats_.cosim_invocations += 1;
-    // RTL co-simulation cost scales with executed work.
-    stats_.total_minutes += 0.2 + double(r.run.steps) / 5.0e6;
-    return r;
 }
 
 } // namespace heterogen::hls

@@ -2,13 +2,15 @@
  * @file
  * The simulated HLS toolchain facade.
  *
- * Bundles synthesizability checking, scheduling/resource allocation and
- * co-simulation behind one interface, and — critically for reproducing the
- * paper — charges a realistic wall-clock cost per full toolchain
- * invocation. HeteroGen's two search optimizations (style-check early
- * rejection, dependence-ordered exploration) exist precisely because this
- * cost dwarfs a C run; Figure 9 measures both against the accounting this
- * class keeps.
+ * Bundles synthesizability checking and scheduling/resource allocation
+ * behind one interface, and — critically for reproducing the paper —
+ * prices each full toolchain invocation at a realistic wall-clock cost.
+ * HeteroGen's two search optimizations (style-check early rejection,
+ * dependence-ordered exploration) exist precisely because this cost
+ * dwarfs a C run; Figure 9 measures both against the run trace, where
+ * compile(ctx, tu) charges the minutes and counts hls.compiles.
+ * Co-simulation is priced by the difftest campaign (repair/difftest.h)
+ * over hls::simulateFpga.
  */
 
 #ifndef HETEROGEN_HLS_COMPILER_H
@@ -19,7 +21,6 @@
 #include "cir/ast.h"
 #include "hls/config.h"
 #include "hls/errors.h"
-#include "hls/fpga_model.h"
 #include "hls/resource.h"
 
 namespace heterogen {
@@ -57,18 +58,7 @@ struct CompileResult
     int loc = 0;
 };
 
-/** Cumulative toolchain usage for ablation reporting. */
-struct ToolchainStats
-{
-    int compile_invocations = 0;
-    int cosim_invocations = 0;
-    double total_minutes = 0;
-};
-
-/**
- * One toolchain instance bound to a configuration. Thread-compatible:
- * use one instance per search.
- */
+/** One toolchain instance bound to a configuration. */
 class HlsToolchain
 {
   public:
@@ -98,21 +88,11 @@ class HlsToolchain
      */
     CompileResult compile(RunContext &ctx, const cir::TranslationUnit &tu);
 
-    /** Co-simulate the kernel (charges simulation cost). */
-    FpgaRunResult cosim(const FpgaDesign &design,
-                        const std::string &kernel,
-                        const std::vector<interp::KernelArg> &args,
-                        interp::RunOptions options = {});
-
-    const ToolchainStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ToolchainStats{}; }
-
     /** Cost model for one full synthesis of a design of `loc` lines. */
     static double synthMinutes(int loc, int num_pragmas, int num_structs);
 
   private:
     HlsConfig config_;
-    ToolchainStats stats_;
 };
 
 } // namespace heterogen::hls

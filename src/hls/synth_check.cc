@@ -8,7 +8,6 @@
 #include "cir/sema.h"
 #include "cir/walk.h"
 #include "hls/dataflow.h"
-#include "support/run_context.h"
 
 namespace heterogen::hls {
 
@@ -729,19 +728,6 @@ std::vector<HlsError>
 checkSynthesizability(const TranslationUnit &tu, const HlsConfig &config)
 {
     return Checker(tu, config).run();
-}
-
-std::vector<HlsError>
-checkSynthesizability(RunContext &ctx, const TranslationUnit &tu,
-                      const HlsConfig &config)
-{
-    if (!admitFaultSite(ctx, "hls.synth_check"))
-        return {diag::toolFailure("hls.synth_check")};
-    std::vector<HlsError> errors = Checker(tu, config).run();
-    ctx.count("hls.synth_checks");
-    for (const HlsError &error : errors)
-        ctx.count("hls.errors." + categorySlug(error.category));
-    return errors;
 }
 
 } // namespace heterogen::hls

@@ -19,10 +19,6 @@
 #include "hls/config.h"
 #include "hls/errors.h"
 
-namespace heterogen {
-class RunContext;
-}
-
 namespace heterogen::hls {
 
 /**
@@ -30,20 +26,6 @@ namespace heterogen::hls {
  * the synthesis front end.
  */
 std::vector<HlsError> checkSynthesizability(const cir::TranslationUnit &tu,
-                                            const HlsConfig &config);
-
-/**
- * Spine-aware variant: additionally bumps hls.synth_checks and one
- * hls.errors.<category-slug> counter per diagnostic on the current
- * trace span (support/run_context.h). Check outcome is identical.
- *
- * Also the "hls.synth_check" fault site: with a FaultPlan armed on the
- * context, a fault that persists through every retry yields a single
- * diag::toolFailure diagnostic instead of running the checker (and no
- * hls.synth_checks bump).
- */
-std::vector<HlsError> checkSynthesizability(RunContext &ctx,
-                                            const cir::TranslationUnit &tu,
                                             const HlsConfig &config);
 
 /**

@@ -6,6 +6,7 @@
 #ifndef HETEROGEN_REPAIR_AST_BUILD_H
 #define HETEROGEN_REPAIR_AST_BUILD_H
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -63,6 +64,16 @@ declStmt(cir::TypePtr type, const std::string &name,
 {
     return std::make_unique<cir::DeclStmt>(std::move(type), name,
                                            std::move(init));
+}
+
+inline cir::StmtPtr
+makePragma(cir::PragmaKind kind,
+           std::map<std::string, std::string> params = {})
+{
+    cir::PragmaInfo info;
+    info.kind = kind;
+    info.params = std::move(params);
+    return std::make_unique<cir::PragmaStmt>(std::move(info));
 }
 
 inline cir::BlockPtr

@@ -5,39 +5,36 @@
 
 namespace heterogen::repair {
 
-void
-CandidateMemo::count(int MemoStats::*field, const char *trace_key)
+template <typename T, typename Disk>
+std::optional<T>
+CandidateMemo::find(std::optional<T> Entry::*slot, const char *kind,
+                    const std::string &fingerprint, MemoLayer *layer,
+                    Disk disk)
 {
-    stats_.*field += 1;
-    if (ctx_)
-        ctx_->count(trace_key);
+    const std::string counter = std::string("repair.memo.") + kind;
+    auto it = entries_.find(fingerprint);
+    if (it != entries_.end() && it->second.*slot) {
+        ctx_.count(counter + "_hits");
+        if (layer)
+            *layer = MemoLayer::Memory;
+        return it->second.*slot;
+    }
+    ctx_.count(counter + "_misses");
+    std::optional<T> found = store_ ? disk() : std::nullopt;
+    if (found)
+        entries_[fingerprint].*slot = found;
+    if (layer)
+        *layer = found ? MemoLayer::Disk : MemoLayer::None;
+    return found;
 }
 
 std::optional<hls::CompileResult>
 CandidateMemo::findCompile(const std::string &fingerprint,
                            MemoLayer *layer)
 {
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end() && it->second.compile) {
-        count(&MemoStats::compile_hits, "repair.memo.compile_hits");
-        if (layer)
-            *layer = MemoLayer::Memory;
-        return it->second.compile;
-    }
-    count(&MemoStats::compile_misses, "repair.memo.compile_misses");
-    if (store_) {
-        std::optional<hls::CompileResult> disk =
-            store_->findCompile(ctx_, fingerprint);
-        if (disk) {
-            entries_[fingerprint].compile = disk;
-            if (layer)
-                *layer = MemoLayer::Disk;
-            return disk;
-        }
-    }
-    if (layer)
-        *layer = MemoLayer::None;
-    return std::nullopt;
+    return find(&Entry::compile, "compile", fingerprint, layer, [&] {
+        return store_->findCompile(ctx_, fingerprint);
+    });
 }
 
 void
@@ -54,27 +51,13 @@ CandidateMemo::findDiffTest(const std::string &fingerprint,
                             const std::string &campaign,
                             MemoLayer *layer)
 {
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end() && it->second.difftest) {
-        count(&MemoStats::difftest_hits, "repair.memo.difftest_hits");
-        if (layer)
-            *layer = MemoLayer::Memory;
-        return it->second.difftest;
-    }
-    count(&MemoStats::difftest_misses, "repair.memo.difftest_misses");
-    if (store_ && !campaign.empty()) {
-        std::optional<DiffTestResult> disk =
-            store_->findDiffTest(ctx_, fingerprint, campaign);
-        if (disk) {
-            entries_[fingerprint].difftest = disk;
-            if (layer)
-                *layer = MemoLayer::Disk;
-            return disk;
-        }
-    }
-    if (layer)
-        *layer = MemoLayer::None;
-    return std::nullopt;
+    return find(&Entry::difftest, "difftest", fingerprint, layer,
+                [&]() -> std::optional<DiffTestResult> {
+                    if (campaign.empty())
+                        return std::nullopt;
+                    return store_->findDiffTest(ctx_, fingerprint,
+                                                campaign);
+                });
 }
 
 void
@@ -85,13 +68,6 @@ CandidateMemo::storeDiffTest(const std::string &fingerprint,
     entries_[fingerprint].difftest = result;
     if (store_ && !campaign.empty())
         store_->storeDiffTest(ctx_, fingerprint, campaign, result);
-}
-
-void
-CandidateMemo::clear()
-{
-    entries_.clear();
-    stats_ = MemoStats{};
 }
 
 } // namespace heterogen::repair

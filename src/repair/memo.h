@@ -48,44 +48,21 @@ enum class MemoLayer
     Disk,   ///< persistent L2 (replay: charge stored minutes)
 };
 
-/** Hit/miss counters of one memo (mirrored into SearchResult). */
-struct MemoStats
-{
-    int compile_hits = 0;
-    int compile_misses = 0;
-    int difftest_hits = 0;
-    int difftest_misses = 0;
-
-    int hits() const { return compile_hits + difftest_hits; }
-    int misses() const { return compile_misses + difftest_misses; }
-
-    /** Fraction of lookups answered from cache, in [0,1]. */
-    double
-    hitRate() const
-    {
-        int lookups = hits() + misses();
-        return lookups == 0 ? 0.0 : double(hits()) / double(lookups);
-    }
-};
-
 /**
  * Cache of candidate evaluations keyed by candidateFingerprint().
  *
- * Counter ownership: when constructed with a RunContext, every hit and
- * miss is counted on that context's trace (repair.memo.* on the span
- * open at lookup time) as the single authoritative copy — under the
+ * Every hit and miss is counted on the owning context's trace
+ * (repair.memo.{compile,difftest}_{hits,misses} on the span open at
+ * lookup time), the one record of the memo's work: under the
  * conversion service many jobs run concurrently, and routing the
- * counters through the *owning* context keeps each job's stats exact
- * instead of mingling them in shared state. The local MemoStats mirror
- * is kept in lockstep for result reporting (SearchResult::memo).
+ * counters through each job's own context keeps them exact instead of
+ * mingling them in shared state.
  */
 class CandidateMemo
 {
   public:
-    CandidateMemo() = default;
-
-    /** Counters additionally land on ctx's trace (repair.memo.*). */
-    explicit CandidateMemo(RunContext *ctx) : ctx_(ctx) {}
+    /** Lookups are counted on ctx's trace (repair.memo.*). */
+    explicit CandidateMemo(RunContext &ctx) : ctx_(ctx) {}
 
     /**
      * Attach (or detach, with nullptr) the persistent L2. L1 misses
@@ -96,8 +73,8 @@ class CandidateMemo
 
     /**
      * Cached compile outcome for the fingerprint, or nullopt on miss.
-     * Counts one hit or miss (an L2 hit counts as a memo hit — the
-     * lookup was answered without running the toolchain).
+     * Counts one L1 hit or miss; an L2 answer counts as an L1 miss
+     * and a repair.diskcache hit.
      */
     std::optional<hls::CompileResult>
     findCompile(const std::string &fingerprint,
@@ -124,9 +101,7 @@ class CandidateMemo
                        const DiffTestResult &result,
                        const std::string &campaign = "");
 
-    const MemoStats &stats() const { return stats_; }
     size_t size() const { return entries_.size(); }
-    void clear();
 
   private:
     struct Entry
@@ -135,15 +110,21 @@ class CandidateMemo
         std::optional<DiffTestResult> difftest;
     };
 
-    /** Bump stats_ and, when owned, the context's trace counter. */
-    void count(int MemoStats::*field, const char *trace_key);
+    /**
+     * The one lookup path: probe the L1 `slot`, count a `kind` hit or
+     * miss, and on a miss ask `disk` (consulted only with a store
+     * attached), promoting its answer into L1.
+     */
+    template <typename T, typename Disk>
+    std::optional<T> find(std::optional<T> Entry::*slot, const char *kind,
+                          const std::string &fingerprint, MemoLayer *layer,
+                          Disk disk);
 
-    /** Owning context; counters route to its trace when non-null. */
-    RunContext *ctx_ = nullptr;
+    /** Owning context; every lookup is counted on its trace. */
+    RunContext &ctx_;
     /** Persistent L2, not owned; may be null (L1-only operation). */
     VerdictStore *store_ = nullptr;
     std::unordered_map<std::string, Entry> entries_;
-    MemoStats stats_;
 };
 
 } // namespace heterogen::repair

@@ -46,7 +46,7 @@ class Search
            const interp::ValueProfile &profile,
            const SearchOptions &options)
         : ctx_(ctx), oracle_(oracle), profile_(profile), options_(options),
-          rng_(options.rng_seed), memo_(&ctx)
+          rng_(options.rng_seed), memo_(ctx)
     {
         if (options.pool) {
             pool_ = options.pool;
@@ -184,9 +184,6 @@ class Search
     compileCandidate()
     {
         if (options_.use_memo) {
-            // The memo owns the hit/miss accounting: it bumps the
-            // repair.memo.* counters on ctx_'s trace itself, so each
-            // job's stats stay exact under concurrent service runs.
             fingerprint_ = candidateFingerprint(printedCand(), config_);
             MemoLayer layer = MemoLayer::None;
             if (auto hit = memo_.findCompile(fingerprint_, &layer)) {
@@ -260,11 +257,11 @@ class Search
     {
         style::StyleReport report;
         if (store_) {
-            if (auto hit = store_->findStyle(&ctx_, printedCand())) {
+            if (auto hit = store_->findStyle(ctx_, printedCand())) {
                 report = *hit;
             } else {
                 report = style::checkStyle(*cand_);
-                store_->storeStyle(&ctx_, printedCand(), report);
+                store_->storeStyle(ctx_, printedCand(), report);
             }
         } else {
             report = style::checkStyle(*cand_);
@@ -416,7 +413,6 @@ class Search
     void
     degrade(const std::string &site, const std::string &consequence)
     {
-        result_.tool_failures += 1;
         result_.degradations.push_back(site + ": " + consequence);
         ctx_.count("search.tool_failures");
         note("tool-failure:" + site);
@@ -554,7 +550,6 @@ class Search
         }
         result_.diff = diffLines(cir::print(oracle_.original()),
                                  cir::print(*result_.program));
-        result_.memo = memo_.stats();
         result_.sim_minutes = minutes();
         if (!result_.hls_compatible)
             result_.minutes_to_success = result_.sim_minutes;

@@ -27,7 +27,6 @@
 #include "repair/diffstat.h"
 #include "repair/difftest.h"
 #include "repair/edit.h"
-#include "repair/memo.h"
 #include "repair/proposer.h"
 #include "repair/store.h"
 
@@ -153,12 +152,8 @@ struct SearchResult
      * hls_compatible may be true while behavior_preserved stays false.
      */
     bool cosim_degraded = false;
-    /** Toolchain invocations that faulted through every retry. */
-    int tool_failures = 0;
 
     bool degraded() const { return !degradations.empty(); }
-    /** Candidate-memo counters (hits avoided toolchain/difftest work). */
-    MemoStats memo;
 
     std::vector<std::string> applied_order;
     DiffStat diff;

@@ -408,7 +408,7 @@ decode(const std::string &payload, StageRecord *r)
            });
 }
 
-/** Simulated minutes a hit answers instead of re-evaluating. */
+/** Simulated minutes a hit replays, checked against lookup's cap. */
 double savedMinutes(const hls::CompileResult &r) { return r.synth_minutes; }
 double savedMinutes(const DiffTestResult &r) { return r.sim_minutes; }
 double savedMinutes(const style::StyleReport &r) { return r.check_minutes; }
@@ -502,31 +502,23 @@ VerdictStore::VerdictStore(VerdictStoreOptions options)
 
 template <typename T>
 std::optional<T>
-VerdictStore::lookup(RunContext *ctx, const char *kind,
+VerdictStore::lookup(RunContext &ctx, const char *kind,
                      const std::string &key, double max_minutes)
 {
     std::optional<std::string> raw = cache_.find(fields({kind, key}));
     T value;
     bool invalid = raw && !decode(*raw, &value);
     bool hit = raw && !invalid && savedMinutes(value) < max_minutes;
-    if (ctx) {
-        if (invalid)
-            ctx->count("repair.diskcache.invalid");
-        ctx->count(hit ? "repair.diskcache.hits"
-                       : "repair.diskcache.misses");
-    }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (!hit) {
-        stats_.misses += 1;
+    if (invalid)
+        ctx.count("repair.diskcache.invalid");
+    ctx.count(hit ? "repair.diskcache.hits" : "repair.diskcache.misses");
+    if (!hit)
         return std::nullopt;
-    }
-    stats_.hits += 1;
-    stats_.minutes_saved += savedMinutes(value);
     return value;
 }
 
 void
-VerdictStore::put(RunContext *ctx, const char *kind, const std::string &key,
+VerdictStore::put(RunContext &ctx, const char *kind, const std::string &key,
                   const std::string &payload)
 {
     if (!cache_.enabled())
@@ -537,23 +529,18 @@ VerdictStore::put(RunContext *ctx, const char *kind, const std::string &key,
     // (snapshot, job) and stays bit-identical at any thread count.
     if (cache_.snapshotHas(raw_key))
         return;
-    if (ctx)
-        ctx->count("repair.diskcache.writes");
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.writes += 1;
-    }
+    ctx.count("repair.diskcache.writes");
     cache_.put(raw_key, payload);
 }
 
 std::optional<hls::CompileResult>
-VerdictStore::findCompile(RunContext *ctx, const std::string &fingerprint)
+VerdictStore::findCompile(RunContext &ctx, const std::string &fingerprint)
 {
     return lookup<hls::CompileResult>(ctx, "compile", fingerprint);
 }
 
 void
-VerdictStore::storeCompile(RunContext *ctx, const std::string &fingerprint,
+VerdictStore::storeCompile(RunContext &ctx, const std::string &fingerprint,
                            const hls::CompileResult &result)
 {
     if (!result.tool_failure) // never persisted — see the file comment
@@ -561,7 +548,7 @@ VerdictStore::storeCompile(RunContext *ctx, const std::string &fingerprint,
 }
 
 std::optional<DiffTestResult>
-VerdictStore::findDiffTest(RunContext *ctx, const std::string &fingerprint,
+VerdictStore::findDiffTest(RunContext &ctx, const std::string &fingerprint,
                            const std::string &campaign)
 {
     return lookup<DiffTestResult>(ctx, "difftest",
@@ -569,7 +556,7 @@ VerdictStore::findDiffTest(RunContext *ctx, const std::string &fingerprint,
 }
 
 void
-VerdictStore::storeDiffTest(RunContext *ctx, const std::string &fingerprint,
+VerdictStore::storeDiffTest(RunContext &ctx, const std::string &fingerprint,
                             const std::string &campaign,
                             const DiffTestResult &result)
 {
@@ -579,37 +566,30 @@ VerdictStore::storeDiffTest(RunContext *ctx, const std::string &fingerprint,
 }
 
 std::optional<style::StyleReport>
-VerdictStore::findStyle(RunContext *ctx, const std::string &printed_program)
+VerdictStore::findStyle(RunContext &ctx, const std::string &printed_program)
 {
     return lookup<style::StyleReport>(ctx, "style", printed_program);
 }
 
 void
-VerdictStore::storeStyle(RunContext *ctx, const std::string &printed_program,
+VerdictStore::storeStyle(RunContext &ctx, const std::string &printed_program,
                          const style::StyleReport &report)
 {
     put(ctx, "style", printed_program, encode(report));
 }
 
 std::optional<StageRecord>
-VerdictStore::findStage(RunContext *ctx, const std::string &key,
+VerdictStore::findStage(RunContext &ctx, const std::string &key,
                         double max_minutes)
 {
     return lookup<StageRecord>(ctx, "stage", key, max_minutes);
 }
 
 void
-VerdictStore::storeStage(RunContext *ctx, const std::string &key,
+VerdictStore::storeStage(RunContext &ctx, const std::string &key,
                          const StageRecord &record)
 {
     put(ctx, "stage", key, encode(record));
-}
-
-VerdictStats
-VerdictStore::stats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stats_;
 }
 
 } // namespace heterogen::repair

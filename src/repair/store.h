@@ -46,7 +46,6 @@
 
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -135,27 +134,16 @@ struct VerdictStoreOptions
     std::string version;
 };
 
-/** Aggregate accounting of one VerdictStore (bench reporting). */
-struct VerdictStats
-{
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t writes = 0;
-    /** Simulated toolchain minutes answered from disk instead of
-     * re-evaluated (synthesis + difftest campaigns + style checks). */
-    double minutes_saved = 0;
-};
-
 /**
  * Typed verdict cache over a DiskCache. Thread-safe; shareable by
  * every concurrent job of a conversion service.
  *
  * Counter routing: each lookup/store counts repair.diskcache.{hits,
- * misses,writes} on the calling RunContext's trace (when given), so
- * per-job stats stay exact under concurrency. A write is counted
- * whenever the load-time snapshot lacks the key — a pure function of
- * (snapshot, job), independent of which concurrent job happened to
- * buffer the physical write first. Load-time invalid counts and
+ * misses,writes} on the calling RunContext's trace — the only record
+ * of the store's traffic, so per-job counts stay exact under
+ * concurrency. A write is counted whenever the load-time snapshot lacks
+ * the key — a pure function of (snapshot, job), independent of which
+ * concurrent job happened to buffer the physical write first. Load-time invalid counts and
  * flush-time evictions live in diskStats(); HeteroGen::run mirrors them
  * onto the run trace for the store it opens.
  */
@@ -171,27 +159,27 @@ class VerdictStore
     const std::string &version() const { return version_; }
 
     std::optional<hls::CompileResult>
-    findCompile(RunContext *ctx, const std::string &fingerprint);
+    findCompile(RunContext &ctx, const std::string &fingerprint);
 
     /** No-op on tool_failure results (never persisted). */
-    void storeCompile(RunContext *ctx, const std::string &fingerprint,
+    void storeCompile(RunContext &ctx, const std::string &fingerprint,
                       const hls::CompileResult &result);
 
     /** The verdict of `fingerprint` under `campaign`, a
      * difftestCampaignKey. */
     std::optional<DiffTestResult>
-    findDiffTest(RunContext *ctx, const std::string &fingerprint,
+    findDiffTest(RunContext &ctx, const std::string &fingerprint,
                  const std::string &campaign);
 
     /** No-op on tool_failure results (never persisted). */
-    void storeDiffTest(RunContext *ctx, const std::string &fingerprint,
+    void storeDiffTest(RunContext &ctx, const std::string &fingerprint,
                        const std::string &campaign,
                        const DiffTestResult &result);
 
     std::optional<style::StyleReport>
-    findStyle(RunContext *ctx, const std::string &printed_program);
+    findStyle(RunContext &ctx, const std::string &printed_program);
 
-    void storeStyle(RunContext *ctx, const std::string &printed_program,
+    void storeStyle(RunContext &ctx, const std::string &printed_program,
                     const style::StyleReport &report);
 
     /**
@@ -200,17 +188,16 @@ class VerdictStore
      * campaign is one the budget would not have cut. A record that
      * does not fit counts as a miss.
      */
-    std::optional<StageRecord> findStage(RunContext *ctx,
+    std::optional<StageRecord> findStage(RunContext &ctx,
                                          const std::string &key,
                                          double max_minutes);
 
-    void storeStage(RunContext *ctx, const std::string &key,
+    void storeStage(RunContext &ctx, const std::string &key,
                     const StageRecord &record);
 
     /** Publish buffered verdicts (see DiskCache::flush). */
     bool flush() { return cache_.flush(); }
 
-    VerdictStats stats() const;
     DiskCacheStats diskStats() const { return cache_.stats(); }
     size_t snapshotSize() const { return cache_.snapshotSize(); }
 
@@ -223,15 +210,13 @@ class VerdictStore
      */
     template <typename T>
     std::optional<T>
-    lookup(RunContext *ctx, const char *kind, const std::string &key,
+    lookup(RunContext &ctx, const char *kind, const std::string &key,
            double max_minutes = std::numeric_limits<double>::infinity());
-    void put(RunContext *ctx, const char *kind, const std::string &key,
+    void put(RunContext &ctx, const char *kind, const std::string &key,
              const std::string &payload);
 
     std::string version_;
     DiskCache cache_;
-    mutable std::mutex stats_mu_;
-    VerdictStats stats_;
 };
 
 } // namespace heterogen::repair

@@ -74,16 +74,6 @@ blockHasPragma(const Block &block, PragmaKind kind)
     return false;
 }
 
-StmtPtr
-makePragma(PragmaKind kind,
-           std::map<std::string, std::string> params = {})
-{
-    PragmaInfo info;
-    info.kind = kind;
-    info.params = std::move(params);
-    return std::make_unique<PragmaStmt>(std::move(info));
-}
-
 /** Innermost loops (no nested loop inside) of a block tree. */
 void
 collectInnermostLoops(Block &block, std::vector<Stmt *> &out)

@@ -135,15 +135,6 @@ countStores(const Stmt &root, const std::string &name)
     return stores;
 }
 
-StmtPtr
-makePragma(PragmaKind kind, std::map<std::string, std::string> params)
-{
-    PragmaInfo info;
-    info.kind = kind;
-    info.params = std::move(params);
-    return std::make_unique<PragmaStmt>(std::move(info));
-}
-
 /** Insert or update `#pragma HLS stream variable=chan depth=depth` in
  * the region function. */
 void

@@ -39,16 +39,6 @@ parsePriority(const std::string &name)
     return std::nullopt;
 }
 
-Priority
-priorityFromName(const std::string &name)
-{
-    std::optional<Priority> p = parsePriority(name);
-    if (!p)
-        fatal("service: unknown priority '", name,
-              "' (expected low, normal or high)");
-    return *p;
-}
-
 const char *
 jobStateName(JobState s)
 {

@@ -31,9 +31,6 @@ const char *priorityName(Priority p);
 /** Parse a priority name (case-insensitive); nullopt on unknown. */
 std::optional<Priority> parsePriority(const std::string &name);
 
-/** parsePriority that rejects unknown names with a FatalError. */
-Priority priorityFromName(const std::string &name);
-
 /**
  * A tenant's standing contract with the service: a total allowance of
  * simulated minutes across all of its jobs, and a fair-share weight.

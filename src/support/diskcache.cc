@@ -295,11 +295,8 @@ DiskCache::find(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = snapshot_.find(keyHash(key));
-    if (it == snapshot_.end()) {
-        stats_.misses += 1;
+    if (it == snapshot_.end())
         return std::nullopt;
-    }
-    stats_.hits += 1;
     // Refresh recency so the eviction cap keeps hot entries.
     it->second.gen = next_gen_++;
     dirty_[shardIndexOf(it->first, options_.shards)] = true;
@@ -329,7 +326,6 @@ DiskCache::put(const std::string &key, const std::string &value)
         return; // first buffered write wins until the next flush
     it->second.value = value;
     it->second.gen = next_gen_++;
-    stats_.writes += 1;
 }
 
 bool

@@ -63,7 +63,11 @@ struct DiskCacheOptions
     std::function<bool(const std::string &tmp_path)> pre_publish_hook;
 };
 
-/** Cumulative accounting of one DiskCache instance. */
+/**
+ * Load- and flush-time events of one DiskCache instance — the ones no
+ * run sees. Lookups and writes are counted by the caller on its run's
+ * trace (repair.diskcache.*, see repair/store.h).
+ */
 struct DiskCacheStats
 {
     /** Valid entries visible in the lookup snapshot. */
@@ -74,12 +78,6 @@ struct DiskCacheStats
     int64_t evictions = 0;
     /** Shard publications that failed (write error or hook veto). */
     int64_t flush_failures = 0;
-    /** Lookups answered from the snapshot. */
-    int64_t hits = 0;
-    /** Lookups the snapshot could not answer. */
-    int64_t misses = 0;
-    /** put() calls accepted into the write buffer. */
-    int64_t writes = 0;
 };
 
 /**
@@ -122,7 +120,7 @@ class DiskCache
      */
     std::optional<std::string> find(const std::string &key);
 
-    /** Is the key answerable from the snapshot (no stat effects)? */
+    /** Is the key answerable from the snapshot (no recency refresh)? */
     bool snapshotHas(const std::string &key) const;
 
     /**

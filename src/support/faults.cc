@@ -38,7 +38,6 @@ const std::vector<std::string> &
 knownFaultSites()
 {
     static const std::vector<std::string> sites = {
-        "hls.synth_check",
         "hls.compile",
         "difftest.cosim",
     };

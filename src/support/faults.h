@@ -14,7 +14,7 @@
  * the context for a draw before doing real work; an injected fault
  * charges its latency to the simulated clock and bumps fault.* counters
  * on the current span. A RetryPolicy bounds re-attempts with
- * exponential backoff, also charged to the SimClock.
+ * exponential backoff, also charged to the simulated clock.
  *
  * Determinism contract: draws are pure hashes of (plan seed, site
  * name, per-site invocation index) — there is no shared RNG stream, so

@@ -20,7 +20,7 @@ double
 RunContext::now() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return clock_.now();
+    return trace_.now();
 }
 
 double
@@ -34,7 +34,6 @@ void
 RunContext::charge(double minutes)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    clock_.advance(minutes);
     trace_.charge(minutes);
 }
 
@@ -123,7 +122,6 @@ RunContext::drawFault(const std::string &site)
         // Charge and count under the same lock acquisition the draw
         // used; sites are driving-thread only, so this is ordering, not
         // atomicity.
-        clock_.advance(fault->latency_minutes);
         trace_.charge(fault->latency_minutes);
         trace_.count("fault.injected");
         trace_.count("fault." + site);

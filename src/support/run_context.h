@@ -11,6 +11,11 @@
  * learn whether its own budget, any enclosing budget, or a caller's
  * cancellation should stop it.
  *
+ * The trace is the run's ledger: the root span's minutes are the clock
+ * (now()), and each event a stage counts — memo and disk-cache lookups,
+ * toolchain invocations, search activity — is a counter on the span
+ * open when it happened.
+ *
  * Determinism contract: charges are made by the stage-driving thread
  * and accumulate per open span in charge order, so a stage's minutes
  * are bit-identical to the pre-spine per-module sums (the golden-trace
@@ -35,17 +40,6 @@
 namespace heterogen {
 
 class LogSink;
-
-/** Simulated wall-clock: advances only by explicit charges. */
-class SimClock
-{
-  public:
-    double now() const { return now_minutes_; }
-    void advance(double minutes) { now_minutes_ += minutes; }
-
-  private:
-    double now_minutes_ = 0;
-};
 
 /** A simulated-minutes allowance attached to one span. */
 struct Budget
@@ -90,13 +84,14 @@ class RunContext
     RunContext(const RunContext &) = delete;
     RunContext &operator=(const RunContext &) = delete;
 
-    /** Simulated minutes since the context was created. */
+    /** Simulated minutes since the context was created: the root
+     * span's minutes, the one clock of the run. */
     double now() const;
 
     /** Minutes charged to the innermost open span. */
     double stageMinutes() const;
 
-    /** Advance the clock; attributes to every open span. */
+    /** Charge every open span, the root (the clock) included. */
     void charge(double minutes);
 
     /** Bump a counter on the innermost open span (thread-safe). */
@@ -176,7 +171,6 @@ class RunContext
     void popSpan();
 
     mutable std::mutex mu_;
-    SimClock clock_;
     Trace trace_;
     /** Budgets parallel to trace_.openSpans() (index 0 = root). */
     std::vector<Budget> budgets_;

@@ -41,13 +41,15 @@ TEST(FaultPlanParse, ParsesTheDocumentedSpec)
     EXPECT_EQ(plan.rules[1].site, "difftest.cosim");
     EXPECT_EQ(plan.rules[1].kind, FaultKind::Timeout);
     ASSERT_NE(plan.ruleFor("difftest.cosim"), nullptr);
-    EXPECT_EQ(plan.ruleFor("hls.synth_check"), nullptr);
+    EXPECT_EQ(FaultPlan::parse("hls.compile:0.1:transient")
+                  .ruleFor("difftest.cosim"),
+              nullptr);
 }
 
 TEST(FaultPlanParse, ParsesExplicitLatencyAndToleratesWhitespace)
 {
     FaultPlan plan =
-        FaultPlan::parse(" hls.synth_check : 0.5 : crash : 3.5 ,");
+        FaultPlan::parse(" hls.compile : 0.5 : crash : 3.5 ,");
     ASSERT_EQ(plan.rules.size(), 1u);
     EXPECT_EQ(plan.rules[0].kind, FaultKind::Crash);
     EXPECT_DOUBLE_EQ(plan.rules[0].latencyMinutes(), 3.5);
@@ -86,6 +88,15 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
     EXPECT_THROW(
         FaultPlan::parse("hls.compile:0.1:transient:3:extra"),
         FatalError);
+}
+
+TEST(FaultPlanParse, RejectsRetiredSynthCheckSite)
+{
+    // Synthesizability is checked inside compile(), behind hls.compile.
+    EXPECT_THROW(FaultPlan::parse("hls.synth_check:0.5:crash"),
+                 FatalError);
+    EXPECT_EQ(knownFaultSites(),
+              (std::vector<std::string>{"hls.compile", "difftest.cosim"}));
 }
 
 TEST(FaultPlanParse, FromEnvReadsSpecAndSeed)
@@ -272,21 +283,6 @@ TEST(FaultSites, CompilerReportsToolFailureWithoutJudgingTheDesign)
               std::string::npos);
     // The toolchain never actually ran.
     EXPECT_EQ(ctx.trace().root().counter("hls.compiles"), 0);
-    EXPECT_EQ(tool.stats().compile_invocations, 0);
-}
-
-TEST(FaultSites, SynthCheckReportsToolFailure)
-{
-    auto tu = cir::parse(kSiteKernel);
-    RunContext ctx;
-    ctx.installFaults(singleRule("hls.synth_check", 1.0),
-                      RetryPolicy::none());
-    auto errors = hls::checkSynthesizability(
-        ctx, *tu, hls::HlsConfig::forTop("kernel"));
-    ASSERT_EQ(errors.size(), 1u);
-    EXPECT_NE(errors[0].message.find("hls.synth_check"),
-              std::string::npos);
-    EXPECT_EQ(ctx.trace().root().counter("hls.synth_checks"), 0);
 }
 
 TEST(FaultSites, DiffTestReportsToolFailureWithZeroTestsRun)
@@ -329,8 +325,7 @@ pipelineOptions(uint64_t seed)
 std::string
 zeroSpecAllSites()
 {
-    return "hls.compile:0:transient,hls.synth_check:0:crash,"
-           "difftest.cosim:0:timeout";
+    return "hls.compile:0:transient,difftest.cosim:0:timeout";
 }
 
 TEST(FaultProperty, ZeroProbabilityPlanIsBitIdenticalToNoPlan)
@@ -353,7 +348,7 @@ TEST(FaultProperty, ZeroProbabilityPlanIsBitIdenticalToNoPlan)
         EXPECT_EQ(report.search.pass_ratio, zero.search.pass_ratio);
         EXPECT_EQ(report.testgen.executions, zero.testgen.executions);
         EXPECT_EQ(report.ok(), zero.ok());
-        EXPECT_TRUE(zero.degradations.empty());
+        EXPECT_TRUE(zero.search.degradations.empty());
         EXPECT_EQ(report.search.iterations, zero.search.iterations);
     }
 }
@@ -399,7 +394,7 @@ TEST(FaultProperty, OkFaultyRunsReproduceTheFaultFreeArtifact)
         } else {
             // The only way a retried run fails is giving a site up.
             EXPECT_GT(gave_up, 0);
-            EXPECT_FALSE(faulty.degradations.empty());
+            EXPECT_FALSE(faulty.search.degradations.empty());
         }
     }
     // The plan fires in most runs at these rates (the subject makes
@@ -428,7 +423,7 @@ TEST(FaultProperty, FaultyReportsAreInvariantAcrossEvalThreads)
     EXPECT_EQ(reports[0].total_minutes, reports[1].total_minutes);
     EXPECT_EQ(reports[0].search.sim_minutes,
               reports[1].search.sim_minutes);
-    EXPECT_EQ(reports[0].degradations, reports[1].degradations);
+    EXPECT_EQ(reports[0].search.degradations, reports[1].search.degradations);
 }
 
 TEST(FaultDegrade, PermanentCosimFailureDowngradesToStyleCheckFitness)
@@ -447,8 +442,8 @@ TEST(FaultDegrade, PermanentCosimFailureDowngradesToStyleCheckFitness)
     // but nobody may claim behaviour preservation.
     EXPECT_TRUE(report.search.hls_compatible);
     EXPECT_FALSE(report.search.behavior_preserved);
-    ASSERT_EQ(report.degradations.size(), 1u);
-    EXPECT_NE(report.degradations[0].find("difftest.cosim"),
+    ASSERT_EQ(report.search.degradations.size(), 1u);
+    EXPECT_NE(report.search.degradations[0].find("difftest.cosim"),
               std::string::npos);
     EXPECT_FALSE(report.hls_source.empty());
     EXPECT_GT(ctx.trace().root().counterTotal("fault.gave_up"), 0);
@@ -467,8 +462,8 @@ TEST(FaultDegrade, PermanentCompileFailureAbortsWithBestSoFar)
     auto report = engine.run(opts);
 
     EXPECT_FALSE(report.ok());
-    ASSERT_FALSE(report.degradations.empty());
-    EXPECT_NE(report.degradations[0].find("hls.compile"),
+    ASSERT_FALSE(report.search.degradations.empty());
+    EXPECT_NE(report.search.degradations[0].find("hls.compile"),
               std::string::npos);
     EXPECT_FALSE(report.search.hls_compatible);
     // Graceful: a printable program still comes back.
@@ -483,9 +478,9 @@ TEST(FaultDegrade, SearchToolFailureCountsMatchTraceCounters)
     opts.retry.max_attempts = 2;
     RunContext ctx;
     auto report = engine.run(ctx, opts);
-    EXPECT_EQ(report.search.tool_failures, 1);
+    EXPECT_EQ(report.search.degradations.size(), 1u);
     EXPECT_EQ(ctx.trace().root().counterTotal("search.tool_failures"),
-              report.search.tool_failures);
+              1);
     EXPECT_EQ(
         ctx.trace().root().counterTotal("search.degraded_candidates"),
         1);

@@ -233,22 +233,5 @@ TEST(Toolchain, SynthCostGrowsWithDesignSize)
     EXPECT_GT(small, 1.0) << "even tiny designs pay the elaboration floor";
 }
 
-TEST(Toolchain, StatsAccumulateAcrossCalls)
-{
-    auto tu = parse("int kernel(int x) { return x; }");
-    cir::analyzeOrDie(*tu);
-    HlsToolchain tool(HlsConfig::forTop("kernel"));
-    tool.compile(*tu);
-    FpgaDesign design(*tu);
-    tool.cosim(design, "kernel", {KernelArg::ofInt(1)});
-    tool.cosim(design, "kernel", {KernelArg::ofInt(2)});
-    EXPECT_EQ(tool.stats().compile_invocations, 1);
-    EXPECT_EQ(tool.stats().cosim_invocations, 2);
-    double before_reset = tool.stats().total_minutes;
-    EXPECT_GT(before_reset, 0.0);
-    tool.resetStats();
-    EXPECT_EQ(tool.stats().compile_invocations, 0);
-}
-
 } // namespace
 } // namespace heterogen::hls

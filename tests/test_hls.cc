@@ -5,7 +5,9 @@
 #include "cir/parser.h"
 #include "cir/sema.h"
 #include "hls/compiler.h"
+#include "hls/fpga_model.h"
 #include "hls/synth_check.h"
+#include "support/run_context.h"
 
 namespace heterogen::hls {
 namespace {
@@ -412,13 +414,17 @@ TEST(Toolchain, CompileChargesMinutes)
     auto tu = parse("int kernel(int x) { return x + 1; }");
     cir::analyzeOrDie(*tu);
     HlsToolchain tool(HlsConfig::forTop("kernel"));
-    auto r = tool.compile(*tu);
+    RunContext ctx;
+    SpanScope span(ctx, "hls");
+    auto r = tool.compile(ctx, *tu);
     EXPECT_TRUE(r.ok);
     EXPECT_GT(r.synth_minutes, 1.0);
-    EXPECT_EQ(tool.stats().compile_invocations, 1);
-    EXPECT_GT(tool.stats().total_minutes, 0.0);
-    tool.compile(*tu);
-    EXPECT_EQ(tool.stats().compile_invocations, 2);
+    EXPECT_EQ(span.span().counter("hls.compiles"), 1);
+    EXPECT_DOUBLE_EQ(span.minutes(), r.synth_minutes);
+    tool.compile(ctx, *tu);
+    EXPECT_EQ(span.span().counter("hls.compiles"), 2);
+    EXPECT_DOUBLE_EQ(span.minutes(), 2 * r.synth_minutes);
+    EXPECT_DOUBLE_EQ(ctx.now(), span.minutes());
 }
 
 TEST(Toolchain, CosimMatchesInterpreterFunctionally)
@@ -431,9 +437,9 @@ TEST(Toolchain, CosimMatchesInterpreterFunctionally)
         }
     )");
     cir::analyzeOrDie(*tu);
-    HlsToolchain tool(HlsConfig::forTop("kernel"));
-    auto r = tool.cosim(FpgaDesign(*tu), "kernel",
-                        {KernelArg::ofInts({1, 2, 3, 4, 5, 6, 7, 8})});
+    auto r = simulateFpga(FpgaDesign(*tu), HlsConfig::forTop("kernel"),
+                          "kernel",
+                          {KernelArg::ofInts({1, 2, 3, 4, 5, 6, 7, 8})});
     ASSERT_TRUE(r.run.ok) << r.run.trap;
     EXPECT_EQ(r.run.ret.i, 36);
     EXPECT_GT(r.millis, 0.0);

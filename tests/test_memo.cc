@@ -1,5 +1,5 @@
 /** @file Candidate-memo tests: fingerprint sensitivity, cache hits on
- * revisits, and exact hit/miss accounting in SearchResult. */
+ * revisits, and exact hit/miss accounting on the run trace. */
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,9 @@
 #include "core/heterogen.h"
 #include "repair/memo.h"
 #include "repair/store.h"
+#include "support/run_context.h"
 #include "support/strings.h"
+#include "support/trace.h"
 
 namespace heterogen::repair {
 namespace {
@@ -95,7 +97,8 @@ TEST(CandidateFingerprint, StreamDepthChangeMisses)
     EXPECT_NE(candidateFingerprint(printed, shallow),
               candidateFingerprint(printed, deep));
 
-    CandidateMemo memo;
+    RunContext ctx;
+    CandidateMemo memo(ctx);
     hls::CompileResult deadlocked;
     deadlocked.ok = false;
     memo.storeCompile(candidateFingerprint(printed, shallow), deadlocked);
@@ -109,7 +112,8 @@ TEST(CandidateFingerprint, StreamDepthChangeMisses)
 
 TEST(CandidateMemo, CompileRoundTripWithExactCounters)
 {
-    CandidateMemo memo;
+    RunContext ctx;
+    CandidateMemo memo(ctx);
     hls::CompileResult compiled;
     compiled.ok = true;
     compiled.synth_minutes = 12.5;
@@ -124,16 +128,17 @@ TEST(CandidateMemo, CompileRoundTripWithExactCounters)
     EXPECT_EQ(hit->loc, 42);
     EXPECT_FALSE(memo.findCompile("fp-b").has_value());
 
-    EXPECT_EQ(memo.stats().compile_hits, 1);
-    EXPECT_EQ(memo.stats().compile_misses, 2);
-    EXPECT_EQ(memo.stats().hits(), 1);
-    EXPECT_EQ(memo.stats().misses(), 2);
-    EXPECT_DOUBLE_EQ(memo.stats().hitRate(), 1.0 / 3.0);
+    const TraceSpan &root = ctx.trace().root();
+    EXPECT_EQ(root.counter("repair.memo.compile_hits"), 1);
+    EXPECT_EQ(root.counter("repair.memo.compile_misses"), 2);
+    EXPECT_EQ(root.counter("repair.memo.difftest_hits"), 0);
+    EXPECT_EQ(root.counter("repair.memo.difftest_misses"), 0);
 }
 
 TEST(CandidateMemo, DifftestRoundTripWithExactCounters)
 {
-    CandidateMemo memo;
+    RunContext ctx;
+    CandidateMemo memo(ctx);
     DiffTestResult fitness;
     fitness.total = 10;
     fitness.identical = 9;
@@ -147,13 +152,17 @@ TEST(CandidateMemo, DifftestRoundTripWithExactCounters)
     EXPECT_EQ(hit->identical, 9);
     EXPECT_EQ(hit->failing, std::vector<int>{4});
 
-    EXPECT_EQ(memo.stats().difftest_hits, 1);
-    EXPECT_EQ(memo.stats().difftest_misses, 1);
+    const TraceSpan &root = ctx.trace().root();
+    EXPECT_EQ(root.counter("repair.memo.difftest_hits"), 1);
+    EXPECT_EQ(root.counter("repair.memo.difftest_misses"), 1);
+    EXPECT_EQ(root.counter("repair.memo.compile_hits"), 0);
+    EXPECT_EQ(root.counter("repair.memo.compile_misses"), 0);
 }
 
 TEST(CandidateMemo, CompileAndDifftestAreIndependentSlots)
 {
-    CandidateMemo memo;
+    RunContext ctx;
+    CandidateMemo memo(ctx);
     hls::CompileResult compiled;
     compiled.ok = true;
     memo.storeCompile("fp", compiled);
@@ -161,18 +170,6 @@ TEST(CandidateMemo, CompileAndDifftestAreIndependentSlots)
     EXPECT_TRUE(memo.findCompile("fp").has_value());
     EXPECT_FALSE(memo.findDiffTest("fp").has_value());
     EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(CandidateMemo, ClearResetsEntriesAndStats)
-{
-    CandidateMemo memo;
-    memo.storeCompile("fp", hls::CompileResult{});
-    (void)memo.findCompile("fp");
-    memo.clear();
-    EXPECT_EQ(memo.size(), 0u);
-    EXPECT_EQ(memo.stats().hits(), 0);
-    EXPECT_EQ(memo.stats().misses(), 0);
-    EXPECT_FALSE(memo.findCompile("fp").has_value());
 }
 
 // --- memo inside the search ----------------------------------------------
@@ -188,6 +185,13 @@ runPipeline(const std::string &src, bool use_memo)
     opts.search.difftest_sample = 10;
     opts.search.use_memo = use_memo;
     return engine.run(opts);
+}
+
+/** Total of `key` over the report's whole trace. */
+int64_t
+traceCount(const core::HeteroGenReport &report, const std::string &key)
+{
+    return parseTraceJson(report.trace_json)->counterTotal(key);
 }
 
 /** A subject whose repair must backtrack: the duplicated-buffer fix for
@@ -213,7 +217,9 @@ TEST(SearchMemo, RevisitedCandidatesHitTheCache)
 {
     auto report = runPipeline(kBacktracking, /*use_memo=*/true);
     ASSERT_TRUE(report.ok());
-    EXPECT_GT(report.search.memo.hits(), 0)
+    EXPECT_GT(traceCount(report, "repair.memo.compile_hits") +
+                  traceCount(report, "repair.memo.difftest_hits"),
+              0)
         << "backtracking must revisit at least one candidate";
 }
 
@@ -235,11 +241,15 @@ TEST(SearchMemo, CountersMatchTraceExactly)
     }
     // Every fresh compile is a miss and a toolchain invocation; every
     // memo answer is a hit.
-    EXPECT_EQ(search.memo.compile_misses, compile_fresh);
-    EXPECT_EQ(search.memo.compile_misses, search.full_hls_invocations);
-    EXPECT_EQ(search.memo.compile_hits, compile_memo);
+    int64_t compile_misses =
+        traceCount(report, "repair.memo.compile_misses");
+    EXPECT_EQ(compile_misses, compile_fresh);
+    EXPECT_EQ(compile_misses, search.full_hls_invocations);
+    EXPECT_EQ(traceCount(report, "repair.memo.compile_hits"),
+              compile_memo);
     // Every difftest trace entry consulted the memo exactly once.
-    EXPECT_EQ(search.memo.difftest_hits + search.memo.difftest_misses,
+    EXPECT_EQ(traceCount(report, "repair.memo.difftest_hits") +
+                  traceCount(report, "repair.memo.difftest_misses"),
               difftests);
 }
 
@@ -247,8 +257,10 @@ TEST(SearchMemo, DisabledMemoReportsZeroCounters)
 {
     auto report = runPipeline(kBacktracking, /*use_memo=*/false);
     ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report.search.memo.hits(), 0);
-    EXPECT_EQ(report.search.memo.misses(), 0);
+    for (const char *key :
+         {"repair.memo.compile_hits", "repair.memo.compile_misses",
+          "repair.memo.difftest_hits", "repair.memo.difftest_misses"})
+        EXPECT_EQ(traceCount(report, key), 0) << key;
 }
 
 TEST(SearchMemo, MemoDoesNotChangeTheRepairOutcome)

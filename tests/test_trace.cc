@@ -382,14 +382,6 @@ TEST(SpinePipeline, SpanMinutesSumToTotalAndCountersMatchReport)
               report.search.style_checks);
     EXPECT_EQ(repair->counter("search.style_rejections"),
               report.search.style_rejections);
-    EXPECT_EQ(repair->counter("repair.memo.compile_hits"),
-              report.search.memo.compile_hits);
-    EXPECT_EQ(repair->counter("repair.memo.compile_misses"),
-              report.search.memo.compile_misses);
-    EXPECT_EQ(repair->counter("repair.memo.difftest_hits"),
-              report.search.memo.difftest_hits);
-    EXPECT_EQ(repair->counter("repair.memo.difftest_misses"),
-              report.search.memo.difftest_misses);
     EXPECT_EQ(repair->counterTotal("hls.compiles"),
               report.search.full_hls_invocations);
 }
