@@ -18,6 +18,7 @@
 #include "fuzz/fuzzer.h"
 #include "hls/resource.h"
 #include "repair/transforms.h"
+#include "support/worker_pool.h"
 
 using namespace heterogen;
 
@@ -30,6 +31,7 @@ mutationAblation()
     std::printf("(a) seeded type-valid mutation vs unseeded random "
                 "inputs (coverage after 600 executions)\n");
     std::printf("%-4s %10s %12s\n", "", "seeded", "unseeded");
+    WorkerPool pool;
     for (const char *id : {"P3", "P4", "P5", "P8", "P9"}) {
         const subjects::Subject &s = subjects::subjectById(id);
         auto tu = cir::parse(s.source);
@@ -41,13 +43,14 @@ mutationAblation()
         seeded.max_executions = 600;
         seeded.plateau_minutes = 1e9;
         RunContext seeded_ctx;
-        auto with_seed = fuzz::fuzzKernel(seeded_ctx, *tu, s.kernel, seeded);
+        auto with_seed =
+            fuzz::fuzzKernel(seeded_ctx, *tu, s.kernel, seeded, &pool);
 
         fuzz::FuzzOptions blind = seeded;
         blind.host_function.clear(); // random seed instead of captured
         RunContext blind_ctx;
         auto without_seed =
-            fuzz::fuzzKernel(blind_ctx, *tu, s.kernel, blind);
+            fuzz::fuzzKernel(blind_ctx, *tu, s.kernel, blind, &pool);
 
         std::printf("%-4s %9.0f%% %11.0f%%\n", id,
                     100.0 * with_seed.branchCoverage(),

@@ -27,6 +27,7 @@
 #include "interp/interp.h"
 #include "interp/reference/reference.h"
 #include "subjects/subjects.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -118,6 +119,7 @@ main(int argc, char **argv)
     std::printf("%-4s %6s %14s %14s %8s %9s\n", "id", "suite",
                 "tree_walk e/s", "bytecode e/s", "speedup", "campaign");
 
+    WorkerPool pool;
     std::vector<SubjectRow> rows;
     for (const auto &subject : subjects::allSubjects()) {
         auto tu = cir::parse(subject.source);
@@ -146,12 +148,12 @@ main(int argc, char **argv)
         RunContext walk_ctx;
         Clock::time_point t0 = Clock::now();
         fuzz::FuzzResult campaign = fuzz::fuzzKernel(
-            walk_ctx, *tu, subject.kernel, fuzz_opts, walker);
+            walk_ctx, *tu, subject.kernel, fuzz_opts, &pool, walker);
         double walk_campaign = seconds(t0, Clock::now());
 
         RunContext vm_ctx;
         t0 = Clock::now();
-        fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, fuzz_opts);
+        fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, fuzz_opts, &pool);
         double vm_campaign = seconds(t0, Clock::now());
 
         SubjectRow row;

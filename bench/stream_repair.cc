@@ -11,8 +11,8 @@
  *
  * The bench also re-checks the determinism contracts the stream tests
  * pin: a warm rerun over the same verdict cache must be bit-identical
- * and answer every compile from disk, and an eval_threads=8 run must
- * reproduce the single-threaded report exactly. Any drift exits
+ * and answer every compile from disk, and a run on an 8-thread pool
+ * must reproduce the single-threaded report exactly. Any drift exits
  * non-zero so the CI golden job catches it.
  *
  * --smoke runs the first two subjects (CI); the full run covers all
@@ -35,6 +35,7 @@
 #include "support/run_context.h"
 #include "support/strings.h"
 #include "support/trace.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -43,7 +44,8 @@ namespace fs = std::filesystem;
 
 /** Every knob pinned, mirroring the stream-test discipline. */
 core::HeteroGenOptions
-streamOptions(const subjects::Subject &s, const std::string &cache_dir)
+streamOptions(const subjects::Subject &s, const std::string &cache_dir,
+              WorkerPool &pool)
 {
     core::HeteroGenOptions opts;
     opts.kernel = s.kernel;
@@ -56,15 +58,13 @@ streamOptions(const subjects::Subject &s, const std::string &cache_dir)
     opts.fuzz.max_steps_per_run = 400000;
     opts.fuzz.plateau_minutes = 30.0;
     opts.fuzz.budget_minutes = 120.0;
-    opts.fuzz.threads = 1;
     opts.search.rng_seed = 7;
     opts.search.difftest_sample = 8;
     opts.search.budget_minutes = 400.0;
     opts.search.max_iterations = 2000;
-    opts.search.difftest_sim_workers = 1;
-    opts.search.eval_threads = 1;
     opts.search.proposer = "template";
     opts.cache_dir = cache_dir;
+    opts.eval_pool = &pool;
     return opts;
 }
 
@@ -185,6 +185,8 @@ benchMain(int argc, char **argv)
     std::vector<SubjectResult> results;
     bool contracts_ok = true;
     int64_t warm_compiles = 0;
+    WorkerPool serial(1);
+    WorkerPool wide_pool(8);
 
     for (const subjects::Subject &s : workload) {
         SubjectResult r;
@@ -205,7 +207,7 @@ benchMain(int argc, char **argv)
 
         // Cold repair run against the shared cache.
         RunSample cold =
-            runSubject(s, streamOptions(s, cache_dir.string()));
+            runSubject(s, streamOptions(s, cache_dir.string(), serial));
         r.repaired = cold.report.ok();
         r.minutes_to_fix = cold.report.search.minutes_to_success;
         r.iterations = cold.report.search.iterations;
@@ -230,15 +232,14 @@ benchMain(int argc, char **argv)
 
         // Contract 1: the warm rerun is bit-identical and compile-free.
         RunSample warm =
-            runSubject(s, streamOptions(s, cache_dir.string()));
+            runSubject(s, streamOptions(s, cache_dir.string(), serial));
         contracts_ok &= identical(cold.report, warm.report,
                                   s.id + " (warm)");
         warm_compiles += warm.hls_compiles;
 
-        // Contract 2: eval_threads cannot show in the report.
-        core::HeteroGenOptions wide = streamOptions(s, "");
-        wide.search.eval_threads = 8;
-        RunSample threaded = runSubject(s, wide);
+        // Contract 2: the pool size cannot show in the report.
+        RunSample threaded =
+            runSubject(s, streamOptions(s, "", wide_pool));
         contracts_ok &= identical(cold.report, threaded.report,
                                   s.id + " (threads=8)");
 

@@ -15,6 +15,7 @@
 #include "cir/parser.h"
 #include "cir/sema.h"
 #include "fuzz/fuzzer.h"
+#include "support/worker_pool.h"
 
 using namespace heterogen;
 
@@ -27,6 +28,7 @@ main(int argc, char **argv)
                 "Time(m)", "Cov.", "Exist. #", "Cov.");
     double total_tests = 0;
     double total_cov = 0;
+    WorkerPool pool;
     for (const subjects::Subject &subject : subjects::allSubjects()) {
         auto tu = cir::parse(subject.source);
         cir::analyzeOrDie(*tu);
@@ -35,7 +37,8 @@ main(int argc, char **argv)
         fuzz::FuzzOptions fo = opts.fuzz;
         fo.host_function = subject.host;
         RunContext ctx;
-        fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, subject.kernel, fo);
+        fuzz::FuzzResult r =
+            fuzz::fuzzKernel(ctx, *tu, subject.kernel, fo, &pool);
         traces.add(subject.id, ctx.traceJson());
         total_tests += double(r.suite.size());
         total_cov += r.branchCoverage();

@@ -11,6 +11,7 @@
 #include "cir/sema.h"
 #include "fuzz/fuzzer.h"
 #include "subjects/subjects.h"
+#include "support/worker_pool.h"
 
 using namespace heterogen;
 using interp::KernelArg;
@@ -43,7 +44,8 @@ main()
     options.rng_seed = subject.fuzz_seed;
     options.max_executions = 3000;
     RunContext ctx;
-    auto result = fuzz::fuzzKernel(ctx, *tu, subject.kernel, options);
+    WorkerPool pool; // sized by HETEROGEN_JOBS; never changes a result
+    auto result = fuzz::fuzzKernel(ctx, *tu, subject.kernel, options, &pool);
 
     std::printf("generated campaign:  %zu tests retained from %d "
                 "executions, %.0f%% branch coverage, %.0f simulated "

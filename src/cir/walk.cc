@@ -424,7 +424,59 @@ rewriteOwnExprs(Stmt &stmt, const ExprRewriter &fn)
     }
 }
 
+/** forEachPlacedPragma's recursion. */
+void
+walkPlacedPragmas(const Block &block, const Stmt *loop, bool top_level,
+                  const PragmaVisitor &fn)
+{
+    for (const auto &s : block.stmts) {
+        switch (s->kind()) {
+          case StmtKind::Pragma:
+            fn(static_cast<const PragmaStmt &>(*s), loop, top_level);
+            break;
+          case StmtKind::For:
+            walkPlacedPragmas(*static_cast<const ForStmt &>(*s).body,
+                              s.get(), false, fn);
+            break;
+          case StmtKind::While:
+            walkPlacedPragmas(*static_cast<const WhileStmt &>(*s).body,
+                              s.get(), false, fn);
+            break;
+          case StmtKind::If: {
+            const auto &i = static_cast<const IfStmt &>(*s);
+            walkPlacedPragmas(*i.then_block, loop, false, fn);
+            if (i.else_block)
+                walkPlacedPragmas(*i.else_block, loop, false, fn);
+            break;
+          }
+          case StmtKind::Block:
+            walkPlacedPragmas(static_cast<const Block &>(*s), loop, false,
+                              fn);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
 } // namespace
+
+bool
+blockHasPragma(const Block &block, PragmaKind kind)
+{
+    for (const auto &s : block.stmts) {
+        if (s->kind() == StmtKind::Pragma &&
+            static_cast<const PragmaStmt &>(*s).info.kind == kind)
+            return true;
+    }
+    return false;
+}
+
+void
+forEachPlacedPragma(const Block &body, const PragmaVisitor &fn)
+{
+    walkPlacedPragmas(body, nullptr, true, fn);
+}
 
 void
 rewriteExprs(Stmt &stmt, const ExprRewriter &fn)

@@ -46,6 +46,20 @@ void forEachExpr(TranslationUnit &tu, const std::function<void(Expr &)> &fn);
 void forEachExpr(const TranslationUnit &tu,
                  const std::function<void(const Expr &)> &fn);
 
+/** Does `block` directly (not under a nested statement) hold a pragma
+ * of `kind`? */
+bool blockHasPragma(const Block &block, PragmaKind kind);
+
+/**
+ * Visit every pragma placed under `body`, pre-order, with its innermost
+ * enclosing for/while loop (null outside any loop) and whether it sits
+ * directly in `body`. Loop bodies, if/else arms and nested blocks are
+ * entered; if arms and blocks keep the enclosing loop.
+ */
+using PragmaVisitor = std::function<void(const PragmaStmt &,
+                                         const Stmt *loop, bool top_level)>;
+void forEachPlacedPragma(const Block &body, const PragmaVisitor &fn);
+
 /**
  * Rewrite every expression edge under a statement: the callback may return
  * a replacement (taking ownership decisions internally) or null to keep the

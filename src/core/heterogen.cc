@@ -6,6 +6,7 @@
 #include "cir/printer.h"
 #include "repair/transforms.h"
 #include "support/strings.h"
+#include "support/worker_pool.h"
 
 namespace heterogen::core {
 
@@ -31,12 +32,12 @@ validateOptions(const HeteroGenOptions &options)
     if (options.fuzz.plateau_minutes < 0)
         fatal("HeteroGen: fuzz.plateau_minutes must be >= 0, got ",
               options.fuzz.plateau_minutes);
+    if (options.fuzz.mutations_per_input < 1)
+        fatal("HeteroGen: fuzz.mutations_per_input must be >= 1, got ",
+              options.fuzz.mutations_per_input);
     if (options.search.budget_minutes < 0)
         fatal("HeteroGen: search.budget_minutes must be >= 0, got ",
               options.search.budget_minutes);
-    if (options.search.difftest_sim_workers < 1)
-        fatal("HeteroGen: search.difftest_sim_workers must be >= 1, "
-              "got ", options.search.difftest_sim_workers);
     if (options.retry.max_attempts < 1)
         fatal("HeteroGen: retry.max_attempts must be >= 1, got ",
               options.retry.max_attempts);
@@ -111,39 +112,45 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     std::string printed = cir::print(*tu_);
     report.orig_loc = countLines(printed);
 
-    fuzz::FuzzOptions fuzz_opts = options.fuzz;
-    repair::SearchOptions search_opts = options.search;
-    if (options.eval_pool) {
-        fuzz_opts.pool = options.eval_pool;
-        search_opts.pool = options.eval_pool;
-    }
     auto stage = [&](const char *name) {
         if (options.stage_hook)
             options.stage_hook(name);
     };
 
-    // The persistent verdict store named by cache_dir, unless the
-    // caller lent one (the service shares a store per directory). It
-    // holds this run's stage record as well as the search's verdicts,
-    // and stays out of the run while a fault plan is armed (the search
-    // bypasses it too: fault draws are keyed by invocation index).
-    std::unique_ptr<repair::VerdictStore> owned_store;
-    if (search_opts.use_memo && !search_opts.verdict_store &&
-        !options.cache_dir.empty() && !ctx.faultsEnabled()) {
-        repair::VerdictStoreOptions vopts;
-        vopts.dir = options.cache_dir;
-        owned_store = std::make_unique<repair::VerdictStore>(vopts);
-        search_opts.verdict_store = owned_store.get();
-        if (int64_t invalid = owned_store->diskStats().invalid;
-            invalid > 0)
-            ctx.count("repair.diskcache.invalid", invalid);
+    // The run's one host pool: the caller's, else one sized by the
+    // HETEROGEN_JOBS default. Fuzz batches and difftest campaigns fan
+    // out over it; no result depends on its size.
+    std::unique_ptr<WorkerPool> owned_pool;
+    WorkerPool *pool = options.eval_pool;
+    if (!pool) {
+        owned_pool = std::make_unique<WorkerPool>();
+        pool = owned_pool.get();
     }
-    repair::VerdictStore *store =
-        search_opts.use_memo && !ctx.faultsEnabled() &&
-                search_opts.verdict_store &&
-                search_opts.verdict_store->enabled()
-            ? search_opts.verdict_store
-            : nullptr;
+
+    // The verdict store in play, decided here once: the one the caller
+    // lent (the service shares a store per directory), else the one
+    // cache_dir names. It holds this run's stage record as well as the
+    // search's verdicts, and stays out of the run while a fault plan
+    // is armed: fault draws are keyed by invocation index, so serving
+    // verdicts from disk would shift every later draw.
+    repair::SearchOptions search_opts = options.search;
+    std::unique_ptr<repair::VerdictStore> owned_store;
+    repair::VerdictStore *store = nullptr;
+    if (!ctx.faultsEnabled()) {
+        store = search_opts.verdict_store;
+        if (!store && !options.cache_dir.empty()) {
+            repair::VerdictStoreOptions vopts;
+            vopts.dir = options.cache_dir;
+            owned_store = std::make_unique<repair::VerdictStore>(vopts);
+            store = owned_store.get();
+            if (int64_t invalid = owned_store->diskStats().invalid;
+                invalid > 0)
+                ctx.count("repair.diskcache.invalid", invalid);
+        }
+        if (store && !store->enabled())
+            store = nullptr;
+    }
+    search_opts.verdict_store = store;
 
     // A job seen before replays its stage 1-2 output: the fuzz span is
     // charged the stored minutes and counters in one go, and the
@@ -153,7 +160,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     std::optional<repair::StageRecord> replay;
     if (store) {
         stage_key = repair::stageRecordKey(printed, options.kernel,
-                                           fuzz_opts);
+                                           options.fuzz);
         if (!ctx.shouldStop())
             replay = store->findStage(ctx, stage_key, ctx.headroom());
     }
@@ -162,14 +169,14 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     stage("fuzz");
     if (replay) {
         SpanScope fuzzing(ctx, "fuzz",
-                          Budget::minutes(fuzz_opts.budget_minutes));
+                          Budget::minutes(options.fuzz.budget_minutes));
         ctx.charge(replay->testgen.sim_minutes);
         for (const auto &[key, value] : replay->fuzz_counters)
             ctx.count(key, value);
         report.testgen = std::move(replay->testgen);
     } else {
-        report.testgen =
-            fuzz::fuzzKernel(ctx, *tu_, options.kernel, fuzz_opts);
+        report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel,
+                                          options.fuzz, pool);
     }
     // A campaign a budget or a cancellation cut short is not the one
     // the key names, so it is never recorded.
@@ -211,7 +218,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     // "repair" span).
     stage("repair");
     report.search = repair::repairSearch(ctx, oracle, *broken, config,
-                                         report.profile, search_opts);
+                                         report.profile, search_opts, pool);
     if (owned_store) {
         owned_store->flush();
         if (int64_t evicted = owned_store->diskStats().evictions;

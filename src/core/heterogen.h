@@ -70,11 +70,12 @@ struct HeteroGenOptions
      */
     hls::HlsConfig config;
     /**
-     * Shared host pool (non-owning) for every parallel leaf of the run
-     * — fuzz batches and difftest fan-out. Overrides fuzz.pool and
-     * search.pool wholesale. The conversion service points every
-     * concurrent job at one bounded pool; with per-batch waits and
-     * thread-invariant results, sharing never changes a report.
+     * The run's one host pool (non-owning) for every parallel leaf —
+     * fuzz batches and difftest fan-out. Null = run() builds one sized
+     * by the HETEROGEN_JOBS default (support/worker_pool.h) for the
+     * run. The conversion service points every concurrent job at one
+     * bounded pool; with per-batch waits and thread-invariant results,
+     * neither sharing nor the pool size ever changes a report.
      */
     WorkerPool *eval_pool = nullptr;
     /**
@@ -98,8 +99,8 @@ struct HeteroGenOptions
 
 /**
  * Reject malformed options with a FatalError before any stage runs:
- * empty kernel, negative budgets, non-positive difftest sim-worker
- * counts, out-of-range stream depths, unknown proposers, unusable cache
+ * empty kernel, negative budgets, fewer than one mutation per input,
+ * out-of-range stream depths, unknown proposers, unusable cache
  * directories, retry policies that could never attempt anything or
  * would wait negative time, and fault rules with out-of-range
  * probabilities or latencies. (Kernel existence is checked against

@@ -87,12 +87,13 @@ kernelParamTypes(const cir::TranslationUnit &tu, const std::string &kernel)
 
 FuzzResult
 fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
-           const std::string &kernel, const FuzzOptions &options)
+           const std::string &kernel, const FuzzOptions &options,
+           WorkerPool *pool)
 {
     // One interpreter for the whole campaign: the program is compiled
     // once and every execution reuses it.
     interp::Interpreter interp(tu);
-    return fuzzKernel(ctx, tu, kernel, options,
+    return fuzzKernel(ctx, tu, kernel, options, pool,
                       [&interp](const std::string &function,
                                 const std::vector<KernelArg> &args,
                                 const RunOptions &opts) {
@@ -103,7 +104,7 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
 FuzzResult
 fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
            const std::string &kernel, const FuzzOptions &options,
-           const Runner &runner)
+           WorkerPool *pool, const Runner &runner)
 {
     SpanScope span(ctx, "fuzz", Budget::minutes(options.budget_minutes));
 
@@ -121,20 +122,13 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         host_opts.captured_args = &seed;
         host_opts.max_steps = options.max_steps_per_run;
         host_opts.trace = &ctx;
-        runner(options.host_function, options.host_args, host_opts);
+        runner(options.host_function, {}, host_opts);
     }
     if (seed.empty())
         seed = mutator.randomInput();
 
     std::deque<std::vector<KernelArg>> queue;
     queue.push_back(seed);
-
-    std::unique_ptr<WorkerPool> owned_pool;
-    WorkerPool *pool = options.pool;
-    if (!pool) {
-        owned_pool = std::make_unique<WorkerPool>(options.threads);
-        pool = owned_pool.get();
-    }
 
     /** Merge new coverage and count the freshly covered edges. */
     auto mergeCoverage = [&](const CoverageMap &local) {

@@ -35,8 +35,6 @@ struct FuzzOptions
     /** Optional host entry; when set, the seed is captured from its run
      * at the kernel boundary. */
     std::string host_function;
-    /** Host-run arguments (usually empty). */
-    std::vector<interp::KernelArg> host_args;
     /** Deterministic seed. */
     uint64_t rng_seed = 1;
     /** Variants generated per queue entry. */
@@ -55,21 +53,6 @@ struct FuzzOptions
     int min_suite_size = 48;
     /** Interpreter step cap per execution. */
     uint64_t max_steps_per_run = 2'000'000;
-    /**
-     * Host threads executing each mutation batch (0 = HETEROGEN_JOBS /
-     * hardware default). Purely an execution detail: mutation drawing
-     * and corpus bookkeeping stay serial in input order, so the final
-     * corpus, coverage and simulated clock are byte-identical at any
-     * thread count (tests/test_parallel.cc asserts this).
-     */
-    int threads = 0;
-    /**
-     * Shared host pool for the execution batches (non-owning; overrides
-     * `threads` when set). Batch waits are per-call, so many concurrent
-     * campaigns — the conversion service's jobs — may share one pool
-     * without changing any campaign's outcome.
-     */
-    WorkerPool *pool = nullptr;
 };
 
 /** Campaign outcome. */
@@ -94,10 +77,18 @@ struct FuzzResult
  * charges every simulated execution minute to it, bumps fuzz.*
  * counters (executions, coverage_edges, suite_size), and stops early
  * on ctx cancellation or an exhausted enclosing budget.
+ *
+ * Each mutation batch's executions fan out over `pool` (borrowed;
+ * null = inline on the calling thread). Mutation drawing and corpus
+ * bookkeeping stay serial in input order, so the corpus, coverage and
+ * simulated clock are byte-identical at any pool size
+ * (tests/test_parallel.cc asserts this), and batch waits are per-call,
+ * so concurrent campaigns may share one pool.
  */
 FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
                       const std::string &kernel,
-                      const FuzzOptions &options = {});
+                      const FuzzOptions &options = {},
+                      WorkerPool *pool = nullptr);
 
 /**
  * One interpreter run of a campaign. A batch's executions fan out
@@ -114,7 +105,7 @@ using Runner = std::function<interp::RunResult(
  */
 FuzzResult fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
                       const std::string &kernel, const FuzzOptions &options,
-                      const Runner &runner);
+                      WorkerPool *pool, const Runner &runner);
 
 /**
  * Measure the branch coverage an existing (handcrafted) suite achieves —

@@ -188,18 +188,7 @@ simulateFpga(const FpgaDesign &design, const HlsConfig &config,
     double overlap_credit = 0;
     uint64_t stalls = 0;
     for (const auto &fn : tu.functions) {
-        if (!fn->body)
-            continue;
-        bool has_dataflow = false;
-        for (const auto &s : fn->body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::Dataflow) {
-                has_dataflow = true;
-                break;
-            }
-        }
-        if (!has_dataflow)
+        if (!fn->body || !blockHasPragma(*fn->body, PragmaKind::Dataflow))
             continue;
         DataflowTopology topo = extractTopology(tu, *fn, config);
         if (topo.channels.empty())

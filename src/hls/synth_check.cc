@@ -1,5 +1,4 @@
 #include "hls/synth_check.h"
-#include <functional>
 
 #include <map>
 #include <set>
@@ -367,7 +366,7 @@ class Checker
         if (!fn.body)
             return;
 
-        bool has_dataflow = functionHasDataflow(fn);
+        bool has_dataflow = blockHasPragma(*fn.body, PragmaKind::Dataflow);
         if (has_dataflow)
             checkDataflowRegion(fn);
 
@@ -375,20 +374,10 @@ class Checker
                     [&](const Stmt &s) { checkStmt(s, fn, typer); });
         forEachExpr(static_cast<const Stmt &>(*fn.body),
                     [&](const Expr &e) { checkExpr(e, fn, typer); });
-        checkLoopsAndPragmas(*fn.body, fn, has_dataflow, typer);
-    }
-
-    static bool
-    functionHasDataflow(const FunctionDecl &fn)
-    {
-        for (const auto &s : fn.body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::Dataflow) {
-                return true;
-            }
-        }
-        return false;
+        forEachPlacedPragma(
+            *fn.body, [&](const PragmaStmt &p, const Stmt *loop, bool) {
+                checkPragma(p, fn, loop, has_dataflow, typer);
+            });
     }
 
     void
@@ -566,50 +555,6 @@ class Checker
     // --- loop / pragma legality ---------------------------------------------------
 
     void
-    checkLoopsAndPragmas(const Block &body, const FunctionDecl &fn,
-                         bool has_dataflow, const ExprTyper &typer)
-    {
-        // Walk blocks tracking the enclosing loop for each pragma.
-        std::function<void(const Block &, const Stmt *)> walk =
-            [&](const Block &block, const Stmt *loop) {
-                for (const auto &s : block.stmts) {
-                    switch (s->kind()) {
-                      case StmtKind::Pragma:
-                        checkPragma(
-                            static_cast<const PragmaStmt &>(*s), fn,
-                            loop, has_dataflow, typer);
-                        break;
-                      case StmtKind::For: {
-                        const auto &f =
-                            static_cast<const ForStmt &>(*s);
-                        walk(*f.body, s.get());
-                        break;
-                      }
-                      case StmtKind::While: {
-                        const auto &w =
-                            static_cast<const WhileStmt &>(*s);
-                        walk(*w.body, s.get());
-                        break;
-                      }
-                      case StmtKind::If: {
-                        const auto &i = static_cast<const IfStmt &>(*s);
-                        walk(*i.then_block, loop);
-                        if (i.else_block)
-                            walk(*i.else_block, loop);
-                        break;
-                      }
-                      case StmtKind::Block:
-                        walk(static_cast<const Block &>(*s), loop);
-                        break;
-                      default:
-                        break;
-                    }
-                }
-            };
-        walk(body, nullptr);
-    }
-
-    void
     checkPragma(const PragmaStmt &p, const FunctionDecl &fn,
                 const Stmt *enclosing_loop, bool has_dataflow,
                 const ExprTyper &typer)
@@ -634,14 +579,15 @@ class Checker
                 const auto &loop =
                     static_cast<const ForStmt &>(*enclosing_loop);
                 if (!staticTripCount(loop).has_value() &&
-                    !loopHasTripcountPragma(loop)) {
+                    !blockHasPragma(*loop.body,
+                                    PragmaKind::LoopTripcount)) {
                     emit(diag::variableTripCount(
                         "loop at " + loop.loc.str(), p.loc));
                 }
             } else if (enclosing_loop->kind() == StmtKind::While) {
                 const auto &loop =
                     static_cast<const WhileStmt &>(*enclosing_loop);
-                if (!loopHasTripcountPragmaWhile(loop)) {
+                if (!blockHasPragma(*loop.body, PragmaKind::LoopTripcount)) {
                     emit(diag::variableTripCount(
                         "while loop at " + loop.loc.str(), p.loc));
                 }
@@ -689,32 +635,6 @@ class Checker
           default:
             break;
         }
-    }
-
-    static bool
-    loopHasTripcountPragma(const ForStmt &loop)
-    {
-        for (const auto &s : loop.body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::LoopTripcount) {
-                return true;
-            }
-        }
-        return false;
-    }
-
-    static bool
-    loopHasTripcountPragmaWhile(const WhileStmt &loop)
-    {
-        for (const auto &s : loop.body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::LoopTripcount) {
-                return true;
-            }
-        }
-        return false;
     }
 
     const TranslationUnit &tu_;

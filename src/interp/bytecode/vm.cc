@@ -394,7 +394,7 @@ class VM
     invoke(int fn_id, int argc, size_t arg_base, Place self)
     {
         const CompiledFunction &fn = p_.functions[fn_id];
-        if (static_cast<int>(frames_.size()) > opts_->max_call_depth)
+        if (static_cast<int>(frames_.size()) > kMaxCallDepth)
             throw Trap("call depth exceeded (runaway recursion?)");
         charge(CpuCosts::kCall);
         if (capture_enabled_)

@@ -90,13 +90,14 @@ struct BranchEventLog
     std::vector<BranchEvent> events;
 };
 
+/** A run traps beyond this call depth (recursion guard). */
+constexpr int kMaxCallDepth = 256;
+
 /** Knobs for one interpreter run. */
 struct RunOptions
 {
     /** Abort with a trap after this many evaluation steps. */
     uint64_t max_steps = 20'000'000;
-    /** Abort with a trap beyond this call depth (recursion guard). */
-    int max_call_depth = 256;
     /** Record branch edges here when non-null. */
     CoverageMap *coverage = nullptr;
     /** Record value ranges here when non-null. */

@@ -467,7 +467,7 @@ class Engine
     callFunction(const FunctionDecl &fn, std::vector<Value> &args,
                  const StructDecl *owner_struct, Place self = {})
     {
-        if (static_cast<int>(frames_.size()) > opts_.max_call_depth)
+        if (static_cast<int>(frames_.size()) > kMaxCallDepth)
             throw Trap("call depth exceeded (runaway recursion?)");
         charge(CpuCosts::kCall);
         maybeCaptureSeed(fn.name, args, fn);

@@ -85,12 +85,10 @@ diffTest(RunContext &ctx, CpuOracle &oracle,
     // the failing list come out identical at any pool size.
     double cpu_total_ms = 0;
     double fpga_total_ms = 0;
-    int sim_workers = std::max(options.sim_workers, 1);
-    std::vector<uint64_t> worker_steps(static_cast<size_t>(sim_workers),
-                                       0);
+    uint64_t steps = 0;
     for (int i = 0; i < limit; ++i) {
         const TestRecord &rec = records[i];
-        worker_steps[static_cast<size_t>(i % sim_workers)] += rec.steps;
+        steps += rec.steps;
         cpu_total_ms += rec.cpu_ms;
         fpga_total_ms += rec.fpga_ms;
         if (rec.identical)
@@ -102,12 +100,9 @@ diffTest(RunContext &ctx, CpuOracle &oracle,
         result.cpu_millis = cpu_total_ms / limit;
         result.fpga_millis = fpga_total_ms / limit;
     }
-    // One batched RTL co-simulation session per modeled worker, sharing
-    // the fixed setup; the campaign finishes with the critical path —
-    // the most loaded worker under round-robin test assignment.
-    uint64_t critical =
-        *std::max_element(worker_steps.begin(), worker_steps.end());
-    result.sim_minutes = 0.2 + double(critical) / 5.0e6;
+    // One batched RTL co-simulation session: a fixed setup plus the
+    // work of every test.
+    result.sim_minutes = 0.2 + double(steps) / 5.0e6;
 
     // One charge for the whole campaign: the caller-visible cost is a
     // single number, so the span accumulates exactly what the

@@ -78,13 +78,6 @@ struct DiffTestOptions
     /** Cap on tests executed (0 = whole suite). */
     int max_tests = 0;
     /**
-     * Modeled parallel co-simulation sessions: the simulated campaign
-     * cost divides the per-test work round-robin across this many
-     * workers and charges the critical path. Part of the simulation
-     * model, so it changes sim_minutes — never pass/fail results.
-     */
-    int sim_workers = 1;
-    /**
      * Pool executing the tests on the host (nullptr = serial). Purely
      * an execution detail: results are invariant to the pool size.
      */
@@ -144,7 +137,7 @@ struct DiffTestResult
  *                  cases no one has run yet run here, on `ctx`
  * @param candidate the HLS candidate
  * @param config    toolchain config (top function, clock)
- * @param options   sampling cap, modeled workers, host pool
+ * @param options   sampling cap, host pool
  */
 DiffTestResult diffTest(RunContext &ctx, CpuOracle &oracle,
                         const cir::TranslationUnit &candidate,

@@ -12,7 +12,6 @@
 #include "stylecheck/stylecheck.h"
 #include "support/diagnostics.h"
 #include "support/run_context.h"
-#include "support/worker_pool.h"
 
 namespace heterogen::repair {
 
@@ -44,17 +43,10 @@ class Search
     Search(RunContext &ctx, CpuOracle &oracle, const TranslationUnit &broken,
            const hls::HlsConfig &config,
            const interp::ValueProfile &profile,
-           const SearchOptions &options)
+           const SearchOptions &options, WorkerPool *pool)
         : ctx_(ctx), oracle_(oracle), profile_(profile), options_(options),
-          rng_(options.rng_seed), memo_(ctx)
+          rng_(options.rng_seed), pool_(pool), memo_(ctx)
     {
-        if (options.pool) {
-            pool_ = options.pool;
-        } else {
-            owned_pool_ =
-                std::make_unique<WorkerPool>(options.eval_threads);
-            pool_ = owned_pool_.get();
-        }
         ProposerConfig pconfig;
         pconfig.use_dependence = options.use_dependence;
         pconfig.allowed_edits = options.allowed_edits;
@@ -62,6 +54,13 @@ class Search
         result_.proposer = proposer_->name();
         cand_ = broken.clone();
         config_ = config;
+        // The borrowed verdict store, when given, is the L2 under the
+        // memo.
+        if (options.verdict_store) {
+            memo_.setStore(options.verdict_store);
+            difftest_campaign_ =
+                difftestCampaignKey(oracle_, options.difftest_sample);
+        }
     }
 
     SearchResult
@@ -70,7 +69,6 @@ class Search
         SpanScope span(ctx_, "repair",
                        Budget::minutes(options_.budget_minutes));
         span_ = &span;
-        initStore();
         while (!dead_end_ && !ctx_.shouldStop() &&
                result_.iterations < options_.max_iterations) {
             result_.iterations += 1;
@@ -140,26 +138,6 @@ class Search
 
     // --- memoized candidate evaluation ------------------------------------
 
-    /**
-     * Attach the borrowed verdict store (L2 under the memo), when
-     * given. The disk stays out of the loop entirely while a fault
-     * plan is armed: fault draws are keyed by invocation index, so
-     * serving verdicts from disk would shift every subsequent draw and
-     * change which invocations fail.
-     */
-    void
-    initStore()
-    {
-        if (!options_.use_memo || ctx_.faultsEnabled() ||
-            !options_.verdict_store || !options_.verdict_store->enabled())
-            return;
-        store_ = options_.verdict_store;
-        memo_.setStore(store_);
-        difftest_campaign_ =
-            difftestCampaignKey(oracle_, options_.difftest_sample,
-                                options_.difftest_sim_workers);
-    }
-
     /** Printed text of cand_, computed at most once per iteration. */
     const std::string &
     printedCand()
@@ -183,21 +161,18 @@ class Search
     hls::CompileResult
     compileCandidate()
     {
-        if (options_.use_memo) {
-            fingerprint_ = candidateFingerprint(printedCand(), config_);
-            MemoLayer layer = MemoLayer::None;
-            if (auto hit = memo_.findCompile(fingerprint_, &layer)) {
-                if (layer == MemoLayer::Disk) {
-                    ctx_.charge(hit->synth_minutes);
-                    result_.full_hls_invocations += 1;
-                    note("compile:" +
-                         std::string(hit->ok ? "ok" : "errors"));
-                } else {
-                    note("compile:memo-" +
-                         std::string(hit->ok ? "ok" : "errors"));
-                }
-                return *hit;
+        fingerprint_ = candidateFingerprint(printedCand(), config_);
+        MemoLayer layer = MemoLayer::None;
+        if (auto hit = memo_.findCompile(fingerprint_, &layer)) {
+            if (layer == MemoLayer::Disk) {
+                ctx_.charge(hit->synth_minutes);
+                result_.full_hls_invocations += 1;
+                note("compile:" + std::string(hit->ok ? "ok" : "errors"));
+            } else {
+                note("compile:memo-" +
+                     std::string(hit->ok ? "ok" : "errors"));
             }
+            return *hit;
         }
         hls::HlsToolchain tool(config_);
         hls::CompileResult compiled = tool.compile(ctx_, *cand_);
@@ -209,8 +184,7 @@ class Search
         }
         result_.full_hls_invocations += 1;
         note("compile:" + std::string(compiled.ok ? "ok" : "errors"));
-        if (options_.use_memo)
-            memo_.storeCompile(fingerprint_, compiled);
+        memo_.storeCompile(fingerprint_, compiled);
         return compiled;
     }
 
@@ -223,22 +197,19 @@ class Search
     DiffTestResult
     difftestCandidate()
     {
-        if (options_.use_memo) {
-            MemoLayer layer = MemoLayer::None;
-            if (auto hit = memo_.findDiffTest(
-                    fingerprint_, difftest_campaign_, &layer)) {
-                if (layer == MemoLayer::Disk)
-                    ctx_.charge(hit->sim_minutes);
-                return *hit;
-            }
+        MemoLayer layer = MemoLayer::None;
+        if (auto hit = memo_.findDiffTest(fingerprint_, difftest_campaign_,
+                                          &layer)) {
+            if (layer == MemoLayer::Disk)
+                ctx_.charge(hit->sim_minutes);
+            return *hit;
         }
         DiffTestOptions dt;
         dt.max_tests = options_.difftest_sample;
-        dt.sim_workers = options_.difftest_sim_workers;
         dt.pool = pool_;
         DiffTestResult fitness =
             diffTest(ctx_, oracle_, *cand_, config_, dt);
-        if (options_.use_memo && !fitness.tool_failure)
+        if (!fitness.tool_failure)
             memo_.storeDiffTest(fingerprint_, fitness, difftest_campaign_);
         return fitness;
     }
@@ -256,12 +227,12 @@ class Search
     styleGate()
     {
         style::StyleReport report;
-        if (store_) {
-            if (auto hit = store_->findStyle(ctx_, printedCand())) {
+        if (VerdictStore *store = options_.verdict_store) {
+            if (auto hit = store->findStyle(ctx_, printedCand())) {
                 report = *hit;
             } else {
                 report = style::checkStyle(*cand_);
-                store_->storeStyle(ctx_, printedCand(), report);
+                store->storeStyle(ctx_, printedCand(), report);
             }
         } else {
             report = style::checkStyle(*cand_);
@@ -563,12 +534,9 @@ class Search
     const interp::ValueProfile &profile_;
     SearchOptions options_;
     Rng rng_;
-    /** Owned only when options_.pool did not supply a shared one. */
-    std::unique_ptr<WorkerPool> owned_pool_;
-    WorkerPool *pool_ = nullptr;
+    /** Difftest fan-out (borrowed); null = inline. */
+    WorkerPool *pool_;
     CandidateMemo memo_;
-    /** Active verdict store (borrowed); null = memory only. */
-    VerdictStore *store_ = nullptr;
     /** Fingerprint of cand_ as of the last compileCandidate(). */
     std::string fingerprint_;
     /** Lazily-printed text of cand_; cleared each iteration. */
@@ -603,9 +571,10 @@ SearchResult
 repairSearch(RunContext &ctx, CpuOracle &oracle,
              const TranslationUnit &broken, const hls::HlsConfig &config,
              const interp::ValueProfile &profile,
-             const SearchOptions &options)
+             const SearchOptions &options, WorkerPool *pool)
 {
-    return Search(ctx, oracle, broken, config, profile, options).run();
+    return Search(ctx, oracle, broken, config, profile, options, pool)
+        .run();
 }
 
 } // namespace heterogen::repair

@@ -52,40 +52,13 @@ struct SearchOptions
     /** Tests evaluated per fitness check (0 = whole suite). */
     int difftest_sample = 24;
     /**
-     * Modeled parallel co-simulation sessions per fitness check; >1
-     * shortens the simulated difftest cost to its critical path (the
-     * budget then buys more search iterations).
-     */
-    int difftest_sim_workers = 1;
-    /**
-     * Host threads evaluating candidates (0 = HETEROGEN_JOBS / hardware
-     * default). Execution detail only — results are thread-invariant.
-     */
-    int eval_threads = 0;
-    /**
-     * Shared host pool for candidate evaluation (non-owning). When set,
-     * the search submits its leaf work here instead of constructing its
-     * own pool — the conversion service passes one bounded pool to all
-     * concurrent jobs. Waits are per-batch (TaskGroup), and results
-     * stay thread-invariant, so sharing never changes an outcome.
-     */
-    WorkerPool *pool = nullptr;
-    /**
-     * Memoize candidate evaluations: a candidate whose printed text and
-     * config were already compiled or difftested reuses the recorded
-     * outcome instead of re-invoking the toolchain (backtracking
-     * revisits make this common).
-     */
-    bool use_memo = true;
-    /**
-     * Persistent verdict store to consult under the memo (non-owning;
-     * the on-disk L2, see docs/CACHING.md). Null = memory only. The
-     * search borrows it: HeteroGen::run opens the store named by
-     * HeteroGenOptions::cache_dir, and the conversion service shares
-     * one store per directory across concurrent jobs; the owner
-     * flushes. Requires use_memo; the disk is also bypassed entirely
-     * while a fault plan is armed (fault draws are keyed by invocation
-     * index — replaying verdicts would shift every subsequent draw).
+     * Persistent verdict store under the in-memory candidate memo
+     * (non-owning; the on-disk L2, see docs/CACHING.md). Null = memory
+     * only. The search uses whatever store it is handed: HeteroGen::run
+     * decides whether a store is in play (it keeps the disk out while
+     * a fault plan is armed) and opens the one named by
+     * HeteroGenOptions::cache_dir; the conversion service shares one
+     * store per directory across concurrent jobs. The owner flushes.
      */
     VerdictStore *verdict_store = nullptr;
     /**
@@ -181,6 +154,11 @@ struct SearchResult
  * drives, and stops early on cancellation or an exhausted enclosing
  * budget.
  *
+ * Candidate evaluations are memoized: a revisited candidate (same
+ * printed text and config) reuses its recorded compile and difftest
+ * verdicts. Each difftest campaign fans its tests out over `pool`
+ * (borrowed; null = inline); results are invariant to the pool size.
+ *
  * When the context has a FaultPlan armed (support/faults.h), the
  * toolchain sites it drives may fail permanently; the search then
  * degrades instead of crashing — a dead co-sim downgrades fitness to
@@ -199,7 +177,8 @@ SearchResult repairSearch(RunContext &ctx, CpuOracle &oracle,
                           const cir::TranslationUnit &broken,
                           const hls::HlsConfig &config,
                           const interp::ValueProfile &profile,
-                          const SearchOptions &options = {});
+                          const SearchOptions &options = {},
+                          WorkerPool *pool = nullptr);
 
 } // namespace heterogen::repair
 

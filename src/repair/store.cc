@@ -427,7 +427,7 @@ defaultCacheDir()
 std::string
 defaultToolchainVersion()
 {
-    return std::string("hgc2;sim=") + hls::kSimulatorVersion +
+    return std::string("hgc3;sim=") + hls::kSimulatorVersion +
            ";style=" + style::kStyleCheckerVersion;
 }
 
@@ -440,11 +440,10 @@ candidateFingerprint(const std::string &printed,
 }
 
 std::string
-difftestCampaignKey(const CpuOracle &oracle, int sample, int sim_workers)
+difftestCampaignKey(const CpuOracle &oracle, int sample)
 {
     return fields({cir::print(oracle.original()), oracle.kernel(),
-                   encodeSuite(oracle.suite()), text(sample),
-                   text(sim_workers)});
+                   encodeSuite(oracle.suite()), text(sample)});
 }
 
 std::string
@@ -452,7 +451,6 @@ stageRecordKey(const std::string &printed_source, const std::string &kernel,
                const fuzz::FuzzOptions &options)
 {
     return fields({printed_source, kernel, options.host_function,
-                   joinMapped(options.host_args, kSub, encodeArg),
                    text(options.rng_seed), text(options.mutations_per_input),
                    text(options.max_executions), text(options.budget_minutes),
                    text(options.plateau_minutes),

@@ -69,7 +69,7 @@ namespace heterogen::repair {
 std::string defaultCacheDir();
 
 /**
- * Version stamp persisted with every verdict: the store format (hgc2)
+ * Version stamp persisted with every verdict: the store format (hgc3)
  * plus the simulator (hls::kSimulatorVersion) and style-checker
  * (style::kStyleCheckerVersion) versions. Bumping any of the three
  * invalidates every entry written under the old stamp.
@@ -108,17 +108,15 @@ std::string candidateFingerprint(const std::string &printed,
 /**
  * Context of every difftest campaign over `oracle`: the printed
  * original, the kernel, every suite case argument by argument (array
- * elements and doubles exact), the sampling cap and the modeled
- * workers. A difftest record is keyed by (candidateFingerprint, this).
+ * elements and doubles exact) and the sampling cap. A difftest record
+ * is keyed by (candidateFingerprint, this).
  */
-std::string difftestCampaignKey(const CpuOracle &oracle, int sample,
-                                int sim_workers);
+std::string difftestCampaignKey(const CpuOracle &oracle, int sample);
 
 /**
  * Content key of a StageRecord: the printed source, the kernel and
- * every FuzzOptions field that shapes the campaign (threads and pool
- * are execution details and stay out). Budgets enclosing the campaign
- * are not part of it: see VerdictStore::findStage.
+ * every FuzzOptions field. Budgets enclosing the campaign are not part
+ * of it: see VerdictStore::findStage.
  */
 std::string stageRecordKey(const std::string &printed_source,
                            const std::string &kernel,

@@ -61,19 +61,6 @@ forEachPragma(TranslationUnit &tu,
     });
 }
 
-/** First pragma of a kind directly inside a block. */
-bool
-blockHasPragma(const Block &block, PragmaKind kind)
-{
-    for (const auto &s : block.stmts) {
-        if (s->kind() == StmtKind::Pragma &&
-            static_cast<const PragmaStmt &>(*s).info.kind == kind) {
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Innermost loops (no nested loop inside) of a block tree. */
 void
 collectInnermostLoops(Block &block, std::vector<Stmt *> &out)

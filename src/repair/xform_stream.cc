@@ -26,15 +26,8 @@ FunctionDecl *
 dataflowFunction(TranslationUnit &tu)
 {
     for (const auto &fn : tu.functions) {
-        if (!fn->body)
-            continue;
-        for (const auto &s : fn->body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::Dataflow) {
-                return fn.get();
-            }
-        }
+        if (fn->body && blockHasPragma(*fn->body, PragmaKind::Dataflow))
+            return fn.get();
     }
     return nullptr;
 }

@@ -366,7 +366,7 @@ ConversionService::startRunLocked(Job &job)
     // the pipeline knob) to one store shared by every job naming that
     // directory. A caller-supplied search.verdict_store wins untouched.
     const core::HeteroGenOptions &o = job.spec.options;
-    if (!o.search.verdict_store && o.search.use_memo) {
+    if (!o.search.verdict_store) {
         const std::string &dir = !job.spec.cache_dir.empty()
                                      ? job.spec.cache_dir
                                      : o.cache_dir;

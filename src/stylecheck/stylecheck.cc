@@ -1,7 +1,5 @@
 #include "stylecheck/stylecheck.h"
 
-#include <functional>
-
 #include "cir/walk.h"
 #include "hls/synth_check.h"
 
@@ -161,72 +159,38 @@ class StyleChecker
     void
     checkPragmaPlacement(const FunctionDecl &fn)
     {
-        std::function<void(const Block &, bool, bool)> walk =
-            [&](const Block &block, bool in_loop, bool at_top) {
-                for (const auto &s : block.stmts) {
-                    switch (s->kind()) {
-                      case StmtKind::Pragma: {
-                        const auto &p =
-                            static_cast<const PragmaStmt &>(*s);
-                        switch (p.info.kind) {
-                          case PragmaKind::Unroll:
-                          case PragmaKind::Pipeline:
-                          case PragmaKind::LoopTripcount:
-                            if (!in_loop) {
-                                issue("'" +
-                                          pragmaKindName(p.info.kind) +
-                                          "' pragma outside a loop body",
-                                      p.loc);
-                            }
-                            break;
-                          case PragmaKind::Dataflow:
-                            if (!at_top) {
-                                issue("'dataflow' pragma must be at the "
-                                      "top of a function body",
-                                      p.loc);
-                            }
-                            break;
-                          case PragmaKind::ArrayPartition: {
-                            const std::string var =
-                                p.info.paramStr("variable");
-                            if (!var.empty() &&
-                                !variableVisible(fn, var)) {
-                                issue("'array_partition' names unknown "
-                                      "variable '" + var + "'",
-                                      p.loc);
-                            }
-                            break;
-                          }
-                          default:
-                            break;
-                        }
-                        break;
-                      }
-                      case StmtKind::For:
-                        walk(*static_cast<const ForStmt &>(*s).body,
-                             true, false);
-                        break;
-                      case StmtKind::While:
-                        walk(*static_cast<const WhileStmt &>(*s).body,
-                             true, false);
-                        break;
-                      case StmtKind::If: {
-                        const auto &i = static_cast<const IfStmt &>(*s);
-                        walk(*i.then_block, in_loop, false);
-                        if (i.else_block)
-                            walk(*i.else_block, in_loop, false);
-                        break;
-                      }
-                      case StmtKind::Block:
-                        walk(static_cast<const Block &>(*s), in_loop,
-                             false);
-                        break;
-                      default:
-                        break;
-                    }
+        forEachPlacedPragma(*fn.body, [&](const PragmaStmt &p,
+                                          const Stmt *loop, bool at_top) {
+            switch (p.info.kind) {
+              case PragmaKind::Unroll:
+              case PragmaKind::Pipeline:
+              case PragmaKind::LoopTripcount:
+                if (!loop) {
+                    issue("'" + pragmaKindName(p.info.kind) +
+                              "' pragma outside a loop body",
+                          p.loc);
                 }
-            };
-        walk(*fn.body, false, true);
+                break;
+              case PragmaKind::Dataflow:
+                if (!at_top) {
+                    issue("'dataflow' pragma must be at the top of a "
+                          "function body",
+                          p.loc);
+                }
+                break;
+              case PragmaKind::ArrayPartition: {
+                const std::string var = p.info.paramStr("variable");
+                if (!var.empty() && !variableVisible(fn, var)) {
+                    issue("'array_partition' names unknown variable '" +
+                              var + "'",
+                          p.loc);
+                }
+                break;
+              }
+              default:
+                break;
+            }
+        });
     }
 
     bool

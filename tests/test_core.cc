@@ -313,7 +313,6 @@ TEST(CpuOracle, CampaignsMatchStandaloneDiffTest)
 
         repair::DiffTestOptions dt;
         dt.max_tests = opts.search.difftest_sample;
-        dt.sim_workers = opts.search.difftest_sim_workers;
         std::vector<const cir::TranslationUnit *> candidates = {
             &engine.program(), narrowed.get(),
             report.search.program.get()};

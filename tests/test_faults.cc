@@ -21,6 +21,7 @@
 #include "support/diagnostics.h"
 #include "support/faults.h"
 #include "support/run_context.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -318,7 +319,6 @@ pipelineOptions(uint64_t seed)
     opts.search.rng_seed = seed;
     opts.search.difftest_sample = 8;
     opts.search.budget_minutes = 1e9; // never the stopping reason
-    opts.search.eval_threads = 1;
     return opts;
 }
 
@@ -411,8 +411,9 @@ TEST(FaultProperty, FaultyReportsAreInvariantAcrossEvalThreads)
     core::HeteroGenReport reports[2];
     int thread_counts[2] = {1, 8};
     for (int i = 0; i < 2; ++i) {
+        WorkerPool pool(thread_counts[i]);
         auto opts = pipelineOptions(5);
-        opts.search.eval_threads = thread_counts[i];
+        opts.eval_pool = &pool;
         opts.faults = FaultPlan::parse(
             "hls.compile:0.3:transient,difftest.cosim:0.2:timeout", 7);
         opts.retry.max_attempts = 4;

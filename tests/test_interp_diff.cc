@@ -28,6 +28,7 @@
 #include "subjects/forum_corpus.h"
 #include "subjects/subjects.h"
 #include "support/rng.h"
+#include "support/worker_pool.h"
 
 namespace heterogen::interp {
 namespace {
@@ -205,16 +206,17 @@ TEST(InterpDiff, FuzzCampaignsIdenticalAcrossEngines)
 
         fuzz::FuzzOptions options = smallCampaign(subject.fuzz_seed);
         options.host_function = subject.host;
+        WorkerPool pool;
         RunContext walk_ctx;
         fuzz::FuzzResult walk = fuzz::fuzzKernel(
-            walk_ctx, *tu, subject.kernel, options,
+            walk_ctx, *tu, subject.kernel, options, &pool,
             [&](const std::string &fn, const std::vector<KernelArg> &args,
                 const RunOptions &opts) {
                 return runWalker(*tu, fn, args, opts);
             });
         RunContext vm_ctx;
         fuzz::FuzzResult vm =
-            fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, options);
+            fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, options, &pool);
         expectSameCampaign(walk, vm, subject.id);
     }
 }

@@ -175,7 +175,7 @@ TEST(CandidateMemo, CompileAndDifftestAreIndependentSlots)
 // --- memo inside the search ----------------------------------------------
 
 core::HeteroGenReport
-runPipeline(const std::string &src, bool use_memo)
+runPipeline(const std::string &src)
 {
     core::HeteroGen engine(src);
     core::HeteroGenOptions opts;
@@ -183,7 +183,6 @@ runPipeline(const std::string &src, bool use_memo)
     opts.fuzz.max_executions = 400;
     opts.fuzz.min_suite_size = 12;
     opts.search.difftest_sample = 10;
-    opts.search.use_memo = use_memo;
     return engine.run(opts);
 }
 
@@ -215,7 +214,7 @@ const char *kBacktracking = R"(
 
 TEST(SearchMemo, RevisitedCandidatesHitTheCache)
 {
-    auto report = runPipeline(kBacktracking, /*use_memo=*/true);
+    auto report = runPipeline(kBacktracking);
     ASSERT_TRUE(report.ok());
     EXPECT_GT(traceCount(report, "repair.memo.compile_hits") +
                   traceCount(report, "repair.memo.difftest_hits"),
@@ -225,7 +224,7 @@ TEST(SearchMemo, RevisitedCandidatesHitTheCache)
 
 TEST(SearchMemo, CountersMatchTraceExactly)
 {
-    auto report = runPipeline(kBacktracking, /*use_memo=*/true);
+    auto report = runPipeline(kBacktracking);
     const auto &search = report.search;
 
     int compile_fresh = 0;
@@ -251,28 +250,6 @@ TEST(SearchMemo, CountersMatchTraceExactly)
     EXPECT_EQ(traceCount(report, "repair.memo.difftest_hits") +
                   traceCount(report, "repair.memo.difftest_misses"),
               difftests);
-}
-
-TEST(SearchMemo, DisabledMemoReportsZeroCounters)
-{
-    auto report = runPipeline(kBacktracking, /*use_memo=*/false);
-    ASSERT_TRUE(report.ok());
-    for (const char *key :
-         {"repair.memo.compile_hits", "repair.memo.compile_misses",
-          "repair.memo.difftest_hits", "repair.memo.difftest_misses"})
-        EXPECT_EQ(traceCount(report, key), 0) << key;
-}
-
-TEST(SearchMemo, MemoDoesNotChangeTheRepairOutcome)
-{
-    auto with = runPipeline(kBacktracking, /*use_memo=*/true);
-    auto without = runPipeline(kBacktracking, /*use_memo=*/false);
-    ASSERT_TRUE(with.ok());
-    ASSERT_TRUE(without.ok());
-    EXPECT_EQ(cir::print(*with.search.program),
-              cir::print(*without.search.program));
-    EXPECT_DOUBLE_EQ(with.search.pass_ratio, without.search.pass_ratio);
-    EXPECT_EQ(with.search.applied_order, without.search.applied_order);
 }
 
 } // namespace

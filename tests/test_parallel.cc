@@ -34,11 +34,12 @@ program(const std::string &src)
 }
 
 fuzz::FuzzResult
-runFuzz(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options)
+runFuzz(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options,
+        WorkerPool *pool = nullptr)
 {
     cir::analyzeOrDie(tu);
     RunContext ctx;
-    return fuzz::fuzzKernel(ctx, tu, "kernel", options);
+    return fuzz::fuzzKernel(ctx, tu, "kernel", options, pool);
 }
 
 // --- worker pool ---------------------------------------------------------
@@ -171,7 +172,6 @@ suiteForSeed(cir::TranslationUnit &tu, uint64_t seed)
     options.mutations_per_input = 8;
     options.min_suite_size = 24;
     options.max_steps_per_run = 100000;
-    options.threads = 1;
     return runFuzz(tu, options).suite;
 }
 
@@ -222,27 +222,6 @@ TEST(ParallelDiffTest, ByteIdenticalAcrossThreadCounts)
     EXPECT_GT(seeds_with_divergence, 0);
 }
 
-TEST(ParallelDiffTest, SimWorkersChangeOnlySimulatedCost)
-{
-    auto orig = program(kOriginal);
-    auto cand = program(kDivergent);
-    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
-    fuzz::TestSuite suite = suiteForSeed(*orig, 3);
-
-    auto serial = repair::diffTest(*orig, "kernel", *cand, config, suite,
-                                   repair::DiffTestOptions{});
-    repair::DiffTestOptions opts;
-    opts.sim_workers = 4;
-    auto fleet = repair::diffTest(*orig, "kernel", *cand, config, suite, opts);
-
-    EXPECT_EQ(serial.identical, fleet.identical);
-    EXPECT_EQ(serial.failing, fleet.failing);
-    EXPECT_EQ(serial.cpu_millis, fleet.cpu_millis);
-    EXPECT_EQ(serial.fpga_millis, fleet.fpga_millis);
-    EXPECT_LT(fleet.sim_minutes, serial.sim_minutes)
-        << "four modeled co-sim sessions must beat one";
-}
-
 // --- fuzzing invariance --------------------------------------------------
 
 void
@@ -271,13 +250,12 @@ TEST(ParallelFuzz, SameCorpusAndCoverageAcrossThreadCounts)
         options.min_suite_size = 16;
         options.max_steps_per_run = 100000;
 
-        options.threads = 1;
         auto serial = runFuzz(*tu, options);
         ASSERT_GT(serial.executions, 0);
 
         for (int threads : kThreadCounts) {
-            options.threads = threads;
-            auto parallel = runFuzz(*tu, options);
+            WorkerPool pool(threads);
+            auto parallel = runFuzz(*tu, options, &pool);
             SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                          std::to_string(threads));
             expectSameFuzz(serial, parallel);
@@ -305,15 +283,14 @@ TEST(ParallelTrace, FuzzTraceJsonIdenticalAcrossThreadCounts)
         options.min_suite_size = 16;
         options.max_steps_per_run = 100000;
 
-        options.threads = 1;
         RunContext serial_ctx;
         fuzz::fuzzKernel(serial_ctx, *tu, "kernel", options);
         std::string serial_json = serial_ctx.traceJson();
 
         for (int threads : kThreadCounts) {
-            options.threads = threads;
+            WorkerPool pool(threads);
             RunContext ctx;
-            fuzz::fuzzKernel(ctx, *tu, "kernel", options);
+            fuzz::fuzzKernel(ctx, *tu, "kernel", options, &pool);
             SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                          std::to_string(threads));
             EXPECT_EQ(ctx.traceJson(), serial_json);

@@ -18,6 +18,7 @@
 #include "support/faults.h"
 #include "support/run_context.h"
 #include "support/strings.h"
+#include "support/worker_pool.h"
 
 namespace heterogen::repair {
 namespace {
@@ -308,7 +309,6 @@ pipelineOptions(const std::string &proposer, uint64_t seed = 3)
     opts.search.rng_seed = seed;
     opts.search.difftest_sample = 8;
     opts.search.budget_minutes = 400.0;
-    opts.search.eval_threads = 1;
     opts.search.proposer = proposer;
     return opts;
 }
@@ -344,14 +344,17 @@ TEST(ProposerSearch, TraceCarriesProposerCounters)
 TEST(ProposerSearch, DeterministicAcrossEvalThreadsAndSeeds)
 {
     core::HeteroGen engine(kSubject);
+    WorkerPool serial(1);
     for (const std::string &proposer : proposerNames()) {
         for (uint64_t seed : {1, 2, 9}) {
             SCOPED_TRACE(proposer + " seed " + std::to_string(seed));
             auto base = pipelineOptions(proposer, seed);
+            base.eval_pool = &serial;
             auto baseline = engine.run(base);
             for (int threads : {2, 8}) {
+                WorkerPool pool(threads);
                 auto opts = pipelineOptions(proposer, seed);
-                opts.search.eval_threads = threads;
+                opts.eval_pool = &pool;
                 auto report = engine.run(opts);
                 EXPECT_EQ(report.trace_json, baseline.trace_json)
                     << threads << " threads";

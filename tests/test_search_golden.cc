@@ -31,16 +31,12 @@ goldenOptions()
     opts.fuzz.max_steps_per_run = 200000;
     opts.fuzz.plateau_minutes = 30.0;
     opts.fuzz.budget_minutes = 240.0;
-    opts.fuzz.threads = 1;
     opts.search.rng_seed = 7;
     opts.search.difftest_sample = 10;
     opts.search.budget_minutes = 400.0;
     opts.search.max_iterations = 2000;
     opts.search.use_style_checker = true;
     opts.search.use_dependence = true;
-    opts.search.use_memo = true;
-    opts.search.difftest_sim_workers = 1;
-    opts.search.eval_threads = 1;
     opts.search.proposer = "template";
     return opts;
 }

@@ -212,6 +212,19 @@ TEST(ServiceValidation, PerJobProposerOverrideReachesTheRun)
     EXPECT_EQ(default_out.report.search.proposer, "template");
 }
 
+TEST(ServiceValidation, SubmitRejectsNonPositiveMutationsPerInput)
+{
+    // A job that mutates nothing would never finish fuzzing and stall
+    // every later drain; submit() must refuse it before it is queued.
+    ConversionService svc;
+    for (int mutations : {0, -1}) {
+        JobSpec bad = tinyJob("acme");
+        bad.options.fuzz.mutations_per_input = mutations;
+        EXPECT_THROW(svc.submit(bad), FatalError) << mutations;
+    }
+    EXPECT_EQ(svc.submit(tinyJob("acme")), 0);
+}
+
 TEST(ServiceValidation, UnknownTenantNeedsAutoRegistration)
 {
     ServiceOptions o;

@@ -6,7 +6,7 @@
  *   - the hang detector fires iff the region topology is unserialized
  *     (shared array traffic, producer skew, or rate-mismatch backlog
  *      beyond the configured depth);
- *   - repaired reports are bit-identical across eval_threads and
+ *   - repaired reports are bit-identical across pool sizes and
  *     re-runs.
  */
 
@@ -20,6 +20,7 @@
 #include "repair/localizer.h"
 #include "subjects/subjects.h"
 #include "support/strings.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -255,16 +256,12 @@ streamOptions(const subjects::Subject &s)
     opts.fuzz.max_steps_per_run = 400000;
     opts.fuzz.plateau_minutes = 30.0;
     opts.fuzz.budget_minutes = 120.0;
-    opts.fuzz.threads = 1;
     opts.search.rng_seed = 7;
     opts.search.difftest_sample = 8;
     opts.search.budget_minutes = 400.0;
     opts.search.max_iterations = 2000;
     opts.search.use_style_checker = true;
     opts.search.use_dependence = true;
-    opts.search.use_memo = true;
-    opts.search.difftest_sim_workers = 1;
-    opts.search.eval_threads = 1;
     opts.search.proposer = "template";
     return opts;
 }
@@ -342,9 +339,10 @@ TEST(StreamRepair, ReportsAreThreadCountAndSeedStable)
         std::vector<std::string> baseline_actions;
         double baseline_minutes = -1;
         for (int threads : {1, 2, 8}) {
+            WorkerPool pool(threads);
             core::HeteroGenOptions opts = streamOptions(s);
             opts.fuzz.rng_seed = seed;
-            opts.search.eval_threads = threads;
+            opts.eval_pool = &pool;
             core::HeteroGen engine(s.source);
             auto report = engine.run(opts);
             ASSERT_TRUE(report.ok()) << "threads=" << threads;

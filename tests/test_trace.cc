@@ -477,14 +477,18 @@ TEST(ValidateOptions, RejectsNegativeSearchBudget)
     EXPECT_THROW(core::validateOptions(opts), FatalError);
 }
 
-TEST(ValidateOptions, RejectsNonPositiveSimWorkers)
+TEST(ValidateOptions, RejectsNonPositiveMutationsPerInput)
 {
+    // Zero mutations would cycle the fuzz queue forever without
+    // charging an execution; a negative count cannot size a batch.
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    opts.search.difftest_sim_workers = 0;
+    opts.fuzz.mutations_per_input = 0;
     EXPECT_THROW(core::validateOptions(opts), FatalError);
-    opts.search.difftest_sim_workers = -2;
+    opts.fuzz.mutations_per_input = -1;
     EXPECT_THROW(core::validateOptions(opts), FatalError);
+    opts.fuzz.mutations_per_input = 1;
+    EXPECT_NO_THROW(core::validateOptions(opts));
 }
 
 TEST(ValidateOptions, RejectsZeroMaxAttempts)
@@ -578,7 +582,7 @@ TEST(ValidateOptions, RunRejectsBadOptionsBeforeAnyStage)
     core::HeteroGen engine("int kernel(int x) { return x; }");
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    opts.search.difftest_sim_workers = 0;
+    opts.pipeline_budget_minutes = -1;
     EXPECT_THROW(engine.run(opts), FatalError);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cir/parser.h"
 #include "cir/printer.h"
 #include "cir/walk.h"
@@ -123,6 +125,60 @@ TEST(Walk, StructMethodsAreTraversed)
     });
     EXPECT_TRUE(saw_method_assign)
         << "TU walks must include struct method bodies";
+}
+
+TEST(Walk, PlacedPragmasCarryTheirLoopAndPlacement)
+{
+    auto tu = parse(R"(
+        int f(int n) {
+            #pragma HLS dataflow
+            int acc = 0;
+            for (int i = 0; i < n; i++) {
+                #pragma HLS pipeline ii=1
+                if (i > 2) {
+                    #pragma HLS unroll factor=2
+                    acc += i;
+                }
+            }
+            {
+                #pragma HLS loop_tripcount max=4
+            }
+            return acc;
+        }
+    )");
+    const Block &body = *tu->findFunction("f")->body;
+    const Stmt *loop = body.stmts.at(2).get();
+    ASSERT_EQ(loop->kind(), StmtKind::For);
+
+    struct Visit
+    {
+        PragmaKind kind;
+        const Stmt *loop;
+        bool top_level;
+    };
+    std::vector<Visit> visits;
+    forEachPlacedPragma(body, [&](const PragmaStmt &p, const Stmt *in,
+                                  bool top_level) {
+        visits.push_back({p.info.kind, in, top_level});
+    });
+    ASSERT_EQ(visits.size(), 4u);
+    EXPECT_EQ(visits[0].kind, PragmaKind::Dataflow);
+    EXPECT_EQ(visits[0].loop, nullptr);
+    EXPECT_TRUE(visits[0].top_level);
+    EXPECT_EQ(visits[1].kind, PragmaKind::Pipeline);
+    EXPECT_EQ(visits[1].loop, loop);
+    EXPECT_FALSE(visits[1].top_level);
+    // An if arm keeps the enclosing loop.
+    EXPECT_EQ(visits[2].kind, PragmaKind::Unroll);
+    EXPECT_EQ(visits[2].loop, loop);
+    // A nested block is not the top level, and is in no loop.
+    EXPECT_EQ(visits[3].kind, PragmaKind::LoopTripcount);
+    EXPECT_EQ(visits[3].loop, nullptr);
+    EXPECT_FALSE(visits[3].top_level);
+
+    EXPECT_TRUE(blockHasPragma(body, PragmaKind::Dataflow));
+    EXPECT_FALSE(blockHasPragma(body, PragmaKind::Pipeline))
+        << "only pragmas directly in the block count";
 }
 
 } // namespace
