@@ -29,10 +29,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -131,22 +129,6 @@ runSource(const std::string &source, core::HeteroGenOptions opts)
     sample.fuzz_steps = spanTotal(ctx, "fuzz", "interp.steps");
     sample.profile_steps = spanTotal(ctx, "profile", "interp.steps");
     return sample;
-}
-
-/** The CPU model name, for the record of where host times came from. */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) == 0) {
-            size_t colon = line.find(':');
-            if (colon != std::string::npos)
-                return trim(line.substr(colon + 1));
-        }
-    }
-    return "unknown";
 }
 
 /** The cold/warm identity contract, field by field. */
@@ -369,11 +351,7 @@ benchMain(int argc, char **argv)
     emitStages(out, "warm2", warm2_t);
     emitStages(out, "forum_cold", forum_cold_t);
     emitStages(out, "forum_warm", forum_warm_t);
-    std::fprintf(out,
-                 "  \"host\": {\"build_type\": \"%s\", \"cpu\": \"%s\""
-                 ", \"hardware_threads\": %u},\n",
-                 HG_BUILD_TYPE, cpuModel().c_str(),
-                 std::thread::hardware_concurrency());
+    std::fprintf(out, "  %s,\n", bench::hostJson(HG_BUILD_TYPE).c_str());
     std::fprintf(out, "  \"warm_compile_speedup\": %.2f,\n", ratio);
     std::fprintf(out, "  \"reports_bit_identical\": %s\n",
                  identity_ok ? "true" : "false");

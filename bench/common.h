@@ -9,11 +9,14 @@
 #define HETEROGEN_BENCH_COMMON_H
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "core/baselines.h"
 #include "core/heterogen.h"
 #include "subjects/subjects.h"
+#include "support/strings.h"
 
 namespace heterogen::bench {
 
@@ -111,6 +114,35 @@ inline const char *
 mark(bool ok)
 {
     return ok ? "yes" : "no ";
+}
+
+/** The CPU model name, for the record of where host times came from. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            size_t colon = line.find(':');
+            if (colon != std::string::npos)
+                return trim(line.substr(colon + 1));
+        }
+    }
+    return "unknown";
+}
+
+/**
+ * The `"host": {...}` JSON member a BENCH file records next to its
+ * host-time numbers: build type, CPU model and hardware threads.
+ */
+inline std::string
+hostJson(const char *build_type)
+{
+    return std::string("\"host\": {\"build_type\": \"") + build_type +
+           "\", \"cpu\": \"" + cpuModel() +
+           "\", \"hardware_threads\": " +
+           std::to_string(std::thread::hardware_concurrency()) + "}";
 }
 
 } // namespace heterogen::bench

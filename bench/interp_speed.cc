@@ -8,11 +8,18 @@
  * walker and the VM over exactly the runs the fuzz loop performs
  * (coverage sink attached, fresh memory per run). It also times a whole
  * fuzz campaign on each (fuzzKernel on the default pool, the walker
- * plugged in as its runner) — the two are bit-identical, so both
- * campaigns do exactly the same simulated work.
+ * plugged in as its runner) and exits non-zero unless the two return
+ * the same suite, coverage, execution count and simulated minutes —
+ * the timing compares equal work only while that holds.
  *
- * Writes BENCH_interp.json (override with --out <path>) so the
- * trajectory of the evaluate step is tracked across PRs.
+ * A last row times the forum corpus's runaway-loop post to the
+ * interpreter's default 20 M-step cap in steps/second, with the value
+ * profile its profiling run attaches and with the loop profile its
+ * co-simulation runs attach.
+ *
+ * Writes BENCH_interp.json (override with --out <path>), with the host
+ * it ran on, so the trajectory of the evaluate step is tracked across
+ * changes.
  */
 
 #include <chrono>
@@ -21,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "cir/parser.h"
 #include "cir/sema.h"
 #include "fuzz/fuzzer.h"
@@ -84,6 +92,50 @@ measureExecsPerSec(const fuzz::Runner &run,
         elapsed = seconds(begin, Clock::now());
     }
     return double(execs) / elapsed;
+}
+
+/** The two campaigns did the same work: same decisions, same clock. */
+bool
+sameCampaign(const fuzz::FuzzResult &walk, const fuzz::FuzzResult &vm)
+{
+    if (walk.suite.size() != vm.suite.size())
+        return false;
+    for (size_t i = 0; i < walk.suite.size(); ++i) {
+        if (!(walk.suite[i].args == vm.suite[i].args))
+            return false;
+    }
+    return walk.coverage == vm.coverage &&
+           walk.executions == vm.executions &&
+           walk.sim_minutes == vm.sim_minutes;
+}
+
+/** The forum corpus's runaway-loop post (LoopParallelization). */
+const char *kRunawaySource = R"(
+int kernel(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        #pragma HLS unroll factor=4
+        acc += i;
+    }
+    return acc;
+}
+)";
+
+/** Steps per second of one step-capped run of the runaway post. */
+double
+runawayStepsPerSec(const fuzz::Runner &run, bool loop_profile)
+{
+    interp::ValueProfile values;
+    interp::LoopProfile loops;
+    interp::RunOptions opts; // the default 20 M-step cap
+    if (loop_profile)
+        opts.loop_profile = &loops;
+    else
+        opts.profile = &values;
+    Clock::time_point t0 = Clock::now();
+    interp::RunResult r =
+        run("kernel", {interp::KernelArg::ofInt(2147483647)}, opts);
+    return double(r.steps) / seconds(t0, Clock::now());
 }
 
 double
@@ -153,8 +205,16 @@ main(int argc, char **argv)
 
         RunContext vm_ctx;
         t0 = Clock::now();
-        fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, fuzz_opts, &pool);
+        fuzz::FuzzResult vm_campaign_result =
+            fuzz::fuzzKernel(vm_ctx, *tu, subject.kernel, fuzz_opts, &pool);
         double vm_campaign = seconds(t0, Clock::now());
+        if (!sameCampaign(campaign, vm_campaign_result)) {
+            std::fprintf(stderr,
+                         "%s: walker and VM campaigns differ "
+                         "(suite, coverage, executions or sim minutes)\n",
+                         subject.id.c_str());
+            return 1;
+        }
 
         SubjectRow row;
         row.id = subject.id;
@@ -180,6 +240,29 @@ main(int argc, char **argv)
     std::printf("geomean: %.2fx executions/sec, %.2fx whole campaign\n",
                 exec_speedup, campaign_speedup);
 
+    auto runaway = cir::parse(kRunawaySource);
+    cir::analyzeOrDie(*runaway);
+    interp::Interpreter runaway_interp(*runaway);
+    fuzz::Runner runaway_walker =
+        [&](const std::string &fn, const std::vector<interp::KernelArg> &args,
+            const interp::RunOptions &opts) {
+            return interp::reference::runWalker(*runaway, fn, args, opts);
+        };
+    fuzz::Runner runaway_vm =
+        [&](const std::string &fn, const std::vector<interp::KernelArg> &args,
+            const interp::RunOptions &opts) {
+            return runaway_interp.run(fn, args, opts);
+        };
+    double walk_profile = runawayStepsPerSec(runaway_walker, false);
+    double vm_profile = runawayStepsPerSec(runaway_vm, false);
+    double walk_cosim = runawayStepsPerSec(runaway_walker, true);
+    double vm_cosim = runawayStepsPerSec(runaway_vm, true);
+    std::printf("runaway loop, 20 M steps (steps/s): value profile "
+                "%.0f -> %.0f (%.2fx), loop profile %.0f -> %.0f "
+                "(%.2fx)\n",
+                walk_profile, vm_profile, vm_profile / walk_profile,
+                walk_cosim, vm_cosim, vm_cosim / walk_cosim);
+
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -190,6 +273,14 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"geomean_exec_speedup\": %.2f,\n", exec_speedup);
     std::fprintf(f, "  \"geomean_campaign_speedup\": %.2f,\n",
                  campaign_speedup);
+    std::fprintf(f, "  %s,\n", bench::hostJson(HG_BUILD_TYPE).c_str());
+    std::fprintf(f,
+                 "  \"runaway_loop\": {\"max_steps\": 20000000, "
+                 "\"tree_walk_profile_steps_per_sec\": %.0f, "
+                 "\"bytecode_profile_steps_per_sec\": %.0f, "
+                 "\"tree_walk_loop_profile_steps_per_sec\": %.0f, "
+                 "\"bytecode_loop_profile_steps_per_sec\": %.0f},\n",
+                 walk_profile, vm_profile, walk_cosim, vm_cosim);
     std::fprintf(f, "  \"subjects\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
         const SubjectRow &r = rows[i];

@@ -32,8 +32,10 @@ validateOptions(const HeteroGenOptions &options)
     if (options.fuzz.plateau_minutes < 0)
         fatal("HeteroGen: fuzz.plateau_minutes must be >= 0, got ",
               options.fuzz.plateau_minutes);
-    if (options.fuzz.mutations_per_input < 1)
-        fatal("HeteroGen: fuzz.mutations_per_input must be >= 1, got ",
+    if (options.fuzz.mutations_per_input < 1 ||
+        options.fuzz.mutations_per_input > fuzz::kMaxMutationsPerInput)
+        fatal("HeteroGen: fuzz.mutations_per_input must be in [1, ",
+              fuzz::kMaxMutationsPerInput, "], got ",
               options.fuzz.mutations_per_input);
     if (options.search.budget_minutes < 0)
         fatal("HeteroGen: search.budget_minutes must be >= 0, got ",

@@ -1,5 +1,7 @@
 #include "fuzz/fuzzer.h"
 
+#include <algorithm>
+
 #include "cir/sema.h"
 #include "cir/walk.h"
 #include "support/diagnostics.h"
@@ -214,7 +216,12 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         }
         std::vector<KernelArg> input = queue.front();
         queue.pop_front();
-        auto variants = mutator.mutate(input, options.mutations_per_input);
+        // Never run more variants than the execution cap can still
+        // count: variants are generated in order and the campaign ends
+        // with a batch the cap cuts short, so the outcome is unchanged.
+        int room = options.max_executions - result.executions;
+        auto variants = mutator.mutate(
+            input, std::min(options.mutations_per_input, room));
         executeBatch(variants);
         // Keep cycling the corpus.
         queue.push_back(std::move(input));

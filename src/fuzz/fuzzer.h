@@ -29,6 +29,13 @@ class WorkerPool;
 
 namespace heterogen::fuzz {
 
+/**
+ * Largest accepted FuzzOptions::mutations_per_input. A batch of
+ * variants is materialized at once, so the value sizes host memory;
+ * the pipeline's own campaigns use 8-16.
+ */
+constexpr int kMaxMutationsPerInput = 1024;
+
 /** Fuzzing-campaign knobs. */
 struct FuzzOptions
 {

@@ -10,12 +10,11 @@
  *
  * The contract is bit-identity with the reference tree walker
  * (interp/reference/walker.cc): every opcode handler performs exactly
- * the primitive effects (step charges, cycle charges, memory
- * operations, coverage records, profile notes) of the walker fragment
- * it replaces, in the same order. Consecutive
- * walker step() calls are folded into each op's `pre_steps` count,
- * which is safe because nothing observable happens between them; the
- * step-limit trap clamps the counter to the walker's exact value.
+ * the primitive effects (memory operations, coverage records, profile
+ * notes, dynamic cycle charges) of the walker fragment it replaces, in
+ * the same order. Steps and the cycle charges the compiler can prove
+ * static are accounted per basic block instead (see OpCost and
+ * OpCode::Block); docs/INTERP.md states where the counters are exact.
  * tests/test_interp_diff.cc enforces the contract property-style.
  */
 
@@ -41,6 +40,7 @@ namespace heterogen::interp::bytecode {
 enum class OpCode : uint8_t
 {
     Step,      ///< folded step()s only (flushed at labels)
+    Block,     ///< basic-block header: a = steps, b = static cycles
     Const,     ///< push const_pool[a]
     Drop,      ///< pop one value (discarded expression statement)
     LoadScalar,///< evalIdent, non-decaying: charge kMem, push load(slot a)
@@ -70,7 +70,7 @@ enum class OpCode : uint8_t
     BranchFalse, ///< pop cond, recordBranch(a, cond), if !cond pc = b
     BranchLoop,  ///< loop cond: recordBranch(a, cond); taken: iteration(c); else pc = b
     LoopAlways,  ///< for(;;) with no cond: recordBranch(a, true), iteration(c)
-    LoopEnter, ///< LoopScope entry for loop node a
+    LoopEnter, ///< LoopScope entry for loop slot a
     LoopExit,  ///< LoopScope exit
     CallFn,    ///< call functions[a] with b args from the stack
     Ret,       ///< return (a = has value); unwinds one frame
@@ -108,59 +108,99 @@ enum class OpCode : uint8_t
     IndexBaseLoadReg, ///< IndexBaseLoad on a register slot
     AssignReg,   ///< Assign to a register slot (a = AssignOp, b = key, c = slot)
     IncDecReg,   ///< IncDec on a register slot (a = mode, b = key, c = slot)
-    DeclReg,     ///< DeclScalar as a register: reset slot a to unset, type b
-    DeclInitReg, ///< DeclInit into register slot a (b = profile key | -1)
+    DeclReg,     ///< uninitialized register decl: reset slot a, type b
+    DeclInitReg, ///< pop init, bind register slot a (b = key, c = type)
 
     /*
-     * Fused superinstructions. The compiler's peephole pass rewrites
-     * the FIRST op of a hot sequence to the fused code, keeping its
-     * operands and leaving the following op(s) in place unchanged: the
-     * fused handler reads them at ops[pc] as extra operand words and
-     * advances pc past them. Because the trailing ops stay intact and
-     * no index shifts, a jump target landing inside a fused sequence
-     * simply executes the original standalone ops — identical
-     * observables either way. Handlers replicate each component's
-     * steps/charges/records in the original per-op order.
+     * Typed register ops. Where the compiler's slot types prove every
+     * operand an integer — a local register of integer type (whose
+     * value is always an Int, or Unset, which every integer operation
+     * reads as 0) or an int32 literal — the typed peephole rewrites the
+     * first word of a generic sequence into one of these and sets its
+     * `len`. The sequence's remaining words stay in place: the handler
+     * skips them, and the slow path still accounts each of them in
+     * order (no jump lands inside a typed op: labels are Block words).
+     * An operand is a slot index, or the literal itself when its
+     * kConst bit is set in `mode`; `bop` is the BinaryOp and `wrap`
+     * the destination's width (kWrapSigned marks signed). These may
+     * trap only after all their words are accounted (division by
+     * zero), which is what keeps block accounting exact. So a division
+     * or modulo is never fused with a word the walker charges after
+     * the operator runs (the branch of `if (x / y)`, the store of
+     * `z = x / y`); `x /= y` is fused, since the walker charges the
+     * whole assignment before it divides.
      */
-    FuseLoadRegConstBinary,   ///< LoadReg ; Const ; Binary
-    FuseLoadRegLoadRegBinary, ///< LoadReg ; LoadReg ; Binary
-    FuseLoadRegArrowMember,   ///< LoadReg ; MemberArrow ; MemberCombine
-    FuseLoadRegBinary,        ///< [lhs on stack] LoadReg ; Binary
-    FuseConstBinary,          ///< [lhs on stack] Const ; Binary
-    FuseIndexLoad,            ///< IndexCombine ; PlaceToValue
-    FuseArrowMember,          ///< MemberArrow ; MemberCombine
-    FuseMemberLoad,           ///< MemberCombine ; PlaceToValue
-    FuseBinaryBranchFalse,    ///< Binary ; BranchFalse
-    FuseBinaryBranchLoop,     ///< Binary ; BranchLoop
-    FuseAssignRegDrop,        ///< AssignReg ; Drop (no push/pop round-trip)
-    FuseIncDecRegDrop,        ///< IncDecReg ; Drop
-    FuseAssignDrop,           ///< Assign ; Drop
-
-    /* Whole loop-control sequences: condition-and-branch, back edge. */
-    FuseLoadRegLoadRegBinaryBranchFalse, ///< reg-reg compare + BranchFalse
-    FuseLoadRegLoadRegBinaryBranchLoop,  ///< reg-reg compare + BranchLoop
-    FuseLoadRegConstBinaryBranchFalse,   ///< reg-const compare + BranchFalse
-    FuseLoadRegConstBinaryBranchLoop,    ///< reg-const compare + BranchLoop
-    FuseIncDecRegDropJump,               ///< for-loop back edge: i++ ; Jump
-
-    /*
-     * Whole array-subscript rvalues, one dispatch per access. The Idx
-     * prefix names the base op absorbed (IndexBaseArr / IndexBaseLoad /
-     * IndexBaseLoadReg); Reg is a register index, RegConstBinary a
-     * reg-op-const index expression; Load is the trailing PlaceToValue.
+    IntBin,    ///< push a bop b                           (L ; R ; Binary)
+    IntBranch, ///< a bop b, recordBranch(d), false: pc = c  (.. ; BranchFalse)
+    IntLoop,   ///< as IntBranch; taken counts an iteration of loop slot e
+    IntStore,  ///< slot c = wrap(value), note key d, type types[e]
+    IntInc,    ///< slot a += b, wrapped, note key d       (IncDecReg ; Drop)
+    IntIncJump,///< IntInc, then pc = c                    (.. ; Jump)
+    /**
+     * push base[i] for a scalar-element array or pointer in slot a
+     * (IndexBase* ; index ; IndexCombine ; PlaceToValue), where the
+     * index is operand b, or d bop b under kBinary. e = kIndex* base
+     * form, c = the IndexBase* trap name. Unlike the other typed ops
+     * several of its words may trap, so it enters each word just
+     * before that word's part runs.
      */
-    FuseIdxArrRegLoad,                ///< a[i] for a local array
-    FuseIdxLoadRegLoad,               ///< a[i] for a pointer-cell base
-    FuseIdxLoadRegRegLoad,            ///< a[i] for a register pointer base
-    FuseIdxArrRegConstBinaryLoad,     ///< a[i op c] for a local array
-    FuseIdxLoadRegConstBinaryLoad,    ///< a[i op c] for a pointer-cell base
-    FuseIdxArrAffineLoad,             ///< a[i op c op2 j], local array
-    FuseIdxLoadAffineLoad,            ///< a[i op c op2 j], pointer-cell base
-
-    /* Whole p->field rvalues (pointer-chasing loops). */
-    FuseLoadRegArrowMemberLoad,       ///< p->field value, p in a register
-    FuseArrowMemberLoad,              ///< p->field value, p on the stack
+    IntLoadIndex,
+    /**
+     * p->field, p a register (slot a) or, under kStackBase, the value
+     * on the stack: (LoadReg ;) MemberArrow ; MemberCombine
+     * [; PlaceToValue under kLoadField]. Enters its words one by one
+     * like IntLoadIndex; the MemberCombine word keeps its field name
+     * and cache operands.
+     */
+    ArrowMember,
 };
+
+/** Op::mode bits. A bit means what the op it is set on reads it as. */
+constexpr uint8_t kConstL = 1;   ///< typed: operand a is a literal
+constexpr uint8_t kConstR = 2;   ///< typed: operand b is a literal
+/** IntStore's value is a bop b; IntLoadIndex's index is d bop b. */
+constexpr uint8_t kBinary = 4;
+constexpr uint8_t kStoreAcc = 8; ///< IntStore value: slot c bop b
+/**
+ * Assign, AssignReg, IncDec, IncDecReg: the statement discards the
+ * result, so the op skips its push and spans the Drop word after it.
+ */
+constexpr uint8_t kDiscard = 16;
+/** ArrowMember: the pointer is on the stack, not in a register. */
+constexpr uint8_t kStackBase = 32;
+/** ArrowMember: load the field (push its value, not its place). */
+constexpr uint8_t kLoadField = 64;
+/** IntLoadIndex base forms (Op::e). */
+constexpr int32_t kIndexArray = 0; ///< IndexBaseArr: the slot is the array
+constexpr int32_t kIndexCell = 1;  ///< IndexBaseLoad: pointer in a cell
+constexpr int32_t kIndexReg = 2;   ///< IndexBaseLoadReg: pointer register
+/** Op::wrap bit: the destination type is signed. */
+constexpr uint8_t kWrapSigned = 0x80;
+
+/** The cycle charge of an int-int binary operation (CpuCosts). */
+inline uint8_t
+intCycles(cir::BinaryOp op)
+{
+    switch (op) {
+      case cir::BinaryOp::Mul: return CpuCosts::kIntMul;
+      case cir::BinaryOp::Div:
+      case cir::BinaryOp::Mod: return CpuCosts::kIntDiv;
+      default: return CpuCosts::kIntAlu;
+    }
+}
+
+/** The binary operation a compound assignment applies. */
+inline cir::BinaryOp
+compoundOp(cir::AssignOp op)
+{
+    switch (op) {
+      case cir::AssignOp::Add: return cir::BinaryOp::Add;
+      case cir::AssignOp::Sub: return cir::BinaryOp::Sub;
+      case cir::AssignOp::Mul: return cir::BinaryOp::Mul;
+      case cir::AssignOp::Div: return cir::BinaryOp::Div;
+      default: return cir::BinaryOp::Mod;
+    }
+}
 
 /** Math intrinsics dispatched by the Math opcode. */
 enum class MathFn : int32_t
@@ -170,17 +210,33 @@ enum class MathFn : int32_t
     Unknown, ///< "unimplemented intrinsic: <name>" after the kMath charge
 };
 
-/**
- * One instruction. `pre_steps` folds the walker step() calls that occur
- * immediately before this op's action.
- */
+/** One instruction. Its accounting lives in CompiledFunction::costs. */
 struct Op
 {
     OpCode code = OpCode::Step;
-    uint16_t pre_steps = 0;
+    uint8_t bop = 0;  ///< typed ops: BinaryOp
+    uint8_t mode = 0; ///< typed ops: kConstL | kConstR | kStore* bits
+    uint8_t wrap = 0; ///< typed stores: width (1-64) | kWrapSigned
+    uint8_t len = 1;  ///< words this op spans (typed ops > 1)
     int32_t a = 0;
     int32_t b = 0;
     int32_t c = 0;
+    int32_t d = 0;
+    int32_t e = 0;
+};
+
+/**
+ * Accounting of one op word. `steps` folds the walker step() calls that
+ * occur immediately before the op's action; `cycles` is the part of the
+ * op's cycle charge the compiler proves static and charged before any
+ * trap point of the op (charges that depend on run-time kinds stay in
+ * the handler). A Block header carries its block's sums; a trap inside
+ * a pre-charged block takes back the costs of the words after it.
+ */
+struct OpCost
+{
+    uint16_t steps = 0;
+    uint8_t cycles = 0;
 };
 
 /** Struct layout mirroring the walker's, plus compiled method ids. */
@@ -224,6 +280,7 @@ struct CompiledFunction
     int owner_layout = -1; ///< struct methods: fields bind from `self`
     std::vector<ParamPlan> params;
     std::vector<Op> ops;
+    std::vector<OpCost> costs; ///< parallel to ops
     int num_slots = 0;
     cir::TypePtr ret_type;
     bool ret_void = true;
@@ -265,9 +322,10 @@ struct StructLitPlan
 /**
  * Method-call site: name, arity and the shared jump targets. The op
  * layout is MethodEnter, [receiver place re-evaluation], MethodBind
- * (at bind_pc), [argument evaluation], MethodInvoke, end_pc. The
- * struct fast path jumps to bind_pc, stream writes to bind_pc + 1,
- * and argument-free stream reads push their result and jump to end_pc.
+ * (at bind_pc), [argument evaluation] (at write_pc), MethodInvoke,
+ * end_pc. The struct fast path jumps to bind_pc, stream writes to
+ * write_pc, and argument-free stream reads push their result and jump
+ * to end_pc.
  */
 struct MethodPlan
 {
@@ -276,6 +334,7 @@ struct MethodPlan
     /** 0 write, 1 read, 2 empty, 3 full, 4 size, 5 unknown. */
     int stream_kind = 5;
     int bind_pc = -1;
+    int write_pc = -1;
     int end_pc = -1;
 };
 
@@ -302,6 +361,8 @@ struct Program
     std::vector<ArrayDeclPlan> arrays;
     std::vector<StructLitPlan> struct_lits;
     std::vector<MethodPlan> methods;
+    /** Loop slot -> loop statement node id (the LoopProfile key). */
+    std::vector<int> loop_nodes;
     /**
      * Number of per-site inline-cache slots the compiler assigned
      * (MemberCombine field resolution, IndexCombine stride). The VM
@@ -338,7 +399,8 @@ namespace testing {
  * Test-only fault hook for the differential harness: when >= 0, the
  * VM charges one extra cycle at this (0-based) branch record of each
  * run — simulating a single miscompiled opcode so tests can assert
- * that divergence reporting names the first diverging site.
+ * that divergence reporting names the first diverging site. Read once
+ * per run, when the run starts.
  */
 extern int corrupt_branch_event;
 } // namespace testing

@@ -3,10 +3,15 @@
  * One-pass CIR AST -> bytecode compiler (docs/INTERP.md).
  *
  * The compiler lowers each walker evaluation fragment to exactly one
- * opcode carrying the step() calls that precede it as `pre_steps`.
- * Pending steps are flushed into a bare Step op before any label is
- * bound, so folded steps never leak across a control-flow join: a
- * jump skips precisely the steps the walker would have skipped.
+ * opcode carrying the step() calls that precede it and its static
+ * cycle charge (OpCost). Pending steps are flushed into a bare Step op
+ * before any label is bound, so folded steps never leak across a
+ * control-flow join: a jump skips precisely the steps the walker would
+ * have skipped. Every label and every op after a control transfer,
+ * call, return or loop entry/exit opens a basic block with a Block
+ * header. Per function, the peephole typeOps() then rewrites integer
+ * register sequences into typed ops, and finalizeBlocks() fills in
+ * each block's sums.
  *
  * Name resolution is static. Every declaration gets a dense frame
  * slot (globals are encoded as -1 - index); a use site that the
@@ -53,143 +58,14 @@ class Compiler
         buildLayouts();
         registerFunctions();
         compileGlobals();
-        for (FnJob &job : jobs_)
+        finalizeBlocks(program_->globals);
+        for (FnJob &job : jobs_) {
+            CompiledFunction &fn = program_->functions[job.id];
             compileFunction(job);
-        fuseOps(program_->globals.ops);
-        for (CompiledFunction &fn : program_->functions)
-            fuseOps(fn.ops);
-        return std::move(program_);
-    }
-
-    /**
-     * Peephole pass: rewrite the first op of each hot sequence to its
-     * fused superinstruction (see the OpCode doc block). The trailing
-     * ops are left in place as operand words, so no index shifts and
-     * jump targets stay valid. Longer patterns are matched first; `i`
-     * skips consumed ops so a trailing op is never fused twice.
-     */
-    static void
-    fuseOps(std::vector<Op> &ops)
-    {
-        auto at = [&](size_t i) {
-            return i < ops.size() ? ops[i].code : OpCode::Halt;
-        };
-        for (size_t i = 0; i < ops.size(); ++i) {
-            OpCode c1 = ops[i].code;
-            OpCode c2 = at(i + 1);
-            OpCode c3 = at(i + 2);
-            OpCode c4 = at(i + 3);
-            bool idx_base = c1 == OpCode::IndexBaseArr ||
-                            c1 == OpCode::IndexBaseLoad;
-            if (idx_base && c2 == OpCode::LoadReg &&
-                c3 == OpCode::Const && c4 == OpCode::Binary &&
-                at(i + 4) == OpCode::LoadReg &&
-                at(i + 5) == OpCode::Binary &&
-                at(i + 6) == OpCode::IndexCombine &&
-                at(i + 7) == OpCode::PlaceToValue) {
-                ops[i].code = c1 == OpCode::IndexBaseArr
-                                  ? OpCode::FuseIdxArrAffineLoad
-                                  : OpCode::FuseIdxLoadAffineLoad;
-                i += 7;
-            } else if (idx_base && c2 == OpCode::LoadReg &&
-                c3 == OpCode::Const && c4 == OpCode::Binary &&
-                at(i + 4) == OpCode::IndexCombine &&
-                at(i + 5) == OpCode::PlaceToValue) {
-                ops[i].code = c1 == OpCode::IndexBaseArr
-                                  ? OpCode::FuseIdxArrRegConstBinaryLoad
-                                  : OpCode::FuseIdxLoadRegConstBinaryLoad;
-                i += 5;
-            } else if ((idx_base || c1 == OpCode::IndexBaseLoadReg) &&
-                       c2 == OpCode::LoadReg &&
-                       c3 == OpCode::IndexCombine &&
-                       c4 == OpCode::PlaceToValue) {
-                ops[i].code = c1 == OpCode::IndexBaseArr
-                                  ? OpCode::FuseIdxArrRegLoad
-                              : c1 == OpCode::IndexBaseLoad
-                                  ? OpCode::FuseIdxLoadRegLoad
-                                  : OpCode::FuseIdxLoadRegRegLoad;
-                i += 3;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::LoadReg &&
-                c3 == OpCode::Binary && c4 == OpCode::BranchFalse) {
-                ops[i].code = OpCode::FuseLoadRegLoadRegBinaryBranchFalse;
-                i += 3;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::LoadReg &&
-                       c3 == OpCode::Binary && c4 == OpCode::BranchLoop) {
-                ops[i].code = OpCode::FuseLoadRegLoadRegBinaryBranchLoop;
-                i += 3;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::Const &&
-                       c3 == OpCode::Binary && c4 == OpCode::BranchFalse) {
-                ops[i].code = OpCode::FuseLoadRegConstBinaryBranchFalse;
-                i += 3;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::Const &&
-                       c3 == OpCode::Binary && c4 == OpCode::BranchLoop) {
-                ops[i].code = OpCode::FuseLoadRegConstBinaryBranchLoop;
-                i += 3;
-            } else if (c1 == OpCode::IncDecReg && c2 == OpCode::Drop &&
-                       c3 == OpCode::Jump) {
-                ops[i].code = OpCode::FuseIncDecRegDropJump;
-                i += 2;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::Const &&
-                       c3 == OpCode::Binary) {
-                ops[i].code = OpCode::FuseLoadRegConstBinary;
-                i += 2;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::LoadReg &&
-                       c3 == OpCode::Binary) {
-                ops[i].code = OpCode::FuseLoadRegLoadRegBinary;
-                i += 2;
-            } else if (c1 == OpCode::LoadReg &&
-                       c2 == OpCode::MemberArrow &&
-                       c3 == OpCode::MemberCombine &&
-                       c4 == OpCode::PlaceToValue) {
-                ops[i].code = OpCode::FuseLoadRegArrowMemberLoad;
-                i += 3;
-            } else if (c1 == OpCode::MemberArrow &&
-                       c2 == OpCode::MemberCombine &&
-                       c3 == OpCode::PlaceToValue) {
-                ops[i].code = OpCode::FuseArrowMemberLoad;
-                i += 2;
-            } else if (c1 == OpCode::LoadReg &&
-                       c2 == OpCode::MemberArrow &&
-                       c3 == OpCode::MemberCombine) {
-                ops[i].code = OpCode::FuseLoadRegArrowMember;
-                i += 2;
-            } else if (c1 == OpCode::LoadReg && c2 == OpCode::Binary) {
-                ops[i].code = OpCode::FuseLoadRegBinary;
-                i += 1;
-            } else if (c1 == OpCode::Const && c2 == OpCode::Binary) {
-                ops[i].code = OpCode::FuseConstBinary;
-                i += 1;
-            } else if (c1 == OpCode::IndexCombine &&
-                       c2 == OpCode::PlaceToValue) {
-                ops[i].code = OpCode::FuseIndexLoad;
-                i += 1;
-            } else if (c1 == OpCode::MemberArrow &&
-                       c2 == OpCode::MemberCombine) {
-                ops[i].code = OpCode::FuseArrowMember;
-                i += 1;
-            } else if (c1 == OpCode::MemberCombine &&
-                       c2 == OpCode::PlaceToValue) {
-                ops[i].code = OpCode::FuseMemberLoad;
-                i += 1;
-            } else if (c1 == OpCode::Binary &&
-                       c2 == OpCode::BranchFalse) {
-                ops[i].code = OpCode::FuseBinaryBranchFalse;
-                i += 1;
-            } else if (c1 == OpCode::Binary &&
-                       c2 == OpCode::BranchLoop) {
-                ops[i].code = OpCode::FuseBinaryBranchLoop;
-                i += 1;
-            } else if (c1 == OpCode::AssignReg && c2 == OpCode::Drop) {
-                ops[i].code = OpCode::FuseAssignRegDrop;
-                i += 1;
-            } else if (c1 == OpCode::IncDecReg && c2 == OpCode::Drop) {
-                ops[i].code = OpCode::FuseIncDecRegDrop;
-                i += 1;
-            } else if (c1 == OpCode::Assign && c2 == OpCode::Drop) {
-                ops[i].code = OpCode::FuseAssignDrop;
-                i += 1;
-            }
+            typeOps(fn);
+            finalizeBlocks(fn);
         }
+        return std::move(program_);
     }
 
   private:
@@ -309,18 +185,93 @@ class Compiler
         ++pending_steps_;
     }
 
+    /**
+     * The part of an op's cycle charge that is static and precedes
+     * every trap point of its handler; the handler charges the rest.
+     */
+    static uint8_t
+    staticCycles(OpCode code, int32_t a)
+    {
+        switch (code) {
+          case OpCode::LoadScalar:
+          case OpCode::LoadHandle:
+          case OpCode::LoadReg:
+          case OpCode::PlaceToValue:
+          case OpCode::DeclInit:
+          case OpCode::DeclInitReg:
+          case OpCode::Assign:
+          case OpCode::AssignReg:
+            return CpuCosts::kMem;
+          case OpCode::IndexCombine:
+          case OpCode::Not:
+          case OpCode::BitNot:
+            return CpuCosts::kIntAlu;
+          case OpCode::IncDecReg:
+            return CpuCosts::kIntAlu + 2 * CpuCosts::kMem;
+          case OpCode::LogicalTest:
+          case OpCode::BranchFalse:
+          case OpCode::BranchLoop:
+          case OpCode::LoopAlways:
+            return CpuCosts::kBranch;
+          case OpCode::Printf:
+            return CpuCosts::kCall;
+          case OpCode::Math:
+            return CpuCosts::kMath;
+          case OpCode::Charge:
+            return uint8_t(a);
+          default:
+            return 0;
+        }
+    }
+
+    /** Ops after which the next op starts a new basic block. */
+    static bool
+    endsBlock(OpCode code)
+    {
+        switch (code) {
+          case OpCode::Jump:
+          case OpCode::BranchFalse:
+          case OpCode::BranchLoop:
+          case OpCode::LogicalTest:
+          case OpCode::MemberDotTest:
+          case OpCode::CallFn:
+          case OpCode::Ret:
+          case OpCode::Halt:
+          case OpCode::MethodEnter:
+          case OpCode::MethodInvoke:
+          case OpCode::LoopEnter:
+          case OpCode::LoopExit:
+          case OpCode::TrapOp:
+            return true;
+          default:
+            return false;
+        }
+    }
+
+    void
+    push(OpCode code, int32_t a, int32_t b, int32_t c, uint16_t steps)
+    {
+        Op op;
+        op.code = code;
+        op.a = a;
+        op.b = b;
+        op.c = c;
+        ops_->push_back(op);
+        OpCost cost;
+        cost.steps = steps;
+        cost.cycles = staticCycles(code, a);
+        costs_->push_back(cost);
+    }
+
     /** Append an op, folding the pending steps into it. */
     int
     emit(OpCode code, int32_t a = 0, int32_t b = 0, int32_t c = 0)
     {
-        Op op;
-        op.code = code;
-        op.pre_steps = static_cast<uint16_t>(pending_steps_);
-        op.a = a;
-        op.b = b;
-        op.c = c;
+        if (!block_open_)
+            push(OpCode::Block, 0, 0, 0, 0);
+        push(code, a, b, c, uint16_t(pending_steps_));
         pending_steps_ = 0;
-        ops_->push_back(op);
+        block_open_ = !endsBlock(code);
         return int(ops_->size()) - 1;
     }
 
@@ -332,12 +283,310 @@ class Compiler
             emit(OpCode::Step);
     }
 
-    /** Current position as a jump target (flushes pending steps). */
+    /** Current position as a jump target: a (possibly shared) Block. */
     int
     here()
     {
         flush();
-        return int(ops_->size());
+        if (ops_->empty() || ops_->back().code != OpCode::Block) {
+            push(OpCode::Block, 0, 0, 0, 0);
+            block_open_ = true;
+        }
+        return int(ops_->size()) - 1;
+    }
+
+    /** Fill each Block header with its block's step and cycle sums. */
+    static void
+    finalizeBlocks(CompiledFunction &fn)
+    {
+        Op *head = nullptr;
+        for (size_t i = 0; i < fn.ops.size(); ++i) {
+            if (fn.ops[i].code == OpCode::Block) {
+                head = &fn.ops[i];
+            } else {
+                head->a += fn.costs[i].steps;
+                head->b += fn.costs[i].cycles;
+            }
+        }
+    }
+
+    // --- typed register ops ---------------------------------------------------
+
+    /** The declaration bound to an encoded slot of this function. */
+    const SlotInfo *
+    slotInfo(int32_t slot) const
+    {
+        const std::vector<SlotInfo> &table =
+            slot >= 0 ? local_slots_ : global_slots_;
+        size_t index = size_t(slot >= 0 ? slot : -1 - slot);
+        return index < table.size() && table[index].type ? &table[index]
+                                                          : nullptr;
+    }
+
+    /**
+     * Local integer-family register (Bool included: it holds 0/1).
+     * Only local slots: their frame is the typed ops' `slots` base.
+     */
+    bool
+    intSlot(int32_t slot) const
+    {
+        const SlotInfo *info = slot >= 0 ? slotInfo(slot) : nullptr;
+        return info && info->is_reg && info->type->isInteger();
+    }
+
+    /** Op::wrap of a typed store target; 0 when the slot is not one. */
+    uint8_t
+    wrapOf(int32_t slot) const
+    {
+        if (!intSlot(slot))
+            return 0;
+        const Type &t = *slotInfo(slot)->type;
+        switch (t.kind()) {
+          case TypeKind::Char: return 8 | kWrapSigned;
+          case TypeKind::Int: return 32 | kWrapSigned;
+          case TypeKind::Long: return 64 | kWrapSigned;
+          case TypeKind::FpgaInt:
+          case TypeKind::FpgaUint: {
+            if (t.width() < 1)
+                return 0;
+            uint8_t bits = uint8_t(t.width() < 64 ? t.width() : 64);
+            return t.kind() == TypeKind::FpgaInt ? bits | kWrapSigned
+                                                 : bits;
+          }
+          default:
+            return 0; // Bool coerces by truthiness
+        }
+    }
+
+    /** An integer register load or int32 literal: the typed operand. */
+    bool
+    intOperand(const Op &w, int32_t &value, bool &is_const) const
+    {
+        if (w.code == OpCode::LoadReg && intSlot(w.a)) {
+            value = w.a;
+            is_const = false;
+            return true;
+        }
+        if (w.code == OpCode::Const) {
+            const Value &v = program_->const_pool[size_t(w.a)];
+            if (v.isInt() && v.asInt() >= INT32_MIN &&
+                v.asInt() <= INT32_MAX) {
+                value = int32_t(v.asInt());
+                is_const = true;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /**
+     * An IndexBase* word whose base is statically an array or pointer
+     * with a scalar element: IndexCombine's stride is then 1 and it
+     * cannot trap, and PlaceToValue loads.
+     */
+    bool
+    scalarIndexBase(const Op &w) const
+    {
+        if (w.code != OpCode::IndexBaseArr &&
+            w.code != OpCode::IndexBaseLoad &&
+            w.code != OpCode::IndexBaseLoadReg)
+            return false;
+        const SlotInfo *info = slotInfo(w.a);
+        if (!info || !(info->type->isArray() || info->type->isPointer()))
+            return false;
+        const TypePtr &elem = info->type->element();
+        return elem && !elem->isArray() && !elem->isStruct();
+    }
+
+    static bool
+    traps(BinaryOp op)
+    {
+        return op == BinaryOp::Div || op == BinaryOp::Mod;
+    }
+
+    /**
+     * Typed peephole: rewrite the first word of each integer register
+     * sequence into its typed op (see the OpCode doc block). Longer
+     * patterns match first; a Block header never matches a pattern
+     * word, so no typed op spans a label.
+     */
+    void
+    typeOps(CompiledFunction &fn)
+    {
+        std::vector<Op> &ops = fn.ops;
+        std::vector<OpCost> &costs = fn.costs;
+        auto code = [&](size_t i) {
+            return i < ops.size() ? ops[i].code : OpCode::Halt;
+        };
+        auto storeTo = [&](Op &op, int32_t slot, int32_t key,
+                           int32_t type) {
+            op.c = slot;
+            op.d = key;
+            op.e = type;
+            op.wrap = wrapOf(slot);
+        };
+        for (size_t i = 0; i < ops.size(); ++i) {
+            int32_t l = 0;
+            int32_t r = 0;
+            bool lc = false;
+            bool rc = false;
+            Op &op = ops[i];
+            if (intOperand(op, l, lc) && i + 2 < ops.size() &&
+                intOperand(ops[i + 1], r, rc) &&
+                code(i + 2) == OpCode::Binary) {
+                BinaryOp bop = BinaryOp(ops[i + 2].a);
+                Op typed;
+                typed.bop = uint8_t(bop);
+                typed.mode = uint8_t((lc ? kConstL : 0) |
+                                     (rc ? kConstR : 0));
+                typed.a = l;
+                typed.b = r;
+                const Op &next = i + 3 < ops.size() ? ops[i + 3] : op;
+                // A typed op accounts all its words before it computes,
+                // so an op that can trap never absorbs a later word.
+                if (!traps(bop) &&
+                    (code(i + 3) == OpCode::BranchLoop ||
+                     code(i + 3) == OpCode::BranchFalse)) {
+                    typed.code = code(i + 3) == OpCode::BranchLoop
+                                     ? OpCode::IntLoop
+                                     : OpCode::IntBranch;
+                    typed.c = next.b;
+                    typed.d = next.a;
+                    typed.e = next.c;
+                    typed.len = 4;
+                } else if (!traps(bop) &&
+                           code(i + 3) == OpCode::AssignReg &&
+                           AssignOp(next.a) == AssignOp::Plain &&
+                           wrapOf(next.c) && code(i + 4) == OpCode::Drop) {
+                    typed.code = OpCode::IntStore;
+                    typed.mode |= kBinary;
+                    storeTo(typed, next.c, next.b,
+                            internType(slotInfo(next.c)->type));
+                    typed.len = 5;
+                } else if (!traps(bop) &&
+                           code(i + 3) == OpCode::DeclInitReg &&
+                           wrapOf(next.a)) {
+                    typed.code = OpCode::IntStore;
+                    typed.mode |= kBinary;
+                    storeTo(typed, next.a, next.b, next.c);
+                    typed.len = 4;
+                } else {
+                    typed.code = OpCode::IntBin;
+                    typed.len = 3;
+                }
+                costs[i + 2].cycles = intCycles(bop);
+                op = typed;
+                i += op.len - 1;
+            } else if (intOperand(op, r, rc) &&
+                       code(i + 1) == OpCode::AssignReg &&
+                       wrapOf(ops[i + 1].c) &&
+                       code(i + 2) == OpCode::Drop &&
+                       costs[i + 2].steps == 0) {
+                const Op &assign = ops[i + 1];
+                Op typed;
+                typed.code = OpCode::IntStore;
+                typed.mode = rc ? kConstR : 0;
+                typed.b = r;
+                if (AssignOp(assign.a) != AssignOp::Plain) {
+                    BinaryOp bop = compoundOp(AssignOp(assign.a));
+                    typed.bop = uint8_t(bop);
+                    typed.mode |= kStoreAcc;
+                    costs[i + 1].cycles += intCycles(bop);
+                }
+                storeTo(typed, assign.c, assign.b,
+                        internType(slotInfo(assign.c)->type));
+                typed.len = 3;
+                op = typed;
+                i += 2;
+            } else if (intOperand(op, r, rc) &&
+                       code(i + 1) == OpCode::DeclInitReg &&
+                       wrapOf(ops[i + 1].a)) {
+                const Op &decl = ops[i + 1];
+                Op typed;
+                typed.code = OpCode::IntStore;
+                typed.mode = rc ? kConstR : 0;
+                typed.b = r;
+                storeTo(typed, decl.a, decl.b, decl.c);
+                typed.len = 2;
+                op = typed;
+                i += 1;
+            } else if (scalarIndexBase(op) && i + 3 < ops.size() &&
+                       intOperand(ops[i + 1], r, rc)) {
+                // The index: one operand, or operand bop operand.
+                l = r;
+                lc = rc;
+                size_t at = i + 2;
+                bool binary = false;
+                if (i + 5 < ops.size() && intOperand(ops[i + 2], r, rc) &&
+                    code(i + 3) == OpCode::Binary) {
+                    binary = true;
+                    at = i + 4;
+                } else {
+                    r = l;
+                    rc = lc;
+                }
+                if (code(at) != OpCode::IndexCombine ||
+                    code(at + 1) != OpCode::PlaceToValue)
+                    continue;
+                Op typed;
+                typed.code = OpCode::IntLoadIndex;
+                typed.a = op.a;
+                typed.b = r;
+                typed.mode = rc ? kConstR : 0;
+                if (binary) {
+                    BinaryOp bop = BinaryOp(ops[i + 3].a);
+                    typed.bop = uint8_t(bop);
+                    typed.d = l;
+                    typed.mode |= kBinary | (lc ? kConstL : 0);
+                    costs[i + 3].cycles = intCycles(bop);
+                }
+                typed.c = op.c;
+                typed.e = op.code == OpCode::IndexBaseArr ? kIndexArray
+                          : op.code == OpCode::IndexBaseLoad ? kIndexCell
+                                                             : kIndexReg;
+                typed.len = uint8_t(at + 2 - i);
+                op = typed;
+                i += typed.len - 1;
+            } else if (op.code == OpCode::IncDecReg && wrapOf(op.c) &&
+                       code(i + 1) == OpCode::Drop) {
+                Op typed;
+                bool jump = code(i + 2) == OpCode::Jump;
+                typed.code = jump ? OpCode::IntIncJump : OpCode::IntInc;
+                typed.a = op.c;
+                typed.b = (op.a == 0 || op.a == 2) ? 1 : -1;
+                typed.c = jump ? ops[i + 2].a : 0;
+                typed.d = op.b;
+                typed.wrap = wrapOf(op.c);
+                typed.len = jump ? 3 : 2;
+                op = typed;
+                i += op.len - 1;
+            } else if ((op.code == OpCode::MemberArrow ||
+                        (op.code == OpCode::LoadReg &&
+                         code(i + 1) == OpCode::MemberArrow)) &&
+                       code(i + (op.code == OpCode::LoadReg ? 2 : 1)) ==
+                           OpCode::MemberCombine) {
+                bool stack = op.code == OpCode::MemberArrow;
+                size_t combine = i + (stack ? 1 : 2);
+                bool load = code(combine + 1) == OpCode::PlaceToValue;
+                Op typed;
+                typed.code = OpCode::ArrowMember;
+                typed.a = stack ? 0 : op.a;
+                typed.mode = uint8_t((stack ? kStackBase : 0) |
+                                     (load ? kLoadField : 0));
+                typed.len = uint8_t(combine + (load ? 2 : 1) - i);
+                op = typed;
+                i += typed.len - 1;
+            } else if ((op.code == OpCode::Assign ||
+                        op.code == OpCode::AssignReg ||
+                        op.code == OpCode::IncDec ||
+                        op.code == OpCode::IncDecReg) &&
+                       code(i + 1) == OpCode::Drop &&
+                       costs[i + 1].steps == 0) {
+                op.mode |= kDiscard;
+                op.len = 2;
+                i += 1;
+            }
+        }
     }
 
     void patchA(int op, int target) { (*ops_)[op].a = target; }
@@ -359,6 +608,12 @@ class Compiler
     bind(const std::string &name, int slot, TypePtr type,
          bool is_reg = false)
     {
+        std::vector<SlotInfo> &table = in_globals_ ? global_slots_
+                                                   : local_slots_;
+        size_t index = size_t(slot >= 0 ? slot : -1 - slot);
+        if (index >= table.size())
+            table.resize(index + 1);
+        table[index] = {slot, type, is_reg};
         SlotInfo info{slot, std::move(type), is_reg};
         if (in_globals_)
             globals_map_[name] = info;
@@ -395,6 +650,17 @@ class Compiler
     }
 
     int allocCache() { return program_->num_caches++; }
+
+    /** Dense per-program slot of a loop statement (flat loop profile). */
+    int
+    loopSlot(int node_id)
+    {
+        auto [it, fresh] = loop_slots_.emplace(
+            node_id, int(program_->loop_nodes.size()));
+        if (fresh)
+            program_->loop_nodes.push_back(node_id);
+        return it->second;
+    }
 
     // --- address-taken pre-scan ----------------------------------------------
 
@@ -573,7 +839,9 @@ class Compiler
         in_globals_ = true;
         display_ = "<globals>";
         ops_ = &program_->globals.ops;
+        costs_ = &program_->globals.costs;
         pending_steps_ = 0;
+        block_open_ = false;
         program_->globals.display = display_;
         for (const auto &g : tu_.globals) {
             if (g->kind() == StmtKind::Decl)
@@ -597,8 +865,11 @@ class Compiler
 
         display_ = out.display;
         ops_ = &out.ops;
+        costs_ = &out.costs;
         pending_steps_ = 0;
+        block_open_ = false;
         slot_count_ = 0;
+        local_slots_.clear();
         scopes_.clear();
         loops_.clear();
         epilogue_jumps_.clear();
@@ -688,7 +959,8 @@ class Compiler
             addStep(); // execStmt's step()
             addStep(); // eval() steps for the condition
             compileExpr(*s.cond);
-            int branch = emit(OpCode::BranchFalse, s.branch_id, -1);
+            int branch =
+                emit(OpCode::BranchFalse, s.branch_id, -1);
             compileBlockInner(*s.then_block);
             if (s.else_block) {
                 int skip = emit(OpCode::Jump, -1);
@@ -703,13 +975,14 @@ class Compiler
           case StmtKind::While: {
             const auto &s = static_cast<const WhileStmt &>(stmt);
             addStep();
-            emit(OpCode::LoopEnter, s.node_id);
+            int slot = loopSlot(s.node_id);
+            emit(OpCode::LoopEnter, slot);
             int top = here();
             addStep(); // the per-iteration step()
             addStep(); // eval() steps for the condition
             compileExpr(*s.cond);
-            int branch =
-                emit(OpCode::BranchLoop, s.branch_id, -1, s.node_id);
+            int branch = emit(OpCode::BranchLoop, s.branch_id,
+                              -1, slot);
             loops_.push_back({{}, top});
             compileBlockInner(*s.body);
             emit(OpCode::Jump, top);
@@ -727,24 +1000,27 @@ class Compiler
             pushScope();
             if (s.init)
                 compileStmt(*s.init);
-            emit(OpCode::LoopEnter, s.node_id);
+            int slot = loopSlot(s.node_id);
+            emit(OpCode::LoopEnter, slot);
             int top = here();
             addStep(); // the per-iteration step()
             int branch = -1;
             if (s.cond) {
                 addStep(); // eval() steps for the condition
                 compileExpr(*s.cond);
-                branch =
-                    emit(OpCode::BranchLoop, s.branch_id, -1, s.node_id);
+                branch = emit(OpCode::BranchLoop, s.branch_id,
+                              -1, slot);
             } else {
-                emit(OpCode::LoopAlways, s.branch_id, 0, s.node_id);
+                emit(OpCode::LoopAlways, s.branch_id, 0, slot);
             }
             loops_.push_back({{}, -1});
             compileBlockInner(*s.body);
-            int incr = here();
-            loops_.back().continue_target = incr;
-            for (int op : loops_.back().continue_jumps)
-                patchA(op, incr);
+            // The increment is a label only when a continue jumps there.
+            if (!loops_.back().continue_jumps.empty()) {
+                int incr = here();
+                for (int op : loops_.back().continue_jumps)
+                    patchA(op, incr);
+            }
             if (s.step) {
                 addStep(); // eval() steps for the step expression
                 compileExpr(*s.step);
@@ -813,7 +1089,8 @@ class Compiler
             addStep(); // eval() steps for the initializer
             compileExpr(*decl.init);
             if (is_reg) {
-                emit(OpCode::DeclInitReg, slot, profileKey(decl.name));
+                emit(OpCode::DeclInitReg, slot, profileKey(decl.name),
+                     internType(t));
             } else {
                 int layout =
                     t->isStruct() ? layoutIdx(t->structName()) : -1;
@@ -877,6 +1154,11 @@ class Compiler
                  decl.is_static ? decl.node_id : -1);
             return true;
         }
+        // A register with an initializer is bound by DeclInitReg alone:
+        // nothing can read the slot between the two, so the reset's
+        // steps simply fold into the initializer's first op.
+        if (is_reg && decl.init)
+            return true;
         emit(is_reg ? OpCode::DeclReg : OpCode::DeclScalar, slot,
              internType(t));
         return true;
@@ -971,7 +1253,8 @@ class Compiler
             const auto &e = static_cast<const Ternary &>(expr);
             addStep(); // eval() steps for the condition
             compileExpr(*e.cond);
-            int branch = emit(OpCode::BranchFalse, e.branch_id, -1);
+            int branch =
+                emit(OpCode::BranchFalse, e.branch_id, -1);
             addStep(); // eval() steps for the then-branch
             compileExpr(*e.then_expr);
             int skip = emit(OpCode::Jump, -1);
@@ -1247,12 +1530,14 @@ class Compiler
         compilePlaceInner(*e.base);
         int bind_pc = here();
         emit(OpCode::MethodBind, plan_idx);
+        int write_pc = here();
         for (const auto &a : e.args) {
             addStep(); // eval() steps per argument
             compileExpr(*a);
         }
         emit(OpCode::MethodInvoke, plan_idx);
         program_->methods[plan_idx].bind_pc = bind_pc;
+        program_->methods[plan_idx].write_pc = write_pc;
         program_->methods[plan_idx].end_pc = here();
     }
 
@@ -1426,7 +1711,13 @@ class Compiler
         }
     };
     std::vector<Op> *ops_ = nullptr;
+    std::vector<OpCost> *costs_ = nullptr;
     uint32_t pending_steps_ = 0;
+    bool block_open_ = false;
+    /** Slot -> its declaration, for the typed peephole. */
+    std::vector<SlotInfo> local_slots_;
+    std::vector<SlotInfo> global_slots_; ///< by -1 - encoded slot
+    std::map<int, int> loop_slots_; ///< loop node id -> loop slot
     int slot_count_ = 0;
     std::string display_;
     bool in_globals_ = false;

@@ -3,17 +3,36 @@
  * Dispatch-loop VM for the CIR bytecode (docs/INTERP.md).
  *
  * Every opcode handler is a transliteration of the walker fragment it
- * replaces (src/interp/interp.cc is the source of truth): the same
- * memory calls in the same order, the same cycle charges from the
+ * replaces (interp/reference/walker.cc is the source of truth): the
+ * same memory calls in the same order, the same cycle charges from the
  * shared CpuCosts table, the same trap messages, the same coverage /
- * value-profile / loop-profile records. Folded steps are applied via
- * doSteps(), which clamps the counter to max_steps + 1 on overflow —
- * exactly the value the walker's one-at-a-time increment leaves.
+ * value-profile / loop-profile records.
+ *
+ * Accounting is per basic block (docs/INTERP.md). A Block header
+ * charges its block's steps and static cycles at once when they cannot
+ * cross max_steps; a trap inside such a block subtracts the costs of
+ * the block's words after the trapping op. Otherwise the block runs on
+ * the slow path: each word's steps via doSteps() — which clamps the
+ * counter to max_steps + 1 on overflow, exactly the value the walker's
+ * one-at-a-time increment leaves — then its static cycles, before the
+ * op acts. Runs with a branch-event log, or with the test-only
+ * corrupt_branch_event hook armed, take the slow path throughout, so
+ * every BranchEvent carries exact counters.
+ *
+ * Branches go straight into the caller's CoverageMap. Value ranges
+ * (by interned profile key) and loop records (by loop slot) go into
+ * flat per-run arrays, folded into the caller's ValueProfile /
+ * LoopProfile once at the end of the run, trapped or not. Both folds
+ * are order-free sums and extrema, so the sinks end up as the walker
+ * leaves them.
  */
 
 #include "interp/bytecode/bytecode.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "support/diagnostics.h"
 
 namespace heterogen::interp::bytecode {
 
@@ -71,7 +90,11 @@ class VM
   public:
     explicit VM(const Program &program)
         : p_(program), caches_(size_t(program.num_caches)),
-          bind_caches_(program.methods.size())
+          bind_caches_(program.methods.size()),
+          ranges_(program.names.size()),
+          root_loop_(program.loop_nodes.size()),
+          loop_cycles_(program.loop_nodes.size() + 1),
+          loop_runs_(program.loop_nodes.size())
     {
         stack_.reserve(64);
         frames_.reserve(16);
@@ -93,7 +116,16 @@ class VM
         max_steps_ = opts.max_steps;
         loop_profile_ = opts.loop_profile;
         coverage_ = opts.coverage;
+        profile_ = opts.profile;
         branch_log_ = opts.branch_log;
+        corrupt_at_ = testing::corrupt_branch_event;
+        fast_ok_ = !branch_log_ && corrupt_at_ < 0;
+        for (int key : touched_ranges_)
+            ranges_[size_t(key)] = ValueRange{};
+        touched_ranges_.clear();
+        std::fill(loop_cycles_.begin(), loop_cycles_.end(), 0);
+        std::fill(loop_runs_.begin(), loop_runs_.end(), LoopRun{});
+        cur_loop_ = root_loop_;
         memory_.reset();
         stack_.clear();
         frames_.clear();
@@ -151,6 +183,7 @@ class VM
             result.ok = false;
             result.trap = t.what();
         }
+        foldSinks();
         result.cycles = cycles_;
         result.steps = steps_;
         return result;
@@ -163,6 +196,14 @@ class VM
         int pc = 0;
         size_t slot_base = 0; ///< this frame's span in slot_stack_
         size_t loop_base = 0;
+    };
+
+    /** Per-run record of one loop slot, folded into a LoopRecord. */
+    struct LoopRun
+    {
+        uint64_t iterations = 0;
+        uint64_t entries = 0;
+        int parent = -1; ///< enclosing loop node at the latest entry
     };
 
     // --- bookkeeping (walker step/charge/recordBranch/profileStore) ----------
@@ -181,45 +222,109 @@ class VM
         steps_ += n;
     }
 
+    /** Dynamic charge; loop_cycles_ is the innermost loop's (or root's). */
     void
     charge(uint64_t c)
     {
         cycles_ += c;
-        if (loop_profile_) {
-            if (loop_stack_.empty())
-                loop_profile_->root_cycles += c;
-            else
-                loop_profile_->loops[loop_stack_.back()]
-                    .cycles_exclusive += c;
+        loop_cycles_[cur_loop_] += c;
+    }
+
+    /** Slow path: account the `len` words at ops[pc..] in order. */
+    void
+    account(const OpCost *costs, int pc, int len)
+    {
+        for (int i = pc; i < pc + len; ++i) {
+            doSteps(costs[i].steps);
+            charge(costs[i].cycles);
         }
     }
 
+    /** The kBranch charge is static: the op's accounting made it. */
     void
     recordBranch(int branch_id, bool taken)
     {
-        charge(CpuCosts::kBranch);
-        if (testing::corrupt_branch_event >= 0 &&
-            branch_records_ == uint64_t(testing::corrupt_branch_event)) {
-            charge(1); // simulated single-opcode miscompile (tests only)
-        }
-        ++branch_records_;
         if (coverage_)
             coverage_->record(branch_id, taken);
+        if (!fast_ok_)
+            logBranch(branch_id, taken);
+    }
+
+    void
+    logBranch(int branch_id, bool taken)
+    {
+        if (corrupt_at_ >= 0 && branch_records_ == uint64_t(corrupt_at_))
+            charge(1); // simulated single-opcode miscompile (tests only)
+        ++branch_records_;
         if (branch_log_)
             branch_log_->events.push_back(
                 {branch_id, taken, steps_, cycles_});
     }
 
+    ValueRange &
+    rangeOf(int key)
+    {
+        ValueRange &r = ranges_[size_t(key)];
+        if (!r.saw_int && !r.saw_float)
+            touched_ranges_.push_back(key);
+        return r;
+    }
+
     void
     profileStore(int key, const Value &v)
     {
-        if (!opts_->profile || key < 0)
+        if (!profile_ || key < 0)
             return;
-        const std::string &name = p_.names[key];
         if (v.isInt())
-            opts_->profile->note(name, v.asInt());
+            rangeOf(key).noteInt(v.asInt());
         else if (v.isFloat())
-            opts_->profile->noteFloat(name, v.asFloat());
+            rangeOf(key).noteFloat(v.asFloat());
+    }
+
+    void
+    loopEnter(int slot)
+    {
+        LoopRun &run = loop_runs_[size_t(slot)];
+        run.entries += 1;
+        run.parent = loop_stack_.empty()
+                         ? -1
+                         : p_.loop_nodes[size_t(loop_stack_.back())];
+        loop_stack_.push_back(slot);
+        cur_loop_ = size_t(slot);
+    }
+
+    /** Innermost loop slot after the loop stack shrank. */
+    void
+    resumeLoop()
+    {
+        cur_loop_ = loop_stack_.empty() ? root_loop_
+                                        : size_t(loop_stack_.back());
+    }
+
+    /** Fold the run's flat sinks into the caller's. */
+    void
+    foldSinks()
+    {
+        if (profile_) {
+            for (int key : touched_ranges_)
+                profile_->mergeRange(p_.names[size_t(key)],
+                                     ranges_[size_t(key)]);
+        }
+        if (loop_profile_) {
+            loop_profile_->root_cycles += loop_cycles_[root_loop_];
+            for (size_t slot = 0; slot < loop_runs_.size(); ++slot) {
+                const LoopRun &run = loop_runs_[slot];
+                if (run.entries == 0)
+                    continue;
+                int node = p_.loop_nodes[slot];
+                LoopRecord &rec = loop_profile_->loops[node];
+                rec.node_id = node;
+                rec.parent_id = run.parent;
+                rec.iterations += run.iterations;
+                rec.cycles_exclusive += loop_cycles_[slot];
+                rec.entries += run.entries;
+            }
+        }
     }
 
     // --- layout / type helpers -----------------------------------------------
@@ -245,13 +350,16 @@ class VM
         return c;
     }
 
-    /** IndexCombine's element-place computation on explicit operands. */
+    /**
+     * IndexCombine's element-place computation (pops index + base);
+     * its kIntAlu is the op's static charge.
+     */
     std::pair<Place, const Type *>
-    indexElementAt(const Op &op, const Value &base_v, const Type *base_t,
-                   const Value &idx)
+    indexElement(const Op &op)
     {
-        long i = idx.asInt();
-        charge(CpuCosts::kIntAlu);
+        long i = popV().asInt();
+        StackVal base = pop();
+        const Type *base_t = base.t;
         long stride = 1;
         const Type *elem = nullptr;
         SiteCache &c = caches_[size_t(op.a)];
@@ -269,30 +377,20 @@ class VM
             // Untyped base: the runtime block's type decides. Not
             // cached — the answer depends on the block, not base_t.
             const cir::Type *bt =
-                memory_.blockType(base_v.asPlace().block);
+                memory_.blockType(base.v.asPlace().block);
             if (bt && bt->isStruct()) {
                 elem = bt;
                 stride = layoutOf(bt->structName()).size();
             }
         }
-        Place p = base_v.asPlace();
+        Place p = base.v.asPlace();
         return {Place{p.block, p.offset + int32_t(i * stride)}, elem};
     }
 
-    /** IndexCombine's element-place computation (pops index + base). */
-    std::pair<Place, const Type *>
-    indexElement(const Op &op)
-    {
-        Value idx = popV();
-        StackVal base = pop();
-        return indexElementAt(op, base.v, base.t, idx);
-    }
-
-    /** PlaceToValue's tail: decay aggregates, load scalars. */
+    /** PlaceToValue's tail (after its static kMem): decay or load. */
     void
     placeToValue(Place p, const Type *t)
     {
-        charge(CpuCosts::kMem);
         if (t && (t->isArray() || t->isStruct()))
             push(Value::makePointer(p)); // decay
         else
@@ -613,69 +711,9 @@ class VM
     Value
     applyBinary(BinaryOp op, const Value &a, const Value &b)
     {
-        // Int-int is by far the hottest shape; handle it with a single
-        // switch that both charges and computes. Same charges, traps
-        // and results as the general path below.
         if (a.isInt() && b.isInt()) {
-            long x = a.asInt();
-            long y = b.asInt();
-            switch (op) {
-              case BinaryOp::Add:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x + y);
-              case BinaryOp::Sub:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x - y);
-              case BinaryOp::Mul:
-                charge(CpuCosts::kIntMul);
-                return Value::makeInt(x * y);
-              case BinaryOp::Div:
-                charge(CpuCosts::kIntDiv);
-                if (y == 0)
-                    throw Trap("integer division by zero");
-                return Value::makeInt(x / y);
-              case BinaryOp::Mod:
-                charge(CpuCosts::kIntDiv);
-                if (y == 0)
-                    throw Trap("integer modulo by zero");
-                return Value::makeInt(x % y);
-              case BinaryOp::Lt:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x < y);
-              case BinaryOp::Gt:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x > y);
-              case BinaryOp::Le:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x <= y);
-              case BinaryOp::Ge:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x >= y);
-              case BinaryOp::Eq:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x == y);
-              case BinaryOp::Ne:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x != y);
-              case BinaryOp::BitAnd:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x & y);
-              case BinaryOp::BitOr:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x | y);
-              case BinaryOp::BitXor:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x ^ y);
-              case BinaryOp::Shl:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x << (y & 63));
-              case BinaryOp::Shr:
-                charge(CpuCosts::kIntAlu);
-                return Value::makeInt(x >> (y & 63));
-              default:
-                charge(CpuCosts::kIntAlu);
-                throw Trap("unhandled integer operation");
-            }
+            charge(intCycles(op));
+            return Value::makeInt(intBinary(op, a.asInt(), b.asInt()));
         }
         if (a.isPointer() || b.isPointer())
             return applyPointerBinary(op, a, b);
@@ -803,865 +841,719 @@ class VM
         }
     }
 
+    // --- typed integer ops ----------------------------------------------------
+
+    static long
+    wrapTo(long v, uint8_t wrap)
+    {
+        return wrapInt(v, wrap & ~kWrapSigned, (wrap & kWrapSigned) != 0);
+    }
+
+    /** A typed operand: the literal, or the register's integer. */
+    static long
+    operand(int32_t v, bool is_const, const Binding *slots)
+    {
+        return is_const ? long(v) : slots[v].v.asInt();
+    }
+
+    /** applyBinary's int-int arm minus its charge (static on typed ops). */
+    static long
+    intBinary(BinaryOp op, long x, long y)
+    {
+        switch (op) {
+          case BinaryOp::Add: return x + y;
+          case BinaryOp::Sub: return x - y;
+          case BinaryOp::Mul: return x * y;
+          case BinaryOp::Div:
+            if (y == 0)
+                throw Trap("integer division by zero");
+            return x / y;
+          case BinaryOp::Mod:
+            if (y == 0)
+                throw Trap("integer modulo by zero");
+            return x % y;
+          case BinaryOp::Lt: return x < y;
+          case BinaryOp::Gt: return x > y;
+          case BinaryOp::Le: return x <= y;
+          case BinaryOp::Ge: return x >= y;
+          case BinaryOp::Eq: return x == y;
+          case BinaryOp::Ne: return x != y;
+          case BinaryOp::BitAnd: return x & y;
+          case BinaryOp::BitOr: return x | y;
+          case BinaryOp::BitXor: return x ^ y;
+          case BinaryOp::Shl: return x << (y & 63);
+          case BinaryOp::Shr: return x >> (y & 63);
+          default:
+            throw Trap("unhandled integer operation");
+        }
+    }
+
+    long
+    typedValue(const Op &op, const Binding *slots) const
+    {
+        long y = operand(op.b, op.mode & kConstR, slots);
+        if (op.mode & kBinary)
+            return intBinary(BinaryOp(op.bop),
+                             operand(op.a, op.mode & kConstL, slots), y);
+        if (op.mode & kStoreAcc)
+            return intBinary(BinaryOp(op.bop), slots[op.c].v.asInt(), y);
+        return y;
+    }
+
+    /** Store an integer into a register as coerceToType would. */
+    void
+    storeInt(Binding &dst, long v, const Op &op, const Type *t)
+    {
+        dst = {Value::makeInt(wrapTo(v, op.wrap), t), t};
+        if (profile_)
+            rangeOf(op.d).noteInt(dst.v.asInt());
+    }
+
     // --- the dispatch loop ----------------------------------------------------
 
     void
     execLoop(size_t until_depth)
     {
-        // The hot loop keeps pc and the op array in locals so they can
-        // live in registers; they are written back to the frame before
-        // anything that can switch frames (calls, returns, method
-        // dispatch) and reloaded after. Trap unwinds skip the
-        // write-back — a trapped run's frames are discarded unread.
-        const Op *ops = frames_.back().fn->ops.data();
-        int pc = frames_.back().pc;
-        for (;;) {
-            const Op op = ops[size_t(pc)];
-            ++pc;
-            doSteps(op.pre_steps);
-            switch (op.code) {
-              case OpCode::Step:
-                break;
-              case OpCode::Const:
-                push(p_.const_pool[size_t(op.a)]);
-                break;
-              case OpCode::Drop:
-                pop();
-                break;
-              case OpCode::LoadScalar: {
-                Binding &b = slotAt(op.a);
-                charge(CpuCosts::kMem);
-                push(memory_.load(b.v.asPlace()));
-                break;
-              }
-              case OpCode::LoadReg: {
-                charge(CpuCosts::kMem);
-                push(slotAt(op.a).v);
-                break;
-              }
-              case OpCode::LoadHandle: {
-                Binding &b = slotAt(op.a);
-                charge(CpuCosts::kMem);
-                push(b.v);
-                break;
-              }
-              case OpCode::TrapOp:
-                throw Trap(p_.names[size_t(op.a)]);
-              case OpCode::PlaceSlot: {
-                Binding &b = slotAt(op.a);
-                push(b.v, b.type);
-                break;
-              }
-              case OpCode::PlaceReg: {
-                // A register has no place. The entry's static type is
-                // all downstream consumers inspect before trapping
-                // (registers are never structs), so a null place is
-                // never dereferenced.
-                Binding &b = slotAt(op.a);
-                push(Value::makePointer({0, 0}), b.type);
-                break;
-              }
-              case OpCode::PlaceDeref: {
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("dereference of non-pointer");
-                push(Value::makePointer(v.asPlace()), nullptr);
-                break;
-              }
-              case OpCode::DerefLoad: {
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("dereference of non-pointer");
-                charge(CpuCosts::kMem);
-                push(memory_.load(v.asPlace()));
-                break;
-              }
-              case OpCode::AddrOf: {
-                StackVal e = pop();
-                push(Value::makePointer(e.v.asPlace()));
-                break;
-              }
-              case OpCode::PlaceToValue: {
-                StackVal e = pop();
-                placeToValue(e.v.asPlace(), e.t);
-                break;
-              }
-              case OpCode::IndexBaseArr: {
-                Binding &b = slotAt(op.a);
-                push(b.v, b.type);
-                break;
-              }
-              case OpCode::IndexBaseLoad: {
-                Binding &b = slotAt(op.a);
-                Value v = memory_.load(b.v.asPlace());
-                if (!v.isPointer())
-                    throw Trap(p_.names[size_t(op.c)]);
-                push(Value::makePointer(v.asPlace()), b.type);
-                break;
-              }
-              case OpCode::IndexBaseLoadReg: {
-                Binding &b = slotAt(op.a);
-                if (!b.v.isPointer())
-                    throw Trap(p_.names[size_t(op.c)]);
-                push(Value::makePointer(b.v.asPlace()), b.type);
-                break;
-              }
-              case OpCode::IndexBaseDecay: {
-                StackVal e = pop();
-                if (e.t && e.t->isArray()) {
-                    push(e.v, e.t);
+        // The hot loop keeps pc, the op and cost arrays, the frame's
+        // slots and the block mode in locals; they are written back to
+        // the frame before anything that can switch frames (calls,
+        // returns, method dispatch) and reloaded after. A trap in a
+        // pre-charged (fast) block takes back the charges of the words
+        // after the trapping op; the run's frames are discarded unread.
+        const Op *ops = nullptr;
+        const OpCost *costs = nullptr;
+        int size = 0;
+        Binding *slots = nullptr;
+        int pc = 0;
+        bool fast = false;
+        auto load = [&] {
+            const Frame &fr = frames_.back();
+            ops = fr.fn->ops.data();
+            costs = fr.fn->costs.data();
+            size = int(fr.fn->ops.size());
+            slots = slot_stack_.data() + fr.slot_base;
+            pc = fr.pc;
+        };
+        // Move pc past the next `words` words of a typed op, accounting
+        // them on the slow path: pc - 1 is always the last word whose
+        // accounting is done, and the one a trap is charged up to.
+        auto enter = [&](int words) {
+            if (!fast)
+                account(costs, pc, words);
+            pc += words;
+        };
+        // Enter the block whose header is ops[head]: charge it whole
+        // when it cannot cross max_steps, else run it on the slow path.
+        auto block = [&](int head) {
+            const Op &h = ops[head];
+            pc = head + 1;
+            fast = fast_ok_ && steps_ + uint64_t(h.a) <= max_steps_;
+            if (fast) {
+                steps_ += uint64_t(h.a);
+                cycles_ += uint64_t(h.b);
+                loop_cycles_[cur_loop_] += uint64_t(h.b);
+            }
+        };
+        load();
+        try {
+            for (;;) {
+                const Op &op = ops[pc];
+                enter(1);
+                switch (op.code) {
+                  case OpCode::Step:
                     break;
-                }
-                Value v = memory_.load(e.v.asPlace());
-                if (!v.isPointer())
-                    throw Trap("subscript of non-array value");
-                push(Value::makePointer(v.asPlace()), e.t);
-                break;
-              }
-              case OpCode::IndexCombine: {
-                auto [p, elem] = indexElement(op);
-                push(Value::makePointer(p), elem);
-                break;
-              }
-              case OpCode::MemberArrow: {
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("-> on non-pointer");
-                Place p = v.asPlace();
-                push(Value::makePointer(p),
-                     memory_.blockType(p.block));
-                break;
-              }
-              case OpCode::MemberDotTest: {
-                Value v = popV();
-                if (v.isPointer()) {
-                    Place p = v.asPlace();
-                    push(Value::makePointer(p),
-                         memory_.blockType(p.block));
-                    pc = op.a;
-                }
-                break;
-              }
-              case OpCode::MemberCombine: {
-                StackVal base = pop();
-                SiteCache &c = memberCache(base.t, op);
-                Place p = base.v.asPlace();
-                push(Value::makePointer({p.block, p.offset + c.field}),
-                     c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::Neg: {
-                Value v = popV();
-                charge(v.isFloat() ? CpuCosts::kFloatAlu
-                                   : CpuCosts::kIntAlu);
-                if (v.isFloat())
-                    push(Value::makeFloat(-v.asFloat()));
-                else
-                    push(Value::makeInt(-v.asInt()));
-                break;
-              }
-              case OpCode::Not: {
-                Value v = popV();
-                charge(CpuCosts::kIntAlu);
-                push(Value::makeInt(v.truthy() ? 0 : 1));
-                break;
-              }
-              case OpCode::BitNot: {
-                Value v = popV();
-                charge(CpuCosts::kIntAlu);
-                push(Value::makeInt(~v.asInt()));
-                break;
-              }
-              case OpCode::IncDec: {
-                StackVal e = pop();
-                Place place = e.v.asPlace();
-                Value old = memory_.load(place);
-                charge(CpuCosts::kIntAlu + 2 * CpuCosts::kMem);
-                long delta = (op.a == 0 || op.a == 2) ? 1 : -1;
-                Value updated;
-                if (old.isFloat())
-                    updated = Value::makeFloat(old.asFloat() + delta);
-                else if (old.isPointer())
-                    updated = Value::makePointer(
-                        {old.asPlace().block,
-                         old.asPlace().offset +
-                             int32_t(delta * placeStride(e.t))});
-                else
-                    updated = Value::makeInt(old.asInt() + delta);
-                memory_.store(place, updated);
-                profileStore(op.b, memory_.load(place));
-                bool post = op.a >= 2;
-                push(post ? old : memory_.load(place));
-                break;
-              }
-              case OpCode::IncDecReg:
-                execIncDecReg(op, true);
-                break;
-              case OpCode::Binary: {
-                Value b = popV();
-                Value a = popV();
-                push(applyBinary(BinaryOp(op.a), a, b));
-                break;
-              }
-              case OpCode::LogicalTest: {
-                Value v = popV();
-                bool lhs = v.truthy();
-                bool is_and = op.a != 0;
-                bool shortcut = is_and ? !lhs : lhs;
-                recordBranch(op.b, lhs);
-                if (shortcut) {
-                    push(Value::makeInt(is_and ? 0 : 1));
-                    pc = op.c;
-                }
-                break;
-              }
-              case OpCode::Truthy01: {
-                Value v = popV();
-                push(Value::makeInt(v.truthy() ? 1 : 0));
-                break;
-              }
-              case OpCode::CastTo: {
-                Value v = popV();
-                push(coerceToType(v, p_.types[size_t(op.a)]));
-                break;
-              }
-              case OpCode::Jump:
-                pc = op.a;
-                break;
-              case OpCode::BranchFalse: {
-                Value v = popV();
-                bool cond = v.truthy();
-                recordBranch(op.a, cond);
-                if (!cond)
-                    pc = op.b;
-                break;
-              }
-              case OpCode::BranchLoop: {
-                Value v = popV();
-                bool cond = v.truthy();
-                recordBranch(op.a, cond);
-                if (!cond) {
-                    pc = op.b;
-                } else if (loop_profile_) {
-                    loop_profile_->loops[op.c].iterations += 1;
-                }
-                break;
-              }
-              case OpCode::LoopAlways: {
-                recordBranch(op.a, true);
-                if (loop_profile_)
-                    loop_profile_->loops[op.c].iterations += 1;
-                break;
-              }
-              case OpCode::LoopEnter: {
-                if (loop_profile_) {
-                    LoopRecord &rec =
-                        loop_profile_->loops[op.a];
-                    rec.node_id = op.a;
-                    rec.parent_id = loop_stack_.empty()
-                                        ? -1
-                                        : loop_stack_.back();
-                    rec.entries += 1;
-                    loop_stack_.push_back(op.a);
-                }
-                break;
-              }
-              case OpCode::LoopExit: {
-                if (loop_profile_)
-                    loop_stack_.pop_back();
-                break;
-              }
-              case OpCode::CallFn: {
-                frames_.back().pc = pc;
-                invoke(op.a, op.b, stack_.size() - size_t(op.b), {});
-                ops = frames_.back().fn->ops.data();
-                pc = frames_.back().pc;
-                break;
-              }
-              case OpCode::Ret: {
-                Value ret =
-                    op.a ? popV() : Value::makeInt(0);
-                Frame &fr = frames_.back();
-                const CompiledFunction &fn = *fr.fn;
-                loop_stack_.resize(fr.loop_base);
-                slot_stack_.resize(fr.slot_base);
-                frames_.pop_back();
-                if (!fn.ret_void)
-                    push(coerceToType(ret, fn.ret_type));
-                else
-                    push(Value::makeInt(0));
-                if (frames_.size() == until_depth)
-                    return;
-                ops = frames_.back().fn->ops.data();
-                pc = frames_.back().pc;
-                break;
-              }
-              case OpCode::Halt:
-                frames_.back().pc = pc;
-                return;
-              case OpCode::Charge:
-                charge(uint64_t(op.a));
-                break;
-              case OpCode::MallocRaw: {
-                long cells = popV().asInt();
-                if (cells > Memory::kMaxCells)
-                    throw Trap(
-                        "allocation exceeds interpreter heap limit");
-                int32_t block =
-                    memory_.allocate(int(cells), nullptr, true);
-                push(Value::makePointer({block, 0}));
-                break;
-              }
-              case OpCode::MallocTyped: {
-                const MallocPlan &plan = p_.mallocs[size_t(op.a)];
-                long count = 1;
-                if (plan.has_count)
-                    count = popV().asInt();
-                if (count < 0)
-                    throw Trap("malloc with negative count");
-                if (!plan.trap.empty())
-                    throw Trap(plan.trap);
-                int32_t block;
-                if (plan.layout >= 0) {
-                    if (count > Memory::kMaxCells)
-                        throw Trap(
-                            "allocation exceeds interpreter heap limit");
-                    block = memory_.allocatePattern(
-                        int(count), plan.type,
-                        p_.layouts[size_t(plan.layout)].field_types,
-                        true);
-                } else {
-                    long cells = count * long(plan.cells_per);
-                    if (cells > Memory::kMaxCells)
-                        throw Trap(
-                            "allocation exceeds interpreter heap limit");
-                    block = memory_.allocate(int(cells), plan.type,
-                                             true);
-                }
-                push(Value::makePointer({block, 0}));
-                break;
-              }
-              case OpCode::FreeOp: {
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("free of non-pointer");
-                memory_.release(v.asPlace());
-                push(Value::makeInt(0));
-                break;
-              }
-              case OpCode::Printf: {
-                for (int i = 0; i < op.a; ++i)
-                    pop();
-                charge(CpuCosts::kCall);
-                push(Value::makeInt(0));
-                break;
-              }
-              case OpCode::Math:
-                execMath(op);
-                break;
-              case OpCode::MethodEnter:
-                // execMethodEnter jumps by writing the frame's pc.
-                frames_.back().pc = pc;
-                execMethodEnter(op);
-                pc = frames_.back().pc;
-                break;
-              case OpCode::MethodBind:
-                execMethodBind(op);
-                break;
-              case OpCode::MethodInvoke: {
-                const MethodPlan &plan = p_.methods[size_t(op.a)];
-                // Stack: receiver, fn id, then argc arguments.
-                size_t arg_base = stack_.size() - size_t(plan.argc);
-                long fn_id = stack_[arg_base - 1].v.asInt();
-                Value recv = stack_[arg_base - 2].v;
-                if (fn_id < 0) { // stream write
-                    memory_.streamWrite(recv.streamId(),
-                                        stack_[arg_base].v);
-                    stack_.resize(arg_base - 2);
-                    push(Value::makeInt(0));
-                } else {
+                  case OpCode::Block: // reached by falling through a label
+                    block(pc - 1);
+                    break;
+                  case OpCode::Ret:
+                    if (execRet(op, until_depth))
+                        return;
+                    load();
+                    break;
+                  case OpCode::Halt:
                     frames_.back().pc = pc;
-                    invoke(int(fn_id), plan.argc, arg_base,
-                           recv.asPlace());
-                    stack_.resize(stack_.size() - 2);
-                    ops = frames_.back().fn->ops.data();
+                    return;
+                  case OpCode::CallFn:
+                    frames_.back().pc = pc;
+                    invoke(op.a, op.b, stack_.size() - size_t(op.b), {});
+                    load();
+                    break;
+                  case OpCode::MethodEnter:
+                    // execMethodEnter jumps by writing the frame's pc.
+                    frames_.back().pc = pc;
+                    execMethodEnter(op);
                     pc = frames_.back().pc;
-                }
-                break;
-              }
-              case OpCode::StructLitAlloc: {
-                const StructLitPlan &plan =
-                    p_.struct_lits[size_t(op.a)];
-                const StructLayout &layout =
-                    p_.layouts[size_t(plan.layout)];
-                int32_t block = memory_.allocatePattern(
-                    1, plan.type, layout.field_types);
-                push(Value::makePointer({block, 0}));
-                break;
-              }
-              case OpCode::StructLitInit: {
-                const StructLitPlan &plan =
-                    p_.struct_lits[size_t(op.a)];
-                std::vector<Value> args = popArgs(plan.argc);
-                Value base = popV();
-                if (!plan.trap.empty() && plan.trap_before)
-                    throw Trap(plan.trap);
-                int32_t block = base.asPlace().block;
-                for (const auto &[fi, pi] : plan.stores)
-                    memory_.store({block, fi}, args[size_t(pi)]);
-                if (!plan.trap.empty())
-                    throw Trap(plan.trap);
-                push(base);
-                break;
-              }
-              case OpCode::DeclScalar: {
-                const TypePtr &t = p_.types[size_t(op.b)];
-                int32_t block = memory_.allocate(1, t);
-                slotAt(op.a) = {Value::makePointer({block, 0}),
-                                t.get()};
-                break;
-              }
-              case OpCode::DeclReg: {
-                // A fresh unset value each execution, as the walker's
-                // fresh uninitialized cell. No block is allocated; no
-                // pointer to this variable can exist (see PlaceReg).
-                slotAt(op.a) = {Value(),
-                                p_.types[size_t(op.b)].get()};
-                break;
-              }
-              case OpCode::DeclStruct: {
-                const TypePtr &t = p_.types[size_t(op.c)];
-                const StructLayout &layout = p_.layouts[size_t(op.b)];
-                int32_t block = memory_.allocatePattern(
-                    1, t, layout.field_types);
-                slotAt(op.a) = {Value::makePointer({block, 0}),
-                                t.get()};
-                break;
-              }
-              case OpCode::DeclStream: {
-                const TypePtr &t = p_.types[size_t(op.b)];
-                int32_t block = memory_.allocate(1, t);
-                int32_t id;
-                if (op.c >= 0) {
-                    auto hit = static_streams_.find(op.c);
-                    if (hit != static_streams_.end()) {
-                        id = hit->second;
-                    } else {
-                        id = memory_.createStream();
-                        static_streams_[op.c] = id;
+                    break;
+                  case OpCode::MethodInvoke:
+                    frames_.back().pc = pc;
+                    if (execMethodInvoke(op))
+                        load();
+                    break;
+                  case OpCode::IntBin: {
+                    enter(2);
+                    long r = intBinary(BinaryOp(op.bop),
+                                       operand(op.a, op.mode & kConstL, slots),
+                                       operand(op.b, op.mode & kConstR, slots));
+                    push(Value::makeInt(r));
+                    break;
+                  }
+                  case OpCode::IntBranch:
+                  case OpCode::IntLoop: {
+                    enter(3);
+                    bool cond =
+                        intBinary(BinaryOp(op.bop),
+                                  operand(op.a, op.mode & kConstL, slots),
+                                  operand(op.b, op.mode & kConstR,
+                                          slots)) != 0;
+                    recordBranch(op.d, cond);
+                    if (cond && op.code == OpCode::IntLoop)
+                        loop_runs_[size_t(op.e)].iterations += 1;
+                    block(cond ? pc : op.c);
+                    break;
+                  }
+                  case OpCode::IntStore:
+                    enter(op.len - 1);
+                    storeInt(slots[op.c], typedValue(op, slots), op,
+                             p_.types[size_t(op.e)].get());
+                    break;
+                  case OpCode::IntInc:
+                  case OpCode::IntIncJump: {
+                    enter(op.len - 1);
+                    Binding &dst = slots[op.a];
+                    storeInt(dst, dst.v.asInt() + op.b, op, dst.type);
+                    if (op.code == OpCode::IntIncJump)
+                        block(op.c);
+                    break;
+                  }
+                  case OpCode::IntLoadIndex: {
+                    // The base (first word) may trap; then each later
+                    // word is entered just before its part runs.
+                    Binding &b = slotAt(op.a);
+                    Place base = b.v.asPlace();
+                    if (op.e != kIndexArray) {
+                        Value v = op.e == kIndexCell
+                                      ? memory_.load(b.v.asPlace())
+                                      : b.v;
+                        if (!v.isPointer())
+                            throw Trap(p_.names[size_t(op.c)]);
+                        base = v.asPlace();
                     }
-                } else {
-                    id = memory_.createStream();
-                }
-                memory_.storeRaw({block, 0}, Value::makeStream(id));
-                slotAt(op.a) = {Value::makePointer({block, 0}),
-                                t.get()};
-                break;
-              }
-              case OpCode::CheckDim: {
-                long d = stack_.back().v.asInt();
-                if (d < 0)
-                    throw Trap("negative array size");
-                break;
-              }
-              case OpCode::DeclArray: {
-                const ArrayDeclPlan &plan = p_.arrays[size_t(op.b)];
-                std::vector<Value> rdims = popArgs(plan.runtime_dims);
-                long total = 1;
-                size_t rt = 0;
-                for (long d : plan.dims) {
-                    if (d == kUnknownArraySize)
-                        d = rdims[rt++].asInt();
-                    total *= d;
-                }
-                int32_t block;
-                if (plan.layout >= 0) {
-                    block = memory_.allocatePattern(
-                        int(total), plan.scalar,
-                        p_.layouts[size_t(plan.layout)].field_types);
-                } else {
-                    block = memory_.allocate(int(total), plan.scalar);
-                }
-                slotAt(op.a) = {Value::makePointer({block, 0}),
-                                plan.type.get()};
-                break;
-              }
-              case OpCode::DeclInit: {
-                Value v = popV();
-                charge(CpuCosts::kMem);
-                Binding &b = slotAt(op.a);
-                Place place = b.v.asPlace();
-                if (op.c >= 0 && v.isPointer()) {
-                    copyStruct(v.asPlace(), place,
-                               p_.layouts[size_t(op.c)]);
-                } else {
-                    memory_.store(place, v);
-                    profileStore(op.b, memory_.load(place));
-                }
-                break;
-              }
-              case OpCode::DeclInitReg: {
-                // DeclInit for a register: store coerces to the
-                // declared type, and the profile notes the coerced
-                // value, exactly as Memory::store + load would.
-                Value v = popV();
-                charge(CpuCosts::kMem);
-                Binding &b = slotAt(op.a);
-                b.v = coerceToType(v, b.type);
-                profileStore(op.b, b.v);
-                break;
-              }
-              case OpCode::Assign:
-                execAssign(op, true);
-                break;
-              case OpCode::AssignReg:
-                execAssignReg(op, true);
-                break;
-
-              // --- fused superinstructions ------------------------------------
-              // The trailing component ops sit unchanged at ops[pc];
-              // handlers read them as operand words and step past,
-              // replicating each component's steps/charges in order.
-              case OpCode::FuseLoadRegConstBinary: {
-                const Op &o2 = ops[size_t(pc)];     // Const
-                const Op &o3 = ops[size_t(pc) + 1]; // Binary
-                pc += 2;
-                charge(CpuCosts::kMem);
-                Value a = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                doSteps(o3.pre_steps);
-                push(applyBinary(BinaryOp(o3.a), a,
-                                 p_.const_pool[size_t(o2.a)]));
-                break;
-              }
-              case OpCode::FuseLoadRegLoadRegBinary: {
-                const Op &o2 = ops[size_t(pc)];     // LoadReg
-                const Op &o3 = ops[size_t(pc) + 1]; // Binary
-                pc += 2;
-                charge(CpuCosts::kMem);
-                Value a = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                charge(CpuCosts::kMem);
-                Value b = slotAt(o2.a).v;
-                doSteps(o3.pre_steps);
-                push(applyBinary(BinaryOp(o3.a), a, b));
-                break;
-              }
-              case OpCode::FuseLoadRegArrowMember: {
-                const Op &o2 = ops[size_t(pc)];     // MemberArrow
-                const Op &o3 = ops[size_t(pc) + 1]; // MemberCombine
-                pc += 2;
-                charge(CpuCosts::kMem);
-                Value v = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                if (!v.isPointer())
-                    throw Trap("-> on non-pointer");
-                Place p = v.asPlace();
-                const Type *bt = memory_.blockType(p.block);
-                doSteps(o3.pre_steps);
-                SiteCache &c = memberCache(bt, o3);
-                push(Value::makePointer({p.block, p.offset + c.field}),
-                     c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::FuseLoadRegBinary: {
-                const Op &o2 = ops[size_t(pc)]; // Binary
-                ++pc;
-                charge(CpuCosts::kMem);
-                Value b = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                Value a = popV();
-                push(applyBinary(BinaryOp(o2.a), a, b));
-                break;
-              }
-              case OpCode::FuseConstBinary: {
-                const Op &o2 = ops[size_t(pc)]; // Binary
-                ++pc;
-                doSteps(o2.pre_steps);
-                Value a = popV();
-                push(applyBinary(BinaryOp(o2.a), a,
-                                 p_.const_pool[size_t(op.a)]));
-                break;
-              }
-              case OpCode::FuseIndexLoad: {
-                const Op &o2 = ops[size_t(pc)]; // PlaceToValue
-                ++pc;
-                auto [p, elem] = indexElement(op);
-                doSteps(o2.pre_steps);
-                placeToValue(p, elem);
-                break;
-              }
-              case OpCode::FuseArrowMember: {
-                const Op &o2 = ops[size_t(pc)]; // MemberCombine
-                ++pc;
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("-> on non-pointer");
-                Place p = v.asPlace();
-                const Type *bt = memory_.blockType(p.block);
-                doSteps(o2.pre_steps);
-                SiteCache &c = memberCache(bt, o2);
-                push(Value::makePointer({p.block, p.offset + c.field}),
-                     c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::FuseMemberLoad: {
-                const Op &o2 = ops[size_t(pc)]; // PlaceToValue
-                ++pc;
-                StackVal base = pop();
-                SiteCache &c = memberCache(base.t, op);
-                Place p = base.v.asPlace();
-                doSteps(o2.pre_steps);
-                placeToValue({p.block, p.offset + c.field},
-                             c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::FuseBinaryBranchFalse: {
-                const Op &o2 = ops[size_t(pc)]; // BranchFalse
-                ++pc;
-                Value rb = popV();
-                Value ra = popV();
-                Value r = applyBinary(BinaryOp(op.a), ra, rb);
-                doSteps(o2.pre_steps);
-                bool cond = r.truthy();
-                recordBranch(o2.a, cond);
-                if (!cond)
-                    pc = o2.b;
-                break;
-              }
-              case OpCode::FuseBinaryBranchLoop: {
-                const Op &o2 = ops[size_t(pc)]; // BranchLoop
-                ++pc;
-                Value rb = popV();
-                Value ra = popV();
-                Value r = applyBinary(BinaryOp(op.a), ra, rb);
-                doSteps(o2.pre_steps);
-                bool cond = r.truthy();
-                recordBranch(o2.a, cond);
-                if (!cond) {
-                    pc = o2.b;
-                } else if (loop_profile_) {
-                    loop_profile_->loops[o2.c].iterations += 1;
-                }
-                break;
-              }
-              case OpCode::FuseAssignRegDrop: {
-                const Op &o2 = ops[size_t(pc)]; // Drop
-                ++pc;
-                execAssignReg(op, false);
-                doSteps(o2.pre_steps);
-                break;
-              }
-              case OpCode::FuseIncDecRegDrop: {
-                const Op &o2 = ops[size_t(pc)]; // Drop
-                ++pc;
-                execIncDecReg(op, false);
-                doSteps(o2.pre_steps);
-                break;
-              }
-              case OpCode::FuseAssignDrop: {
-                const Op &o2 = ops[size_t(pc)]; // Drop
-                ++pc;
-                execAssign(op, false);
-                doSteps(o2.pre_steps);
-                break;
-              }
-              case OpCode::FuseLoadRegLoadRegBinaryBranchFalse:
-              case OpCode::FuseLoadRegLoadRegBinaryBranchLoop: {
-                const Op &o2 = ops[size_t(pc)];     // LoadReg
-                const Op &o3 = ops[size_t(pc) + 1]; // Binary
-                const Op &o4 = ops[size_t(pc) + 2]; // BranchFalse/Loop
-                pc += 3;
-                charge(CpuCosts::kMem);
-                Value a = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                charge(CpuCosts::kMem);
-                Value b = slotAt(o2.a).v;
-                doSteps(o3.pre_steps);
-                Value r = applyBinary(BinaryOp(o3.a), a, b);
-                doSteps(o4.pre_steps);
-                bool cond = r.truthy();
-                recordBranch(o4.a, cond);
-                if (!cond) {
-                    pc = o4.b;
-                } else if (op.code ==
-                               OpCode::FuseLoadRegLoadRegBinaryBranchLoop &&
-                           loop_profile_) {
-                    loop_profile_->loops[o4.c].iterations += 1;
-                }
-                break;
-              }
-              case OpCode::FuseLoadRegConstBinaryBranchFalse:
-              case OpCode::FuseLoadRegConstBinaryBranchLoop: {
-                const Op &o2 = ops[size_t(pc)];     // Const
-                const Op &o3 = ops[size_t(pc) + 1]; // Binary
-                const Op &o4 = ops[size_t(pc) + 2]; // BranchFalse/Loop
-                pc += 3;
-                charge(CpuCosts::kMem);
-                Value a = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                doSteps(o3.pre_steps);
-                Value r = applyBinary(BinaryOp(o3.a), a,
-                                      p_.const_pool[size_t(o2.a)]);
-                doSteps(o4.pre_steps);
-                bool cond = r.truthy();
-                recordBranch(o4.a, cond);
-                if (!cond) {
-                    pc = o4.b;
-                } else if (op.code ==
-                               OpCode::FuseLoadRegConstBinaryBranchLoop &&
-                           loop_profile_) {
-                    loop_profile_->loops[o4.c].iterations += 1;
-                }
-                break;
-              }
-              case OpCode::FuseIncDecRegDropJump: {
-                const Op &o2 = ops[size_t(pc)];     // Drop
-                const Op &o3 = ops[size_t(pc) + 1]; // Jump
-                pc += 2;
-                execIncDecReg(op, false);
-                doSteps(o2.pre_steps);
-                doSteps(o3.pre_steps);
-                pc = o3.a;
-                break;
-              }
-              case OpCode::FuseIdxArrRegLoad:
-              case OpCode::FuseIdxLoadRegLoad:
-              case OpCode::FuseIdxLoadRegRegLoad: {
-                const Op &o2 = ops[size_t(pc)];     // LoadReg
-                const Op &o3 = ops[size_t(pc) + 1]; // IndexCombine
-                const Op &o4 = ops[size_t(pc) + 2]; // PlaceToValue
-                pc += 3;
-                Binding &b = slotAt(op.a);
-                Value base = b.v;
-                if (op.code == OpCode::FuseIdxLoadRegLoad) {
+                    long i;
+                    if (op.mode & kBinary) { // index L bop R (may trap)
+                        enter(3);
+                        i = intBinary(BinaryOp(op.bop),
+                                      operand(op.d, op.mode & kConstL,
+                                              slots),
+                                      operand(op.b, op.mode & kConstR,
+                                              slots));
+                    } else {
+                        enter(1);
+                        i = operand(op.b, op.mode & kConstR, slots);
+                    }
+                    enter(2); // IndexCombine (scalar element: stride 1)
+                              // and PlaceToValue, whose load may trap
+                    push(memory_.load(
+                        {base.block, base.offset + int32_t(i)}));
+                    break;
+                  }
+                  case OpCode::ArrowMember: {
+                    Value v;
+                    if (op.mode & kStackBase) {
+                        v = popV();
+                    } else {
+                        v = slotAt(op.a).v;
+                        enter(1); // MemberArrow
+                    }
+                    if (!v.isPointer())
+                        throw Trap("-> on non-pointer");
+                    Place p = v.asPlace();
+                    const Type *bt = memory_.blockType(p.block);
+                    enter(1);
+                    SiteCache &c = memberCache(bt, ops[pc - 1]);
+                    Place field{p.block, p.offset + c.field};
+                    const Type *ft = c.layout->field_types[size_t(c.field)];
+                    if (op.mode & kLoadField) {
+                        enter(1);
+                        placeToValue(field, ft);
+                    } else {
+                        push(Value::makePointer(field), ft);
+                    }
+                    break;
+                  }
+                  case OpCode::Const:
+                    push(p_.const_pool[size_t(op.a)]);
+                    break;
+                  case OpCode::Drop:
+                    pop();
+                    break;
+                  case OpCode::LoadScalar: {
+                    Binding &b = slotAt(op.a);
+                    push(memory_.load(b.v.asPlace()));
+                    break;
+                  }
+                  case OpCode::LoadReg:
+                    push(slotAt(op.a).v);
+                    break;
+                  case OpCode::LoadHandle:
+                    push(slotAt(op.a).v);
+                    break;
+                  case OpCode::TrapOp:
+                    throw Trap(p_.names[size_t(op.a)]);
+                  case OpCode::PlaceSlot: {
+                    Binding &b = slotAt(op.a);
+                    push(b.v, b.type);
+                    break;
+                  }
+                  case OpCode::PlaceReg: {
+                    // A register has no place. The entry's static type is
+                    // all downstream consumers inspect before trapping
+                    // (registers are never structs), so a null place is
+                    // never dereferenced.
+                    Binding &b = slotAt(op.a);
+                    push(Value::makePointer({0, 0}), b.type);
+                    break;
+                  }
+                  case OpCode::PlaceDeref: {
+                    Value v = popV();
+                    if (!v.isPointer())
+                        throw Trap("dereference of non-pointer");
+                    push(Value::makePointer(v.asPlace()), nullptr);
+                    break;
+                  }
+                  case OpCode::DerefLoad: {
+                    Value v = popV();
+                    if (!v.isPointer())
+                        throw Trap("dereference of non-pointer");
+                    charge(CpuCosts::kMem);
+                    push(memory_.load(v.asPlace()));
+                    break;
+                  }
+                  case OpCode::AddrOf: {
+                    StackVal e = pop();
+                    push(Value::makePointer(e.v.asPlace()));
+                    break;
+                  }
+                  case OpCode::PlaceToValue: {
+                    StackVal e = pop();
+                    placeToValue(e.v.asPlace(), e.t);
+                    break;
+                  }
+                  case OpCode::IndexBaseArr: {
+                    Binding &b = slotAt(op.a);
+                    push(b.v, b.type);
+                    break;
+                  }
+                  case OpCode::IndexBaseLoad: {
+                    Binding &b = slotAt(op.a);
                     Value v = memory_.load(b.v.asPlace());
                     if (!v.isPointer())
                         throw Trap(p_.names[size_t(op.c)]);
-                    base = Value::makePointer(v.asPlace());
-                } else if (op.code == OpCode::FuseIdxLoadRegRegLoad) {
+                    push(Value::makePointer(v.asPlace()), b.type);
+                    break;
+                  }
+                  case OpCode::IndexBaseLoadReg: {
+                    Binding &b = slotAt(op.a);
                     if (!b.v.isPointer())
                         throw Trap(p_.names[size_t(op.c)]);
-                    base = Value::makePointer(b.v.asPlace());
-                }
-                doSteps(o2.pre_steps);
-                charge(CpuCosts::kMem);
-                const Value &idx = slotAt(o2.a).v;
-                doSteps(o3.pre_steps);
-                auto [p, elem] = indexElementAt(o3, base, b.type, idx);
-                doSteps(o4.pre_steps);
-                placeToValue(p, elem);
-                break;
-              }
-              case OpCode::FuseIdxArrAffineLoad:
-              case OpCode::FuseIdxLoadAffineLoad: {
-                const Op &o2 = ops[size_t(pc)];     // LoadReg
-                const Op &o3 = ops[size_t(pc) + 1]; // Const
-                const Op &o4 = ops[size_t(pc) + 2]; // Binary
-                const Op &o5 = ops[size_t(pc) + 3]; // LoadReg
-                const Op &o6 = ops[size_t(pc) + 4]; // Binary
-                const Op &o7 = ops[size_t(pc) + 5]; // IndexCombine
-                const Op &o8 = ops[size_t(pc) + 6]; // PlaceToValue
-                pc += 7;
-                Binding &b = slotAt(op.a);
-                Value base = b.v;
-                if (op.code == OpCode::FuseIdxLoadAffineLoad) {
-                    Value v = memory_.load(b.v.asPlace());
+                    push(Value::makePointer(b.v.asPlace()), b.type);
+                    break;
+                  }
+                  case OpCode::IndexBaseDecay: {
+                    StackVal e = pop();
+                    if (e.t && e.t->isArray()) {
+                        push(e.v, e.t);
+                        break;
+                    }
+                    Value v = memory_.load(e.v.asPlace());
                     if (!v.isPointer())
-                        throw Trap(p_.names[size_t(op.c)]);
-                    base = Value::makePointer(v.asPlace());
-                }
-                doSteps(o2.pre_steps);
-                charge(CpuCosts::kMem);
-                Value r = slotAt(o2.a).v;
-                doSteps(o3.pre_steps);
-                doSteps(o4.pre_steps);
-                Value t = applyBinary(BinaryOp(o4.a), r,
-                                      p_.const_pool[size_t(o3.a)]);
-                doSteps(o5.pre_steps);
-                charge(CpuCosts::kMem);
-                Value u = slotAt(o5.a).v;
-                doSteps(o6.pre_steps);
-                Value idx = applyBinary(BinaryOp(o6.a), t, u);
-                doSteps(o7.pre_steps);
-                auto [p, elem] = indexElementAt(o7, base, b.type, idx);
-                doSteps(o8.pre_steps);
-                placeToValue(p, elem);
-                break;
-              }
-              case OpCode::FuseLoadRegArrowMemberLoad: {
-                const Op &o2 = ops[size_t(pc)];     // MemberArrow
-                const Op &o3 = ops[size_t(pc) + 1]; // MemberCombine
-                const Op &o4 = ops[size_t(pc) + 2]; // PlaceToValue
-                pc += 3;
-                charge(CpuCosts::kMem);
-                Value v = slotAt(op.a).v;
-                doSteps(o2.pre_steps);
-                if (!v.isPointer())
-                    throw Trap("-> on non-pointer");
-                Place p = v.asPlace();
-                const Type *bt = memory_.blockType(p.block);
-                doSteps(o3.pre_steps);
-                SiteCache &c = memberCache(bt, o3);
-                doSteps(o4.pre_steps);
-                placeToValue({p.block, p.offset + c.field},
-                             c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::FuseArrowMemberLoad: {
-                const Op &o2 = ops[size_t(pc)];     // MemberCombine
-                const Op &o3 = ops[size_t(pc) + 1]; // PlaceToValue
-                pc += 2;
-                Value v = popV();
-                if (!v.isPointer())
-                    throw Trap("-> on non-pointer");
-                Place p = v.asPlace();
-                const Type *bt = memory_.blockType(p.block);
-                doSteps(o2.pre_steps);
-                SiteCache &c = memberCache(bt, o2);
-                doSteps(o3.pre_steps);
-                placeToValue({p.block, p.offset + c.field},
-                             c.layout->field_types[size_t(c.field)]);
-                break;
-              }
-              case OpCode::FuseIdxArrRegConstBinaryLoad:
-              case OpCode::FuseIdxLoadRegConstBinaryLoad: {
-                const Op &o2 = ops[size_t(pc)];     // LoadReg
-                const Op &o3 = ops[size_t(pc) + 1]; // Const
-                const Op &o4 = ops[size_t(pc) + 2]; // Binary
-                const Op &o5 = ops[size_t(pc) + 3]; // IndexCombine
-                const Op &o6 = ops[size_t(pc) + 4]; // PlaceToValue
-                pc += 5;
-                Binding &b = slotAt(op.a);
-                Value base = b.v;
-                if (op.code == OpCode::FuseIdxLoadRegConstBinaryLoad) {
-                    Value v = memory_.load(b.v.asPlace());
+                        throw Trap("subscript of non-array value");
+                    push(Value::makePointer(v.asPlace()), e.t);
+                    break;
+                  }
+                  case OpCode::IndexCombine: {
+                    auto [p, elem] = indexElement(op);
+                    push(Value::makePointer(p), elem);
+                    break;
+                  }
+                  case OpCode::MemberArrow: {
+                    Value v = popV();
                     if (!v.isPointer())
-                        throw Trap(p_.names[size_t(op.c)]);
-                    base = Value::makePointer(v.asPlace());
+                        throw Trap("-> on non-pointer");
+                    Place p = v.asPlace();
+                    push(Value::makePointer(p), memory_.blockType(p.block));
+                    break;
+                  }
+                  case OpCode::MemberDotTest: {
+                    Value v = popV();
+                    if (v.isPointer()) {
+                        Place p = v.asPlace();
+                        push(Value::makePointer(p), memory_.blockType(p.block));
+                        pc = op.a;
+                    }
+                    break;
+                  }
+                  case OpCode::MemberCombine: {
+                    StackVal base = pop();
+                    SiteCache &c = memberCache(base.t, op);
+                    Place p = base.v.asPlace();
+                    push(Value::makePointer({p.block, p.offset + c.field}),
+                         c.layout->field_types[size_t(c.field)]);
+                    break;
+                  }
+                  case OpCode::Neg: {
+                    Value v = popV();
+                    charge(v.isFloat() ? CpuCosts::kFloatAlu
+                                       : CpuCosts::kIntAlu);
+                    if (v.isFloat())
+                        push(Value::makeFloat(-v.asFloat()));
+                    else
+                        push(Value::makeInt(-v.asInt()));
+                    break;
+                  }
+                  case OpCode::Not: {
+                    Value v = popV();
+                    push(Value::makeInt(v.truthy() ? 0 : 1));
+                    break;
+                  }
+                  case OpCode::BitNot: {
+                    Value v = popV();
+                    push(Value::makeInt(~v.asInt()));
+                    break;
+                  }
+                  case OpCode::IncDec: {
+                    StackVal e = pop();
+                    Place place = e.v.asPlace();
+                    Value old = memory_.load(place);
+                    charge(CpuCosts::kIntAlu + 2 * CpuCosts::kMem);
+                    long delta = (op.a == 0 || op.a == 2) ? 1 : -1;
+                    Value updated;
+                    if (old.isFloat())
+                        updated = Value::makeFloat(old.asFloat() + delta);
+                    else if (old.isPointer())
+                        updated = Value::makePointer(
+                            {old.asPlace().block,
+                             old.asPlace().offset +
+                                 int32_t(delta * placeStride(e.t))});
+                    else
+                        updated = Value::makeInt(old.asInt() + delta);
+                    memory_.store(place, updated);
+                    profileStore(op.b, memory_.load(place));
+                    if (!(op.mode & kDiscard))
+                        push(op.a >= 2 ? old : memory_.load(place));
+                    enter(op.len - 1); // a folded Drop
+                    break;
+                  }
+                  case OpCode::IncDecReg:
+                    execIncDecReg(op);
+                    enter(op.len - 1); // a folded Drop
+                    break;
+                  case OpCode::Binary: {
+                    StackVal &rhs = stack_.back();
+                    StackVal &lhs = stack_[stack_.size() - 2];
+                    if (lhs.v.isInt() && rhs.v.isInt()) {
+                        // applyBinary's int-int arm, on the stack.
+                        BinaryOp bop = BinaryOp(op.a);
+                        charge(intCycles(bop));
+                        long r = intBinary(bop, lhs.v.asInt(),
+                                           rhs.v.asInt());
+                        lhs = {Value::makeInt(r), nullptr};
+                        stack_.pop_back();
+                        break;
+                    }
+                    Value b = popV();
+                    Value a = popV();
+                    push(applyBinary(BinaryOp(op.a), a, b));
+                    break;
+                  }
+                  case OpCode::LogicalTest: {
+                    Value v = popV();
+                    bool lhs = v.truthy();
+                    bool is_and = op.a != 0;
+                    bool shortcut = is_and ? !lhs : lhs;
+                    recordBranch(op.b, lhs);
+                    if (shortcut) {
+                        push(Value::makeInt(is_and ? 0 : 1));
+                        pc = op.c;
+                    }
+                    break;
+                  }
+                  case OpCode::Truthy01: {
+                    Value v = popV();
+                    push(Value::makeInt(v.truthy() ? 1 : 0));
+                    break;
+                  }
+                  case OpCode::CastTo: {
+                    Value v = popV();
+                    push(coerceToType(v, p_.types[size_t(op.a)]));
+                    break;
+                  }
+                  case OpCode::Jump:
+                    block(op.a);
+                    break;
+                  case OpCode::BranchFalse: {
+                    bool cond = popV().truthy();
+                    recordBranch(op.a, cond);
+                    block(cond ? pc : op.b);
+                    break;
+                  }
+                  case OpCode::BranchLoop: {
+                    bool cond = popV().truthy();
+                    recordBranch(op.a, cond);
+                    if (cond)
+                        loop_runs_[size_t(op.c)].iterations += 1;
+                    block(cond ? pc : op.b);
+                    break;
+                  }
+                  case OpCode::LoopAlways:
+                    recordBranch(op.a, true);
+                    loop_runs_[size_t(op.c)].iterations += 1;
+                    break;
+                  case OpCode::LoopEnter:
+                    if (loop_profile_)
+                        loopEnter(op.a);
+                    break;
+                  case OpCode::LoopExit:
+                    if (loop_profile_) {
+                        loop_stack_.pop_back();
+                        resumeLoop();
+                    }
+                    break;
+                  case OpCode::Charge: // static: the op's accounting charged it
+                    break;
+                  case OpCode::MallocRaw: {
+                    long cells = popV().asInt();
+                    if (cells > Memory::kMaxCells)
+                        throw Trap("allocation exceeds interpreter heap limit");
+                    int32_t block = memory_.allocate(int(cells), nullptr, true);
+                    push(Value::makePointer({block, 0}));
+                    break;
+                  }
+                  case OpCode::MallocTyped: {
+                    const MallocPlan &plan = p_.mallocs[size_t(op.a)];
+                    long count = 1;
+                    if (plan.has_count)
+                        count = popV().asInt();
+                    if (count < 0)
+                        throw Trap("malloc with negative count");
+                    if (!plan.trap.empty())
+                        throw Trap(plan.trap);
+                    int32_t block;
+                    if (plan.layout >= 0) {
+                        if (count > Memory::kMaxCells)
+                            throw Trap("allocation exceeds interpreter "
+                                       "heap limit");
+                        block = memory_.allocatePattern(
+                            int(count), plan.type,
+                            p_.layouts[size_t(plan.layout)].field_types, true);
+                    } else {
+                        long cells = count * long(plan.cells_per);
+                        if (cells > Memory::kMaxCells)
+                            throw Trap("allocation exceeds interpreter "
+                                       "heap limit");
+                        block = memory_.allocate(int(cells), plan.type, true);
+                    }
+                    push(Value::makePointer({block, 0}));
+                    break;
+                  }
+                  case OpCode::FreeOp: {
+                    Value v = popV();
+                    if (!v.isPointer())
+                        throw Trap("free of non-pointer");
+                    memory_.release(v.asPlace());
+                    push(Value::makeInt(0));
+                    break;
+                  }
+                  case OpCode::Printf:
+                    for (int i = 0; i < op.a; ++i)
+                        pop();
+                    push(Value::makeInt(0));
+                    break;
+                  case OpCode::Math:
+                    execMath(op);
+                    break;
+                  case OpCode::MethodBind:
+                    execMethodBind(op);
+                    break;
+                  case OpCode::StructLitAlloc: {
+                    const StructLitPlan &plan = p_.struct_lits[size_t(op.a)];
+                    const StructLayout &layout =
+                        p_.layouts[size_t(plan.layout)];
+                    int32_t block =
+                        memory_.allocatePattern(1, plan.type,
+                                                layout.field_types);
+                    push(Value::makePointer({block, 0}));
+                    break;
+                  }
+                  case OpCode::StructLitInit: {
+                    const StructLitPlan &plan = p_.struct_lits[size_t(op.a)];
+                    std::vector<Value> args = popArgs(plan.argc);
+                    Value base = popV();
+                    if (!plan.trap.empty() && plan.trap_before)
+                        throw Trap(plan.trap);
+                    int32_t block = base.asPlace().block;
+                    for (const auto &[fi, pi] : plan.stores)
+                        memory_.store({block, fi}, args[size_t(pi)]);
+                    if (!plan.trap.empty())
+                        throw Trap(plan.trap);
+                    push(base);
+                    break;
+                  }
+                  case OpCode::DeclScalar: {
+                    const TypePtr &t = p_.types[size_t(op.b)];
+                    int32_t block = memory_.allocate(1, t);
+                    slotAt(op.a) = {Value::makePointer({block, 0}), t.get()};
+                    break;
+                  }
+                  case OpCode::DeclReg:
+                    // A fresh unset value each execution, as the walker's
+                    // fresh uninitialized cell. No block is allocated; no
+                    // pointer to this variable can exist (see PlaceReg).
+                    slotAt(op.a) = {Value(), p_.types[size_t(op.b)].get()};
+                    break;
+                  case OpCode::DeclStruct: {
+                    const TypePtr &t = p_.types[size_t(op.c)];
+                    const StructLayout &layout = p_.layouts[size_t(op.b)];
+                    int32_t block =
+                        memory_.allocatePattern(1, t, layout.field_types);
+                    slotAt(op.a) = {Value::makePointer({block, 0}), t.get()};
+                    break;
+                  }
+                  case OpCode::DeclStream: {
+                    const TypePtr &t = p_.types[size_t(op.b)];
+                    int32_t block = memory_.allocate(1, t);
+                    int32_t id;
+                    if (op.c >= 0) {
+                        auto hit = static_streams_.find(op.c);
+                        if (hit != static_streams_.end()) {
+                            id = hit->second;
+                        } else {
+                            id = memory_.createStream();
+                            static_streams_[op.c] = id;
+                        }
+                    } else {
+                        id = memory_.createStream();
+                    }
+                    memory_.storeRaw({block, 0}, Value::makeStream(id));
+                    slotAt(op.a) = {Value::makePointer({block, 0}), t.get()};
+                    break;
+                  }
+                  case OpCode::CheckDim:
+                    if (stack_.back().v.asInt() < 0)
+                        throw Trap("negative array size");
+                    break;
+                  case OpCode::DeclArray: {
+                    const ArrayDeclPlan &plan = p_.arrays[size_t(op.b)];
+                    std::vector<Value> rdims = popArgs(plan.runtime_dims);
+                    long total = 1;
+                    size_t rt = 0;
+                    for (long d : plan.dims) {
+                        if (d == kUnknownArraySize)
+                            d = rdims[rt++].asInt();
+                        total *= d;
+                    }
+                    int32_t block;
+                    if (plan.layout >= 0) {
+                        block = memory_.allocatePattern(
+                            int(total), plan.scalar,
+                            p_.layouts[size_t(plan.layout)].field_types);
+                    } else {
+                        block = memory_.allocate(int(total), plan.scalar);
+                    }
+                    slotAt(op.a) = {Value::makePointer({block, 0}),
+                                    plan.type.get()};
+                    break;
+                  }
+                  case OpCode::DeclInit: {
+                    Value v = popV();
+                    Binding &b = slotAt(op.a);
+                    Place place = b.v.asPlace();
+                    if (op.c >= 0 && v.isPointer()) {
+                        copyStruct(v.asPlace(), place,
+                                   p_.layouts[size_t(op.c)]);
+                    } else {
+                        memory_.store(place, v);
+                        profileStore(op.b, memory_.load(place));
+                    }
+                    break;
+                  }
+                  case OpCode::DeclInitReg: {
+                    // Binds the register: the store coerces to the declared
+                    // type and the profile notes the coerced value, exactly as
+                    // Memory::store + load would.
+                    Value v = popV();
+                    const Type *t = p_.types[size_t(op.c)].get();
+                    Binding &b = slotAt(op.a);
+                    b = {coerceToType(v, t), t};
+                    profileStore(op.b, b.v);
+                    break;
+                  }
+                  case OpCode::Assign:
+                    execAssign(op);
+                    enter(op.len - 1); // a folded Drop
+                    break;
+                  case OpCode::AssignReg:
+                    execAssignReg(op);
+                    enter(op.len - 1); // a folded Drop
+                    break;
                 }
-                doSteps(o2.pre_steps);
-                charge(CpuCosts::kMem);
-                Value r = slotAt(o2.a).v;
-                doSteps(o3.pre_steps);
-                doSteps(o4.pre_steps);
-                Value idx = applyBinary(BinaryOp(o4.a), r,
-                                        p_.const_pool[size_t(o3.a)]);
-                doSteps(o5.pre_steps);
-                auto [p, elem] = indexElementAt(o5, base, b.type, idx);
-                doSteps(o6.pre_steps);
-                placeToValue(p, elem);
-                break;
-              }
             }
+        } catch (const Trap &) {
+            if (fast) {
+                // The block's words after ops[pc - 1] were charged but
+                // never ran: they end at the next header or the end.
+                for (int i = pc; i < size && ops[i].code != OpCode::Block;
+                     ++i) {
+                    steps_ -= costs[i].steps;
+                    cycles_ -= costs[i].cycles;
+                    loop_cycles_[cur_loop_] -= costs[i].cycles;
+                }
+            }
+            throw;
         }
+    }
+
+    /** Ret: unwind one frame; true when the loop's base depth is left. */
+    bool
+    execRet(const Op &op, size_t until_depth)
+    {
+        Value ret = op.a ? popV() : Value::makeInt(0);
+        Frame &fr = frames_.back();
+        const CompiledFunction &fn = *fr.fn;
+        loop_stack_.resize(fr.loop_base);
+        resumeLoop();
+        slot_stack_.resize(fr.slot_base);
+        frames_.pop_back();
+        if (!fn.ret_void)
+            push(coerceToType(ret, fn.ret_type));
+        else
+            push(Value::makeInt(0));
+        return frames_.size() == until_depth;
+    }
+
+    /** MethodInvoke; true when it called into a compiled method. */
+    bool
+    execMethodInvoke(const Op &op)
+    {
+        const MethodPlan &plan = p_.methods[size_t(op.a)];
+        // Stack: receiver, fn id, then argc arguments.
+        size_t arg_base = stack_.size() - size_t(plan.argc);
+        long fn_id = stack_[arg_base - 1].v.asInt();
+        Value recv = stack_[arg_base - 2].v;
+        if (fn_id < 0) { // stream write
+            memory_.streamWrite(recv.streamId(), stack_[arg_base].v);
+            stack_.resize(arg_base - 2);
+            push(Value::makeInt(0));
+            return false;
+        }
+        invoke(int(fn_id), plan.argc, arg_base, recv.asPlace());
+        stack_.resize(stack_.size() - 2);
+        return true;
     }
 
     void
     execMath(const Op &op)
     {
-        std::vector<Value> args = popArgs(op.b);
-        charge(CpuCosts::kMath);
+        std::vector<Value> args = popArgs(op.b); // kMath is static
         const std::string &name = p_.names[size_t(op.c)];
         auto need = [&](size_t n) {
             if (args.size() != n)
@@ -1755,7 +1647,7 @@ class VM
                     throw Trap("stream.write expects one argument");
                 push(recv.v);
                 push(Value::makeInt(-1));
-                frames_.back().pc = plan.bind_pc + 1;
+                frames_.back().pc = plan.write_pc;
                 return;
               case 1: // read
                 if (plan.argc != 0)
@@ -1822,13 +1714,11 @@ class VM
         push(Value::makeInt(c.fn_id));
     }
 
-    /** IncDecReg body; fused Drop variants skip the result push. */
     void
-    execIncDecReg(const Op &op, bool push_result)
+    execIncDecReg(const Op &op)
     {
         Binding &b = slotAt(op.c);
         Value old = b.v;
-        charge(CpuCosts::kIntAlu + 2 * CpuCosts::kMem);
         long delta = (op.a == 0 || op.a == 2) ? 1 : -1;
         Value updated;
         if (old.isFloat())
@@ -1842,19 +1732,17 @@ class VM
             updated = Value::makeInt(old.asInt() + delta);
         b.v = coerceToType(updated, b.type);
         profileStore(op.b, b.v);
-        if (push_result) {
-            bool post = op.a >= 2;
-            push(post ? old : b.v);
-        }
+        if (!(op.mode & kDiscard))
+            push(op.a >= 2 ? old : b.v);
     }
 
+    /** Assign, after its static kMem. */
     void
-    execAssign(const Op &op, bool push_result)
+    execAssign(const Op &op)
     {
         Value rhs = popV();
         StackVal lhs = pop();
         Place place = lhs.v.asPlace();
-        charge(CpuCosts::kMem);
         Value result;
         if (AssignOp(op.a) == AssignOp::Plain) {
             if (lhs.t && lhs.t->isStruct() && rhs.isPointer()) {
@@ -1867,20 +1755,13 @@ class VM
             }
         } else {
             Value old = memory_.load(place);
-            BinaryOp bop;
-            switch (AssignOp(op.a)) {
-              case AssignOp::Add: bop = BinaryOp::Add; break;
-              case AssignOp::Sub: bop = BinaryOp::Sub; break;
-              case AssignOp::Mul: bop = BinaryOp::Mul; break;
-              case AssignOp::Div: bop = BinaryOp::Div; break;
-              default: bop = BinaryOp::Mod; break;
-            }
-            Value combined = applyBinary(bop, old, rhs);
+            Value combined =
+                applyBinary(compoundOp(AssignOp(op.a)), old, rhs);
             memory_.store(place, combined);
             result = memory_.load(place);
         }
         profileStore(op.b, result);
-        if (push_result)
+        if (!(op.mode & kDiscard))
             push(result);
     }
 
@@ -1891,27 +1772,19 @@ class VM
      * stored (coerced) value, as the walker's store-then-load.
      */
     void
-    execAssignReg(const Op &op, bool push_result)
+    execAssignReg(const Op &op)
     {
         Value rhs = popV();
         Binding &b = slotAt(op.c);
-        charge(CpuCosts::kMem);
         if (AssignOp(op.a) == AssignOp::Plain) {
             b.v = coerceToType(rhs, b.type);
         } else {
-            BinaryOp bop;
-            switch (AssignOp(op.a)) {
-              case AssignOp::Add: bop = BinaryOp::Add; break;
-              case AssignOp::Sub: bop = BinaryOp::Sub; break;
-              case AssignOp::Mul: bop = BinaryOp::Mul; break;
-              case AssignOp::Div: bop = BinaryOp::Div; break;
-              default: bop = BinaryOp::Mod; break;
-            }
-            Value combined = applyBinary(bop, b.v, rhs);
+            Value combined =
+                applyBinary(compoundOp(AssignOp(op.a)), b.v, rhs);
             b.v = coerceToType(combined, b.type);
         }
         profileStore(op.b, b.v);
-        if (push_result)
+        if (!(op.mode & kDiscard))
             push(b.v);
     }
 
@@ -1922,16 +1795,28 @@ class VM
     uint64_t max_steps_ = 0;
     LoopProfile *loop_profile_ = nullptr;
     CoverageMap *coverage_ = nullptr;
+    ValueProfile *profile_ = nullptr;
     BranchEventLog *branch_log_ = nullptr;
+    /** testing::corrupt_branch_event, read once per run. */
+    int corrupt_at_ = -1;
+    /** False when every block must take the slow path (see reset()). */
+    bool fast_ok_ = false;
     std::vector<SiteCache> caches_; ///< per-VM: runs evaluate in parallel
     std::vector<BindCache> bind_caches_;
+    // Flat per-run sinks, folded by foldSinks().
+    std::vector<ValueRange> ranges_; ///< by interned profile key
+    std::vector<int> touched_ranges_;
+    size_t root_loop_; ///< loop_cycles_ index of the outside-any-loop bin
+    std::vector<uint64_t> loop_cycles_; ///< by loop slot, root last
+    std::vector<LoopRun> loop_runs_;    ///< by loop slot
+    size_t cur_loop_ = 0; ///< loop_cycles_ index charges go to
     Memory memory_;
     std::vector<StackVal> stack_;
     std::vector<Frame> frames_;
     std::vector<Binding> slot_stack_; ///< all live frames' slots
     std::vector<Binding> globals_;
     std::map<int, int32_t> static_streams_;
-    std::vector<int> loop_stack_;
+    std::vector<int> loop_stack_; ///< loop slots; only with a loop profile
     uint64_t steps_ = 0;
     uint64_t cycles_ = 0;
     uint64_t branch_records_ = 0;

@@ -117,15 +117,24 @@ class ValueProfile
     void
     merge(const ValueProfile &other)
     {
-        for (const auto &[key, r] : other.ranges_) {
-            ValueRange &mine = ranges_[key];
-            if (r.saw_int) {
-                mine.noteInt(r.min_int);
-                mine.noteInt(r.max_int);
-            }
-            if (r.saw_float)
-                mine.noteFloat(r.max_abs_float);
+        for (const auto &[key, r] : other.ranges_)
+            mergeRange(key, r);
+    }
+
+    /**
+     * Fold one variable's range in, as if its extreme values had been
+     * noted here (min, max and max-abs do not depend on note order).
+     */
+    void
+    mergeRange(const std::string &key, const ValueRange &r)
+    {
+        ValueRange &mine = ranges_[key];
+        if (r.saw_int) {
+            mine.noteInt(r.min_int);
+            mine.noteInt(r.max_int);
         }
+        if (r.saw_float)
+            mine.noteFloat(r.max_abs_float);
     }
 
   private:

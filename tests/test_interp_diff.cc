@@ -7,7 +7,11 @@
  * observation sinks, and EVERY observable is compared: outcome (return
  * value, out args, trap message), step count, modeled CPU cycles,
  * branch coverage, value-range profile, per-loop cycle attribution, and
- * the full ordered branch-event log. Inputs come from the ten
+ * the full ordered branch-event log. Each comparison repeats for the
+ * sink sets the pipeline's stages attach — none, coverage only
+ * (fuzzing), value profile only (profiling), loop profile only
+ * (co-simulation) — and for all of them, since a branch-event log
+ * sends the VM down its slow accounting path. Inputs come from the ten
  * evaluation subjects (with fuzzer-generated suites), their manual HLS
  * ports, all 1000 forum-corpus repro snippets across argument seeds,
  * and a randomized program generator — plus whole fuzz campaigns,
@@ -44,6 +48,20 @@ enum class Side
     Vm,
 };
 
+/** Observation sinks a run attaches (bit set). */
+enum Sink : unsigned
+{
+    kCoverage = 1,
+    kProfile = 2,
+    kLoops = 4,
+    kBranchLog = 8,
+    kAllSinks = 15,
+};
+
+/** The sink sets every comparison repeats for (see the file comment). */
+constexpr unsigned kSinkSets[] = {0, kCoverage, kProfile, kLoops,
+                                  kAllSinks};
+
 /** Everything observable from one run, collected into private sinks. */
 struct Observation
 {
@@ -56,33 +74,26 @@ struct Observation
 
 Observation
 observe(const Interpreter &interp, const std::string &fn,
-        const std::vector<KernelArg> &args, Side side, uint64_t max_steps)
+        const std::vector<KernelArg> &args, Side side, uint64_t max_steps,
+        unsigned sinks = kAllSinks)
 {
     Observation o;
     RunOptions opts;
     opts.max_steps = max_steps;
-    opts.coverage = &o.coverage;
-    opts.profile = &o.profile;
-    opts.loop_profile = &o.loops;
-    opts.branch_log = &o.branch_log;
+    opts.coverage = sinks & kCoverage ? &o.coverage : nullptr;
+    opts.profile = sinks & kProfile ? &o.profile : nullptr;
+    opts.loop_profile = sinks & kLoops ? &o.loops : nullptr;
+    opts.branch_log = sinks & kBranchLog ? &o.branch_log : nullptr;
     o.result = side == Side::Walker ? runWalker(interp.tu(), fn, args, opts)
                                     : interp.run(fn, args, opts);
     return o;
 }
 
-/**
- * Run `fn(args)` on the tree walker and the bytecode VM and assert
- * every observable matches. `label` names the case in failures.
- */
+/** Assert two engines' observations of one run under `sinks` match. */
 void
-expectEnginesAgree(const Interpreter &interp, const std::string &fn,
-                   const std::vector<KernelArg> &args,
-                   const std::string &label,
-                   uint64_t max_steps = 2'000'000)
+expectSameObservation(const Observation &walk, const Observation &vm,
+                      const std::string &label)
 {
-    Observation walk = observe(interp, fn, args, Side::Walker, max_steps);
-    Observation vm = observe(interp, fn, args, Side::Vm, max_steps);
-
     EXPECT_EQ(walk.result.ok, vm.result.ok) << label;
     EXPECT_EQ(walk.result.trap, vm.result.trap) << label;
     EXPECT_EQ(walk.result.steps, vm.result.steps) << label;
@@ -98,6 +109,28 @@ expectEnginesAgree(const Interpreter &interp, const std::string &fn,
     for (size_t i = 0; i < walk.branch_log.events.size(); ++i) {
         ASSERT_TRUE(walk.branch_log.events[i] == vm.branch_log.events[i])
             << label << " at branch event " << i;
+    }
+}
+
+/**
+ * Run `fn(args)` on the tree walker and the bytecode VM under every
+ * sink set and assert every observable matches. `label` names the case
+ * in failures.
+ */
+void
+expectEnginesAgree(const Interpreter &interp, const std::string &fn,
+                   const std::vector<KernelArg> &args,
+                   const std::string &label,
+                   uint64_t max_steps = 2'000'000)
+{
+    for (unsigned sinks : kSinkSets) {
+        Observation walk =
+            observe(interp, fn, args, Side::Walker, max_steps, sinks);
+        Observation vm = observe(interp, fn, args, Side::Vm, max_steps,
+                                 sinks);
+        expectSameObservation(walk, vm,
+                              label + " [sinks " + std::to_string(sinks) +
+                                  "]");
     }
 
     // The differential runner must reach the same verdict.
@@ -521,6 +554,193 @@ TEST(InterpDiff, CallDepthTrapsIdentically)
     RunResult r = interp.run("kernel", {KernelArg::ofInt(0)});
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.trap, "call depth exceeded (runaway recursion?)");
+}
+
+// --- every step limit: the step-limit trap at every op of every block -----
+
+/**
+ * Assert walker/VM identity at every max_steps from 1 to one past a
+ * full run's step count, with the pipeline's fast-path sinks
+ * (coverage, value profile, loop profile) and with every sink.
+ */
+void
+expectEnginesAgreeAtEveryLimit(const Interpreter &interp,
+                               const std::string &fn,
+                               const std::vector<KernelArg> &args,
+                               const std::string &label)
+{
+    uint64_t full =
+        observe(interp, fn, args, Side::Walker, 1'000'000).result.steps;
+    ASSERT_GT(full, 0u) << label;
+    ASSERT_LT(full, 1'000'000u) << label;
+    for (uint64_t limit = 1; limit <= full + 1; ++limit) {
+        for (unsigned sinks : {unsigned(kCoverage | kProfile | kLoops),
+                               unsigned(kAllSinks)}) {
+            std::string at = label + " max_steps " + std::to_string(limit) +
+                             " [sinks " + std::to_string(sinks) + "]";
+            expectSameObservation(
+                observe(interp, fn, args, Side::Walker, limit, sinks),
+                observe(interp, fn, args, Side::Vm, limit, sinks), at);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(InterpDiff, StepLimitSweepRunawayLoop)
+{
+    // The forum corpus's runaway-loop post, cut short by its argument.
+    auto tu = parse(R"(
+        int kernel(int n) {
+            int acc = 0;
+            for (int i = 0; i < n; i++) {
+                #pragma HLS unroll factor=4
+                acc += i;
+            }
+            return acc;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    expectEnginesAgreeAtEveryLimit(interp, "kernel", {KernelArg::ofInt(40)},
+                                   "runaway loop");
+}
+
+TEST(InterpDiff, StepLimitSweepCallsAndMidBlockTraps)
+{
+    // Calls inside a loop, and traps in the middle of a block: a
+    // division by zero and an out-of-bounds read, each only reached on
+    // a late iteration.
+    auto tu = parse(R"(
+        int scale(int v, int k) { return v * k + 1; }
+        int pick(int a[4], int i) { return a[i & 3] - i; }
+        int kernel(int a[4], int n, int d) {
+            int acc = 0;
+            for (int i = 0; i < n; i++) {
+                acc += scale(a[i % 4], i) + pick(a, i);
+                if (i == 2) { acc = acc / (d - i); }
+                int t = acc % 5;
+                acc = acc - t + a[i];
+            }
+            return acc;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    std::vector<long> a = {3, -1, 4, 2};
+    expectEnginesAgreeAtEveryLimit(
+        interp, "kernel",
+        {KernelArg::ofInts(a), KernelArg::ofInt(9), KernelArg::ofInt(2)},
+        "division by zero mid-block");
+    expectEnginesAgreeAtEveryLimit(
+        interp, "kernel",
+        {KernelArg::ofInts(a), KernelArg::ofInt(9), KernelArg::ofInt(6)},
+        "out-of-bounds read mid-block");
+}
+
+TEST(InterpDiff, StepLimitSweepSubjectKernel)
+{
+    const subjects::Subject *subject = nullptr;
+    for (const auto &s : subjects::allSubjects()) {
+        if (s.id == "P3")
+            subject = &s;
+    }
+    ASSERT_NE(subject, nullptr);
+    auto tu = parse(subject->source);
+    cir::analyzeOrDie(*tu);
+    const cir::FunctionDecl *kernel = tu->findFunction(subject->kernel);
+    ASSERT_NE(kernel, nullptr);
+    Interpreter interp(*tu);
+    // ~2000 steps: nested loops over the input arrays.
+    expectEnginesAgreeAtEveryLimit(interp, subject->kernel,
+                                   argsFor(*kernel, 3), "P3");
+}
+
+// --- typed register ops at their wrap edges -------------------------------
+
+TEST(InterpDiff, TypedOpsWrapIdentically)
+{
+    auto tu = parse(R"(
+        int kernel(int n) {
+            int big = 2147483647;
+            int over = big + 1;
+            big += n;
+            char c = 120;
+            c = c + n;
+            c += 10;
+            char d = 127;
+            d++;
+            fpga_int<5> s = 15;
+            s = s + 1;
+            s += n;
+            fpga_uint<5> u = 31;
+            u++;
+            u = u + n;
+            int sh = 1;
+            int wide = sh << 35;
+            int neg = n - 20;
+            int shr = neg >> 33;
+            long l = 2147483647;
+            l = l + 1;
+            long m = l * 3;
+            int back = l;
+            int mix = back + l;
+            int q = m / n;
+            int r = m % (n + 1);
+            for (int i = 2147483640; i > 0 && i < 2147483647; i++) {
+                over += i;
+            }
+            return over + big + c + d + s + u + wide + shr + back + mix +
+                   q + r;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    for (long n : {1L, 7L, 2147483647L, -5L})
+        expectEnginesAgree(interp, "kernel", {KernelArg::ofInt(n)},
+                           "wrap n=" + std::to_string(n));
+    RunResult r = interp.run("kernel", {KernelArg::ofInt(1)});
+    EXPECT_TRUE(r.ok) << r.trap;
+}
+
+TEST(InterpDiff, TrappingConditionsChargeIdentically)
+{
+    // A division or modulo by zero in a branch or loop condition, a
+    // ternary condition and a compound assignment: the walker traps
+    // before it charges the branch, so the VM must not charge it either.
+    auto tu = parse(R"(
+        int kernel(int x, int y, int which) {
+            int r = 0;
+            if (which == 0) { if (x % y) { r = 1; } }
+            if (which == 1) { while (x / y) { x--; } }
+            if (which == 2) { r = (x / y) ? 3 : 4; }
+            if (which == 3) { x /= y; }
+            if (which == 4) { x %= y; }
+            for (int i = 0; i < 3; i++) {
+                if (x % (y - i)) { r += i; }
+            }
+            return r + x;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    for (long which : {0L, 1L, 2L, 3L, 4L}) {
+        std::vector<KernelArg> args = {KernelArg::ofInt(7),
+                                       KernelArg::ofInt(0),
+                                       KernelArg::ofInt(which)};
+        std::string label = "zero divisor, case " + std::to_string(which);
+        expectEnginesAgree(interp, "kernel", args, label);
+        expectEnginesAgreeAtEveryLimit(interp, "kernel", args, label);
+        RunResult r = interp.run("kernel", args);
+        EXPECT_FALSE(r.ok) << label;
+    }
+    // y = 2: the loop's condition divides by zero on its third pass.
+    std::vector<KernelArg> late = {KernelArg::ofInt(7), KernelArg::ofInt(2),
+                                   KernelArg::ofInt(5)};
+    expectEnginesAgree(interp, "kernel", late, "zero divisor in a loop");
+    expectEnginesAgreeAtEveryLimit(interp, "kernel", late,
+                                   "zero divisor in a loop");
+    EXPECT_FALSE(interp.run("kernel", late).ok);
 }
 
 // --- the differential runner's own reporting ------------------------------

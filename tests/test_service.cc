@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "cir/parser.h"
+#include "fuzz/fuzzer.h"
 #include "service/service.h"
 #include "support/diagnostics.h"
 
@@ -222,6 +223,15 @@ TEST(ServiceValidation, SubmitRejectsNonPositiveMutationsPerInput)
         bad.options.fuzz.mutations_per_input = mutations;
         EXPECT_THROW(svc.submit(bad), FatalError) << mutations;
     }
+    EXPECT_EQ(svc.submit(tinyJob("acme")), 0);
+}
+
+TEST(ServiceValidation, SubmitRejectsMutationsPerInputAboveTheCeiling)
+{
+    ConversionService svc;
+    JobSpec bad = tinyJob("acme");
+    bad.options.fuzz.mutations_per_input = fuzz::kMaxMutationsPerInput + 1;
+    EXPECT_THROW(svc.submit(bad), FatalError);
     EXPECT_EQ(svc.submit(tinyJob("acme")), 0);
 }
 

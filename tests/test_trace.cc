@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cir/parser.h"
 #include "cir/sema.h"
 #include "core/heterogen.h"
@@ -299,6 +301,30 @@ TEST(SpineFuzz, CountersMatchFuzzResultExactly)
     }
 }
 
+TEST(SpineFuzz, CampaignRunsNoVariantTheCapDiscards)
+{
+    // One branch, a 50-execution cap and 2000 variants per input: the
+    // campaign ends inside its first batch, and every interpreter run
+    // it makes is a counted execution.
+    auto tu = cir::parse(R"(
+        int kernel(int x) {
+            if (x > 3) { return 1; }
+            return 0;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    fuzz::FuzzOptions options;
+    options.max_executions = 50;
+    options.mutations_per_input = 2000;
+    RunContext ctx;
+    fuzz::FuzzResult r = fuzz::fuzzKernel(ctx, *tu, "kernel", options);
+    const TraceSpan *span = ctx.trace().root().find("fuzz");
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(r.executions, 50);
+    EXPECT_EQ(span->counter("fuzz.executions"), 50);
+    EXPECT_EQ(span->counter("interp.runs"), span->counter("fuzz.executions"));
+}
+
 TEST(SpineFuzz, EveryExecutionLandsOnInterpRuns)
 {
     auto tu = cir::parse(kKernel);
@@ -488,6 +514,20 @@ TEST(ValidateOptions, RejectsNonPositiveMutationsPerInput)
     opts.fuzz.mutations_per_input = -1;
     EXPECT_THROW(core::validateOptions(opts), FatalError);
     opts.fuzz.mutations_per_input = 1;
+    EXPECT_NO_THROW(core::validateOptions(opts));
+}
+
+TEST(ValidateOptions, RejectsMutationsPerInputAboveTheCeiling)
+{
+    // A batch materializes every variant before the execution cap
+    // applies, so an unbounded count sizes host memory.
+    core::HeteroGenOptions opts;
+    opts.kernel = "kernel";
+    opts.fuzz.mutations_per_input = fuzz::kMaxMutationsPerInput + 1;
+    EXPECT_THROW(core::validateOptions(opts), FatalError);
+    opts.fuzz.mutations_per_input = std::numeric_limits<int>::max();
+    EXPECT_THROW(core::validateOptions(opts), FatalError);
+    opts.fuzz.mutations_per_input = fuzz::kMaxMutationsPerInput;
     EXPECT_NO_THROW(core::validateOptions(opts));
 }
 
