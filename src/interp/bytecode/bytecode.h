@@ -29,6 +29,7 @@
 
 #include "cir/ast.h"
 #include "interp/interp.h"
+#include "interp/runtime.h"
 #include "interp/value.h"
 
 namespace heterogen::interp::bytecode {
@@ -177,39 +178,6 @@ constexpr int32_t kIndexReg = 2;   ///< IndexBaseLoadReg: pointer register
 /** Op::wrap bit: the destination type is signed. */
 constexpr uint8_t kWrapSigned = 0x80;
 
-/** The cycle charge of an int-int binary operation (CpuCosts). */
-inline uint8_t
-intCycles(cir::BinaryOp op)
-{
-    switch (op) {
-      case cir::BinaryOp::Mul: return CpuCosts::kIntMul;
-      case cir::BinaryOp::Div:
-      case cir::BinaryOp::Mod: return CpuCosts::kIntDiv;
-      default: return CpuCosts::kIntAlu;
-    }
-}
-
-/** The binary operation a compound assignment applies. */
-inline cir::BinaryOp
-compoundOp(cir::AssignOp op)
-{
-    switch (op) {
-      case cir::AssignOp::Add: return cir::BinaryOp::Add;
-      case cir::AssignOp::Sub: return cir::BinaryOp::Sub;
-      case cir::AssignOp::Mul: return cir::BinaryOp::Mul;
-      case cir::AssignOp::Div: return cir::BinaryOp::Div;
-      default: return cir::BinaryOp::Mod;
-    }
-}
-
-/** Math intrinsics dispatched by the Math opcode. */
-enum class MathFn : int32_t
-{
-    Sqrt, Fabs, Abs, Pow, Sin, Cos, Tan, Exp, Log, Floor, Ceil,
-    Min, Max,
-    Unknown, ///< "unimplemented intrinsic: <name>" after the kMath charge
-};
-
 /** One instruction. Its accounting lives in CompiledFunction::costs. */
 struct Op
 {
@@ -354,6 +322,7 @@ struct Program
      */
     std::map<std::string, int> struct_ids;
     std::map<std::string, int> layout_ids;
+    StructCells structs; ///< cells per struct name, as layout_ids
     std::vector<Value> const_pool;
     std::vector<cir::TypePtr> types;
     std::vector<std::string> names; ///< trap messages, profile keys, fields

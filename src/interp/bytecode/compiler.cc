@@ -26,6 +26,7 @@
 #include <utility>
 
 #include "cir/sema.h"
+#include "cir/walk.h"
 #include "support/diagnostics.h"
 
 namespace heterogen::interp::bytecode {
@@ -54,7 +55,19 @@ class Compiler
     std::unique_ptr<Program>
     compile()
     {
-        scanAddressed();
+        // Every name that appears as `&name` anywhere in the TU. The
+        // analysis is by name, so conservative across scopes: one `&x`
+        // pins every `x` in the program to Memory. A scalar whose name
+        // never appears keeps its value in its frame slot; no pointer to
+        // it can exist, so skipping its block allocation is unobservable.
+        forEachExpr(tu_, [this](const Expr &expr) {
+            if (expr.kind() != ExprKind::Unary)
+                return;
+            const auto &e = static_cast<const Unary &>(expr);
+            if (e.op == UnaryOp::AddrOf &&
+                e.operand->kind() == ExprKind::Ident)
+                addressed_.insert(static_cast<const Ident &>(*e.operand).name);
+        });
         buildLayouts();
         registerFunctions();
         compileGlobals();
@@ -121,6 +134,7 @@ class Compiler
             program_->struct_ids.emplace(sd->name, idx);
             program_->layout_ids[sd->name] = idx;
         }
+        program_->structs = StructCells(tu_);
     }
 
     void
@@ -150,29 +164,16 @@ class Compiler
         return it == program_->layout_ids.end() ? -1 : it->second;
     }
 
-    /** Mirror of the walker's flatCells; empty reason means success. */
+    /** flatCells at compile time: a trap becomes the message to raise. */
     long
-    flatCells(const TypePtr &t, std::string *trap) const
+    cellsOrTrap(const TypePtr &t, std::string &trap) const
     {
-        if (!t)
+        try {
+            return flatCells(t.get(), program_->structs);
+        } catch (const Trap &e) {
+            trap = e.what();
             return 1;
-        if (t->isArray()) {
-            long n = t->arraySize();
-            if (n == kUnknownArraySize) {
-                *trap = "sizeof of unknown-size array";
-                return 1;
-            }
-            return n * flatCells(t->element(), trap);
         }
-        if (t->isStruct()) {
-            int li = layoutIdx(t->structName());
-            if (li < 0) {
-                *trap = "unknown struct layout: " + t->structName();
-                return 1;
-            }
-            return program_->layouts[li].size();
-        }
-        return 1;
     }
 
     // --- per-function emission ----------------------------------------------
@@ -662,156 +663,6 @@ class Compiler
         return it->second;
     }
 
-    // --- address-taken pre-scan ----------------------------------------------
-
-    /**
-     * Collect every name that appears as `&name` anywhere in the TU.
-     * The analysis is name-based (not slot-based) and so conservative
-     * across scopes: a single `&x` pins every `x` in the program to
-     * Memory. Scalars whose name never appears keep their value in the
-     * frame slot itself — no pointer to them can exist, so skipping
-     * the block allocation is unobservable.
-     */
-    void
-    scanAddressed()
-    {
-        for (const auto &g : tu_.globals)
-            scanStmt(*g);
-        for (const auto &fn : tu_.functions)
-            scanStmt(*fn->body);
-        for (const auto &sd : tu_.structs) {
-            for (const auto &m : sd->methods)
-                scanStmt(*m->body);
-        }
-    }
-
-    void
-    scanStmt(const Stmt &stmt)
-    {
-        switch (stmt.kind()) {
-          case StmtKind::Block:
-            for (const auto &s : static_cast<const Block &>(stmt).stmts)
-                scanStmt(*s);
-            return;
-          case StmtKind::Decl: {
-            const auto &s = static_cast<const DeclStmt &>(stmt);
-            if (s.init)
-                scanExpr(*s.init);
-            if (s.vla_size)
-                scanExpr(*s.vla_size);
-            return;
-          }
-          case StmtKind::ExprStmt:
-            scanExpr(*static_cast<const ExprStmt &>(stmt).expr);
-            return;
-          case StmtKind::If: {
-            const auto &s = static_cast<const IfStmt &>(stmt);
-            scanExpr(*s.cond);
-            scanStmt(*s.then_block);
-            if (s.else_block)
-                scanStmt(*s.else_block);
-            return;
-          }
-          case StmtKind::While: {
-            const auto &s = static_cast<const WhileStmt &>(stmt);
-            scanExpr(*s.cond);
-            scanStmt(*s.body);
-            return;
-          }
-          case StmtKind::For: {
-            const auto &s = static_cast<const ForStmt &>(stmt);
-            if (s.init)
-                scanStmt(*s.init);
-            if (s.cond)
-                scanExpr(*s.cond);
-            if (s.step)
-                scanExpr(*s.step);
-            scanStmt(*s.body);
-            return;
-          }
-          case StmtKind::Return: {
-            const auto &s = static_cast<const ReturnStmt &>(stmt);
-            if (s.value)
-                scanExpr(*s.value);
-            return;
-          }
-          case StmtKind::Break:
-          case StmtKind::Continue:
-          case StmtKind::Pragma:
-            return;
-        }
-    }
-
-    void
-    scanExpr(const Expr &expr)
-    {
-        switch (expr.kind()) {
-          case ExprKind::Unary: {
-            const auto &e = static_cast<const Unary &>(expr);
-            if (e.op == UnaryOp::AddrOf &&
-                e.operand->kind() == ExprKind::Ident) {
-                addressed_.insert(
-                    static_cast<const Ident &>(*e.operand).name);
-            }
-            scanExpr(*e.operand);
-            return;
-          }
-          case ExprKind::Binary: {
-            const auto &e = static_cast<const Binary &>(expr);
-            scanExpr(*e.lhs);
-            scanExpr(*e.rhs);
-            return;
-          }
-          case ExprKind::Assign: {
-            const auto &e = static_cast<const Assign &>(expr);
-            scanExpr(*e.lhs);
-            scanExpr(*e.rhs);
-            return;
-          }
-          case ExprKind::Call:
-            for (const auto &a : static_cast<const Call &>(expr).args)
-                scanExpr(*a);
-            return;
-          case ExprKind::MethodCall: {
-            const auto &e = static_cast<const MethodCall &>(expr);
-            scanExpr(*e.base);
-            for (const auto &a : e.args)
-                scanExpr(*a);
-            return;
-          }
-          case ExprKind::Index: {
-            const auto &e = static_cast<const Index &>(expr);
-            scanExpr(*e.base);
-            scanExpr(*e.index);
-            return;
-          }
-          case ExprKind::Member:
-            scanExpr(*static_cast<const Member &>(expr).base);
-            return;
-          case ExprKind::Cast:
-            scanExpr(*static_cast<const Cast &>(expr).operand);
-            return;
-          case ExprKind::Ternary: {
-            const auto &e = static_cast<const Ternary &>(expr);
-            scanExpr(*e.cond);
-            scanExpr(*e.then_expr);
-            scanExpr(*e.else_expr);
-            return;
-          }
-          case ExprKind::StructLit:
-            for (const auto &a :
-                 static_cast<const StructLit &>(expr).args)
-                scanExpr(*a);
-            return;
-          case ExprKind::IntLit:
-          case ExprKind::FloatLit:
-          case ExprKind::StringLit:
-          case ExprKind::Ident:
-          case ExprKind::SizeofType:
-            return;
-        }
-    }
-
     /** True when a declared name's value can live in its slot. */
     bool
     registerable(const TypePtr &t, const std::string &name) const
@@ -1267,7 +1118,7 @@ class Compiler
           case ExprKind::SizeofType: {
             const auto &e = static_cast<const SizeofType &>(expr);
             std::string trap;
-            long cells = flatCells(e.type, &trap);
+            long cells = cellsOrTrap(e.type, trap);
             if (!trap.empty())
                 emitTrap(trap);
             else
@@ -1417,33 +1268,7 @@ class Compiler
             addStep();
             compileExpr(*a);
         }
-        MathFn fn = MathFn::Unknown;
-        if (name == "sqrt" || name == "sqrtf")
-            fn = MathFn::Sqrt;
-        else if (name == "fabs")
-            fn = MathFn::Fabs;
-        else if (name == "abs")
-            fn = MathFn::Abs;
-        else if (name == "pow" || name == "powf")
-            fn = MathFn::Pow;
-        else if (name == "sin")
-            fn = MathFn::Sin;
-        else if (name == "cos")
-            fn = MathFn::Cos;
-        else if (name == "tan")
-            fn = MathFn::Tan;
-        else if (name == "exp")
-            fn = MathFn::Exp;
-        else if (name == "log")
-            fn = MathFn::Log;
-        else if (name == "floor")
-            fn = MathFn::Floor;
-        else if (name == "ceil")
-            fn = MathFn::Ceil;
-        else if (name == "min")
-            fn = MathFn::Min;
-        else if (name == "max")
-            fn = MathFn::Max;
+        MathFn fn = mathFnOf(name);
         emit(OpCode::Math, int32_t(fn), int32_t(e.args.size()),
              internName(name));
     }
@@ -1491,7 +1316,7 @@ class Compiler
                 plan.trap =
                     "unknown struct layout: " + so->type->structName();
         } else {
-            plan.cells_per = flatCells(so->type, &plan.trap);
+            plan.cells_per = cellsOrTrap(so->type, plan.trap);
         }
         if (count_expr) {
             addStep(); // eval() steps for the count

@@ -6,7 +6,9 @@
  * replaces (interp/reference/walker.cc is the source of truth): the
  * same memory calls in the same order, the same cycle charges from the
  * shared CpuCosts table, the same trap messages, the same coverage /
- * value-profile / loop-profile records.
+ * value-profile / loop-profile records. The leaf semantics — kernel
+ * boundary, arithmetic, math intrinsics, cell counts — are not copied:
+ * both engines call the shared runtime (interp/runtime.h).
  *
  * Accounting is per basic block (docs/INTERP.md). A Block header
  * charges its block's steps and static cycles at once when they cannot
@@ -30,7 +32,6 @@
 #include "interp/bytecode/bytecode.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/diagnostics.h"
 
@@ -111,8 +112,7 @@ class VM
     void
     reset(const RunOptions &opts)
     {
-        opts_ = &opts;
-        capture_enabled_ = !opts.capture_function.empty();
+        seed_.arm(opts);
         max_steps_ = opts.max_steps;
         loop_profile_ = opts.loop_profile;
         coverage_ = opts.coverage;
@@ -136,7 +136,6 @@ class VM
         steps_ = 0;
         cycles_ = 0;
         branch_records_ = 0;
-        seed_captured_ = false;
     }
 
     RunResult
@@ -149,36 +148,15 @@ class VM
             auto fit = p_.function_ids.find(function);
             if (fit == p_.function_ids.end())
                 throw Trap("no such function: " + function);
-            const CompiledFunction &fn = p_.functions[fit->second];
-            const auto &params = fn.decl->params;
-            std::vector<Value> arg_values;
-            std::vector<int32_t> arg_blocks(args.size(), 0);
-            std::vector<int32_t> arg_streams(args.size(), -1);
-            for (size_t i = 0; i < args.size(); ++i) {
-                if (i >= params.size())
-                    throw Trap("too many kernel arguments");
-                arg_values.push_back(materialize(args[i], params[i].type,
-                                                 arg_blocks[i],
-                                                 arg_streams[i]));
-            }
-            if (arg_values.size() != params.size())
-                throw Trap("missing kernel arguments for " + function);
-            for (const Value &v : arg_values)
+            KernelArgs kernel_args(memory_,
+                                   *p_.functions[fit->second].decl, args);
+            const std::vector<Value> &values = kernel_args.values();
+            for (const Value &v : values)
                 push(v);
-            invoke(fit->second, int(arg_values.size()),
-                   stack_.size() - arg_values.size(), {});
+            invoke(fit->second, int(values.size()),
+                   stack_.size() - values.size(), {});
             execLoop(1); // until the top call returns
-            Value ret = popV();
-            if (!fn.ret_void) {
-                result.has_ret = true;
-                result.ret = valueToArg(ret);
-            }
-            for (size_t i = 0; i < args.size(); ++i) {
-                result.out_args.push_back(
-                    readBack(args[i], params[i].type, arg_blocks[i],
-                             arg_streams[i]));
-            }
-            result.ok = true;
+            kernel_args.finish(popV(), result);
         } catch (const Trap &t) {
             result.ok = false;
             result.trap = t.what();
@@ -369,7 +347,7 @@ class VM
         } else if (base_t &&
                    (base_t->isArray() || base_t->isPointer())) {
             elem = base_t->element().get();
-            stride = flatCells(elem);
+            stride = flatCells(elem, p_.structs);
             c.key = base_t;
             c.elem = elem;
             c.stride = stride;
@@ -404,30 +382,6 @@ class VM
         if (it == p_.layout_ids.end())
             throw Trap("unknown struct layout: " + name);
         return p_.layouts[it->second];
-    }
-
-    long
-    flatCells(const Type *t) const
-    {
-        if (!t)
-            return 1;
-        if (t->isArray()) {
-            long n = t->arraySize();
-            if (n == kUnknownArraySize)
-                throw Trap("sizeof of unknown-size array");
-            return n * flatCells(t->element().get());
-        }
-        if (t->isStruct())
-            return layoutOf(t->structName()).size();
-        return 1;
-    }
-
-    long
-    placeStride(const Type *ptr_type) const
-    {
-        if (ptr_type && ptr_type->isPointer())
-            return flatCells(ptr_type->element().get());
-        return 1;
     }
 
     void
@@ -495,9 +449,12 @@ class VM
         if (static_cast<int>(frames_.size()) > kMaxCallDepth)
             throw Trap("call depth exceeded (runaway recursion?)");
         charge(CpuCosts::kCall);
-        if (capture_enabled_)
-            maybeCaptureSeed(fn.decl->name, arg_base, size_t(argc),
-                             *fn.decl);
+        if (seed_.due(fn.decl->name)) {
+            std::vector<Value> args;
+            for (size_t i = 0; i < size_t(argc); ++i)
+                args.push_back(stack_[arg_base + i].v);
+            seed_.capture(memory_, *fn.decl, args);
+        }
 
         Frame fr;
         fr.fn = &fn;
@@ -560,285 +517,12 @@ class VM
         frames_.push_back(fr);
     }
 
-    void
-    maybeCaptureSeed(const std::string &name, size_t arg_base,
-                     size_t argc, const FunctionDecl &fn)
-    {
-        if (opts_->capture_function.empty() ||
-            name != opts_->capture_function || !opts_->captured_args ||
-            seed_captured_) {
-            return;
-        }
-        seed_captured_ = true;
-        std::vector<KernelArg> captured;
-        for (size_t i = 0; i < argc; ++i) {
-            const TypePtr &pt = fn.params[i].type;
-            const Value &v = stack_[arg_base + i].v;
-            if ((pt->isArray() || pt->isPointer()) && v.isPointer()) {
-                Place p = v.asPlace();
-                int n = memory_.blockSize(p.block);
-                bool is_float = pt->element() && pt->element()->isFloating();
-                if (is_float) {
-                    std::vector<double> xs;
-                    for (int k = p.offset; k < n; ++k)
-                        xs.push_back(memory_.load({p.block, k}).asFloat());
-                    captured.push_back(KernelArg::ofFloats(std::move(xs)));
-                } else {
-                    std::vector<long> xs;
-                    for (int k = p.offset; k < n; ++k) {
-                        const Value &cell = memory_.load({p.block, k});
-                        xs.push_back(cell.isFloat() ? long(cell.asFloat())
-                                                    : cell.asInt());
-                    }
-                    captured.push_back(KernelArg::ofInts(std::move(xs)));
-                }
-            } else if (pt->isStream() && v.isStream()) {
-                // Snapshot without consuming.
-                size_t n = memory_.streamSize(v.streamId());
-                std::vector<long> xs;
-                for (size_t k = 0; k < n; ++k) {
-                    Value x = memory_.streamRead(v.streamId());
-                    xs.push_back(x.isFloat() ? long(x.asFloat())
-                                             : x.asInt());
-                    memory_.streamWrite(v.streamId(), x);
-                }
-                captured.push_back(KernelArg::ofInts(std::move(xs)));
-            } else if (v.isFloat()) {
-                captured.push_back(KernelArg::ofFloat(v.asFloat()));
-            } else {
-                captured.push_back(KernelArg::ofInt(v.asInt()));
-            }
-        }
-        *opts_->captured_args = std::move(captured);
-    }
-
-    // --- kernel-arg materialization (as the walker's) ------------------------
-
+    /** Charge `a op b`, then apply it. */
     Value
-    materialize(const KernelArg &arg, const TypePtr &param_type,
-                int32_t &block_out, int32_t &stream_out)
+    binary(BinaryOp op, const Value &a, const Value &b)
     {
-        if (param_type->isStream()) {
-            int32_t id = memory_.createStream();
-            stream_out = id;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                for (long v : arg.ints)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeInt(v),
-                                         param_type->element()));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                for (double v : arg.floats)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeFloat(v),
-                                         param_type->element()));
-            }
-            return Value::makeStream(id);
-        }
-        if (param_type->isArray() || param_type->isPointer()) {
-            TypePtr elem = param_type->element();
-            int32_t block;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                block = memory_.allocate(int(arg.ints.size()), elem);
-                for (size_t k = 0; k < arg.ints.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeInt(arg.ints[k]));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                block = memory_.allocate(int(arg.floats.size()), elem);
-                for (size_t k = 0; k < arg.floats.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeFloat(arg.floats[k]));
-            } else {
-                throw Trap("scalar kernel arg for array parameter");
-            }
-            block_out = block;
-            return Value::makePointer({block, 0});
-        }
-        if (arg.kind == KernelArg::Kind::Int)
-            return coerceToType(Value::makeInt(arg.i), param_type);
-        if (arg.kind == KernelArg::Kind::Float)
-            return coerceToType(Value::makeFloat(arg.f), param_type);
-        throw Trap("array kernel arg for scalar parameter");
-    }
-
-    KernelArg
-    readBack(const KernelArg &input, const TypePtr &param_type,
-             int32_t block, int32_t stream)
-    {
-        if (param_type->isStream()) {
-            bool is_float = param_type->element() &&
-                            param_type->element()->isFloating();
-            std::vector<long> iv;
-            std::vector<double> fv;
-            while (!memory_.streamEmpty(stream)) {
-                Value v = memory_.streamRead(stream);
-                if (is_float)
-                    fv.push_back(v.asFloat());
-                else
-                    iv.push_back(v.asInt());
-            }
-            return is_float ? KernelArg::ofFloats(std::move(fv))
-                            : KernelArg::ofInts(std::move(iv));
-        }
-        if (block > 0) {
-            int n = memory_.blockSize(block);
-            if (input.kind == KernelArg::Kind::FloatArray) {
-                std::vector<double> out(static_cast<size_t>(n));
-                for (int k = 0; k < n; ++k)
-                    out[size_t(k)] = memory_.load({block, k}).asFloat();
-                return KernelArg::ofFloats(std::move(out));
-            }
-            std::vector<long> out(static_cast<size_t>(n));
-            for (int k = 0; k < n; ++k) {
-                const Value &v = memory_.load({block, k});
-                out[size_t(k)] = v.isFloat() ? long(v.asFloat())
-                                             : v.asInt();
-            }
-            return KernelArg::ofInts(std::move(out));
-        }
-        return input; // scalars are passed by value
-    }
-
-    KernelArg
-    valueToArg(const Value &v) const
-    {
-        if (v.isFloat())
-            return KernelArg::ofFloat(v.asFloat());
-        return KernelArg::ofInt(v.asInt());
-    }
-
-    // --- arithmetic (as the walker's applyBinary) ----------------------------
-
-    Value
-    applyBinary(BinaryOp op, const Value &a, const Value &b)
-    {
-        if (a.isInt() && b.isInt()) {
-            charge(intCycles(op));
-            return Value::makeInt(intBinary(op, a.asInt(), b.asInt()));
-        }
-        if (a.isPointer() || b.isPointer())
-            return applyPointerBinary(op, a, b);
-        bool flt = a.isFloat() || b.isFloat();
-        switch (op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-            charge(flt ? CpuCosts::kFloatAlu : CpuCosts::kIntAlu);
-            break;
-          case BinaryOp::Mul:
-            charge(flt ? CpuCosts::kFloatMul : CpuCosts::kIntMul);
-            break;
-          case BinaryOp::Div:
-          case BinaryOp::Mod:
-            charge(flt ? CpuCosts::kFloatDiv : CpuCosts::kIntDiv);
-            break;
-          default:
-            charge(CpuCosts::kIntAlu);
-            break;
-        }
-        if (flt) {
-            double x = a.asFloat();
-            double y = b.asFloat();
-            switch (op) {
-              case BinaryOp::Add: return Value::makeFloat(x + y);
-              case BinaryOp::Sub: return Value::makeFloat(x - y);
-              case BinaryOp::Mul: return Value::makeFloat(x * y);
-              case BinaryOp::Div:
-                if (y == 0.0)
-                    throw Trap("floating division by zero");
-                return Value::makeFloat(x / y);
-              case BinaryOp::Lt: return Value::makeInt(x < y);
-              case BinaryOp::Gt: return Value::makeInt(x > y);
-              case BinaryOp::Le: return Value::makeInt(x <= y);
-              case BinaryOp::Ge: return Value::makeInt(x >= y);
-              case BinaryOp::Eq: return Value::makeInt(x == y);
-              case BinaryOp::Ne: return Value::makeInt(x != y);
-              default:
-                throw Trap("invalid float operation");
-            }
-        }
-        long x = a.asInt();
-        long y = b.asInt();
-        switch (op) {
-          case BinaryOp::Add: return Value::makeInt(x + y);
-          case BinaryOp::Sub: return Value::makeInt(x - y);
-          case BinaryOp::Mul: return Value::makeInt(x * y);
-          case BinaryOp::Div:
-            if (y == 0)
-                throw Trap("integer division by zero");
-            return Value::makeInt(x / y);
-          case BinaryOp::Mod:
-            if (y == 0)
-                throw Trap("integer modulo by zero");
-            return Value::makeInt(x % y);
-          case BinaryOp::Lt: return Value::makeInt(x < y);
-          case BinaryOp::Gt: return Value::makeInt(x > y);
-          case BinaryOp::Le: return Value::makeInt(x <= y);
-          case BinaryOp::Ge: return Value::makeInt(x >= y);
-          case BinaryOp::Eq: return Value::makeInt(x == y);
-          case BinaryOp::Ne: return Value::makeInt(x != y);
-          case BinaryOp::BitAnd: return Value::makeInt(x & y);
-          case BinaryOp::BitOr: return Value::makeInt(x | y);
-          case BinaryOp::BitXor: return Value::makeInt(x ^ y);
-          case BinaryOp::Shl: return Value::makeInt(x << (y & 63));
-          case BinaryOp::Shr: return Value::makeInt(x >> (y & 63));
-          default:
-            throw Trap("unhandled integer operation");
-        }
-    }
-
-    Value
-    applyPointerBinary(BinaryOp op, const Value &a, const Value &b)
-    {
-        charge(CpuCosts::kIntAlu);
-        auto stride = [this](const Value &ptr) {
-            Place p = ptr.asPlace();
-            const cir::Type *bt = memory_.blockType(p.block);
-            if (bt && bt->isStruct())
-                return layoutOf(bt->structName()).size();
-            return 1;
-        };
-        if (op == BinaryOp::Add || op == BinaryOp::Sub) {
-            if (a.isPointer() && b.isInt()) {
-                long delta = b.asInt() * stride(a);
-                if (op == BinaryOp::Sub)
-                    delta = -delta;
-                Place p = a.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isInt() && b.isPointer() && op == BinaryOp::Add) {
-                long delta = a.asInt() * stride(b);
-                Place p = b.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isPointer() && b.isPointer() && op == BinaryOp::Sub) {
-                if (a.asPlace().block != b.asPlace().block)
-                    throw Trap("subtraction of unrelated pointers");
-                return Value::makeInt(
-                    (a.asPlace().offset - b.asPlace().offset) / stride(a));
-            }
-            throw Trap("invalid pointer arithmetic");
-        }
-        auto as_pair = [](const Value &v) {
-            if (v.isPointer())
-                return std::pair<long, long>(v.asPlace().block,
-                                             v.asPlace().offset);
-            return std::pair<long, long>(0, v.asInt());
-        };
-        auto [ab, ao] = as_pair(a);
-        auto [bb, bo] = as_pair(b);
-        switch (op) {
-          case BinaryOp::Eq:
-            return Value::makeInt(ab == bb && ao == bo);
-          case BinaryOp::Ne:
-            return Value::makeInt(!(ab == bb && ao == bo));
-          case BinaryOp::Lt: return Value::makeInt(ao < bo);
-          case BinaryOp::Gt: return Value::makeInt(ao > bo);
-          case BinaryOp::Le: return Value::makeInt(ao <= bo);
-          case BinaryOp::Ge: return Value::makeInt(ao >= bo);
-          default:
-            throw Trap("invalid pointer operation");
-        }
+        charge(binaryCycles(op, a, b));
+        return applyBinary(op, a, b, memory_, p_.structs);
     }
 
     // --- typed integer ops ----------------------------------------------------
@@ -854,38 +538,6 @@ class VM
     operand(int32_t v, bool is_const, const Binding *slots)
     {
         return is_const ? long(v) : slots[v].v.asInt();
-    }
-
-    /** applyBinary's int-int arm minus its charge (static on typed ops). */
-    static long
-    intBinary(BinaryOp op, long x, long y)
-    {
-        switch (op) {
-          case BinaryOp::Add: return x + y;
-          case BinaryOp::Sub: return x - y;
-          case BinaryOp::Mul: return x * y;
-          case BinaryOp::Div:
-            if (y == 0)
-                throw Trap("integer division by zero");
-            return x / y;
-          case BinaryOp::Mod:
-            if (y == 0)
-                throw Trap("integer modulo by zero");
-            return x % y;
-          case BinaryOp::Lt: return x < y;
-          case BinaryOp::Gt: return x > y;
-          case BinaryOp::Le: return x <= y;
-          case BinaryOp::Ge: return x >= y;
-          case BinaryOp::Eq: return x == y;
-          case BinaryOp::Ne: return x != y;
-          case BinaryOp::BitAnd: return x & y;
-          case BinaryOp::BitOr: return x | y;
-          case BinaryOp::BitXor: return x ^ y;
-          case BinaryOp::Shl: return x << (y & 63);
-          case BinaryOp::Shr: return x >> (y & 63);
-          default:
-            throw Trap("unhandled integer operation");
-        }
     }
 
     long
@@ -1020,7 +672,7 @@ class VM
                   case OpCode::IntIncJump: {
                     enter(op.len - 1);
                     Binding &dst = slots[op.a];
-                    storeInt(dst, dst.v.asInt() + op.b, op, dst.type);
+                    storeInt(dst, wrapAdd(dst.v.asInt(), op.b), op, dst.type);
                     if (op.code == OpCode::IntIncJump)
                         block(op.c);
                     break;
@@ -1207,7 +859,7 @@ class VM
                     if (v.isFloat())
                         push(Value::makeFloat(-v.asFloat()));
                     else
-                        push(Value::makeInt(-v.asInt()));
+                        push(Value::makeInt(wrapNeg(v.asInt())));
                     break;
                   }
                   case OpCode::Not: {
@@ -1226,17 +878,7 @@ class VM
                     Value old = memory_.load(place);
                     charge(CpuCosts::kIntAlu + 2 * CpuCosts::kMem);
                     long delta = (op.a == 0 || op.a == 2) ? 1 : -1;
-                    Value updated;
-                    if (old.isFloat())
-                        updated = Value::makeFloat(old.asFloat() + delta);
-                    else if (old.isPointer())
-                        updated = Value::makePointer(
-                            {old.asPlace().block,
-                             old.asPlace().offset +
-                                 int32_t(delta * placeStride(e.t))});
-                    else
-                        updated = Value::makeInt(old.asInt() + delta);
-                    memory_.store(place, updated);
+                    memory_.store(place, incDec(old, delta, e.t, p_.structs));
                     profileStore(op.b, memory_.load(place));
                     if (!(op.mode & kDiscard))
                         push(op.a >= 2 ? old : memory_.load(place));
@@ -1262,7 +904,7 @@ class VM
                     }
                     Value b = popV();
                     Value a = popV();
-                    push(applyBinary(BinaryOp(op.a), a, b));
+                    push(binary(BinaryOp(op.a), a, b));
                     break;
                   }
                   case OpCode::LogicalTest: {
@@ -1346,7 +988,7 @@ class VM
                             int(count), plan.type,
                             p_.layouts[size_t(plan.layout)].field_types, true);
                     } else {
-                        long cells = count * long(plan.cells_per);
+                        long cells = wrapMul(count, plan.cells_per);
                         if (cells > Memory::kMaxCells)
                             throw Trap("allocation exceeds interpreter "
                                        "heap limit");
@@ -1368,9 +1010,12 @@ class VM
                         pop();
                     push(Value::makeInt(0));
                     break;
-                  case OpCode::Math:
-                    execMath(op);
+                  case OpCode::Math: { // kMath is static
+                    std::vector<Value> args = popArgs(op.b);
+                    push(applyMath(MathFn(op.a), p_.names[size_t(op.c)],
+                                   args));
                     break;
+                  }
                   case OpCode::MethodBind:
                     execMethodBind(op);
                     break;
@@ -1551,89 +1196,6 @@ class VM
     }
 
     void
-    execMath(const Op &op)
-    {
-        std::vector<Value> args = popArgs(op.b); // kMath is static
-        const std::string &name = p_.names[size_t(op.c)];
-        auto need = [&](size_t n) {
-            if (args.size() != n)
-                throw Trap(name + " expects " + std::to_string(n) +
-                           " argument(s)");
-        };
-        switch (MathFn(op.a)) {
-          case MathFn::Sqrt: {
-            need(1);
-            double x = args[0].asFloat();
-            if (x < 0)
-                throw Trap("sqrt of negative value");
-            push(Value::makeFloat(std::sqrt(x)));
-            return;
-          }
-          case MathFn::Fabs:
-            need(1);
-            push(Value::makeFloat(std::fabs(args[0].asFloat())));
-            return;
-          case MathFn::Abs:
-            need(1);
-            push(Value::makeInt(std::labs(args[0].asInt())));
-            return;
-          case MathFn::Pow:
-            need(2);
-            push(Value::makeFloat(
-                std::pow(args[0].asFloat(), args[1].asFloat())));
-            return;
-          case MathFn::Sin:
-            need(1);
-            push(Value::makeFloat(std::sin(args[0].asFloat())));
-            return;
-          case MathFn::Cos:
-            need(1);
-            push(Value::makeFloat(std::cos(args[0].asFloat())));
-            return;
-          case MathFn::Tan:
-            need(1);
-            push(Value::makeFloat(std::tan(args[0].asFloat())));
-            return;
-          case MathFn::Exp:
-            need(1);
-            push(Value::makeFloat(std::exp(args[0].asFloat())));
-            return;
-          case MathFn::Log: {
-            need(1);
-            double x = args[0].asFloat();
-            if (x <= 0)
-                throw Trap("log of non-positive value");
-            push(Value::makeFloat(std::log(x)));
-            return;
-          }
-          case MathFn::Floor:
-            need(1);
-            push(Value::makeFloat(std::floor(args[0].asFloat())));
-            return;
-          case MathFn::Ceil:
-            need(1);
-            push(Value::makeFloat(std::ceil(args[0].asFloat())));
-            return;
-          case MathFn::Min:
-          case MathFn::Max: {
-            need(2);
-            bool flt = args[0].isFloat() || args[1].isFloat();
-            bool take_first =
-                flt ? (args[0].asFloat() < args[1].asFloat())
-                    : (args[0].asInt() < args[1].asInt());
-            if (MathFn(op.a) == MathFn::Max)
-                take_first = !take_first;
-            // The walker returns the original argument value.
-            push(take_first ? args[0] : args[1]);
-            return;
-          }
-          case MathFn::Unknown:
-            break;
-        }
-        throw Trap("unimplemented intrinsic: " + name);
-    }
-
-    void
     execMethodEnter(const Op &op)
     {
         const MethodPlan &plan = p_.methods[size_t(op.a)];
@@ -1720,17 +1282,7 @@ class VM
         Binding &b = slotAt(op.c);
         Value old = b.v;
         long delta = (op.a == 0 || op.a == 2) ? 1 : -1;
-        Value updated;
-        if (old.isFloat())
-            updated = Value::makeFloat(old.asFloat() + delta);
-        else if (old.isPointer())
-            updated = Value::makePointer(
-                {old.asPlace().block,
-                 old.asPlace().offset +
-                     int32_t(delta * placeStride(b.type))});
-        else
-            updated = Value::makeInt(old.asInt() + delta);
-        b.v = coerceToType(updated, b.type);
+        b.v = coerceToType(incDec(old, delta, b.type, p_.structs), b.type);
         profileStore(op.b, b.v);
         if (!(op.mode & kDiscard))
             push(op.a >= 2 ? old : b.v);
@@ -1755,8 +1307,7 @@ class VM
             }
         } else {
             Value old = memory_.load(place);
-            Value combined =
-                applyBinary(compoundOp(AssignOp(op.a)), old, rhs);
+            Value combined = binary(compoundOp(AssignOp(op.a)), old, rhs);
             memory_.store(place, combined);
             result = memory_.load(place);
         }
@@ -1779,8 +1330,7 @@ class VM
         if (AssignOp(op.a) == AssignOp::Plain) {
             b.v = coerceToType(rhs, b.type);
         } else {
-            Value combined =
-                applyBinary(compoundOp(AssignOp(op.a)), b.v, rhs);
+            Value combined = binary(compoundOp(AssignOp(op.a)), b.v, rhs);
             b.v = coerceToType(combined, b.type);
         }
         profileStore(op.b, b.v);
@@ -1789,8 +1339,7 @@ class VM
     }
 
     const Program &p_;
-    const RunOptions *opts_ = nullptr; ///< set per run by reset()
-    bool capture_enabled_ = false;
+    SeedCapture seed_;
     // Hot RunOptions fields, cached flat by reset() for the dispatch loop.
     uint64_t max_steps_ = 0;
     LoopProfile *loop_profile_ = nullptr;
@@ -1820,7 +1369,6 @@ class VM
     uint64_t steps_ = 0;
     uint64_t cycles_ = 0;
     uint64_t branch_records_ = 0;
-    bool seed_captured_ = false;
 };
 
 } // namespace

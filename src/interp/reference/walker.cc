@@ -4,15 +4,15 @@
  *
  * Executes the AST directly: scoped name lookup, lvalue evaluation into
  * Memory places, and the same step, cycle, coverage, profile and
- * branch-event accounting the bytecode VM performs. It is the semantics
- * the VM is proven against, not a production engine.
+ * branch-event accounting the bytecode VM performs. It is the
+ * evaluation order the VM is proven against, not a production engine.
+ * The leaf semantics both engines share (kernel boundary, arithmetic,
+ * math intrinsics, cell counts) come from interp/runtime.h.
  */
-
-#include <cmath>
-#include <functional>
 
 #include "cir/sema.h"
 #include "interp/reference/reference.h"
+#include "interp/runtime.h"
 
 namespace heterogen::interp::reference {
 
@@ -88,9 +88,10 @@ class Engine
 {
   public:
     Engine(const TranslationUnit &tu, const RunOptions &opts)
-        : tu_(tu), opts_(opts)
+        : tu_(tu), opts_(opts), structs_(tu)
     {
         buildLayouts();
+        seed_.arm(opts);
     }
 
     RunResult
@@ -102,30 +103,9 @@ class Engine
             const FunctionDecl *fn = tu_.findFunction(function);
             if (!fn)
                 throw Trap("no such function: " + function);
-            std::vector<Value> arg_values;
-            std::vector<int32_t> arg_blocks(args.size(), 0);
-            std::vector<int32_t> arg_streams(args.size(), -1);
-            for (size_t i = 0; i < args.size(); ++i) {
-                if (i >= fn->params.size())
-                    throw Trap("too many kernel arguments");
-                arg_values.push_back(materialize(args[i],
-                                                 fn->params[i].type,
-                                                 arg_blocks[i],
-                                                 arg_streams[i]));
-            }
-            if (arg_values.size() != fn->params.size())
-                throw Trap("missing kernel arguments for " + function);
-            Value ret = callFunction(*fn, arg_values, nullptr);
-            if (!fn->ret_type->isVoid()) {
-                result.has_ret = true;
-                result.ret = valueToArg(ret);
-            }
-            for (size_t i = 0; i < args.size(); ++i) {
-                result.out_args.push_back(
-                    readBack(args[i], fn->params[i].type, arg_blocks[i],
-                             arg_streams[i]));
-            }
-            result.ok = true;
+            KernelArgs kernel_args(memory_, *fn, args);
+            Value ret = callFunction(*fn, kernel_args.values(), nullptr);
+            kernel_args.finish(ret, result);
         } catch (const Trap &t) {
             result.ok = false;
             result.trap = t.what();
@@ -172,116 +152,6 @@ class Engine
         if (it == layouts_.end())
             throw Trap("unknown struct layout: " + name);
         return it->second;
-    }
-
-    /** Flattened cell count of one instance of a type. */
-    int
-    flatCells(const cir::Type *t) const
-    {
-        if (!t)
-            return 1;
-        if (t->isArray()) {
-            long n = t->arraySize();
-            if (n == kUnknownArraySize)
-                throw Trap("sizeof of unknown-size array");
-            return static_cast<int>(n) * flatCells(t->element().get());
-        }
-        if (t->isStruct())
-            return layoutOf(t->structName()).size();
-        return 1;
-    }
-
-    // --- kernel-arg materialization ------------------------------------------
-
-    Value
-    materialize(const KernelArg &arg, const TypePtr &param_type,
-                int32_t &block_out, int32_t &stream_out)
-    {
-        if (param_type->isStream()) {
-            int32_t id = memory_.createStream();
-            stream_out = id;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                for (long v : arg.ints)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeInt(v),
-                                         param_type->element()));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                for (double v : arg.floats)
-                    memory_.streamWrite(
-                        id, coerceToType(Value::makeFloat(v),
-                                         param_type->element()));
-            }
-            return Value::makeStream(id);
-        }
-        if (param_type->isArray() || param_type->isPointer()) {
-            TypePtr elem = param_type->element();
-            int32_t block;
-            if (arg.kind == KernelArg::Kind::IntArray) {
-                block = memory_.allocate(int(arg.ints.size()), elem);
-                for (size_t k = 0; k < arg.ints.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeInt(arg.ints[k]));
-            } else if (arg.kind == KernelArg::Kind::FloatArray) {
-                block = memory_.allocate(int(arg.floats.size()), elem);
-                for (size_t k = 0; k < arg.floats.size(); ++k)
-                    memory_.store({block, int32_t(k)},
-                                  Value::makeFloat(arg.floats[k]));
-            } else {
-                throw Trap("scalar kernel arg for array parameter");
-            }
-            block_out = block;
-            return Value::makePointer({block, 0});
-        }
-        if (arg.kind == KernelArg::Kind::Int)
-            return coerceToType(Value::makeInt(arg.i), param_type);
-        if (arg.kind == KernelArg::Kind::Float)
-            return coerceToType(Value::makeFloat(arg.f), param_type);
-        throw Trap("array kernel arg for scalar parameter");
-    }
-
-    KernelArg
-    readBack(const KernelArg &input, const TypePtr &param_type,
-             int32_t block, int32_t stream)
-    {
-        if (param_type->isStream()) {
-            bool is_float = param_type->element() &&
-                            param_type->element()->isFloating();
-            std::vector<long> iv;
-            std::vector<double> fv;
-            while (!memory_.streamEmpty(stream)) {
-                Value v = memory_.streamRead(stream);
-                if (is_float)
-                    fv.push_back(v.asFloat());
-                else
-                    iv.push_back(v.asInt());
-            }
-            return is_float ? KernelArg::ofFloats(std::move(fv))
-                            : KernelArg::ofInts(std::move(iv));
-        }
-        if (block > 0) {
-            int n = memory_.blockSize(block);
-            if (input.kind == KernelArg::Kind::FloatArray) {
-                std::vector<double> out(n);
-                for (int k = 0; k < n; ++k)
-                    out[k] = memory_.load({block, k}).asFloat();
-                return KernelArg::ofFloats(std::move(out));
-            }
-            std::vector<long> out(n);
-            for (int k = 0; k < n; ++k) {
-                const Value &v = memory_.load({block, k});
-                out[k] = v.isFloat() ? long(v.asFloat()) : v.asInt();
-            }
-            return KernelArg::ofInts(std::move(out));
-        }
-        return input; // scalars are passed by value
-    }
-
-    KernelArg
-    valueToArg(const Value &v) const
-    {
-        if (v.isFloat())
-            return KernelArg::ofFloat(v.asFloat());
-        return KernelArg::ofInt(v.asInt());
     }
 
     // --- bookkeeping ----------------------------------------------------------
@@ -464,13 +334,14 @@ class Engine
     // --- function calls ---------------------------------------------------------
 
     Value
-    callFunction(const FunctionDecl &fn, std::vector<Value> &args,
+    callFunction(const FunctionDecl &fn, const std::vector<Value> &args,
                  const StructDecl *owner_struct, Place self = {})
     {
         if (static_cast<int>(frames_.size()) > kMaxCallDepth)
             throw Trap("call depth exceeded (runaway recursion?)");
         charge(CpuCosts::kCall);
-        maybeCaptureSeed(fn.name, args, fn);
+        if (seed_.due(fn.name))
+            seed_.capture(memory_, fn, args);
 
         frames_.emplace_back();
         frame().function = owner_struct
@@ -527,58 +398,6 @@ class Engine
         if (!fn.ret_type->isVoid())
             return coerceToType(ret, fn.ret_type);
         return Value::makeInt(0);
-    }
-
-    void
-    maybeCaptureSeed(const std::string &name, const std::vector<Value> &args,
-                     const FunctionDecl &fn)
-    {
-        if (opts_.capture_function.empty() ||
-            name != opts_.capture_function || !opts_.captured_args ||
-            seed_captured_) {
-            return;
-        }
-        seed_captured_ = true;
-        std::vector<KernelArg> captured;
-        for (size_t i = 0; i < args.size(); ++i) {
-            const TypePtr &pt = fn.params[i].type;
-            const Value &v = args[i];
-            if ((pt->isArray() || pt->isPointer()) && v.isPointer()) {
-                Place p = v.asPlace();
-                int n = memory_.blockSize(p.block);
-                bool is_float = pt->element() && pt->element()->isFloating();
-                if (is_float) {
-                    std::vector<double> xs;
-                    for (int k = p.offset; k < n; ++k)
-                        xs.push_back(memory_.load({p.block, k}).asFloat());
-                    captured.push_back(KernelArg::ofFloats(std::move(xs)));
-                } else {
-                    std::vector<long> xs;
-                    for (int k = p.offset; k < n; ++k) {
-                        const Value &cell = memory_.load({p.block, k});
-                        xs.push_back(cell.isFloat() ? long(cell.asFloat())
-                                                    : cell.asInt());
-                    }
-                    captured.push_back(KernelArg::ofInts(std::move(xs)));
-                }
-            } else if (pt->isStream() && v.isStream()) {
-                // Snapshot without consuming.
-                size_t n = memory_.streamSize(v.streamId());
-                std::vector<long> xs;
-                for (size_t k = 0; k < n; ++k) {
-                    Value x = memory_.streamRead(v.streamId());
-                    xs.push_back(x.isFloat() ? long(x.asFloat())
-                                             : x.asInt());
-                    memory_.streamWrite(v.streamId(), x);
-                }
-                captured.push_back(KernelArg::ofInts(std::move(xs)));
-            } else if (v.isFloat()) {
-                captured.push_back(KernelArg::ofFloat(v.asFloat()));
-            } else {
-                captured.push_back(KernelArg::ofInt(v.asInt()));
-            }
-        }
-        *opts_.captured_args = std::move(captured);
     }
 
     // --- statements ---------------------------------------------------------------
@@ -734,7 +553,7 @@ class Engine
           }
           case ExprKind::SizeofType: {
             const auto &e = static_cast<const SizeofType &>(expr);
-            return Value::makeInt(flatCells(e.type.get()));
+            return Value::makeInt(flatCells(e.type.get(), structs_));
           }
           case ExprKind::StructLit:
             return evalStructLit(static_cast<const StructLit &>(expr));
@@ -776,7 +595,7 @@ class Engine
             charge(v.isFloat() ? CpuCosts::kFloatAlu : CpuCosts::kIntAlu);
             if (v.isFloat())
                 return Value::makeFloat(-v.asFloat());
-            return Value::makeInt(-v.asInt());
+            return Value::makeInt(wrapNeg(v.asInt()));
           }
           case UnaryOp::Not: {
             Value v = eval(*e.operand);
@@ -798,17 +617,7 @@ class Engine
             long delta =
                 (e.op == UnaryOp::PreInc || e.op == UnaryOp::PostInc) ? 1
                                                                       : -1;
-            Value updated;
-            if (old.isFloat())
-                updated = Value::makeFloat(old.asFloat() + delta);
-            else if (old.isPointer())
-                updated = Value::makePointer(
-                    {old.asPlace().block,
-                     old.asPlace().offset +
-                         int32_t(delta * placeStride(pt.type))});
-            else
-                updated = Value::makeInt(old.asInt() + delta);
-            memory_.store(pt.place, updated);
+            memory_.store(pt.place, incDec(old, delta, pt.type, structs_));
             if (e.operand->kind() == ExprKind::Ident) {
                 profileStore(static_cast<const Ident &>(*e.operand).name,
                              memory_.load(pt.place));
@@ -818,15 +627,6 @@ class Engine
           }
         }
         throw Trap("unhandled unary operator");
-    }
-
-    /** Pointer-arithmetic stride for a pointer-typed cell. */
-    int
-    placeStride(const cir::Type *ptr_type) const
-    {
-        if (ptr_type && ptr_type->isPointer())
-            return flatCells(ptr_type->element().get());
-        return 1;
     }
 
     Value
@@ -842,142 +642,15 @@ class Engine
         }
         Value a = eval(*e.lhs);
         Value b = eval(*e.rhs);
-        return applyBinary(e.op, a, b, e.lhs.get());
+        return binary(e.op, a, b);
     }
 
+    /** Charge `a op b`, then apply it. */
     Value
-    applyBinary(BinaryOp op, const Value &a, const Value &b,
-                const Expr *lhs_expr)
+    binary(BinaryOp op, const Value &a, const Value &b)
     {
-        // Pointer arithmetic and comparison.
-        if (a.isPointer() || b.isPointer())
-            return applyPointerBinary(op, a, b, lhs_expr);
-        bool flt = a.isFloat() || b.isFloat();
-        switch (op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-            charge(flt ? CpuCosts::kFloatAlu : CpuCosts::kIntAlu);
-            break;
-          case BinaryOp::Mul:
-            charge(flt ? CpuCosts::kFloatMul : CpuCosts::kIntMul);
-            break;
-          case BinaryOp::Div:
-          case BinaryOp::Mod:
-            charge(flt ? CpuCosts::kFloatDiv : CpuCosts::kIntDiv);
-            break;
-          default:
-            charge(CpuCosts::kIntAlu);
-            break;
-        }
-        if (flt) {
-            double x = a.asFloat();
-            double y = b.asFloat();
-            switch (op) {
-              case BinaryOp::Add: return Value::makeFloat(x + y);
-              case BinaryOp::Sub: return Value::makeFloat(x - y);
-              case BinaryOp::Mul: return Value::makeFloat(x * y);
-              case BinaryOp::Div:
-                if (y == 0.0)
-                    throw Trap("floating division by zero");
-                return Value::makeFloat(x / y);
-              case BinaryOp::Lt: return Value::makeInt(x < y);
-              case BinaryOp::Gt: return Value::makeInt(x > y);
-              case BinaryOp::Le: return Value::makeInt(x <= y);
-              case BinaryOp::Ge: return Value::makeInt(x >= y);
-              case BinaryOp::Eq: return Value::makeInt(x == y);
-              case BinaryOp::Ne: return Value::makeInt(x != y);
-              default:
-                throw Trap("invalid float operation");
-            }
-        }
-        long x = a.asInt();
-        long y = b.asInt();
-        switch (op) {
-          case BinaryOp::Add: return Value::makeInt(x + y);
-          case BinaryOp::Sub: return Value::makeInt(x - y);
-          case BinaryOp::Mul: return Value::makeInt(x * y);
-          case BinaryOp::Div:
-            if (y == 0)
-                throw Trap("integer division by zero");
-            return Value::makeInt(x / y);
-          case BinaryOp::Mod:
-            if (y == 0)
-                throw Trap("integer modulo by zero");
-            return Value::makeInt(x % y);
-          case BinaryOp::Lt: return Value::makeInt(x < y);
-          case BinaryOp::Gt: return Value::makeInt(x > y);
-          case BinaryOp::Le: return Value::makeInt(x <= y);
-          case BinaryOp::Ge: return Value::makeInt(x >= y);
-          case BinaryOp::Eq: return Value::makeInt(x == y);
-          case BinaryOp::Ne: return Value::makeInt(x != y);
-          case BinaryOp::BitAnd: return Value::makeInt(x & y);
-          case BinaryOp::BitOr: return Value::makeInt(x | y);
-          case BinaryOp::BitXor: return Value::makeInt(x ^ y);
-          case BinaryOp::Shl: return Value::makeInt(x << (y & 63));
-          case BinaryOp::Shr: return Value::makeInt(x >> (y & 63));
-          default:
-            throw Trap("unhandled integer operation");
-        }
-    }
-
-    Value
-    applyPointerBinary(BinaryOp op, const Value &a, const Value &b,
-                       const Expr *lhs_expr)
-    {
-        charge(CpuCosts::kIntAlu);
-        auto stride = [this, lhs_expr](const Value &ptr) {
-            // Find the pointee stride from the pointer's origin type if
-            // available; default 1.
-            (void)lhs_expr;
-            Place p = ptr.asPlace();
-            const cir::Type *bt = memory_.blockType(p.block);
-            if (bt && bt->isStruct())
-                return layoutOf(bt->structName()).size();
-            return 1;
-        };
-        if (op == BinaryOp::Add || op == BinaryOp::Sub) {
-            if (a.isPointer() && b.isInt()) {
-                long delta = b.asInt() * stride(a);
-                if (op == BinaryOp::Sub)
-                    delta = -delta;
-                Place p = a.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isInt() && b.isPointer() && op == BinaryOp::Add) {
-                long delta = a.asInt() * stride(b);
-                Place p = b.asPlace();
-                return Value::makePointer(
-                    {p.block, p.offset + int32_t(delta)});
-            }
-            if (a.isPointer() && b.isPointer() && op == BinaryOp::Sub) {
-                if (a.asPlace().block != b.asPlace().block)
-                    throw Trap("subtraction of unrelated pointers");
-                return Value::makeInt(
-                    (a.asPlace().offset - b.asPlace().offset) / stride(a));
-            }
-            throw Trap("invalid pointer arithmetic");
-        }
-        auto as_pair = [](const Value &v) {
-            if (v.isPointer())
-                return std::pair<long, long>(v.asPlace().block,
-                                             v.asPlace().offset);
-            return std::pair<long, long>(0, v.asInt());
-        };
-        auto [ab, ao] = as_pair(a);
-        auto [bb, bo] = as_pair(b);
-        switch (op) {
-          case BinaryOp::Eq:
-            return Value::makeInt(ab == bb && ao == bo);
-          case BinaryOp::Ne:
-            return Value::makeInt(!(ab == bb && ao == bo));
-          case BinaryOp::Lt: return Value::makeInt(ao < bo);
-          case BinaryOp::Gt: return Value::makeInt(ao > bo);
-          case BinaryOp::Le: return Value::makeInt(ao <= bo);
-          case BinaryOp::Ge: return Value::makeInt(ao >= bo);
-          default:
-            throw Trap("invalid pointer operation");
-        }
+        charge(binaryCycles(op, a, b));
+        return applyBinary(op, a, b, memory_, structs_);
     }
 
     Value
@@ -997,15 +670,7 @@ class Engine
             }
         } else {
             Value old = memory_.load(pt.place);
-            BinaryOp op;
-            switch (e.op) {
-              case AssignOp::Add: op = BinaryOp::Add; break;
-              case AssignOp::Sub: op = BinaryOp::Sub; break;
-              case AssignOp::Mul: op = BinaryOp::Mul; break;
-              case AssignOp::Div: op = BinaryOp::Div; break;
-              default: op = BinaryOp::Mod; break;
-            }
-            Value combined = applyBinary(op, old, rhs, e.lhs.get());
+            Value combined = binary(compoundOp(e.op), old, rhs);
             memory_.store(pt.place, combined);
             result = memory_.load(pt.place);
         }
@@ -1063,73 +728,7 @@ class Engine
         for (const auto &a : e.args)
             args.push_back(eval(*a));
         charge(CpuCosts::kMath);
-        auto need = [&](size_t n) {
-            if (args.size() != n)
-                throw Trap(name + " expects " + std::to_string(n) +
-                           " argument(s)");
-        };
-        if (name == "sqrt" || name == "sqrtf") {
-            need(1);
-            double x = args[0].asFloat();
-            if (x < 0)
-                throw Trap("sqrt of negative value");
-            return Value::makeFloat(std::sqrt(x));
-        }
-        if (name == "fabs") {
-            need(1);
-            return Value::makeFloat(std::fabs(args[0].asFloat()));
-        }
-        if (name == "abs") {
-            need(1);
-            return Value::makeInt(std::labs(args[0].asInt()));
-        }
-        if (name == "pow" || name == "powf") {
-            need(2);
-            return Value::makeFloat(
-                std::pow(args[0].asFloat(), args[1].asFloat()));
-        }
-        if (name == "sin") {
-            need(1);
-            return Value::makeFloat(std::sin(args[0].asFloat()));
-        }
-        if (name == "cos") {
-            need(1);
-            return Value::makeFloat(std::cos(args[0].asFloat()));
-        }
-        if (name == "tan") {
-            need(1);
-            return Value::makeFloat(std::tan(args[0].asFloat()));
-        }
-        if (name == "exp") {
-            need(1);
-            return Value::makeFloat(std::exp(args[0].asFloat()));
-        }
-        if (name == "log") {
-            need(1);
-            double x = args[0].asFloat();
-            if (x <= 0)
-                throw Trap("log of non-positive value");
-            return Value::makeFloat(std::log(x));
-        }
-        if (name == "floor") {
-            need(1);
-            return Value::makeFloat(std::floor(args[0].asFloat()));
-        }
-        if (name == "ceil") {
-            need(1);
-            return Value::makeFloat(std::ceil(args[0].asFloat()));
-        }
-        if (name == "min" || name == "max") {
-            need(2);
-            bool flt = args[0].isFloat() || args[1].isFloat();
-            bool take_first =
-                flt ? (args[0].asFloat() < args[1].asFloat())
-                    : (args[0].asInt() < args[1].asInt());
-            if (name == "max")
-                take_first = !take_first;
-            return take_first ? args[0] : args[1];
-        }
-        throw Trap("unimplemented intrinsic: " + name);
+        return applyMath(mathFnOf(name), name, args);
     }
 
     Value
@@ -1179,7 +778,7 @@ class Engine
             block = memory_.allocatePattern(int(count), t,
                                             layout.field_types, true);
         } else {
-            long cells = count * static_cast<long>(flatCells(t.get()));
+            long cells = wrapMul(count, flatCells(t.get(), structs_));
             if (cells > Memory::kMaxCells)
                 throw Trap("allocation exceeds interpreter heap limit");
             block = memory_.allocate(int(cells), t, true);
@@ -1308,14 +907,14 @@ class Engine
             Value idx = eval(*e.index);
             long i = idx.asInt();
             charge(CpuCosts::kIntAlu);
-            int stride = 1;
+            long stride = 1;
             const cir::Type *elem = nullptr;
             if (base.type && base.type->isArray()) {
                 elem = base.type->element().get();
-                stride = flatCells(elem);
+                stride = flatCells(elem, structs_);
             } else if (base.type && base.type->isPointer()) {
                 elem = base.type->element().get();
-                stride = flatCells(elem);
+                stride = flatCells(elem, structs_);
             } else {
                 const cir::Type *bt = memory_.blockType(base.place.block);
                 if (bt && bt->isStruct()) {
@@ -1411,9 +1010,10 @@ class Engine
     std::map<std::string, Layout> layouts_;
     std::map<int, int32_t> static_streams_;
     std::vector<int> loop_stack_;
+    StructCells structs_;
+    SeedCapture seed_;
     uint64_t steps_ = 0;
     uint64_t cycles_ = 0;
-    bool seed_captured_ = false;
 };
 
 } // namespace

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
 
 #include "cir/parser.h"
@@ -741,6 +742,137 @@ TEST(InterpDiff, TrappingConditionsChargeIdentically)
     expectEnginesAgreeAtEveryLimit(interp, "kernel", late,
                                    "zero divisor in a loop");
     EXPECT_FALSE(interp.run("kernel", late).ok);
+}
+
+// --- 64-bit overflow: one defined answer on both engines ------------------
+
+TEST(InterpDiff, DivisionOverflowTrapsIdentically)
+{
+    // LONG_MIN / -1 and LONG_MIN % -1 have no 64-bit result. Both engines
+    // trap, at the point a zero divisor traps: through the generic ops
+    // (m lives in memory, since &m pins it), the typed register ops
+    // (x /= y is an IntStore, a[x / y] an IntLoadIndex) and a LONG_MIN
+    // written in the source.
+    auto tu = parse(R"(
+        long kernel(long x, long y, int which) {
+            long a[4];
+            a[0] = 1; a[1] = 2; a[2] = 3; a[3] = 4;
+            long m = x;
+            long *p = &m;
+            long r = 0;
+            if (which == 0) { r = *p / y; }
+            if (which == 1) { r = m % y; }
+            if (which == 2) { x /= y; }
+            if (which == 3) { x %= y; }
+            if (which == 4) { r = a[x / y]; }
+            if (which == 5) { long k = -9223372036854775807 - 1; r = k / -1; }
+            return r + x;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    const char *want[] = {"integer division overflow",
+                          "integer modulo overflow",
+                          "integer division overflow",
+                          "integer modulo overflow",
+                          "integer division overflow",
+                          "integer division overflow"};
+    for (long which = 0; which < 6; ++which) {
+        std::vector<KernelArg> args = {KernelArg::ofInt(LONG_MIN),
+                                       KernelArg::ofInt(-1),
+                                       KernelArg::ofInt(which)};
+        std::string label = "LONG_MIN / -1, case " + std::to_string(which);
+        expectEnginesAgree(interp, "kernel", args, label);
+        expectEnginesAgreeAtEveryLimit(interp, "kernel", args, label);
+        RunResult r = interp.run("kernel", args);
+        EXPECT_FALSE(r.ok) << label;
+        EXPECT_EQ(r.trap, want[which]) << label;
+    }
+    // One off the edge, every case divides normally.
+    for (long which = 0; which < 5; ++which) {
+        std::vector<KernelArg> args = {KernelArg::ofInt(LONG_MIN + 1),
+                                       KernelArg::ofInt(-1),
+                                       KernelArg::ofInt(which)};
+        expectEnginesAgree(interp, "kernel", args,
+                           "LONG_MIN + 1, case " + std::to_string(which));
+    }
+}
+
+TEST(InterpDiff, ZeroSizePointerDifferenceTrapsIdentically)
+{
+    // A pointer parameter to a field-less struct gets a block of
+    // zero-size elements; subtracting two such pointers has no count.
+    auto tu = parse(R"(
+        struct E { };
+        int kernel(struct E *p, int n) {
+            struct E *q = p + n;
+            return q - p;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    std::vector<KernelArg> args = {KernelArg::ofInts({1, 2, 3}),
+                                   KernelArg::ofInt(2)};
+    expectEnginesAgree(interp, "kernel", args, "zero-size difference");
+    EXPECT_EQ(interp.run("kernel", args).trap,
+              "difference of pointers to zero-size elements");
+}
+
+TEST(InterpDiff, SignedOverflowWrapsOnBothEngines)
+{
+    // Signed 64-bit overflow wraps as two's complement on both engines:
+    // on typed register ops, on generic ops over a memory cell (&m pins
+    // m), in ++ / -- and compound assignment, unary minus and abs.
+    auto tu = parse(R"(
+        long kernel(long x, int which) {
+            long m = x;
+            long *p = &m;
+            long v = x;
+            if (which == 0) { return x + 1; }
+            if (which == 1) { return *p + 1; }
+            if (which == 2) { return x - 1; }
+            if (which == 3) { return *p - 1; }
+            if (which == 4) { return x * 2; }
+            if (which == 5) { return *p * 2; }
+            if (which == 6) { return -x; }
+            if (which == 7) { return -m; }
+            if (which == 8) { return abs(x); }
+            if (which == 9) { v++; return v; }
+            if (which == 10) { v--; return v; }
+            if (which == 11) { m++; return m; }
+            if (which == 12) { v += 1; return v; }
+            if (which == 13) { m *= 2; return m; }
+            return 0;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    struct Case
+    {
+        long which;
+        long x;
+        long want;
+    };
+    const Case cases[] = {
+        {0, LONG_MAX, LONG_MIN},  {1, LONG_MAX, LONG_MIN},
+        {2, LONG_MIN, LONG_MAX},  {3, LONG_MIN, LONG_MAX},
+        {4, LONG_MAX, -2},        {5, LONG_MAX, -2},
+        {6, LONG_MIN, LONG_MIN},  {7, LONG_MIN, LONG_MIN},
+        {8, LONG_MIN, LONG_MIN},  {9, LONG_MAX, LONG_MIN},
+        {10, LONG_MIN, LONG_MAX}, {11, LONG_MAX, LONG_MIN},
+        {12, LONG_MAX, LONG_MIN}, {13, LONG_MAX, -2},
+    };
+    for (const Case &c : cases) {
+        std::vector<KernelArg> args = {KernelArg::ofInt(c.x),
+                                       KernelArg::ofInt(c.which)};
+        std::string label = "wrap case " + std::to_string(c.which);
+        expectEnginesAgree(interp, "kernel", args, label);
+        for (Side side : {Side::Walker, Side::Vm}) {
+            RunResult r = observe(interp, "kernel", args, side, 1000).result;
+            EXPECT_TRUE(r.ok) << label << ": " << r.trap;
+            EXPECT_EQ(r.ret, KernelArg::ofInt(c.want)) << label;
+        }
+    }
 }
 
 // --- the differential runner's own reporting ------------------------------

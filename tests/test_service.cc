@@ -12,6 +12,7 @@
 #include "fuzz/fuzzer.h"
 #include "service/service.h"
 #include "support/diagnostics.h"
+#include "support/trace.h"
 
 namespace heterogen::service {
 namespace {
@@ -378,6 +379,35 @@ TEST(Service, OversizedSourceFailsOnlyItsOwnJob)
     EXPECT_EQ(out.report.hls_source, alone.report.hls_source);
     EXPECT_EQ(out.report.total_minutes, alone.report.total_minutes);
     EXPECT_EQ(out.trace_json, alone.trace_json);
+}
+
+TEST(Service, DivisionOverflowEndsOnlyItsOwnJob)
+{
+    // LONG_MIN / -1 has no 64-bit quotient. A post computing it must end
+    // its own job in a terminal state, not kill the process every tenant
+    // shares, and the job beside it in the same drain must complete.
+    ConversionService svc;
+    JobSpec hostile = tinyJob("evil");
+    hostile.source = R"(
+int scale(int x, int y) {
+    long m = -9223372036854775807 - 1;
+    long d = -1;
+    return m / d + x + y;
+}
+)";
+    int bad = svc.submit(hostile);
+    int good = svc.submit(tinyJob("acme"));
+    svc.drain();
+    // Every run of the kernel traps, and the job completes on that.
+    const JobOutcome &out = svc.collect(bad);
+    EXPECT_EQ(out.status.state, JobState::Completed)
+        << out.status.stop_reason;
+    auto trace = parseTraceJson(out.trace_json);
+    ASSERT_NE(trace, nullptr);
+    EXPECT_GT(trace->counterTotal("interp.runs"), 0);
+    EXPECT_EQ(trace->counterTotal("interp.traps"),
+              trace->counterTotal("interp.runs"));
+    EXPECT_EQ(svc.poll(good).state, JobState::Completed);
 }
 
 // ---------------------------------------------------------------------
