@@ -6,7 +6,7 @@
  * also re-checks the cache's core promise — warm reports are
  * bit-identical to cold ones — and exits non-zero if any field drifts.
  *
- *   ./bench/cache_warmup [--out BENCH_cache.json] [--smoke]
+ *   ./bench/cache_warmup [--out BENCH_cache.json]
  *
  * A second phase replays forum-corpus repro snippets — heavily
  * duplicated near-identical kernels, the conversion service's real
@@ -19,15 +19,14 @@
  * warm phase replays stage records, so it runs none. The verdict
  * columns count the repair span only, where verdict lookups happen.
  *
- * --smoke runs a reduced workload (CI golden job); the full run covers
- * all ten paper subjects plus 40 forum posts and is what
- * BENCH_cache.json records, with the build type and machine it ran on.
+ * The run covers all ten paper subjects plus 40 forum posts and is
+ * what BENCH_cache.json records, with the build type and machine it
+ * ran on. The CI golden job checks every count column against it.
  */
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -218,16 +217,8 @@ emitStages(std::FILE *out, const char *name, const PhaseTotals &t)
 int
 benchMain(int argc, char **argv)
 {
-    std::string out_path = "BENCH_cache.json";
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-    }
+    std::string out_path =
+        bench::Flags(argc, argv, {"--out"}).value("--out", "BENCH_cache.json");
 
     fs::path cache_dir =
         fs::temp_directory_path() /
@@ -235,9 +226,8 @@ benchMain(int argc, char **argv)
     std::error_code ec;
     fs::remove_all(cache_dir, ec);
 
-    const auto &all = subjects::allSubjects();
-    std::vector<subjects::Subject> workload(
-        all.begin(), smoke ? all.begin() + 3 : all.end());
+    const std::vector<subjects::Subject> &workload =
+        subjects::allSubjects();
 
     std::printf("cache_warmup: %zu subjects, cache at %s\n",
                 workload.size(), cache_dir.string().c_str());
@@ -301,8 +291,7 @@ benchMain(int argc, char **argv)
         fs::temp_directory_path() /
         ("hg-bench-cache-forum-" + std::to_string(::getpid()));
     fs::remove_all(forum_dir, ec);
-    auto posts =
-        subjects::generateForumCorpus(smoke ? 12 : 40, 2022);
+    auto posts = subjects::generateForumCorpus(40, 2022);
     std::set<std::string> unique_snippets;
     core::HeteroGenOptions forum_opts;
     forum_opts.kernel = "kernel";
@@ -337,7 +326,6 @@ benchMain(int argc, char **argv)
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"bench\": \"cache_warmup\",\n");
     std::fprintf(out, "  \"subjects\": %zu,\n", workload.size());
-    std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     emitPhase(out, "cold", cold_t, ",");
     emitPhase(out, "warm", warm_t, ",");
     emitPhase(out, "warm2", warm2_t, ",");

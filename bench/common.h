@@ -1,17 +1,23 @@
 /**
  * @file
- * Shared configuration for the table/figure reproduction benches,
- * including the --trace-out harness that dumps per-run RunContext
- * traces as JSON lines for per-stage cost attribution.
+ * Shared configuration for the table/figure reproduction benches: the
+ * command-line check every bench runs, and the --trace-out harness
+ * that dumps per-run RunContext traces as JSON lines for per-stage
+ * cost attribution.
  */
 
 #ifndef HETEROGEN_BENCH_COMMON_H
 #define HETEROGEN_BENCH_COMMON_H
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/heterogen.h"
@@ -20,32 +26,66 @@
 
 namespace heterogen::bench {
 
-/** Command-line knobs every bench binary accepts. */
-struct BenchArgs
+/**
+ * A bench's command line, checked against the flags the bench names:
+ * each takes a value (`--out <path>` or `--out=<path>`) unless it is
+ * listed as a switch. Anything else, or a value flag without its
+ * value, is fatal: the bench lists its flags and exits 2, so a typo
+ * never runs a default workload or overwrites a checked-in file.
+ */
+class Flags
 {
-    /** --trace-out <path>: append one JSON line per labeled run. */
-    std::string trace_out;
-};
-
-inline BenchArgs
-parseBenchArgs(int argc, char **argv)
-{
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--trace-out" && i + 1 < argc) {
-            args.trace_out = argv[++i];
-        } else if (a.rfind("--trace-out=", 0) == 0) {
-            args.trace_out = a.substr(std::string("--trace-out=").size());
-        } else {
-            std::fprintf(stderr,
-                         "unknown bench argument: %s "
-                         "(supported: --trace-out <path>)\n",
-                         a.c_str());
+  public:
+    Flags(int argc, char **argv, const std::vector<std::string> &with_value,
+          const std::vector<std::string> &switches = {})
+    {
+        auto listed = [](const std::vector<std::string> &names,
+                         const std::string &name) {
+            return std::find(names.begin(), names.end(), name) !=
+                   names.end();
+        };
+        auto fail = [&](const std::string &why) {
+            std::string supported;
+            for (const std::string &flag : with_value)
+                supported += " " + flag + " <value>";
+            for (const std::string &flag : switches)
+                supported += " " + flag;
+            std::fprintf(stderr, "%s: %s\nsupported flags:%s\n", argv[0],
+                         why.c_str(),
+                         supported.empty() ? " none" : supported.c_str());
+            std::exit(2);
+        };
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            size_t eq = arg.find('=');
+            std::string name = arg.substr(0, eq);
+            if (eq == std::string::npos && listed(switches, arg))
+                values_[arg] = "";
+            else if (!listed(with_value, name))
+                fail("unknown argument " + arg);
+            else if (eq != std::string::npos)
+                values_[name] = arg.substr(eq + 1);
+            else if (i + 1 < argc)
+                values_[name] = argv[++i];
+            else
+                fail(arg + " needs a value");
         }
     }
-    return args;
-}
+
+    /** Whether `flag` was given. */
+    bool has(const std::string &flag) const { return values_.contains(flag); }
+
+    /** The value given for `flag`, or `fallback`. */
+    std::string
+    value(const std::string &flag, const std::string &fallback = "") const
+    {
+        auto it = values_.find(flag);
+        return it == values_.end() ? fallback : it->second;
+    }
+
+  private:
+    std::map<std::string, std::string> values_;
+};
 
 /**
  * Collects labeled run traces and writes them as JSON lines
@@ -54,7 +94,8 @@ parseBenchArgs(int argc, char **argv)
 class TraceWriter
 {
   public:
-    explicit TraceWriter(const BenchArgs &args) : path_(args.trace_out) {}
+    /** Writes to `path` (the bench's --trace-out); empty writes nothing. */
+    explicit TraceWriter(std::string path) : path_(std::move(path)) {}
 
     /** Record one run's trace JSON under a short label (e.g. "P3/HG"). */
     void

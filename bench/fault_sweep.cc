@@ -101,8 +101,8 @@ runCell(const core::HeteroGen &engine,
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    bench::TraceWriter traces(args);
+    bench::Flags flags(argc, argv, {"--trace-out"});
+    bench::TraceWriter traces(flags.value("--trace-out"));
 
     const subjects::Subject &subject = subjects::subjectById("P9");
     const double kRates[] = {0.0, 0.05, 0.1, 0.2, 0.3};

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <map>
 
+#include "bench/common.h"
 #include "repair/localizer.h"
 #include "subjects/forum_corpus.h"
 
@@ -20,8 +21,9 @@ using namespace heterogen;
 using hls::ErrorCategory;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     const int kPosts = 1000;
     auto posts = subjects::generateForumCorpus(kPosts);
 

@@ -14,12 +14,11 @@
  * under identical simulated-minute budgets, once per candidate proposer
  * (template enumeration, corpus-mined rewrites), and
  * writes the per-proposer repair/latency/invocation numbers to
- * BENCH_proposers.json (--out overrides; --smoke shrinks the sweep for
- * CI). Deterministic end to end — reruns reproduce the JSON exactly.
+ * BENCH_proposers.json (--out overrides). Deterministic end to end —
+ * reruns reproduce the JSON exactly, and the CI golden job checks that.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/common.h"
@@ -42,12 +41,9 @@ struct RaceRun
 };
 
 int
-runProposerRace(bool smoke, const std::string &out_path,
-                bench::TraceWriter &traces)
+runProposerRace(const std::string &out_path, bench::TraceWriter &traces)
 {
-    std::vector<subjects::Subject> pool = subjects::allSubjects();
-    if (smoke)
-        pool.resize(std::min<size_t>(pool.size(), 3));
+    const std::vector<subjects::Subject> &pool = subjects::allSubjects();
 
     std::printf("Proposer race: %zu subjects x %zu proposers, equal "
                 "%.0f-minute simulated budgets\n",
@@ -63,7 +59,6 @@ runProposerRace(bool smoke, const std::string &out_path,
     }
     std::fprintf(out, "{\n  \"bench\": \"fig9_ablation --proposers\",\n");
     std::fprintf(out, "  \"budget_minutes\": 180,\n");
-    std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(out, "  \"subjects\": %zu,\n", pool.size());
     std::fprintf(out, "  \"proposers\": [\n");
 
@@ -73,10 +68,6 @@ runProposerRace(bool smoke, const std::string &out_path,
         for (const subjects::Subject &subject : pool) {
             auto opts = bench::standardOptions(subject);
             opts.search.proposer = proposer;
-            if (smoke) {
-                opts.fuzz.max_executions = 800;
-                opts.search.max_iterations = 200;
-            }
             core::HeteroGen engine(subject.source);
             auto report = engine.run(opts);
             traces.add(subject.id + "/" + proposer, report.trace_json);
@@ -146,36 +137,12 @@ runProposerRace(bool smoke, const std::string &out_path,
 int
 main(int argc, char **argv)
 {
-    bool proposers = false;
-    bool smoke = false;
-    std::string out_path = "BENCH_proposers.json";
-    bench::BenchArgs trace_args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--proposers") {
-            proposers = true;
-        } else if (a == "--smoke") {
-            smoke = true;
-        } else if (a == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (a.rfind("--out=", 0) == 0) {
-            out_path = a.substr(std::strlen("--out="));
-        } else if (a == "--trace-out" && i + 1 < argc) {
-            trace_args.trace_out = argv[++i];
-        } else if (a.rfind("--trace-out=", 0) == 0) {
-            trace_args.trace_out =
-                a.substr(std::strlen("--trace-out="));
-        } else {
-            std::fprintf(stderr,
-                         "unknown bench argument: %s (supported: "
-                         "--proposers --smoke --out <path> "
-                         "--trace-out <path>)\n",
-                         a.c_str());
-        }
-    }
-    bench::TraceWriter traces(trace_args);
-    if (proposers)
-        return runProposerRace(smoke, out_path, traces);
+    bench::Flags flags(argc, argv, {"--out", "--trace-out"},
+                       {"--proposers"});
+    bench::TraceWriter traces(flags.value("--trace-out"));
+    if (flags.has("--proposers"))
+        return runProposerRace(
+            flags.value("--out", "BENCH_proposers.json"), traces);
 
     std::printf("Figure 9: repair time and HLS invocation ablations\n");
     std::printf("%-4s | %9s %9s %8s | %7s %7s\n", "", "HG(min)",

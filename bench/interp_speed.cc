@@ -156,16 +156,9 @@ main(int argc, char **argv)
 {
     using namespace heterogen;
 
-    std::string out_path = "BENCH_interp.json";
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--out" && i + 1 < argc)
-            out_path = argv[++i];
-        else if (a.rfind("--out=", 0) == 0)
-            out_path = a.substr(6);
-        else
-            std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-    }
+    std::string out_path =
+        bench::Flags(argc, argv, {"--out"}).value("--out",
+                                                  "BENCH_interp.json");
 
     std::printf("Interpreter throughput on the fuzz loop\n");
     std::printf("%-4s %6s %14s %14s %8s %9s\n", "id", "suite",

@@ -42,32 +42,16 @@ struct Args
 Args
 parseArgs(int argc, char **argv)
 {
+    bench::Flags flags(argc, argv,
+                       {"--out", "--jobs", "--slots", "--fault-rate"});
     Args args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            size_t n = std::string(flag).size();
-            if (a.rfind(std::string(flag) + "=", 0) == 0)
-                return a.c_str() + n + 1;
-            if (a == flag && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
-        };
-        if (const char *v = value("--out")) {
-            args.out = v;
-        } else if (const char *v = value("--jobs")) {
-            args.jobs = std::max(1, std::atoi(v));
-        } else if (const char *v = value("--slots")) {
-            args.slots = std::max(1, std::atoi(v));
-        } else if (const char *v = value("--fault-rate")) {
-            args.fault_rate = std::atof(v);
-        } else {
-            std::fprintf(stderr,
-                         "unknown argument: %s (supported: --out "
-                         "--jobs --slots --fault-rate)\n",
-                         a.c_str());
-        }
-    }
+    args.out = flags.value("--out", args.out);
+    if (flags.has("--jobs"))
+        args.jobs = std::max(1, std::atoi(flags.value("--jobs").c_str()));
+    if (flags.has("--slots"))
+        args.slots = std::max(1, std::atoi(flags.value("--slots").c_str()));
+    if (flags.has("--fault-rate"))
+        args.fault_rate = std::atof(flags.value("--fault-rate").c_str());
     return args;
 }
 

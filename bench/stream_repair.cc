@@ -7,21 +7,18 @@
  * removed (priced both by the static dataflow schedule and by the
  * cycle-accurate fpga model on a concrete input).
  *
- *   ./bench/stream_repair [--out BENCH_stream.json] [--smoke]
+ *   ./bench/stream_repair [--out BENCH_stream.json]
  *
  * The bench also re-checks the determinism contracts the stream tests
  * pin: a warm rerun over the same verdict cache must be bit-identical
  * and answer every compile from disk, and a run on an 8-thread pool
  * must reproduce the single-threaded report exactly. Any drift exits
- * non-zero so the CI golden job catches it.
- *
- * --smoke runs the first two subjects (CI); the full run covers all
- * four and is what BENCH_stream.json records.
+ * non-zero, and the CI golden job compares the JSON it writes with
+ * BENCH_stream.json byte for byte.
  */
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -158,16 +155,8 @@ struct SubjectResult
 int
 benchMain(int argc, char **argv)
 {
-    std::string out_path = "BENCH_stream.json";
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-    }
+    std::string out_path =
+        bench::Flags(argc, argv, {"--out"}).value("--out", "BENCH_stream.json");
 
     fs::path cache_dir =
         fs::temp_directory_path() /
@@ -175,9 +164,8 @@ benchMain(int argc, char **argv)
     std::error_code ec;
     fs::remove_all(cache_dir, ec);
 
-    const auto &all = subjects::streamingSubjects();
-    std::vector<subjects::Subject> workload(
-        all.begin(), smoke ? all.begin() + 2 : all.end());
+    const std::vector<subjects::Subject> &workload =
+        subjects::streamingSubjects();
 
     std::printf("stream_repair: %zu streaming subjects, cache at %s\n",
                 workload.size(), cache_dir.string().c_str());
@@ -278,7 +266,6 @@ benchMain(int argc, char **argv)
     }
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"bench\": \"stream_repair\",\n");
-    std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(out, "  \"subjects\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const SubjectResult &r = results[i];

@@ -16,7 +16,8 @@ using namespace heterogen;
 int
 main(int argc, char **argv)
 {
-    bench::TraceWriter traces(bench::parseBenchArgs(argc, argv));
+    bench::Flags flags(argc, argv, {"--trace-out"});
+    bench::TraceWriter traces(flags.value("--trace-out"));
     std::printf("Table 3: Subjects and overall results\n");
     std::printf("%-4s %-22s %-14s %-12s %-10s %s\n", "ID", "Subject",
                 "Compatibility", "Improved?", "CPU (ms)", "FPGA (ms)");

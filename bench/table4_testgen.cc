@@ -22,7 +22,8 @@ using namespace heterogen;
 int
 main(int argc, char **argv)
 {
-    bench::TraceWriter traces(bench::parseBenchArgs(argc, argv));
+    bench::Flags flags(argc, argv, {"--trace-out"});
+    bench::TraceWriter traces(flags.value("--trace-out"));
     std::printf("Table 4: Generated tests (HG) vs existing tests\n");
     std::printf("%-4s %10s %8s %7s   %10s %7s\n", "", "HG #Tests",
                 "Time(m)", "Cov.", "Exist. #", "Cov.");

@@ -53,7 +53,8 @@ meanLatency(const cir::TranslationUnit &tu, const std::string &kernel,
 int
 main(int argc, char **argv)
 {
-    bench::TraceWriter traces(bench::parseBenchArgs(argc, argv));
+    bench::Flags flags(argc, argv, {"--trace-out"});
+    bench::TraceWriter traces(flags.value("--trace-out"));
     std::printf("Table 5: Comparison against manual edits and "
                 "HeteroRefactor\n");
     std::printf("%-4s %6s | %7s %7s %7s | %9s %9s %9s %9s\n", "ID",

@@ -244,13 +244,6 @@ applyMath(MathFn fn, const std::string &name, const std::vector<Value> &args)
 
 namespace {
 
-/** A cell read back as an integer: a float cell truncates. */
-long
-cellInt(const Value &v)
-{
-    return v.isFloat() ? long(v.asFloat()) : v.asInt();
-}
-
 KernelArg
 valueToArg(const Value &v)
 {
@@ -347,7 +340,7 @@ KernelArgs::finish(const Value &ret, RunResult &result) const
             } else {
                 std::vector<long> out(size_t(n), 0);
                 for (int k = 0; k < n; ++k)
-                    out[size_t(k)] = cellInt(memory_.load({block, k}));
+                    out[size_t(k)] = truncatedInt(memory_.load({block, k}));
                 result.out_args.push_back(KernelArg::ofInts(std::move(out)));
             }
         } else {
@@ -385,7 +378,7 @@ SeedCapture::capture(Memory &memory, const FunctionDecl &fn,
             } else {
                 std::vector<long> xs;
                 for (int k = p.offset; k < n; ++k)
-                    xs.push_back(cellInt(memory.load({p.block, k})));
+                    xs.push_back(truncatedInt(memory.load({p.block, k})));
                 captured.push_back(KernelArg::ofInts(std::move(xs)));
             }
         } else if (type->isStream() && v.isStream()) {
@@ -394,7 +387,7 @@ SeedCapture::capture(Memory &memory, const FunctionDecl &fn,
             std::vector<long> xs;
             for (size_t k = 0; k < n; ++k) {
                 Value x = memory.streamRead(v.streamId());
-                xs.push_back(cellInt(x));
+                xs.push_back(truncatedInt(x));
                 memory.streamWrite(v.streamId(), x);
             }
             captured.push_back(KernelArg::ofInts(std::move(xs)));

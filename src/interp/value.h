@@ -10,6 +10,7 @@
 #ifndef HETEROGEN_INTERP_VALUE_H
 #define HETEROGEN_INTERP_VALUE_H
 
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -160,6 +161,22 @@ wrapInt(long v, int bits, bool is_signed)
     return static_cast<long>(u);
 }
 
+/**
+ * A value as a long: an integer as it is, a float truncated toward
+ * zero. NaN and floats outside long's range give LONG_MIN, the result
+ * x86-64's cvttsd2si gives, so every float-to-integer conversion in
+ * both engines is defined and keeps the value it always had there.
+ */
+inline long
+truncatedInt(const Value &v)
+{
+    if (!v.isFloat())
+        return v.asInt();
+    double d = v.asFloat();
+    // -2^63 is a long and 2^63 is not; NaN fails both comparisons.
+    return d >= -0x1p63 && d < 0x1p63 ? static_cast<long>(d) : LONG_MIN;
+}
+
 /** Quantize a double to a float with `mant` mantissa bits. */
 double quantizeFloat(double v, int mantissa_bits);
 
@@ -178,27 +195,16 @@ coerceToType(const Value &value, const cir::Type *type)
       case TypeKind::Bool:
         return Value::makeInt(value.truthy() ? 1 : 0, type);
       case TypeKind::Char:
-        return Value::makeInt(
-            wrapInt(value.isFloat() ? long(value.asFloat())
-                                    : value.asInt(),
-                    8, true),
-            type);
+        return Value::makeInt(wrapInt(truncatedInt(value), 8, true), type);
       case TypeKind::Int:
-        return Value::makeInt(
-            wrapInt(value.isFloat() ? long(value.asFloat())
-                                    : value.asInt(),
-                    32, true),
-            type);
+        return Value::makeInt(wrapInt(truncatedInt(value), 32, true), type);
       case TypeKind::Long:
-        return Value::makeInt(value.isFloat() ? long(value.asFloat())
-                                              : value.asInt(),
-                              type);
+        return Value::makeInt(truncatedInt(value), type);
       case TypeKind::FpgaInt:
       case TypeKind::FpgaUint: {
         bool is_signed = type->kind() == TypeKind::FpgaInt;
-        long raw = value.isFloat() ? long(value.asFloat()) : value.asInt();
-        return Value::makeInt(wrapInt(raw, type->width(), is_signed),
-                              type);
+        return Value::makeInt(
+            wrapInt(truncatedInt(value), type->width(), is_signed), type);
       }
       case TypeKind::Float:
         return Value::makeFloat(static_cast<float>(value.asFloat()), type);

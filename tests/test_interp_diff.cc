@@ -875,6 +875,94 @@ TEST(InterpDiff, SignedOverflowWrapsOnBothEngines)
     }
 }
 
+TEST(InterpDiff, FloatToIntConversionIsDefinedOnBothEngines)
+{
+    // A float stored into an integer cell truncates toward zero. NaN and
+    // values outside long's range become LONG_MIN and then wrap to the
+    // cell's width, on both engines and under every sink set: in a
+    // declaration, an assignment, a scalar parameter and an out-array
+    // cell read back as an integer.
+    auto tu = parse(R"(
+        long kernel(double d, int i, int which) {
+            double inf = 1e308 * 10.0;
+            double nan = inf - inf;
+            if (which == 0) { int x = 1e30; return x; }
+            if (which == 1) { long y = -1e30; return y; }
+            if (which == 2) { char c = d; return c; }
+            if (which == 3) { fpga_int<7> f = 0; f = d; return f; }
+            if (which == 4) { return i; }
+            if (which == 5) { long n = d; return n; }
+            if (which == 6) { int z = nan; return z; }
+            if (which == 7) { long n = nan; return n; }
+            return 0;
+        }
+        void fill(double *a) {
+            double inf = 1e308 * 10.0;
+            a[0] = 1e30;
+            a[1] = -7.9;
+            a[2] = inf - inf;
+            a[3] = 9223372036854775807.0;
+            a[4] = 9223372036854774784.0;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    struct Case
+    {
+        long which;
+        double d;
+        double i;
+        long want;
+    };
+    const Case cases[] = {
+        {0, 0, 0, 0},
+        {1, 0, 0, LONG_MIN},
+        {2, 1e30, 0, 0},
+        {2, 300.7, 0, 44},
+        {3, 1e30, 0, 0},
+        {3, 100.9, 0, -28},
+        {4, 0, 1e30, 0},
+        {4, 0, 3.7e9, -594967296},
+        {4, 0, -2.5, -2},
+        {5, 9.3e18, 0, LONG_MIN},
+        {5, -9.5, 0, -9},
+        {6, 0, 0, 0},
+        {7, 0, 0, LONG_MIN},
+    };
+    for (const Case &c : cases) {
+        std::vector<KernelArg> args = {KernelArg::ofFloat(c.d),
+                                       KernelArg::ofFloat(c.i),
+                                       KernelArg::ofInt(c.which)};
+        std::string label = "conversion case " + std::to_string(c.which) +
+                            " (" + std::to_string(c.d) + ", " +
+                            std::to_string(c.i) + ")";
+        expectEnginesAgree(interp, "kernel", args, label);
+        for (unsigned sinks : kSinkSets) {
+            for (Side side : {Side::Walker, Side::Vm}) {
+                RunResult r =
+                    observe(interp, "kernel", args, side, 1000, sinks).result;
+                EXPECT_TRUE(r.ok) << label << ": " << r.trap;
+                EXPECT_EQ(r.ret, KernelArg::ofInt(c.want)) << label;
+            }
+        }
+    }
+
+    // 9223372036854775807.0 rounds to 2^63, one past LONG_MAX; the
+    // double below it is in range.
+    std::vector<KernelArg> cells = {KernelArg::ofInts({0, 0, 0, 0, 0})};
+    expectEnginesAgree(interp, "fill", cells, "out-array cells");
+    for (unsigned sinks : kSinkSets) {
+        for (Side side : {Side::Walker, Side::Vm}) {
+            RunResult r = observe(interp, "fill", cells, side, 1000, sinks)
+                              .result;
+            ASSERT_TRUE(r.ok) << r.trap;
+            EXPECT_EQ(r.out_args.at(0),
+                      KernelArg::ofInts({LONG_MIN, -7, LONG_MIN, LONG_MIN,
+                                         9223372036854774784L}));
+        }
+    }
+}
+
 // --- the differential runner's own reporting ------------------------------
 
 TEST(InterpDiff, DifferentialEngineReportsFirstDivergingSite)
