@@ -12,10 +12,8 @@
  * so the JSON baseline is machine-independent and diffs across PRs
  * track scheduler-policy changes, not host noise.
  *
- * Writes BENCH_service.json (override with --out <path>); --jobs and
- * --slots rescale the schedule; --fault-rate <p> arms transient
- * toolchain faults on every job to measure scheduling under retry
- * pressure (the default baseline keeps it at 0).
+ * Writes BENCH_service.json (override with --out <path>). The schedule
+ * is fixed: 240 jobs on 8 slots, no injected faults.
  */
 
 #include <algorithm>
@@ -31,36 +29,14 @@
 namespace heterogen {
 namespace {
 
-struct Args
-{
-    std::string out = "BENCH_service.json";
-    int jobs = 240;
-    int slots = 8;
-    double fault_rate = 0;
-};
-
-Args
-parseArgs(int argc, char **argv)
-{
-    bench::Flags flags(argc, argv,
-                       {"--out", "--jobs", "--slots", "--fault-rate"});
-    Args args;
-    args.out = flags.value("--out", args.out);
-    if (flags.has("--jobs"))
-        args.jobs = std::max(1, std::atoi(flags.value("--jobs").c_str()));
-    if (flags.has("--slots"))
-        args.slots = std::max(1, std::atoi(flags.value("--slots").c_str()));
-    if (flags.has("--fault-rate"))
-        args.fault_rate = std::atof(flags.value("--fault-rate").c_str());
-    return args;
-}
+constexpr int kJobs = 240;
+constexpr int kSlots = 8;
 
 /** The standard per-subject configuration trimmed so a several-hundred
  * job schedule drains in seconds of host time. Simulated durations
  * stay in the tens of minutes, which is what the schedule needs. */
 core::HeteroGenOptions
-jobOptions(const subjects::Subject &subject, int seed,
-           double fault_rate)
+jobOptions(const subjects::Subject &subject, int seed)
 {
     core::HeteroGenOptions opts = bench::standardOptions(subject);
     opts.fuzz.rng_seed = subject.fuzz_seed * 1000 + seed;
@@ -72,19 +48,6 @@ jobOptions(const subjects::Subject &subject, int seed,
     opts.search.max_iterations = 60;
     opts.search.difftest_sample = 6;
     opts.search.rng_seed = opts.fuzz.rng_seed * 31 + 7;
-    if (fault_rate > 0) {
-        FaultRule rule;
-        rule.probability = fault_rate;
-        rule.kind = FaultKind::Transient;
-        opts.faults.seed = uint64_t(seed);
-        rule.site = "hls.compile";
-        opts.faults.rules.push_back(rule);
-        rule.site = "difftest.cosim";
-        opts.faults.rules.push_back(rule);
-        opts.retry.max_attempts = 4;
-        opts.retry.backoff_minutes = 0.5;
-        opts.retry.backoff_factor = 2.0;
-    }
     return opts;
 }
 
@@ -118,12 +81,14 @@ main(int argc, char **argv)
     using namespace heterogen;
     using Clock = std::chrono::steady_clock;
 
-    Args args = parseArgs(argc, argv);
+    std::string out =
+        bench::Flags(argc, argv, {"--out"})
+            .value("--out", "BENCH_service.json");
     const auto &subjects = subjects::allSubjects();
     std::vector<service::TenantSpec> tenants = benchTenants();
 
     service::ServiceOptions so;
-    so.slots = args.slots;
+    so.slots = kSlots;
     so.eval_threads = 2;
     so.tenants = tenants;
     service::ConversionService svc(so);
@@ -134,7 +99,7 @@ main(int argc, char **argv)
     // lasting tens of minutes) that most of the schedule is in the
     // system at once.
     std::vector<int> ids;
-    for (int i = 0; i < args.jobs; ++i) {
+    for (int i = 0; i < kJobs; ++i) {
         const subjects::Subject &subject =
             subjects[i % subjects.size()];
         service::JobSpec spec;
@@ -142,9 +107,7 @@ main(int argc, char **argv)
         spec.priority = static_cast<service::Priority>(i % 3);
         spec.arrival_minutes = 0.02 * i;
         spec.source = subject.source;
-        spec.options =
-            jobOptions(subject, i / int(subjects.size()),
-                       args.fault_rate);
+        spec.options = jobOptions(subject, i / int(subjects.size()));
         ids.push_back(svc.submit(spec));
     }
 
@@ -213,8 +176,7 @@ main(int argc, char **argv)
     }
     double fairness = min_share > 0 ? max_share / min_share : 0;
 
-    std::printf("service_throughput: %d jobs, %d slots\n",
-                args.jobs, args.slots);
+    std::printf("service_throughput: %d jobs, %d slots\n", kJobs, kSlots);
     std::printf("  drained in %.1f host seconds\n", wall_seconds);
     std::printf("  sim makespan        %10.1f min\n", stats.sim_minutes);
     std::printf("  peak in system      %10d jobs\n", peak_in_system);
@@ -228,9 +190,9 @@ main(int argc, char **argv)
     std::printf("  preemptions         %10d\n", stats.preemptions);
     std::printf("  fairness max/min    %10.2f\n", fairness);
 
-    std::FILE *f = std::fopen(args.out.c_str(), "w");
+    std::FILE *f = std::fopen(out.c_str(), "w");
     if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+        std::fprintf(stderr, "cannot write %s\n", out.c_str());
         return 1;
     }
     std::fprintf(f, "{\n");
@@ -238,9 +200,9 @@ main(int argc, char **argv)
     std::fprintf(f,
                  "  \"workload\": \"replayed multi-tenant schedule, "
                  "all subjects\",\n");
-    std::fprintf(f, "  \"jobs\": %d,\n", args.jobs);
-    std::fprintf(f, "  \"slots\": %d,\n", args.slots);
-    std::fprintf(f, "  \"fault_rate\": %g,\n", args.fault_rate);
+    std::fprintf(f, "  \"jobs\": %d,\n", kJobs);
+    std::fprintf(f, "  \"slots\": %d,\n", kSlots);
+    std::fprintf(f, "  \"fault_rate\": 0,\n");
     std::fprintf(f, "  \"sim_makespan_minutes\": %.2f,\n",
                  stats.sim_minutes);
     std::fprintf(f, "  \"peak_in_system\": %d,\n", peak_in_system);
@@ -272,6 +234,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", args.out.c_str());
+    std::fprintf(stderr, "wrote %s\n", out.c_str());
     return 0;
 }

@@ -73,7 +73,6 @@ class Search
                result_.iterations < options_.max_iterations) {
             result_.iterations += 1;
             ctx_.count("search.candidates");
-            printed_.clear(); // cand_ may have changed last iteration
 
             if (options_.use_style_checker && !styleGate())
                 continue;
@@ -138,15 +137,6 @@ class Search
 
     // --- memoized candidate evaluation ------------------------------------
 
-    /** Printed text of cand_, computed at most once per iteration. */
-    const std::string &
-    printedCand()
-    {
-        if (printed_.empty())
-            printed_ = cir::print(*cand_);
-        return printed_;
-    }
-
     /**
      * Compile the candidate, answering identical revisits from the memo
      * (no toolchain invocation, no synthesis minutes) and cross-run
@@ -161,7 +151,7 @@ class Search
     hls::CompileResult
     compileCandidate()
     {
-        fingerprint_ = candidateFingerprint(printedCand(), config_);
+        fingerprint_ = candidateFingerprint(cir::print(*cand_), config_);
         MemoLayer layer = MemoLayer::None;
         if (auto hit = memo_.findCompile(fingerprint_, &layer)) {
             if (layer == MemoLayer::Disk) {
@@ -216,30 +206,14 @@ class Search
 
     // --- style gate -----------------------------------------------------------
 
-    /**
-     * Returns true when the candidate passed style checking. Style
-     * verdicts are config-independent, so the persistent store keys
-     * them by printed program alone; a disk hit replays exactly like a
-     * fresh check (same counters, same charged minutes, same issue fed
-     * to localization).
-     */
+    /** Returns true when the candidate passed style checking. */
     bool
     styleGate()
     {
-        style::StyleReport report;
-        if (VerdictStore *store = options_.verdict_store) {
-            if (auto hit = store->findStyle(ctx_, printedCand())) {
-                report = *hit;
-            } else {
-                report = style::checkStyle(*cand_);
-                store->storeStyle(ctx_, printedCand(), report);
-            }
-        } else {
-            report = style::checkStyle(*cand_);
-        }
+        style::StyleReport report = style::checkStyle(*cand_);
         result_.style_checks += 1;
         ctx_.count("search.style_checks");
-        ctx_.charge(report.check_minutes);
+        ctx_.charge(style::kCheckMinutes);
         if (report.clean())
             return true;
         result_.style_rejections += 1;
@@ -539,8 +513,6 @@ class Search
     CandidateMemo memo_;
     /** Fingerprint of cand_ as of the last compileCandidate(). */
     std::string fingerprint_;
-    /** Lazily-printed text of cand_; cleared each iteration. */
-    std::string printed_;
     /** difftestCampaignKey of this run's campaigns; "" = no store. */
     std::string difftest_campaign_;
     /** Where candidate rewrites come from (repair/proposer.h). */

@@ -211,35 +211,6 @@ decode(const std::string &payload, DiffTestResult *r)
            parse(f[5], &r->sim_minutes);
 }
 
-std::string
-encode(const style::StyleReport &r)
-{
-    return fields({text(r.check_minutes),
-                   joinMapped(r.issues, kElem,
-                              [](const style::StyleIssue &issue) {
-                                  return fields({issue.message,
-                                                 text(issue.loc.line),
-                                                 text(issue.loc.column)},
-                                                kSub);
-                              })});
-}
-
-bool
-decode(const std::string &payload, style::StyleReport *r)
-{
-    std::vector<std::string> f = split(payload, kField);
-    return f.size() == 2 && parse(f[0], &r->check_minutes) &&
-           decodeEach(f[1], kElem, [&](const std::string &enc) {
-               std::vector<std::string> sub = split(enc, kSub);
-               style::StyleIssue &issue = r->issues.emplace_back();
-               if (sub.size() != 3)
-                   return false;
-               issue.message = sub[0];
-               return parse(sub[1], &issue.loc.line) &&
-                      parse(sub[2], &issue.loc.column);
-           });
-}
-
 /** Every field of a KernelArg, whatever its kind, so equality and
  * printing survive the round trip. */
 std::string
@@ -411,7 +382,6 @@ decode(const std::string &payload, StageRecord *r)
 /** Simulated minutes a hit replays, checked against lookup's cap. */
 double savedMinutes(const hls::CompileResult &r) { return r.synth_minutes; }
 double savedMinutes(const DiffTestResult &r) { return r.sim_minutes; }
-double savedMinutes(const style::StyleReport &r) { return r.check_minutes; }
 double savedMinutes(const StageRecord &r) { return r.testgen.sim_minutes; }
 
 } // namespace
@@ -427,8 +397,7 @@ defaultCacheDir()
 std::string
 defaultToolchainVersion()
 {
-    return std::string("hgc3;sim=") + hls::kSimulatorVersion +
-           ";style=" + style::kStyleCheckerVersion;
+    return std::string("hgc4;sim=") + hls::kSimulatorVersion;
 }
 
 std::string
@@ -561,19 +530,6 @@ VerdictStore::storeDiffTest(RunContext &ctx, const std::string &fingerprint,
     if (!result.tool_failure) // never persisted — see the file comment
         put(ctx, "difftest", fields({fingerprint, campaign}),
             encode(result));
-}
-
-std::optional<style::StyleReport>
-VerdictStore::findStyle(RunContext &ctx, const std::string &printed_program)
-{
-    return lookup<style::StyleReport>(ctx, "style", printed_program);
-}
-
-void
-VerdictStore::storeStyle(RunContext &ctx, const std::string &printed_program,
-                         const style::StyleReport &report)
-{
-    put(ctx, "style", printed_program, encode(report));
 }
 
 std::optional<StageRecord>

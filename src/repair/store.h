@@ -1,7 +1,7 @@
 /**
  * @file
- * The persistent verdict store: compile, difftest and style verdicts
- * keyed by content, surviving the process — the on-disk L2 under the
+ * The persistent verdict store: compile and difftest verdicts keyed
+ * by content, surviving the process — the on-disk L2 under the
  * in-memory CandidateMemo (L1). docs/CACHING.md is the full story.
  *
  * What may be persisted is exactly what CandidateMemo may hold, under
@@ -15,11 +15,11 @@
  *
  * Replay contract (bit-identical warm runs): a disk hit is replayed by
  * the search as if the toolchain ran — the stored simulated minutes
- * are charged, result counters (full_hls_invocations, style_checks)
- * advance, and the search trace records the same action. Only the
- * actual-work trace counters (hls.compiles, difftest.*, interp.*)
- * stay still, which is precisely how bench/cache_warmup measures the
- * saved work while proving reports identical.
+ * are charged, full_hls_invocations advances, and the search trace
+ * records the same action. Only the actual-work trace counters
+ * (hls.compiles, difftest.*, interp.*) stay still, which is precisely
+ * how bench/cache_warmup measures the saved work while proving reports
+ * identical.
  *
  * One more record kind holds a run's stage 1–2 output (StageRecord:
  * the fuzz campaign's result and counters plus the value profile),
@@ -36,9 +36,10 @@
  * lists joined by control-character separators. Keys are exact
  * preimages, never hashes or display strings, so two evaluations share
  * a key only when they are interchangeable. The raw DiskCache key of a
- * record is "<kind>\x1f<key>", kind being compile, difftest, style or
- * stage. A value that does not decode under its kind counts as one
- * repair.diskcache.invalid plus one miss.
+ * record is "<kind>\x1f<key>", kind being compile, difftest or stage.
+ * A value that does not decode under its kind counts as one
+ * repair.diskcache.invalid plus one miss. Style verdicts are not
+ * persisted: the style gate runs faster than a record is read back.
  */
 
 #ifndef HETEROGEN_REPAIR_STORE_H
@@ -52,7 +53,6 @@
 #include "fuzz/fuzzer.h"
 #include "hls/compiler.h"
 #include "repair/difftest.h"
-#include "stylecheck/stylecheck.h"
 #include "support/diskcache.h"
 
 namespace heterogen {
@@ -69,9 +69,8 @@ namespace heterogen::repair {
 std::string defaultCacheDir();
 
 /**
- * Version stamp persisted with every verdict: the store format (hgc3)
- * plus the simulator (hls::kSimulatorVersion) and style-checker
- * (style::kStyleCheckerVersion) versions. Bumping any of the three
+ * Version stamp persisted with every verdict: the store format (hgc4)
+ * plus the simulator version (hls::kSimulatorVersion). Bumping either
  * invalidates every entry written under the old stamp.
  */
 std::string defaultToolchainVersion();
@@ -173,12 +172,6 @@ class VerdictStore
     void storeDiffTest(RunContext &ctx, const std::string &fingerprint,
                        const std::string &campaign,
                        const DiffTestResult &result);
-
-    std::optional<style::StyleReport>
-    findStyle(RunContext &ctx, const std::string &printed_program);
-
-    void storeStyle(RunContext &ctx, const std::string &printed_program,
-                    const style::StyleReport &report);
 
     /**
      * The stage record under `key`, if its fuzz minutes are below

@@ -64,6 +64,7 @@ class LocalTyper
 {
   public:
     LocalTyper(const TranslationUnit &tu, const FunctionDecl &fn)
+        : tu_(tu)
     {
         for (const auto &g : tu.globals) {
             if (g->kind() == StmtKind::Decl) {
@@ -110,23 +111,24 @@ class LocalTyper
             return fpgaFloatTypeOf(*b.rhs);
           }
           case ExprKind::Call: {
-            // Generated overload helpers return their fpga type.
-            const auto &c = static_cast<const Call &>(e);
-            auto it = helper_returns_.find(c.callee);
-            return it == helper_returns_.end() ? nullptr : it->second;
+            // The callee's declared type, e.g. a generated overload
+            // helper's fpga type.
+            const FunctionDecl *callee =
+                tu_.findFunction(static_cast<const Call &>(e).callee);
+            return callee && callee->ret_type &&
+                           callee->ret_type->kind() == TypeKind::FpgaFloat
+                       ? callee->ret_type
+                       : nullptr;
           }
           default:
             return nullptr;
         }
     }
 
-    static std::map<std::string, TypePtr> helper_returns_;
-
   private:
+    const TranslationUnit &tu_;
     std::map<std::string, TypePtr> vars_;
 };
-
-std::map<std::string, TypePtr> LocalTyper::helper_returns_;
 
 } // namespace
 
@@ -292,7 +294,6 @@ opOverload(RepairContext &ctx)
         fn->body->stmts.push_back(std::make_unique<ReturnStmt>(
             binary(op, ident("a"), ident("b"))));
         tu.functions.insert(tu.functions.begin(), std::move(fn));
-        LocalTyper::helper_returns_[name] = type;
     }
     return changed;
 }

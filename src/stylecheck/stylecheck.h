@@ -24,13 +24,9 @@
 
 namespace heterogen::style {
 
-/**
- * Version stamp of the style gate's judging behaviour. Bump whenever a
- * rule change could alter a StyleReport for an unchanged design:
- * persisted verdicts (repair/store.h) carry this stamp, and a mismatch
- * invalidates every stale entry.
- */
-inline constexpr const char *kStyleCheckerVersion = "sc-1";
+/** Simulated wall-clock cost of one style check in minutes (a few
+ * seconds). */
+inline constexpr double kCheckMinutes = 0.05;
 
 /** One style violation. */
 struct StyleIssue
@@ -43,8 +39,6 @@ struct StyleIssue
 struct StyleReport
 {
     std::vector<StyleIssue> issues;
-    /** Simulated wall-clock cost in minutes (a few seconds). */
-    double check_minutes = 0.05;
 
     bool clean() const { return issues.empty(); }
 };

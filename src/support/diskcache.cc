@@ -170,18 +170,6 @@ formatLine(const std::string &hash, const std::string &version,
            '\n';
 }
 
-int
-shardIndexOf(const std::string &key_hash, int shards)
-{
-    unsigned byte = 0;
-    for (int i = 0; i < 2; ++i) {
-        char c = key_hash[i];
-        byte = byte * 16 +
-               (c >= 'a' ? unsigned(c - 'a' + 10) : unsigned(c - '0'));
-    }
-    return static_cast<int>(byte % unsigned(shards));
-}
-
 } // namespace
 
 uint64_t
@@ -193,8 +181,8 @@ DiskCache::hash64(const std::string &s, uint64_t seed)
         h *= kFnvPrime;
     }
     // FNV-1a mixes the low bits far better than the high ones on short
-    // inputs, and shard selection reads the TOP byte — finish with a
-    // murmur-style avalanche so every byte is usable.
+    // inputs — finish with a murmur-style avalanche so every byte of
+    // the key identity depends on every input byte.
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
@@ -209,24 +197,9 @@ DiskCache::keyHash(const std::string &key)
     return hex64(hash64(key, 0)) + hex64(hash64(key, kAltSeed));
 }
 
-std::string
-DiskCache::shardName(const std::string &key_hash, int shards)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "shard-%02x",
-                  unsigned(shardIndexOf(key_hash, shards)));
-    return buf;
-}
-
 DiskCache::DiskCache(DiskCacheOptions options)
     : options_(std::move(options))
 {
-    if (options_.shards < 1)
-        options_.shards = 1;
-    if (options_.max_entries_per_shard < 1)
-        options_.max_entries_per_shard = 1;
-    buffer_.resize(options_.shards);
-    dirty_.assign(options_.shards, false);
     std::error_code ec;
     fs::create_directories(options_.dir, ec);
     if (!fs::is_directory(options_.dir, ec))
@@ -244,48 +217,37 @@ DiskCache::~DiskCache()
 }
 
 std::string
-DiskCache::shardPathLocked(int shard) const
+DiskCache::filePath() const
 {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "shard-%02x", unsigned(shard));
-    return (fs::path(options_.dir) / buf).string();
+    return (fs::path(options_.dir) / kFileName).string();
 }
 
 void
 DiskCache::loadLocked()
 {
-    for (int s = 0; s < options_.shards; ++s) {
-        std::ifstream in(shardPathLocked(s));
-        if (!in.is_open())
+    std::ifstream in(filePath());
+    std::string line;
+    while (in.is_open() && std::getline(in, line)) {
+        if (line.empty())
             continue;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            ParsedLine parsed;
-            LineVerdict verdict =
-                parseLine(line, options_.version, &parsed);
-            if (verdict != LineVerdict::Ok) {
-                // Corrupt/torn garbage and version-stale entries are
-                // both skipped; the dirty mark makes the next flush
-                // rewrite the shard without them.
-                stats_.invalid += 1;
-                dirty_[s] = true;
-                continue;
-            }
-            auto [it, inserted] =
-                snapshot_.try_emplace(parsed.hash, Entry{});
-            if (!inserted) {
-                dirty_[s] = true; // duplicate line: newest gen wins
-                if (parsed.gen <= it->second.gen)
-                    continue;
-            }
-            it->second.value = std::move(parsed.value);
-            it->second.gen = parsed.gen;
-            if (shardIndexOf(parsed.hash, options_.shards) != s)
-                dirty_[s] = true; // misplaced (fan-out changed)
-            next_gen_ = std::max(next_gen_, parsed.gen + 1);
+        ParsedLine parsed;
+        if (parseLine(line, options_.version, &parsed) != LineVerdict::Ok) {
+            // Corrupt/torn garbage and version-stale entries are both
+            // skipped; the dirty mark makes the next flush rewrite the
+            // file without them.
+            stats_.invalid += 1;
+            dirty_ = true;
+            continue;
         }
+        auto [it, inserted] = snapshot_.try_emplace(parsed.hash, Entry{});
+        if (!inserted) {
+            dirty_ = true; // duplicate line: newest gen wins
+            if (parsed.gen <= it->second.gen)
+                continue;
+        }
+        it->second.value = std::move(parsed.value);
+        it->second.gen = parsed.gen;
+        next_gen_ = std::max(next_gen_, parsed.gen + 1);
     }
     stats_.loaded = static_cast<int64_t>(snapshot_.size());
 }
@@ -299,7 +261,7 @@ DiskCache::find(const std::string &key)
         return std::nullopt;
     // Refresh recency so the eviction cap keeps hot entries.
     it->second.gen = next_gen_++;
-    dirty_[shardIndexOf(it->first, options_.shards)] = true;
+    dirty_ = true;
     return it->second.value;
 }
 
@@ -319,9 +281,7 @@ DiskCache::put(const std::string &key, const std::string &value)
     std::string hash = keyHash(key);
     if (snapshot_.count(hash))
         return;
-    int s = shardIndexOf(hash, options_.shards);
-    auto [it, inserted] =
-        buffer_[s].try_emplace(std::move(hash), Entry{});
+    auto [it, inserted] = buffer_.try_emplace(std::move(hash), Entry{});
     if (!inserted)
         return; // first buffered write wins until the next flush
     it->second.value = value;
@@ -335,26 +295,15 @@ DiskCache::flush()
     // same order the constructor takes, and find/put never hold both.
     std::lock_guard<std::mutex> dir_lock(dirMutex(options_.dir));
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_)
+    if (!enabled_ || (!dirty_ && buffer_.empty()))
         return true;
-    bool ok = true;
-    for (int s = 0; s < options_.shards; ++s) {
-        if (dirty_[s] || !buffer_[s].empty())
-            ok &= flushShardLocked(s);
-    }
-    return ok;
-}
-
-bool
-DiskCache::flushShardLocked(int s)
-{
-    // Merge three populations, newest generation winning: the shard's
+    // Merge three populations, newest generation winning: the file's
     // current on-disk content (another store may have published since
-    // our snapshot), our snapshot entries for this shard (carrying
-    // refreshed recency stamps), and our buffered writes.
+    // our snapshot), our snapshot (carrying refreshed recency stamps),
+    // and our buffered writes.
     std::map<std::string, Entry> merged;
     {
-        std::ifstream in(shardPathLocked(s));
+        std::ifstream in(filePath());
         std::string line;
         while (in.is_open() && std::getline(in, line)) {
             if (line.empty())
@@ -371,32 +320,27 @@ DiskCache::flushShardLocked(int s)
             }
         }
     }
-    for (const auto &[hash, entry] : snapshot_) {
-        if (shardIndexOf(hash, options_.shards) != s)
-            continue;
-        Entry &e = merged[hash];
-        if (entry.gen >= e.gen)
-            e = entry;
-    }
-    for (const auto &[hash, entry] : buffer_[s]) {
-        Entry &e = merged[hash];
-        if (entry.gen >= e.gen)
-            e = entry;
+    for (const auto *population : {&snapshot_, &buffer_}) {
+        for (const auto &[hash, entry] : *population) {
+            Entry &e = merged[hash];
+            if (entry.gen >= e.gen)
+                e = entry;
+        }
     }
 
     // LRU-ish cap: keep the highest generation stamps.
     std::vector<std::pair<std::string, Entry>> entries(merged.begin(),
                                                        merged.end());
-    if (entries.size() > size_t(options_.max_entries_per_shard)) {
+    if (entries.size() > kMaxEntries) {
         std::sort(entries.begin(), entries.end(),
                   [](const auto &a, const auto &b) {
                       if (a.second.gen != b.second.gen)
                           return a.second.gen > b.second.gen;
                       return a.first < b.first;
                   });
-        stats_.evictions += static_cast<int64_t>(
-            entries.size() - size_t(options_.max_entries_per_shard));
-        entries.resize(size_t(options_.max_entries_per_shard));
+        stats_.evictions +=
+            static_cast<int64_t>(entries.size() - kMaxEntries);
+        entries.resize(kMaxEntries);
     }
     std::sort(entries.begin(), entries.end(),
               [](const auto &a, const auto &b) {
@@ -408,8 +352,7 @@ DiskCache::flushShardLocked(int s)
     static std::atomic<uint64_t> tmp_seq{0};
     std::string tmp =
         (fs::path(options_.dir) /
-         (".tmp-" + std::to_string(s) + "-" +
-          std::to_string(::getpid()) + "-" +
+         (".tmp-" + std::to_string(::getpid()) + "-" +
           std::to_string(tmp_seq.fetch_add(1))))
             .string();
     {
@@ -426,7 +369,7 @@ DiskCache::flushShardLocked(int s)
         }
     }
     if (options_.pre_publish_hook && !options_.pre_publish_hook(tmp)) {
-        // Simulated write failure: the shard keeps its previous
+        // Simulated write failure: the file keeps its previous
         // content and the buffer is retained for a retry — a partial
         // write is never published, so it can never be served.
         std::error_code ec;
@@ -435,17 +378,17 @@ DiskCache::flushShardLocked(int s)
         return false;
     }
     std::error_code ec;
-    fs::rename(tmp, shardPathLocked(s), ec);
+    fs::rename(tmp, filePath(), ec);
     if (ec) {
         fs::remove(tmp, ec);
         stats_.flush_failures += 1;
         return false;
     }
     // Published: buffered entries become answerable.
-    for (auto &[hash, entry] : buffer_[s])
+    for (auto &[hash, entry] : buffer_)
         snapshot_[hash] = std::move(entry);
-    buffer_[s].clear();
-    dirty_[s] = false;
+    buffer_.clear();
+    dirty_ = false;
     return true;
 }
 
@@ -467,10 +410,7 @@ size_t
 DiskCache::pendingWrites() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t n = 0;
-    for (const auto &shard : buffer_)
-        n += shard.size();
-    return n;
+    return buffer_.size();
 }
 
 } // namespace heterogen

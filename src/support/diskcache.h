@@ -1,16 +1,15 @@
 /**
  * @file
- * A persistent, content-addressed, sharded key-value store — the disk
- * layer under the repair search's verdict cache (ccache for simulated
- * HLS invocations; see docs/CACHING.md).
+ * A persistent, content-addressed key-value store — the disk layer
+ * under the repair search's verdict cache (ccache for simulated HLS
+ * invocations; see docs/CACHING.md).
  *
  * Keys are arbitrary strings (full content preimages); the store maps
- * each to a 128-bit hash and shards entries by hash prefix into
- * independent files, so concurrent service jobs touching different
- * shards never contend on one global file. Publication is atomic:
- * every flush writes a complete shard to a temporary file and renames
- * it into place, so a reader never observes a torn shard — a crash
- * mid-write leaves at worst a stale temp file that loaders ignore.
+ * each to a 128-bit hash and keeps every entry of a directory in one
+ * file (kFileName). Publication is atomic: every flush writes the
+ * complete file to a temporary file and renames it into place, so a
+ * reader never observes a torn file — a crash mid-write leaves at
+ * worst a stale temp file that loaders ignore.
  *
  * Visibility contract (the determinism crux): lookups are answered
  * from the snapshot taken when the store was opened, plus entries
@@ -21,10 +20,10 @@
  *
  * Every entry carries a version string; loading skips (and flushing
  * physically removes) entries whose version differs from the opener's,
- * so a simulator or style-checker version bump invalidates the whole
- * stale population. Shards are size-capped: at flush the entries with
- * the oldest generation stamps (stamps refresh on hit, LRU-ish) are
- * evicted beyond max_entries_per_shard.
+ * so a simulator version bump invalidates the whole stale population.
+ * The file is size-capped: at flush the entries with the oldest
+ * generation stamps (stamps refresh on hit, LRU-ish) are evicted
+ * beyond kMaxEntries.
  */
 
 #ifndef HETEROGEN_SUPPORT_DISKCACHE_H
@@ -36,7 +35,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace heterogen {
 
@@ -50,14 +48,10 @@ struct DiskCacheOptions
      * differs are invalid: skipped on load, removed on flush.
      */
     std::string version = "1";
-    /** Shard files under dir (hash-prefix fan-out). */
-    int shards = 16;
-    /** Per-shard entry cap enforced at flush (oldest-gen evicted). */
-    int max_entries_per_shard = 2048;
     /**
      * Test hook: called with the temp-file path after it is written,
      * before the atomic rename. Returning false simulates a failed
-     * write — the temp file is removed, the shard keeps its previous
+     * write — the temp file is removed, the file keeps its previous
      * content, and flush() reports failure.
      */
     std::function<bool(const std::string &tmp_path)> pre_publish_hook;
@@ -74,9 +68,9 @@ struct DiskCacheStats
     int64_t loaded = 0;
     /** Corrupt, torn or version-stale lines skipped by the loader. */
     int64_t invalid = 0;
-    /** Entries dropped by the per-shard cap at flush. */
+    /** Entries dropped by the kMaxEntries cap at flush. */
     int64_t evictions = 0;
-    /** Shard publications that failed (write error or hook veto). */
+    /** Publications that failed (write error or hook veto). */
     int64_t flush_failures = 0;
 };
 
@@ -85,7 +79,7 @@ struct DiskCacheStats
  * thread; lookups and buffered writes are in-memory operations, disk
  * I/O happens only at construction (snapshot load) and flush().
  * Multiple instances — in one process or many — may share a directory;
- * flush() merges with the shard content on disk under atomic renames,
+ * flush() merges with the file content on disk under atomic renames,
  * so concurrent flushes converge instead of corrupting (an unlucky
  * interleaving can drop the smaller of two racing merge sets, never
  * produce a torn file).
@@ -93,9 +87,14 @@ struct DiskCacheStats
 class DiskCache
 {
   public:
+    /** The data file under the directory. */
+    static constexpr const char *kFileName = "entries";
+    /** Entry cap enforced at flush (oldest generations evicted). */
+    static constexpr size_t kMaxEntries = 32768;
+
     /**
      * Open the store: create the directory if needed and snapshot
-     * every shard. An unusable directory yields a disabled store
+     * the data file. An unusable directory yields a disabled store
      * (every lookup misses, writes are dropped) rather than a throw —
      * callers wanting a hard error validate the directory up front
      * (core::validateOptions does).
@@ -131,12 +130,12 @@ class DiskCache
     void put(const std::string &key, const std::string &value);
 
     /**
-     * Publish buffered writes: for every dirty shard, merge the
-     * buffer, the snapshot and the shard's current on-disk content
+     * Publish buffered writes: when anything changed, merge the
+     * buffer, the snapshot and the file's current on-disk content
      * (newest generation wins), apply the eviction cap, write a temp
      * file and atomically rename it into place. Successfully
      * published entries are promoted into the snapshot. Returns false
-     * if any shard failed to publish (its buffer is kept for retry).
+     * if the publication failed (the buffer is kept for retry).
      */
     bool flush();
 
@@ -154,9 +153,6 @@ class DiskCache
     /** 32-hex-digit content hash used as the stored key identity. */
     static std::string keyHash(const std::string &key);
 
-    /** Shard file name ("shard-0a") for a key, given the fan-out. */
-    static std::string shardName(const std::string &key_hash, int shards);
-
   private:
     struct Entry
     {
@@ -164,9 +160,8 @@ class DiskCache
         int64_t gen = 0;
     };
 
-    std::string shardPathLocked(int shard) const;
+    std::string filePath() const;
     void loadLocked();
-    bool flushShardLocked(int shard);
 
     DiskCacheOptions options_;
     bool enabled_ = false;
@@ -174,10 +169,11 @@ class DiskCache
     mutable std::mutex mu_;
     /** Snapshot, keyed by keyHash(). */
     std::map<std::string, Entry> snapshot_;
-    /** Buffered writes per shard index, keyed by keyHash(). */
-    std::vector<std::map<std::string, Entry>> buffer_;
-    /** Shards whose snapshot entries changed (gen refresh, garbage). */
-    std::vector<bool> dirty_;
+    /** Buffered writes, keyed by keyHash(). */
+    std::map<std::string, Entry> buffer_;
+    /** Snapshot entries changed (gen refresh) or the file holds
+     * garbage, duplicates or stale lines to scrub. */
+    bool dirty_ = false;
     int64_t next_gen_ = 1;
     DiskCacheStats stats_;
 };

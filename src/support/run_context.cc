@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/diagnostics.h"
-
 namespace heterogen {
 
 RunContext::RunContext() : trace_("run")
@@ -11,10 +9,7 @@ RunContext::RunContext() : trace_("run")
     budgets_.push_back(Budget::unlimited());
 }
 
-RunContext::~RunContext()
-{
-    detachLogSink();
-}
+RunContext::~RunContext() = default;
 
 double
 RunContext::now() const
@@ -134,28 +129,6 @@ RunContext::traceJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return trace_.json();
-}
-
-void
-RunContext::attachLogSink(LogSink *sink)
-{
-    detachLogSink();
-    if (!sink)
-        return;
-    installed_sink_ = sink;
-    previous_sink_ = setLogSink(sink);
-}
-
-void
-RunContext::detachLogSink()
-{
-    if (!installed_sink_)
-        return;
-    // Only restore if nobody else swapped the sink in the meantime.
-    if (logSink() == installed_sink_)
-        setLogSink(previous_sink_);
-    installed_sink_ = nullptr;
-    previous_sink_ = nullptr;
 }
 
 TraceSpan &

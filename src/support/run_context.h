@@ -39,8 +39,6 @@
 
 namespace heterogen {
 
-class LogSink;
-
 /** A simulated-minutes allowance attached to one span. */
 struct Budget
 {
@@ -156,14 +154,6 @@ class RunContext
      */
     std::optional<Fault> drawFault(const std::string &site);
 
-    /**
-     * Route support/diagnostics log lines through `sink` for this
-     * context's lifetime (or until detachLogSink). Passing the lines
-     * through the default sink preserves stderr output byte-for-byte.
-     */
-    void attachLogSink(LogSink *sink);
-    void detachLogSink();
-
   private:
     friend class SpanScope;
 
@@ -179,9 +169,6 @@ class RunContext
     /** Armed fault-injection state; null when no plan is installed. */
     std::unique_ptr<FaultInjector> faults_;
     RetryPolicy retry_;
-
-    LogSink *installed_sink_ = nullptr;
-    LogSink *previous_sink_ = nullptr;
 };
 
 /** RAII stage span: opens on construction, closes on destruction. */

@@ -1,6 +1,6 @@
-/** @file Persistent verdict-cache tests: DiskCache crash safety,
- * sharding, versioned invalidation and eviction; VerdictStore exact
- * round-trips and the never-persist-tool-failures rule; cold/warm
+/** @file Persistent verdict-cache tests: DiskCache crash safety, the
+ * one-file layout, versioned invalidation and eviction; VerdictStore
+ * exact round-trips and the never-persist-tool-failures rule; cold/warm
  * bit-identity of whole pipeline runs; shared-cache conversion-service
  * determinism at any host thread count (the tsan CI job runs these);
  * and the cache_dir validation surface. */
@@ -53,17 +53,26 @@ freshDir(const std::string &tag)
     return p.string();
 }
 
+/** The directory's files, temp files and write probes (dot files)
+ * left out. */
 std::vector<std::string>
-shardFiles(const std::string &dir)
+dataFiles(const std::string &dir)
 {
     std::vector<std::string> files;
     std::error_code ec;
     for (const auto &e : fs::directory_iterator(dir, ec)) {
         std::string name = e.path().filename().string();
-        if (startsWith(name, "shard-"))
-            files.push_back(e.path().string());
+        if (!startsWith(name, "."))
+            files.push_back(name);
     }
     return files;
+}
+
+/** The directory's data file. */
+std::string
+dataFile(const std::string &dir)
+{
+    return (fs::path(dir) / DiskCache::kFileName).string();
 }
 
 // --- DiskCache: round trips and snapshot visibility ----------------------
@@ -112,22 +121,28 @@ TEST(DiskCache, RoundTripsAcrossReopen)
     EXPECT_FALSE(cache.find("key-c").has_value());
 }
 
-TEST(DiskCache, KeysFanOutAcrossShardFiles)
+TEST(DiskCache, FlushLeavesOneDataFile)
 {
-    std::string dir = freshDir("fanout");
+    std::string dir = freshDir("onefile");
     DiskCacheOptions o;
     o.dir = dir;
-    o.shards = 16;
+    {
+        DiskCache cache(o);
+        for (int i = 0; i < 64; ++i)
+            cache.put("key-" + std::to_string(i), "v");
+        ASSERT_TRUE(cache.flush());
+        EXPECT_EQ(dataFiles(dir),
+                  std::vector<std::string>{DiskCache::kFileName});
+    }
+    // Files an older layout left behind are not read.
+    {
+        std::ofstream out(fs::path(dir) / "shard-00");
+        out << "not read\n";
+    }
     DiskCache cache(o);
-    for (int i = 0; i < 64; ++i)
-        cache.put("key-" + std::to_string(i), "v");
-    ASSERT_TRUE(cache.flush());
-    // 64 hashed keys must spread over several of the 16 shard files.
-    EXPECT_GT(shardFiles(dir).size(), 4u);
-    // Each key's shard assignment is stable and within range.
-    std::string h = DiskCache::keyHash("key-0");
-    EXPECT_EQ(h.size(), 32u);
-    EXPECT_TRUE(startsWith(DiskCache::shardName(h, 16), "shard-"));
+    EXPECT_EQ(cache.stats().loaded, 64);
+    EXPECT_EQ(cache.stats().invalid, 0);
+    EXPECT_EQ(DiskCache::keyHash("key-0").size(), 32u);
 }
 
 TEST(DiskCache, DuplicateInstanceSharingADirConverges)
@@ -153,22 +168,21 @@ TEST(DiskCache, CorruptAndTruncatedLinesAreSkippedAsMisses)
     std::string dir = freshDir("corrupt");
     DiskCacheOptions o;
     o.dir = dir;
-    o.shards = 1;
     {
         DiskCache cache(o);
         cache.put("good", "value");
         ASSERT_TRUE(cache.flush());
     }
-    // Damage the shard: garbage, a checksum-broken copy and a torn
+    // Damage the file: garbage, a checksum-broken copy and a torn
     // (truncated) record appended after the valid line.
-    std::string shard = shardFiles(dir).at(0);
+    std::string file = dataFile(dir);
     std::string valid;
     {
-        std::ifstream in(shard);
+        std::ifstream in(file);
         std::getline(in, valid);
     }
     {
-        std::ofstream out(shard, std::ios::app);
+        std::ofstream out(file, std::ios::app);
         out << "complete garbage, not a record\n";
         std::string broken = valid;
         broken.back() = broken.back() == '0' ? '1' : '0';
@@ -182,7 +196,7 @@ TEST(DiskCache, CorruptAndTruncatedLinesAreSkippedAsMisses)
     EXPECT_TRUE(cache.find("good").has_value());
     EXPECT_FALSE(cache.find("never-stored").has_value());
 
-    // The next flush rewrites the shard without the garbage.
+    // The next flush rewrites the file without the garbage.
     ASSERT_TRUE(cache.flush());
     DiskCache clean(o);
     EXPECT_EQ(clean.stats().loaded, 1);
@@ -203,7 +217,7 @@ TEST(DiskCache, StaleTempFilesAreIgnoredByTheLoader)
     // read as cache content.
     {
         std::ofstream out(fs::path(dir) / ".tmp-0-99999-0");
-        out << "half-written partial shard\n";
+        out << "half-written partial file\n";
     }
     DiskCache cache(o);
     EXPECT_EQ(cache.stats().loaded, 1);
@@ -215,7 +229,6 @@ TEST(DiskCache, VetoedPublishKeepsOldShardAndReportsFailure)
     std::string dir = freshDir("veto");
     DiskCacheOptions o;
     o.dir = dir;
-    o.shards = 1;
     {
         DiskCache cache(o);
         cache.put("old", "published");
@@ -239,7 +252,7 @@ TEST(DiskCache, VetoedPublishKeepsOldShardAndReportsFailure)
     EXPECT_FALSE(fresh.find("new").has_value());
     // No temp litter either: the vetoed file was removed.
     for (const auto &e : fs::directory_iterator(dir))
-        EXPECT_TRUE(startsWith(e.path().filename().string(), "shard-"));
+        EXPECT_EQ(e.path().filename().string(), DiskCache::kFileName);
 }
 
 // --- DiskCache: versioning and eviction ----------------------------------
@@ -280,20 +293,21 @@ TEST(DiskCache, ShardCapEvictsOldestGenerations)
     std::string dir = freshDir("evict");
     DiskCacheOptions o;
     o.dir = dir;
-    o.shards = 1;
-    o.max_entries_per_shard = 3;
+    const int total = int(DiskCache::kMaxEntries) + 5;
     {
         DiskCache cache(o);
-        for (int i = 0; i < 8; ++i)
+        for (int i = 0; i < total; ++i)
             cache.put("key-" + std::to_string(i), "v");
         ASSERT_TRUE(cache.flush());
         EXPECT_EQ(cache.stats().evictions, 5);
     }
     DiskCache cache(o);
-    EXPECT_EQ(cache.stats().loaded, 3);
-    // The most recently written keys survived.
-    EXPECT_TRUE(cache.find("key-7").has_value());
-    EXPECT_FALSE(cache.find("key-0").has_value());
+    EXPECT_EQ(cache.stats().loaded, int64_t(DiskCache::kMaxEntries));
+    // The most recently written keys survived, the five oldest did not.
+    EXPECT_TRUE(cache.find("key-" + std::to_string(total - 1)).has_value());
+    EXPECT_TRUE(cache.find("key-5").has_value());
+    for (int i = 0; i < 5; ++i)
+        EXPECT_FALSE(cache.find("key-" + std::to_string(i)).has_value());
 }
 
 // --- DiskCache: concurrency (tsan hunts races here) ----------------------
@@ -303,7 +317,6 @@ TEST(DiskCacheConcurrency, ParallelFindPutFlushOnSharedDir)
     std::string dir = freshDir("hammer");
     DiskCacheOptions o;
     o.dir = dir;
-    o.shards = 4;
     {
         DiskCache seedcache(o);
         for (int i = 0; i < 32; ++i)
@@ -387,7 +400,7 @@ TEST(VerdictStore, CompileVerdictRoundTripsBitExactly)
     EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.misses"), 1);
 }
 
-TEST(VerdictStore, DiffTestAndStyleVerdictsRoundTrip)
+TEST(VerdictStore, DiffTestVerdictRoundTrips)
 {
     std::string dir = freshDir("vs-dt");
     repair::VerdictStoreOptions o;
@@ -399,18 +412,13 @@ TEST(VerdictStore, DiffTestAndStyleVerdictsRoundTrip)
     dt.cpu_millis = 1.0625;
     dt.fpga_millis = 0.4375;
     dt.sim_minutes = 2.7182818284590451;
-    style::StyleReport sr;
-    sr.check_minutes = 0.05;
-    sr.issues.push_back({"pointer arithmetic is not synthesizable",
-                         SourceLoc{9, 2}});
     {
         repair::VerdictStore store(o);
         RunContext ctx;
         store.storeDiffTest(ctx, "dt-fp", "dt-campaign", dt);
-        store.storeStyle(ctx, "int kernel() { return 0; }", sr);
         EXPECT_TRUE(store.flush());
         EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.writes"),
-                  2);
+                  1);
     }
     repair::VerdictStore store(o);
     RunContext ctx;
@@ -421,12 +429,6 @@ TEST(VerdictStore, DiffTestAndStyleVerdictsRoundTrip)
     EXPECT_EQ(dhit->failing, (std::vector<int>{3, 11}));
     EXPECT_EQ(dhit->sim_minutes, dt.sim_minutes); // bit-exact
     EXPECT_FALSE(dhit->tool_failure);
-    auto shit = store.findStyle(ctx, "int kernel() { return 0; }");
-    ASSERT_TRUE(shit.has_value());
-    ASSERT_EQ(shit->issues.size(), 1u);
-    EXPECT_EQ(shit->issues[0].message, sr.issues[0].message);
-    EXPECT_EQ(shit->issues[0].loc.line, 9);
-    EXPECT_EQ(shit->check_minutes, sr.check_minutes);
 }
 
 TEST(VerdictStore, ToolFailuresAreNeverPersisted)
@@ -469,7 +471,7 @@ TEST(VerdictStore, ToolchainVersionBumpInvalidatesVerdicts)
         EXPECT_EQ(store.version(), repair::defaultToolchainVersion());
     }
     repair::VerdictStoreOptions bumped = current;
-    bumped.version = "hgc1;sim=2023.1-sim2;style=sc-1";
+    bumped.version = "hgc1;sim=2023.1-sim2";
     repair::VerdictStore store(bumped);
     EXPECT_EQ(store.diskStats().invalid, 1);
     EXPECT_EQ(store.snapshotSize(), 0u);
@@ -597,26 +599,6 @@ TEST(VerdictStore, MalformedDiffTestPayloadsAreInvalidMisses)
         [](const std::string &good) {
             auto bad = shapeMangles(good);
             bad["non-hex double"] = withField(good, 3, "1.0625");
-            return bad;
-        });
-}
-
-TEST(VerdictStore, MalformedStylePayloadsAreInvalidMisses)
-{
-    style::StyleReport sr;
-    sr.issues.push_back({"pointer arithmetic is not synthesizable",
-                         SourceLoc{9, 2}});
-    expectMalformedRejected(
-        "style", "program",
-        [&](repair::VerdictStore &s, RunContext &ctx) {
-            s.storeStyle(ctx, "program", sr);
-        },
-        [](repair::VerdictStore &s, RunContext &ctx) {
-            return s.findStyle(ctx, "program").has_value();
-        },
-        [](const std::string &good) {
-            auto bad = shapeMangles(good);
-            bad["non-hex double"] = withField(good, 0, "0.05");
             return bad;
         });
 }
@@ -853,7 +835,7 @@ TEST(WarmStart, ToolchainVersionBumpRunsColdAgain)
     // toolchain version sees every persisted verdict as stale.
     repair::VerdictStoreOptions vopts;
     vopts.dir = dir;
-    vopts.version = "hgc1;sim=2099.9-simX;style=sc-1";
+    vopts.version = "hgc1;sim=2099.9-simX";
     repair::VerdictStore bumped(vopts);
     EXPECT_EQ(bumped.snapshotSize(), 0u);
     EXPECT_EQ(bumped.diskStats().invalid, persisted);
@@ -887,7 +869,7 @@ TEST(WarmStart, ArmedFaultPlanBypassesTheDiskEntirely)
     // No verdict — and in particular no tool failure — reached disk.
     EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.writes"), 0);
     EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.hits"), 0);
-    EXPECT_TRUE(shardFiles(dir).empty());
+    EXPECT_TRUE(dataFiles(dir).empty());
 }
 
 // --- difftest verdicts are keyed by the exact suite -----------------------
@@ -953,7 +935,7 @@ expectSuiteKeysApart(const char *original, const char *candidate,
     repair::VerdictStore store(o);
     SuiteSearch warm_b = searchOverSuite(original, candidate, suite_b,
                                          &store);
-    // The compile and style verdicts do carry over: B saw the store.
+    // The compile verdicts do carry over: B saw the store.
     EXPECT_GT(warm_b.disk_hits, 0);
     EXPECT_EQ(warm_b.campaigns, cold_b.campaigns)
         << "a difftest verdict of suite A was served to suite B";
@@ -1184,6 +1166,22 @@ TEST(StageRecord, SecondRunReplaysStagesByteIdentically)
     EXPECT_GT(spanCounter(miss_ctx, "fuzz", "interp.steps"), 0);
 }
 
+TEST(StageRecord, ColdRunWritesOnlyCompileDiffTestAndStageRecords)
+{
+    // Style verdicts are recomputed on every run, never persisted:
+    // each write of a cold run is a compile verdict, a difftest
+    // verdict or the stage record.
+    core::HeteroGen engine(kBacktracking);
+    RunContext ctx;
+    ASSERT_TRUE(engine.run(ctx, cachedOptions(freshDir("cold-writes"))).ok());
+    EXPECT_GT(spanCounter(ctx, "repair", "search.style_checks"), 0);
+    EXPECT_EQ(pipelineCounter(ctx, "repair.diskcache.writes"), 1);
+    EXPECT_EQ(ctx.trace().counterTotal("repair.diskcache.writes"),
+              spanCounter(ctx, "repair", "hls.compiles") +
+                  spanCounter(ctx, "repair", "difftest.campaigns") +
+                  pipelineCounter(ctx, "repair.diskcache.writes"));
+}
+
 TEST(StageRecord, ReplaysOnlyWhatTheBudgetWouldNotCut)
 {
     std::string dir = freshDir("stage-budget");
@@ -1249,7 +1247,7 @@ TEST(StageRecord, ArmedFaultPlanNeitherReadsNorWritesIt)
     std::string empty = freshDir("stage-faults-empty");
     armed.cache_dir = empty;
     engine.run(armed);
-    EXPECT_TRUE(shardFiles(empty).empty());
+    EXPECT_TRUE(dataFiles(empty).empty());
 }
 
 // --- streaming subjects through the cache --------------------------------
@@ -1333,22 +1331,20 @@ TEST(WarmStart, StreamingSubjectWarmRunSkipsEveryCompile)
 
 /**
  * Digest of everything a directory persists: the sorted (key hash,
- * value) pairs of its shard lines, generation stamps left out. Every
- * line must be valid under `version`.
+ * value) pairs of its data file's lines, generation stamps left out.
+ * Every line must be valid under `version`.
  */
 std::string
 persistedDigest(const std::string &dir, const std::string &version)
 {
     std::vector<std::string> records;
-    for (const std::string &shard : shardFiles(dir)) {
-        std::ifstream in(shard);
-        std::string line;
-        while (std::getline(in, line)) {
-            std::vector<std::string> f = split(line, '\t');
-            EXPECT_EQ(f.size(), 6u) << line;
-            if (f.size() == 6 && f[2] == version)
-                records.push_back(f[1] + '\t' + f[4]);
-        }
+    std::ifstream in(dataFile(dir));
+    std::string line;
+    while (std::getline(in, line)) {
+        std::vector<std::string> f = split(line, '\t');
+        EXPECT_EQ(f.size(), 6u) << line;
+        if (f.size() == 6 && f[2] == version)
+            records.push_back(f[1] + '\t' + f[4]);
     }
     std::sort(records.begin(), records.end());
     repair::VerdictStoreOptions o;
@@ -1367,8 +1363,8 @@ TEST(StaleCacheGuard, PersistedVerdictsMoveOnlyWithTheVersion)
     // verdict or stage record must come with a version bump. Pinned:
     // the stamp and the digest of what cold runs of these subjects
     // persist.
-    const std::string pinned_version = "hgc3;sim=2022.1-sim2;style=sc-1";
-    const std::string pinned_digest = "23:deaf16225e2d872786eca94f17912bba";
+    const std::string pinned_version = "hgc4;sim=2022.1-sim2";
+    const std::string pinned_digest = "15:be19b97dd8a9c11704171efb955bd643";
 
     std::string dir = freshDir("guard");
     ASSERT_TRUE(runCached(cachedOptions(dir)).report.ok());

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "cir/parser.h"
 #include "cir/printer.h"
 #include "cir/sema.h"
@@ -340,6 +344,97 @@ TEST(Transforms, OpOverloadGeneratesHelper)
     auto r = interp::runProgram(*tu, "kernel", {KernelArg::ofInt(5)});
     ASSERT_TRUE(r.ok) << r.trap;
     EXPECT_EQ(r.ret.i, 6);
+}
+
+/** A kernel that calls its own int-returning sum_80: the name of the
+ * helper opOverload generates for fpga_float<8,71>. */
+const char *kOwnSum80 = R"(
+    int sum_80(int a, int b) { return a - b; }
+    int kernel(int in) {
+        long double v = in;
+        v = v + sum_80(in, 1);
+        return v;
+    }
+)";
+
+/** kOwnSum80 after type_transform and type_casting, printed. */
+std::string
+castOwnSum80()
+{
+    auto tu = program(kOwnSum80);
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    auto ctx = makeCtx(*tu, config);
+    EXPECT_TRUE(xform::typeTransform(ctx));
+    xform::typeCasting(ctx);
+    return cir::print(*tu);
+}
+
+/** The OpOverloadGeneratesHelper program through op_overload, printed. */
+std::string
+overloadSum80()
+{
+    auto tu = program(R"(
+        int kernel(int in) {
+            long double v = in;
+            v = v + 1;
+            return v;
+        }
+    )");
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    auto ctx = makeCtx(*tu, config);
+    EXPECT_TRUE(xform::typeTransform(ctx));
+    EXPECT_TRUE(xform::typeCasting(ctx));
+    EXPECT_TRUE(xform::opOverload(ctx));
+    EXPECT_NE(tu->findFunction("sum_80"), nullptr);
+    return cir::print(*tu);
+}
+
+TEST(Transforms, CallsAreTypedByTheirOwnTranslationUnit)
+{
+    // The program's own sum_80 returns int, so its call gets a cast,
+    // whatever helpers op_overload generated for other programs.
+    std::string before = castOwnSum80();
+    EXPECT_NE(before.find("(fpga_float<8,71>)sum_80(in, 1)"), std::string::npos) << before;
+    overloadSum80();
+    EXPECT_EQ(castOwnSum80(), before);
+}
+
+/** `src` through op_overload, printed. */
+std::string
+overloaded(const std::string &src)
+{
+    auto tu = program(src);
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    auto ctx = makeCtx(*tu, config);
+    EXPECT_TRUE(xform::opOverload(ctx));
+    return cir::print(*tu);
+}
+
+TEST(Transforms, OpOverloadOnTwoThreads)
+{
+    // Two TUs needing different helpers (mul_32, sum_16), overloaded
+    // at the same time: no state is shared between them (tsan checks).
+    const std::string srcs[2] = {
+        "fpga_float<8,23> kernel(fpga_float<8,23> a) { return a * a; }",
+        "fpga_float<5,10> kernel(fpga_float<5,10> a) { return a + a; }"};
+    std::atomic<bool> go{false};
+    std::string outputs[2];
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load()) {
+            }
+            for (int i = 0; i < 20; ++i)
+                outputs[t] = overloaded(srcs[t]);
+        });
+    }
+    go = true;
+    for (auto &th : threads)
+        th.join();
+    EXPECT_NE(outputs[0].find("mul_32(a, a)"), std::string::npos);
+    EXPECT_NE(outputs[1].find("sum_16(a, a)"), std::string::npos);
+    EXPECT_EQ(outputs[0], overloaded(srcs[0]));
+    EXPECT_EQ(outputs[1], overloaded(srcs[1]));
 }
 
 TEST(Transforms, BitwidthNarrowUsesProfile)

@@ -667,38 +667,5 @@ TEST(LogSinkApi, MemorySinkCapturesFilteredRecords)
     EXPECT_TRUE(sink.lines().empty());
 }
 
-TEST(LogSinkApi, RunContextAttachAndDetachRestoreThePreviousSink)
-{
-    MemoryLogSink outer_sink;
-    LogSink *prev = setLogSink(&outer_sink);
-    {
-        RunContext ctx;
-        MemoryLogSink run_sink;
-        ctx.attachLogSink(&run_sink);
-        EXPECT_EQ(logSink(), &run_sink);
-        warn("captured by the run");
-        ASSERT_EQ(run_sink.lines().size(), 1u);
-        EXPECT_EQ(run_sink.lines()[0], "[warn] captured by the run");
-        EXPECT_TRUE(outer_sink.lines().empty());
-        ctx.detachLogSink();
-        EXPECT_EQ(logSink(), &outer_sink);
-    }
-    EXPECT_EQ(logSink(), &outer_sink);
-    setLogSink(prev);
-}
-
-TEST(LogSinkApi, RunContextDestructorDetachesAnAttachedSink)
-{
-    LogSink *prev = setLogSink(nullptr);
-    {
-        RunContext ctx;
-        MemoryLogSink run_sink;
-        ctx.attachLogSink(&run_sink);
-        EXPECT_EQ(logSink(), &run_sink);
-    }
-    EXPECT_EQ(logSink(), nullptr);
-    setLogSink(prev);
-}
-
 } // namespace
 } // namespace heterogen
