@@ -1,5 +1,6 @@
 #include "core/heterogen.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "cir/parser.h"
@@ -60,6 +61,10 @@ validateOptions(const HeteroGenOptions &options)
     if (!err.empty())
         fatal("HeteroGen: ", err);
     for (const FaultRule &rule : options.faults.rules) {
+        const std::vector<std::string> &sites = knownFaultSites();
+        if (std::find(sites.begin(), sites.end(), rule.site) == sites.end())
+            fatal("HeteroGen: unknown fault site '", rule.site,
+                  "' (known: ", join(sites, ", "), ")");
         if (rule.probability < 0 || rule.probability > 1)
             fatal("HeteroGen: fault probability for '", rule.site,
                   "' must be in [0, 1], got ", rule.probability);
@@ -93,16 +98,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         fatal("HeteroGen: kernel '", options.kernel,
               "' not found in program");
 
-    // Arm fault injection: explicit options win, then the
-    // HETEROGEN_FAULTS environment spec, then whatever the caller
-    // already armed on the context (possibly nothing).
-    if (!options.faults.empty()) {
-        ctx.installFaults(options.faults, options.retry);
-    } else if (!ctx.faultsEnabled()) {
-        FaultPlan env_plan = FaultPlan::fromEnv();
-        if (!env_plan.empty())
-            ctx.installFaults(std::move(env_plan), options.retry);
-    }
+    // The options' plan is the run's plan; an empty one disarms.
+    ctx.installFaults(options.faults, options.retry);
 
     Budget pipeline_budget =
         options.pipeline_budget_minutes > 0

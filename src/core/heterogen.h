@@ -39,16 +39,16 @@ struct HeteroGenOptions
      * search.budget_minutes) still apply individually; this caps their
      * sum, so a fuzz campaign that eats the whole pipeline budget
      * leaves the repair search nothing — the hierarchical split the
-     * RunContext spine checks through one deadlineExceeded().
+     * RunContext spine checks through one deadlineExceeded(). The
+     * conversion service bounds a job's run by lowering this to the
+     * job's quota or scheduled-cancel horizon.
      */
     double pipeline_budget_minutes = 0;
 
     /**
      * Fault plan injected into the toolchain sites for this run (see
-     * docs/FAULTS.md). Empty = the HETEROGEN_FAULTS environment spec
-     * if set, else no injection. Non-empty plans take precedence over
-     * both the environment and a plan already armed on a caller
-     * context.
+     * docs/FAULTS.md); empty = no injection. run() installs exactly
+     * this plan on its context, replacing any plan armed there before.
      */
     FaultPlan faults;
     /**
@@ -102,9 +102,9 @@ struct HeteroGenOptions
  * empty kernel, negative budgets, fewer than one mutation per input,
  * out-of-range stream depths, unknown proposers, unusable cache
  * directories, retry policies that could never attempt anything or
- * would wait negative time, and fault rules with out-of-range
- * probabilities or latencies. (Kernel existence is checked against
- * the program by run().)
+ * would wait negative time, and fault rules naming an unknown site or
+ * carrying out-of-range probabilities or latencies. (Kernel existence
+ * is checked against the program by run().)
  */
 void validateOptions(const HeteroGenOptions &options);
 
@@ -162,8 +162,8 @@ class HeteroGen
 
     /**
      * Run the full pipeline on a caller-provided context: the caller
-     * can budget the whole run, cancel it cooperatively, attach a log
-     * sink, and inspect the trace while stages execute.
+     * can cancel it cooperatively and inspect the trace while stages
+     * execute. Budgets and faults come from `options` alone.
      * @throws FatalError on invalid options (see validateOptions).
      */
     HeteroGenReport run(RunContext &ctx,

@@ -37,7 +37,7 @@ namespace heterogen::hls {
  * (repair/store.h) carry this stamp, and a mismatch invalidates every
  * stale entry.
  */
-inline constexpr const char *kSimulatorVersion = "2022.1-sim2";
+inline constexpr const char *kSimulatorVersion = "2022.1-sim3";
 
 /** Result of one full synthesis attempt. */
 struct CompileResult

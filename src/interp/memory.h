@@ -74,6 +74,22 @@ class Memory
      */
     static constexpr long kMaxCells = 1L << 22;
 
+    /**
+     * Upper bound on the cells one run allocates in total. The arena
+     * never shrinks within a run (freed and popped blocks keep their
+     * cells), so a malloc loop, or an array declared in a loop, would
+     * otherwise hold host memory without limit; past this it traps
+     * like a huge malloc does. Every malloc, array and struct block
+     * counts. A lone non-malloc cell does not: it is a scalar variable,
+     * which the VM keeps in a register where the walker allocates it,
+     * and the trap must fall at the same allocation on both engines.
+     * The step limit bounds those. One full-size object fits; the
+     * largest whole run measured over the evaluation subjects, their
+     * manual ports, the streaming subjects, the forum corpus and the
+     * perfbench workloads allocates 44193 cells, under 1/90 of it.
+     */
+    static constexpr long kMaxRunCells = kMaxCells;
+
     /** Allocate a block of `count` cells typed `elem`. Returns block id. */
     int32_t
     allocate(int count, const cir::Type *elem, bool from_malloc = false)
@@ -82,6 +98,8 @@ class Memory
             throw Trap("allocation with negative size");
         if (count > kMaxCells)
             throw Trap("allocation exceeds interpreter heap limit");
+        if (count > 1 || from_malloc)
+            chargeRunCells(count);
         MemBlock block;
         block.base = cells_.size();
         block.size = count;
@@ -122,6 +140,8 @@ class Memory
         if (static_cast<long>(count) * static_cast<long>(pattern.size()) >
             kMaxCells)
             throw Trap("allocation exceeds interpreter heap limit");
+        chargeRunCells(static_cast<long>(count) *
+                       static_cast<long>(pattern.size()));
         MemBlock block;
         block.base = cells_.size();
         block.size =
@@ -138,13 +158,16 @@ class Memory
     }
 
     /**
-     * Restore to freshly-constructed state. Capacity of the arenas is
-     * kept, so a reused Memory allocates nothing on the fast path.
+     * Restore to freshly-constructed state, the run's heap budget
+     * included. Capacity of the arenas is kept, so a reused Memory
+     * allocates nothing on the fast path; kMaxRunCells and the step
+     * limit bound it.
      */
     void
     reset()
     {
         cells_.clear();
+        run_cells_ = 0;
         blocks_.clear();
         pattern_cells_.clear();
         streams_.clear();
@@ -224,6 +247,15 @@ class Memory
     size_t liveCells() const;
 
   private:
+    /** Count `count` more cells against the run's budget (kMaxRunCells). */
+    void
+    chargeRunCells(long count)
+    {
+        if (run_cells_ + count > kMaxRunCells)
+            throw Trap("interpreter heap exhausted");
+        run_cells_ += count;
+    }
+
     const MemBlock &
     checkedBlock(Place p) const
     {
@@ -246,6 +278,8 @@ class Memory
 
     /** All blocks' cells, end-to-end; grows monotonically per run. */
     std::vector<Value> cells_;
+    /** Cells charged against kMaxRunCells this run. */
+    long run_cells_ = 0;
     std::vector<MemBlock> blocks_;
     /** Side arena for struct blocks' per-cell type patterns. */
     std::vector<const cir::Type *> pattern_cells_;

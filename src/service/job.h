@@ -64,16 +64,17 @@ struct JobSpec
     /**
      * Scheduled cancellation: at this simulated minute the job stops —
      * before dispatch it is cancelled outright, mid-run it is truncated
-     * deterministically through the run's root budget. Negative = never.
-     * Must be >= arrival_minutes when set.
+     * deterministically through the run's pipeline budget. Negative =
+     * never; must be >= arrival_minutes when set.
      */
     double cancel_at_minutes = -1;
     /** Original C source to convert (required). */
     std::string source;
     /**
      * Pipeline options for the wrapped run (validated at submit). The
-     * scheduler overrides eval_pool and stage_hook; a FaultPlan in
-     * options.faults is honoured per job.
+     * scheduler overrides eval_pool and stage_hook, and lowers
+     * pipeline_budget_minutes to the job's quota or cancel horizon; a
+     * FaultPlan in options.faults is honoured per job.
      */
     core::HeteroGenOptions options;
     /**
@@ -151,16 +152,12 @@ struct ServiceOptions
      * (fuzz batches, difftest fan-out) lands on. 1 = run leaves inline.
      */
     int eval_threads = 1;
-    /** Allow higher-priority arrivals to preempt running jobs. */
-    bool preemption = true;
-    /** Known tenants; validated by validateServiceOptions. */
-    std::vector<TenantSpec> tenants;
     /**
-     * Accept jobs from tenants not listed above, registering them with
-     * a default TenantSpec (unlimited quota, weight 1). When false,
-     * submitting for an unknown tenant is a FatalError.
+     * Known tenants; validated by validateServiceOptions. A job from a
+     * tenant not listed here registers it with a default TenantSpec
+     * (unlimited quota, weight 1).
      */
-    bool auto_register_tenants = true;
+    std::vector<TenantSpec> tenants;
 };
 
 /** Per-tenant accounting at stats() time. */

@@ -51,9 +51,9 @@ struct ConversionService::Job
     // --- current dispatch (valid while status.state == Running) ---
     std::unique_ptr<RunContext> ctx; ///< null when serving from cache
     double dispatch_start = -1;
-    /** Root-budget bound applied at dispatch (min of the tenant's
-     * remaining quota and the scheduled-cancel horizon). */
-    double root_bound = kInf;
+    /** Run bound applied at dispatch (min of the tenant's remaining
+     * quota and the scheduled-cancel horizon; always > 0). */
+    double run_bound = kInf;
     /** The cancel horizon (not the quota) is the binding bound. */
     bool cancel_bound_binding = false;
     /** Admission reservation counted into the tenant's fair share. */
@@ -145,9 +145,6 @@ ConversionService::submit(JobSpec spec)
         fatal("service: submit while draining (the schedule is fixed "
               "once drain() starts)");
     if (!tenants_.count(spec.tenant)) {
-        if (!options_.auto_register_tenants)
-            fatal("service: unknown tenant '", spec.tenant,
-                  "' (auto_register_tenants is off)");
         TenantSpec t;
         t.id = spec.tenant;
         tenants_[t.id] = t;
@@ -313,12 +310,12 @@ ConversionService::preemptLocked(Job &victim)
 {
     // Restart semantics: the partial occupancy is wasted and charged
     // to the tenant; the finished host computation is cached so an
-    // identical re-dispatch (same root bound) replays it for free.
+    // identical re-dispatch (same run bound) replays it for free.
     consumed_[victim.spec.tenant] += sim_now_ - victim.dispatch_start;
     victim.reserved = 0;
     if (victim.result && !victim.result->live_cancelled) {
         victim.cached = std::move(victim.result);
-        victim.cached_bound = victim.root_bound;
+        victim.cached_bound = victim.run_bound;
     }
     victim.result.reset();
     victim.ctx.reset();
@@ -338,7 +335,7 @@ ConversionService::startRunLocked(Job &job)
     double bound_cancel = job.spec.cancel_at_minutes >= 0
                               ? job.spec.cancel_at_minutes - sim_now_
                               : kInf;
-    job.root_bound = std::min(remaining_hard, bound_cancel);
+    job.run_bound = std::min(remaining_hard, bound_cancel);
     job.cancel_bound_binding =
         bound_cancel < kInf && bound_cancel <= remaining_hard;
 
@@ -354,7 +351,7 @@ ConversionService::startRunLocked(Job &job)
     running_ += 1;
     max_in_flight_ = std::max(max_in_flight_, running_);
 
-    if (job.cached && job.cached_bound == job.root_bound) {
+    if (job.cached && job.cached_bound == job.run_bound) {
         // Identical re-dispatch after a preemption: replay the cached
         // host run instead of executing it again.
         job.result = std::move(job.cached);
@@ -374,8 +371,6 @@ ConversionService::startRunLocked(Job &job)
             job.store = storeForLocked(dir);
     }
     job.ctx = std::make_unique<RunContext>();
-    if (job.root_bound < kInf)
-        job.ctx->setRootBudget(Budget::minutes(job.root_bound));
     if (job.live_cancel.load())
         job.ctx->requestCancel();
 }
@@ -416,30 +411,27 @@ ConversionService::dispatchOneLocked()
             startRunLocked(*job);
             return true;
         }
-        if (options_.preemption) {
-            // Victim: strictly lower priority; among those the lowest
-            // class, then the most recently started, then highest id —
-            // the cheapest restart.
-            Job *victim = nullptr;
-            for (auto &r : jobs_) {
-                if (r->status.state != JobState::Running ||
-                    r->spec.priority >= job->spec.priority) {
-                    continue;
-                }
-                if (!victim ||
-                    r->spec.priority < victim->spec.priority ||
-                    (r->spec.priority == victim->spec.priority &&
-                     (r->dispatch_start > victim->dispatch_start ||
-                      (r->dispatch_start == victim->dispatch_start &&
-                       r->status.id > victim->status.id)))) {
-                    victim = r.get();
-                }
+        // Victim: strictly lower priority; among those the lowest
+        // class, then the most recently started, then highest id — the
+        // cheapest restart.
+        Job *victim = nullptr;
+        for (auto &r : jobs_) {
+            if (r->status.state != JobState::Running ||
+                r->spec.priority >= job->spec.priority) {
+                continue;
             }
-            if (victim) {
-                preemptLocked(*victim);
-                startRunLocked(*job);
-                return true;
+            if (!victim || r->spec.priority < victim->spec.priority ||
+                (r->spec.priority == victim->spec.priority &&
+                 (r->dispatch_start > victim->dispatch_start ||
+                  (r->dispatch_start == victim->dispatch_start &&
+                   r->status.id > victim->status.id)))) {
+                victim = r.get();
             }
+        }
+        if (victim) {
+            preemptLocked(*victim);
+            startRunLocked(*job);
+            return true;
         }
         // No slot and nothing preemptable: lower-ranked ready jobs
         // (lower or equal priority) cannot do better.
@@ -479,6 +471,17 @@ ConversionService::executeRunning(std::unique_lock<std::mutex> &lock)
                 try {
                     core::HeteroGen hg(job->spec.source);
                     core::HeteroGenOptions opts = job->spec.options;
+                    // The job's quota or cancel horizon caps its run
+                    // through the one pipeline budget. Nothing is
+                    // charged outside the pipeline span, so this stops
+                    // the run exactly where a budget on the whole
+                    // context would.
+                    if (job->run_bound < kInf) {
+                        double own = opts.pipeline_budget_minutes;
+                        opts.pipeline_budget_minutes =
+                            own > 0 ? std::min(own, job->run_bound)
+                                    : job->run_bound;
+                    }
                     if (job->store)
                         opts.search.verdict_store = job->store;
                     opts.eval_pool = eval_pool_.get();
@@ -527,9 +530,9 @@ ConversionService::completeDueLocked()
             // was replayed from cache; either way the job is cancelled,
             // keeping whatever (truncated) report the run produced.
             finishLocked(*j, JobState::Cancelled, "cancel");
-        } else if (j->root_bound < kInf &&
-                   j->result->duration >= j->root_bound) {
-            // The run was truncated by its root bound; name whichever
+        } else if (j->run_bound < kInf &&
+                   j->result->duration >= j->run_bound) {
+            // The run was truncated by its run bound; name whichever
             // limit was the binding one.
             finishLocked(*j, JobState::Cancelled,
                          j->cancel_bound_binding ? "cancel" : "quota");

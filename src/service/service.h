@@ -7,7 +7,7 @@
  * The scheduler is a discrete-event loop in simulated minutes: at each
  * event time it admits arrivals, applies scheduled cancellations,
  * dispatches ready jobs onto virtual slots by priority and weighted
- * fair share (preempting strictly lower-priority runs when enabled),
+ * fair share (preempting strictly lower-priority runs),
  * and advances time to the next completion or arrival. Host threads
  * only *execute* dispatched runs; every scheduling decision is made
  * serially on simulated time, so the same submission set yields
@@ -15,9 +15,9 @@
  * thread count (docs/SERVICE.md spells out the contract).
  *
  * Quotas ride the spine's hierarchical budgets: a dispatched run's
- * root budget is the tenant's remaining allowance (and any scheduled
- * cancel), so one shouldStop() check inside the pipeline enforces
- * tenant limits with no new stop machinery.
+ * pipeline budget is lowered to the tenant's remaining allowance (and
+ * any scheduled cancel), so one shouldStop() check inside the pipeline
+ * enforces tenant limits with no new stop machinery.
  */
 
 #ifndef HETEROGEN_SERVICE_SERVICE_H

@@ -1,24 +1,8 @@
 #include "support/faults.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "support/diagnostics.h"
 #include "support/run_context.h"
-#include "support/strings.h"
 
 namespace heterogen {
-
-std::string
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::Transient: return "transient";
-      case FaultKind::Timeout: return "timeout";
-      case FaultKind::Crash: return "crash";
-    }
-    return "?";
-}
 
 double
 defaultFaultLatency(FaultKind kind)
@@ -45,53 +29,6 @@ knownFaultSites()
 }
 
 namespace {
-
-bool
-isKnownSite(const std::string &site)
-{
-    for (const std::string &s : knownFaultSites()) {
-        if (s == site)
-            return true;
-    }
-    return false;
-}
-
-std::optional<FaultKind>
-parseKind(const std::string &name)
-{
-    if (name == "transient")
-        return FaultKind::Transient;
-    if (name == "timeout")
-        return FaultKind::Timeout;
-    if (name == "crash")
-        return FaultKind::Crash;
-    return std::nullopt;
-}
-
-double
-parseNumber(const std::string &text, const std::string &what)
-{
-    try {
-        size_t used = 0;
-        double v = std::stod(text, &used);
-        if (used != text.size())
-            fatal("FaultPlan: trailing characters in ", what, " '",
-                  text, "'");
-        return v;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("FaultPlan: cannot parse ", what, " '", text, "'");
-    }
-}
-
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 /** SplitMix64 finalizer: a well-mixed 64-bit hash of x. */
 uint64_t
@@ -137,80 +74,6 @@ FaultPlan::ruleFor(const std::string &site) const
             return &rule;
     }
     return nullptr;
-}
-
-FaultPlan
-FaultPlan::parse(const std::string &spec, uint64_t seed)
-{
-    FaultPlan plan;
-    plan.seed = seed;
-    if (trim(spec).empty())
-        return plan;
-    for (const std::string &entry : split(spec, ',')) {
-        if (trim(entry).empty())
-            continue;
-        std::vector<std::string> fields = split(entry, ':');
-        for (std::string &f : fields)
-            f = trim(f);
-        if (fields.size() < 3 || fields.size() > 4)
-            fatal("FaultPlan: rule '", trim(entry),
-                  "' is not site:probability:kind[:latency_minutes]");
-        FaultRule rule;
-        rule.site = fields[0];
-        if (!isKnownSite(rule.site))
-            fatal("FaultPlan: unknown fault site '", rule.site,
-                  "' (known: ", join(knownFaultSites(), ", "), ")");
-        rule.probability = parseNumber(fields[1], "probability");
-        if (rule.probability < 0 || rule.probability > 1)
-            fatal("FaultPlan: probability for '", rule.site,
-                  "' must be in [0, 1], got ", rule.probability);
-        auto kind = parseKind(fields[2]);
-        if (!kind)
-            fatal("FaultPlan: unknown fault kind '", fields[2],
-                  "' (known: transient, timeout, crash)");
-        rule.kind = *kind;
-        if (fields.size() == 4) {
-            rule.latency_minutes =
-                parseNumber(fields[3], "latency_minutes");
-            if (rule.latency_minutes < 0)
-                fatal("FaultPlan: latency_minutes for '", rule.site,
-                      "' must be >= 0, got ", rule.latency_minutes);
-        }
-        plan.rules.push_back(std::move(rule));
-    }
-    return plan;
-}
-
-FaultPlan
-FaultPlan::fromEnv()
-{
-    const char *spec = std::getenv("HETEROGEN_FAULTS");
-    if (!spec || trim(spec).empty())
-        return {};
-    uint64_t seed = 1;
-    if (const char *s = std::getenv("HETEROGEN_FAULT_SEED")) {
-        try {
-            seed = std::stoull(trim(s));
-        } catch (const std::exception &) {
-            fatal("HETEROGEN_FAULT_SEED: cannot parse '", s, "'");
-        }
-    }
-    return parse(spec, seed);
-}
-
-std::string
-FaultPlan::spec() const
-{
-    std::vector<std::string> entries;
-    for (const FaultRule &rule : rules) {
-        std::string entry = rule.site + ":" +
-                            formatNumber(rule.probability) + ":" +
-                            faultKindName(rule.kind);
-        if (rule.latency_minutes >= 0)
-            entry += ":" + formatNumber(rule.latency_minutes);
-        entries.push_back(std::move(entry));
-    }
-    return join(entries, ",");
 }
 
 double

@@ -5,12 +5,10 @@
  * Real Vivado runs fail transiently — licence hiccups, co-simulation
  * timeouts, flaky synthesis crashes — and a pipeline that only ever
  * sees deterministic failures never exercises its recovery paths. A
- * FaultPlan is a set of {site, probability, kind, latency} rules,
- * compiled from a spec string such as
- *
- *     HETEROGEN_FAULTS="hls.compile:0.1:transient,difftest.cosim:0.05:timeout"
- *
- * and installed on a RunContext. Each instrumented toolchain site asks
+ * FaultPlan is a seeded set of {site, probability, kind, latency}
+ * rules; a run takes it from HeteroGenOptions::faults, and a
+ * standalone stage call installs it on its RunContext directly. Each
+ * instrumented toolchain site asks
  * the context for a draw before doing real work; an injected fault
  * charges its latency to the simulated clock and bumps fault.* counters
  * on the current span. A RetryPolicy bounds re-attempts with
@@ -48,9 +46,6 @@ enum class FaultKind
     Crash,
 };
 
-/** "transient" / "timeout" / "crash" (spec-string + counter slug). */
-std::string faultKindName(FaultKind kind);
-
 /** Minutes an injected fault of `kind` wastes unless overridden. */
 double defaultFaultLatency(FaultKind kind);
 
@@ -83,8 +78,8 @@ struct Fault
 };
 
 /**
- * A compiled, seedable set of fault rules. Value type: copy it into
- * options freely; it only becomes live when installed on a RunContext.
+ * A seedable set of fault rules. Value type: copy it into options
+ * freely; it only becomes live when installed on a RunContext.
  */
 struct FaultPlan
 {
@@ -96,22 +91,6 @@ struct FaultPlan
 
     /** First rule for `site`; null when the site has no rule. */
     const FaultRule *ruleFor(const std::string &site) const;
-
-    /**
-     * Compile "site:prob:kind[:latency_minutes]" rules (comma
-     * separated, whitespace tolerated; empty spec = empty plan).
-     * @throws FatalError on unknown sites/kinds or out-of-range fields.
-     */
-    static FaultPlan parse(const std::string &spec, uint64_t seed = 1);
-
-    /**
-     * Plan from HETEROGEN_FAULTS / HETEROGEN_FAULT_SEED (empty plan
-     * when the variable is unset or blank).
-     */
-    static FaultPlan fromEnv();
-
-    /** The spec string `parse` round-trips (canonical field order). */
-    std::string spec() const;
 };
 
 /**

@@ -66,20 +66,6 @@ RunContext::headroom() const
 }
 
 void
-RunContext::setRootBudget(Budget budget)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    budgets_[0] = budget;
-}
-
-Budget
-RunContext::rootBudget() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return budgets_[0];
-}
-
-void
 RunContext::installFaults(FaultPlan plan, RetryPolicy policy)
 {
     std::lock_guard<std::mutex> lock(mu_);

@@ -106,17 +106,6 @@ class RunContext
      */
     double headroom() const;
 
-    /**
-     * Budget the whole context: the root span's allowance, checked by
-     * the same deadlineExceeded() every stage already consults. This is
-     * how a caller parents a run under an external allowance (the
-     * conversion service derives it from the owning tenant's remaining
-     * quota) without touching any stage budget — the effective limit of
-     * every stage becomes min(stage budget, ancestors, root).
-     */
-    void setRootBudget(Budget budget);
-    Budget rootBudget() const;
-
     /** Cooperative cancellation, checked between loop iterations. */
     void requestCancel() { cancelled_.store(true); }
     bool cancelled() const { return cancelled_.load(); }

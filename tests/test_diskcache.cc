@@ -860,7 +860,7 @@ TEST(WarmStart, ArmedFaultPlanBypassesTheDiskEntirely)
 {
     std::string dir = freshDir("faults");
     core::HeteroGenOptions opts = cachedOptions(dir);
-    opts.faults = FaultPlan::parse("hls.compile:1.0:transient", 11);
+    opts.faults = FaultPlan{11, {{"hls.compile", 1.0}}};
     opts.retry = RetryPolicy::none();
     core::HeteroGen engine(kBacktracking);
     RunContext ctx;
@@ -1233,7 +1233,7 @@ TEST(StageRecord, ArmedFaultPlanNeitherReadsNorWritesIt)
     ASSERT_GT(entries, 0u);
 
     core::HeteroGenOptions armed = cachedOptions(dir);
-    armed.faults = FaultPlan::parse("hls.compile:0:transient", 11);
+    armed.faults = FaultPlan{11, {{"hls.compile", 0}}};
     RunContext ctx;
     auto report = engine.run(ctx, armed);
     expectIdenticalReports(cold, report);
@@ -1363,7 +1363,7 @@ TEST(StaleCacheGuard, PersistedVerdictsMoveOnlyWithTheVersion)
     // verdict or stage record must come with a version bump. Pinned:
     // the stamp and the digest of what cold runs of these subjects
     // persist.
-    const std::string pinned_version = "hgc4;sim=2022.1-sim2";
+    const std::string pinned_version = "hgc4;sim=2022.1-sim3";
     const std::string pinned_digest = "15:be19b97dd8a9c11704171efb955bd643";
 
     std::string dir = freshDir("guard");

@@ -1,6 +1,6 @@
-/** @file Fault-injection layer tests: spec-string parsing, deterministic
- * hash draws, RunContext charge/counter side effects, the retry loop,
- * per-site toolchain behaviour, and the pipeline-level properties the
+/** @file Fault-injection layer tests: deterministic hash draws,
+ * RunContext charge/counter side effects, the retry loop, per-site
+ * toolchain behaviour, and the pipeline-level properties the
  * layer is contractually bound to — a probability-0 plan is
  * bit-identical to no plan, a faulty run that still reports ok()
  * produced exactly the fault-free artifact, results are invariant to
@@ -18,100 +18,12 @@
 #include "hls/synth_check.h"
 #include "interp/kernel_arg.h"
 #include "repair/difftest.h"
-#include "support/diagnostics.h"
 #include "support/faults.h"
 #include "support/run_context.h"
 #include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
-
-// --- spec-string parsing -------------------------------------------------
-
-TEST(FaultPlanParse, ParsesTheDocumentedSpec)
-{
-    FaultPlan plan = FaultPlan::parse(
-        "hls.compile:0.1:transient,difftest.cosim:0.05:timeout", 9);
-    EXPECT_EQ(plan.seed, 9u);
-    ASSERT_EQ(plan.rules.size(), 2u);
-    EXPECT_EQ(plan.rules[0].site, "hls.compile");
-    EXPECT_DOUBLE_EQ(plan.rules[0].probability, 0.1);
-    EXPECT_EQ(plan.rules[0].kind, FaultKind::Transient);
-    EXPECT_DOUBLE_EQ(plan.rules[0].latencyMinutes(),
-                     defaultFaultLatency(FaultKind::Transient));
-    EXPECT_EQ(plan.rules[1].site, "difftest.cosim");
-    EXPECT_EQ(plan.rules[1].kind, FaultKind::Timeout);
-    ASSERT_NE(plan.ruleFor("difftest.cosim"), nullptr);
-    EXPECT_EQ(FaultPlan::parse("hls.compile:0.1:transient")
-                  .ruleFor("difftest.cosim"),
-              nullptr);
-}
-
-TEST(FaultPlanParse, ParsesExplicitLatencyAndToleratesWhitespace)
-{
-    FaultPlan plan =
-        FaultPlan::parse(" hls.compile : 0.5 : crash : 3.5 ,");
-    ASSERT_EQ(plan.rules.size(), 1u);
-    EXPECT_EQ(plan.rules[0].kind, FaultKind::Crash);
-    EXPECT_DOUBLE_EQ(plan.rules[0].latencyMinutes(), 3.5);
-}
-
-TEST(FaultPlanParse, SpecRoundTrips)
-{
-    const std::string spec =
-        "hls.compile:0.25:transient,difftest.cosim:1:timeout:42";
-    FaultPlan plan = FaultPlan::parse(spec, 3);
-    EXPECT_EQ(FaultPlan::parse(plan.spec(), 3).spec(), plan.spec());
-}
-
-TEST(FaultPlanParse, EmptySpecIsAnEmptyPlan)
-{
-    EXPECT_TRUE(FaultPlan::parse("").empty());
-    EXPECT_TRUE(FaultPlan::parse("   ").empty());
-}
-
-TEST(FaultPlanParse, RejectsMalformedSpecs)
-{
-    EXPECT_THROW(FaultPlan::parse("nonsense"), FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:0.1"), FatalError);
-    EXPECT_THROW(FaultPlan::parse("bogus.site:0.1:transient"),
-                 FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:0.1:sometimes"),
-                 FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:1.5:transient"),
-                 FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:-0.1:transient"),
-                 FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:0.1:transient:-2"),
-                 FatalError);
-    EXPECT_THROW(FaultPlan::parse("hls.compile:zero:transient"),
-                 FatalError);
-    EXPECT_THROW(
-        FaultPlan::parse("hls.compile:0.1:transient:3:extra"),
-        FatalError);
-}
-
-TEST(FaultPlanParse, RejectsRetiredSynthCheckSite)
-{
-    // Synthesizability is checked inside compile(), behind hls.compile.
-    EXPECT_THROW(FaultPlan::parse("hls.synth_check:0.5:crash"),
-                 FatalError);
-    EXPECT_EQ(knownFaultSites(),
-              (std::vector<std::string>{"hls.compile", "difftest.cosim"}));
-}
-
-TEST(FaultPlanParse, FromEnvReadsSpecAndSeed)
-{
-    setenv("HETEROGEN_FAULTS", "hls.compile:0.2:crash", 1);
-    setenv("HETEROGEN_FAULT_SEED", "77", 1);
-    FaultPlan plan = FaultPlan::fromEnv();
-    unsetenv("HETEROGEN_FAULTS");
-    unsetenv("HETEROGEN_FAULT_SEED");
-    ASSERT_EQ(plan.rules.size(), 1u);
-    EXPECT_EQ(plan.seed, 77u);
-    EXPECT_EQ(plan.rules[0].site, "hls.compile");
-    EXPECT_TRUE(FaultPlan::fromEnv().empty());
-}
 
 // --- deterministic draws -------------------------------------------------
 
@@ -322,10 +234,13 @@ pipelineOptions(uint64_t seed)
     return opts;
 }
 
-std::string
-zeroSpecAllSites()
+/** Every site armed at probability 0. */
+FaultPlan
+zeroPlanAllSites(uint64_t seed)
 {
-    return "hls.compile:0:transient,difftest.cosim:0:timeout";
+    return FaultPlan{seed,
+                     {{"hls.compile", 0},
+                      {"difftest.cosim", 0, FaultKind::Timeout}}};
 }
 
 TEST(FaultProperty, ZeroProbabilityPlanIsBitIdenticalToNoPlan)
@@ -336,7 +251,7 @@ TEST(FaultProperty, ZeroProbabilityPlanIsBitIdenticalToNoPlan)
         auto report = engine.run(base_opts);
 
         auto faulty_opts = base_opts;
-        faulty_opts.faults = FaultPlan::parse(zeroSpecAllSites(), seed);
+        faulty_opts.faults = zeroPlanAllSites(seed);
         auto zero = engine.run(faulty_opts);
 
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -363,9 +278,9 @@ TEST(FaultProperty, OkFaultyRunsReproduceTheFaultFreeArtifact)
     int faulted_runs = 0;
     for (uint64_t plan_seed = 1; plan_seed <= 50; ++plan_seed) {
         auto opts = pipelineOptions(3);
-        opts.faults = FaultPlan::parse(
-            "hls.compile:0.3:transient,difftest.cosim:0.2:transient",
-            plan_seed);
+        opts.faults = FaultPlan{plan_seed,
+                                {{"hls.compile", 0.3},
+                                 {"difftest.cosim", 0.2}}};
         opts.retry.max_attempts = 8;
         opts.retry.backoff_minutes = 0.25;
         RunContext ctx;
@@ -414,8 +329,10 @@ TEST(FaultProperty, FaultyReportsAreInvariantAcrossEvalThreads)
         WorkerPool pool(thread_counts[i]);
         auto opts = pipelineOptions(5);
         opts.eval_pool = &pool;
-        opts.faults = FaultPlan::parse(
-            "hls.compile:0.3:transient,difftest.cosim:0.2:timeout", 7);
+        opts.faults =
+            FaultPlan{7,
+                      {{"hls.compile", 0.3},
+                       {"difftest.cosim", 0.2, FaultKind::Timeout}}};
         opts.retry.max_attempts = 4;
         reports[i] = engine.run(opts);
     }
@@ -431,7 +348,7 @@ TEST(FaultDegrade, PermanentCosimFailureDowngradesToStyleCheckFitness)
 {
     core::HeteroGen engine(kPipelineSubject);
     auto opts = pipelineOptions(3);
-    opts.faults = FaultPlan::parse("difftest.cosim:1:timeout", 1);
+    opts.faults = singleRule("difftest.cosim", 1, 1, FaultKind::Timeout);
     opts.retry.max_attempts = 2;
     RunContext ctx;
     auto report = engine.run(ctx, opts);
@@ -458,7 +375,7 @@ TEST(FaultDegrade, PermanentCompileFailureAbortsWithBestSoFar)
 {
     core::HeteroGen engine(kPipelineSubject);
     auto opts = pipelineOptions(3);
-    opts.faults = FaultPlan::parse("hls.compile:1:crash", 1);
+    opts.faults = singleRule("hls.compile", 1, 1, FaultKind::Crash);
     opts.retry.max_attempts = 2;
     auto report = engine.run(opts);
 
@@ -475,7 +392,7 @@ TEST(FaultDegrade, SearchToolFailureCountsMatchTraceCounters)
 {
     core::HeteroGen engine(kPipelineSubject);
     auto opts = pipelineOptions(3);
-    opts.faults = FaultPlan::parse("difftest.cosim:1:transient", 1);
+    opts.faults = singleRule("difftest.cosim", 1);
     opts.retry.max_attempts = 2;
     RunContext ctx;
     auto report = engine.run(ctx, opts);
@@ -485,6 +402,31 @@ TEST(FaultDegrade, SearchToolFailureCountsMatchTraceCounters)
     EXPECT_EQ(
         ctx.trace().root().counterTotal("search.degraded_candidates"),
         1);
+}
+
+// --- the environment arms nothing ----------------------------------------
+
+TEST(EnvSurface, FaultVariablesDoNotArmARun)
+{
+    // A run's fault plan is HeteroGenOptions::faults and nothing else:
+    // the retired HETEROGEN_FAULTS / HETEROGEN_FAULT_SEED variables
+    // leave a run exactly as it is without them.
+    core::HeteroGen engine(kPipelineSubject);
+    auto opts = pipelineOptions(3);
+    ::unsetenv("HETEROGEN_FAULTS");
+    ::unsetenv("HETEROGEN_FAULT_SEED");
+    auto plain = engine.run(opts);
+    ::setenv("HETEROGEN_FAULTS", "hls.compile:1:crash", 1);
+    ::setenv("HETEROGEN_FAULT_SEED", "3", 1);
+    auto with_env = engine.run(opts);
+    ::unsetenv("HETEROGEN_FAULTS");
+    ::unsetenv("HETEROGEN_FAULT_SEED");
+
+    EXPECT_EQ(with_env.trace_json, plain.trace_json);
+    EXPECT_EQ(with_env.hls_source, plain.hls_source);
+    EXPECT_EQ(with_env.total_minutes, plain.total_minutes);
+    EXPECT_TRUE(with_env.search.degradations.empty());
+    EXPECT_EQ(with_env.ok(), plain.ok());
 }
 
 } // namespace

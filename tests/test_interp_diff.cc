@@ -744,6 +744,52 @@ TEST(InterpDiff, TrappingConditionsChargeIdentically)
     EXPECT_FALSE(interp.run("kernel", late).ok);
 }
 
+TEST(InterpDiff, HeapBudgetTrapsIdentically)
+{
+    // A malloc loop whose chunks each fit the per-allocation cap but
+    // whose sum crosses the per-run budget traps at the same chunk, with
+    // the same steps and cycles, on both engines. The budget is per run:
+    // a second run on the same (reset) VM gets all of it back.
+    auto tu = parse(R"(
+        long kernel(int chunks, int cells) {
+            long total = 0;
+            for (int i = 0; i < chunks; i++) {
+                int *p = (int *)malloc(sizeof(int) * cells);
+                p[cells - 1] = i;
+                total += p[cells - 1];
+            }
+            return total;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    const long quarter = Memory::kMaxRunCells / 4;
+    std::vector<KernelArg> over = {KernelArg::ofInt(5),
+                                   KernelArg::ofInt(quarter)};
+    expectEnginesAgree(interp, "kernel", over, "heap budget");
+    RunResult r = interp.run("kernel", over);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.trap, "interpreter heap exhausted");
+    // Step limits around the trapping allocation (a full sweep would
+    // fill the budget once per limit).
+    for (uint64_t limit = r.steps - 2; limit <= r.steps + 1; ++limit) {
+        for (unsigned sinks : {unsigned(kCoverage | kProfile | kLoops),
+                               unsigned(kAllSinks)}) {
+            expectSameObservation(
+                observe(interp, "kernel", over, Side::Walker, limit, sinks),
+                observe(interp, "kernel", over, Side::Vm, limit, sinks),
+                "heap budget max_steps " + std::to_string(limit));
+        }
+    }
+
+    std::vector<KernelArg> within = {KernelArg::ofInt(3),
+                                     KernelArg::ofInt(quarter)};
+    expectEnginesAgree(interp, "kernel", within, "within heap budget");
+    r = interp.run("kernel", within);
+    EXPECT_TRUE(r.ok) << r.trap;
+    EXPECT_EQ(r.ret.i, 3);
+}
+
 // --- 64-bit overflow: one defined answer on both engines ------------------
 
 TEST(InterpDiff, DivisionOverflowTrapsIdentically)

@@ -382,9 +382,9 @@ TEST(ProposerSearch, NeverMemoizesToolFailuresUnderFaults)
     int faulted_runs = 0;
     for (uint64_t plan_seed = 1; plan_seed <= 20; ++plan_seed) {
         auto opts = pipelineOptions("corpus");
-        opts.faults = FaultPlan::parse(
-            "hls.compile:0.3:transient,difftest.cosim:0.2:transient",
-            plan_seed);
+        opts.faults = FaultPlan{plan_seed,
+                                {{"hls.compile", 0.3},
+                                 {"difftest.cosim", 0.2}}};
         opts.retry.max_attempts = 8;
         opts.retry.backoff_minutes = 0.25;
         RunContext ctx;

@@ -219,8 +219,9 @@ noop:dataflow($f1:func)
 TEST(SearchGolden, FaultyTypeChainReplaysExactly)
 {
     core::HeteroGenOptions opts = goldenOptions();
-    opts.faults = FaultPlan::parse(
-        "hls.compile:0.2:transient,difftest.cosim:0.1:timeout", 1);
+    opts.faults = FaultPlan{1,
+                            {{"hls.compile", 0.2},
+                             {"difftest.cosim", 0.1, FaultKind::Timeout}}};
     opts.retry.max_attempts = 3;
     opts.retry.backoff_minutes = 1.0;
     opts.retry.backoff_factor = 2.0;

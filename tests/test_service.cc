@@ -9,7 +9,9 @@
 #include <thread>
 
 #include "cir/parser.h"
+#include "cir/sema.h"
 #include "fuzz/fuzzer.h"
+#include "interp/interp.h"
 #include "service/service.h"
 #include "support/diagnostics.h"
 #include "support/trace.h"
@@ -236,16 +238,6 @@ TEST(ServiceValidation, SubmitRejectsMutationsPerInputAboveTheCeiling)
     EXPECT_EQ(svc.submit(tinyJob("acme")), 0);
 }
 
-TEST(ServiceValidation, UnknownTenantNeedsAutoRegistration)
-{
-    ServiceOptions o;
-    o.auto_register_tenants = false;
-    o.tenants.push_back({"acme", 100.0, 1.0});
-    ConversionService svc(o);
-    EXPECT_THROW(svc.submit(tinyJob("ghost")), FatalError);
-    EXPECT_EQ(svc.submit(tinyJob("acme")), 0);
-}
-
 // ---------------------------------------------------------------------
 // Lifecycle.
 
@@ -410,6 +402,71 @@ int scale(int x, int y) {
     EXPECT_EQ(svc.poll(good).state, JobState::Completed);
 }
 
+TEST(Service, HeapBombTrapsInItsOwnRunsOnly)
+{
+    // Each run of this post mallocs twice the interpreter's per-run
+    // heap budget in chunks. Every run must trap on the budget instead
+    // of growing the host process, and the jobs beside it in the same
+    // drain must report exactly what they report without it.
+    const long chunk = interp::Memory::kMaxRunCells / 4;
+    JobSpec bomb = tinyJob("evil");
+    bomb.source = R"(
+int scale(int x, int y) {
+    long total = 0;
+    for (int i = 0; i < 8; i++) {
+        int *p = (int *)malloc(sizeof(int) * )" +
+                  std::to_string(chunk) + R"();
+        p[0] = x + i;
+        total = total + p[0] + y;
+    }
+    return total;
+}
+)";
+    bomb.options.fuzz.max_executions = 8;
+    bomb.options.fuzz.min_suite_size = 2;
+    bomb.options.search.max_iterations = 4;
+
+    std::vector<JobSpec> neighbours = {tinyJob("acme", 0, Priority::Normal, 1),
+                                       loopJob("zeta", 0, Priority::Normal, 2)};
+    ConversionService without;
+    for (const JobSpec &n : neighbours)
+        without.submit(n);
+    without.drain();
+
+    ConversionService svc;
+    int bad = svc.submit(bomb);
+    for (const JobSpec &n : neighbours)
+        svc.submit(n);
+    svc.drain();
+
+    const JobOutcome &out = svc.collect(bad);
+    ASSERT_TRUE(out.has_report) << out.status.stop_reason;
+    auto trace = parseTraceJson(out.trace_json);
+    ASSERT_NE(trace, nullptr);
+    EXPECT_GT(trace->counterTotal("interp.runs"), 0);
+    // Its own runs, replayed: every suite case traps on the budget.
+    auto tu = cir::parse(bomb.source);
+    cir::analyzeOrDie(*tu);
+    interp::Interpreter interp(*tu);
+    ASSERT_FALSE(out.report.testgen.suite.empty());
+    for (const fuzz::TestCase &t : out.report.testgen.suite.cases()) {
+        interp::RunResult r = interp.run("scale", t.args);
+        EXPECT_FALSE(r.ok) << t.str();
+        EXPECT_EQ(r.trap, "interpreter heap exhausted") << t.str();
+    }
+
+    for (size_t i = 0; i < neighbours.size(); ++i) {
+        const JobOutcome &n = svc.collect(int(i) + 1);
+        const JobOutcome &alone = without.collect(int(i));
+        SCOPED_TRACE("neighbour " + std::to_string(i));
+        EXPECT_EQ(n.status.state, JobState::Completed);
+        ASSERT_TRUE(n.has_report);
+        EXPECT_EQ(n.report.hls_source, alone.report.hls_source);
+        EXPECT_EQ(n.report.total_minutes, alone.report.total_minutes);
+        EXPECT_EQ(n.trace_json, alone.trace_json);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Priority, fair share, preemption.
 
@@ -512,24 +569,6 @@ TEST(Service, HighPriorityArrivalPreemptsRunningJob)
     }
 }
 
-TEST(Service, PreemptionCanBeDisabled)
-{
-    JobSpec victim = loopJob("slowpoke");
-    double victim_minutes = soloDuration(victim);
-
-    ServiceOptions o;
-    o.slots = 1;
-    o.preemption = false;
-    ConversionService svc(o);
-    int low = svc.submit(victim);
-    int high = svc.submit(
-        tinyJob("vip", victim_minutes / 2, Priority::High));
-    svc.drain();
-    EXPECT_EQ(svc.stats().preemptions, 0);
-    EXPECT_GE(svc.poll(high).start_minutes,
-              svc.poll(low).finish_minutes);
-}
-
 // ---------------------------------------------------------------------
 // Tenant quotas.
 
@@ -556,6 +595,52 @@ TEST(Service, QuotaTruncatesAndThenBlocksJobs)
     EXPECT_EQ(two.stop_reason, "quota");
     EXPECT_EQ(two.start_minutes, -1);
     EXPECT_FALSE(svc.collect(second).has_report);
+}
+
+TEST(Service, OwnBudgetAndQuotaBoundTakeTheMinimum)
+{
+    // A job's run is capped by the smaller of its own pipeline budget
+    // and its tenant's remaining quota; the cap that binds names the
+    // outcome.
+    JobSpec spec = loopJob("acme");
+    double full = soloDuration(spec);
+    ASSERT_GT(full, 1.0) << "loop job too short to truncate";
+
+    // Own budget tighter: the job stops at it and completes, exactly
+    // as it would with no quota at all.
+    spec.options.pipeline_budget_minutes = full / 4;
+    double own_only = soloDuration(spec);
+    ASSERT_LT(own_only, full / 2);
+    {
+        ServiceOptions o;
+        o.slots = 1;
+        o.tenants.push_back({"acme", full / 2, 1.0});
+        ConversionService svc(o);
+        int id = svc.submit(spec);
+        svc.drain();
+        const JobOutcome &out = svc.collect(id);
+        EXPECT_EQ(out.status.state, JobState::Completed);
+        EXPECT_EQ(out.status.stop_reason, "");
+        EXPECT_EQ(out.status.finish_minutes - out.status.start_minutes,
+                  own_only);
+    }
+    // Quota tighter: the job stops at the quota and is cancelled for
+    // it, with its truncated report.
+    {
+        ServiceOptions o;
+        o.slots = 1;
+        o.tenants.push_back({"acme", full / 8, 1.0});
+        ConversionService svc(o);
+        int id = svc.submit(spec);
+        svc.drain();
+        const JobOutcome &out = svc.collect(id);
+        EXPECT_EQ(out.status.state, JobState::Cancelled);
+        EXPECT_EQ(out.status.stop_reason, "quota");
+        EXPECT_TRUE(out.has_report);
+        double ran = out.status.finish_minutes - out.status.start_minutes;
+        EXPECT_GE(ran, full / 8);
+        EXPECT_LT(ran, own_only);
+    }
 }
 
 TEST(Service, ReservationMakesSameTenantJobsQueue)

@@ -574,6 +574,31 @@ TEST(ValidateOptions, RejectsOutOfRangeFaultProbability)
     EXPECT_THROW(core::validateOptions(opts), FatalError);
 }
 
+TEST(ValidateOptions, RejectsUnknownFaultSite)
+{
+    // A rule for a site no toolchain call draws from would never fire.
+    core::HeteroGenOptions opts;
+    opts.kernel = "kernel";
+    for (const char *site : {"hls.synth_check", "hls.complie", ""}) {
+        opts.faults = FaultPlan{1, {{site, 1.0}}};
+        try {
+            core::validateOptions(opts);
+            ADD_FAILURE() << "accepted fault site '" << site << "'";
+        } catch (const FatalError &e) {
+            // The diagnostic names the bad site and the legal ones.
+            std::string what = e.what();
+            EXPECT_NE(what.find("'" + std::string(site) + "'"),
+                      std::string::npos);
+            EXPECT_NE(what.find("hls.compile, difftest.cosim"),
+                      std::string::npos);
+        }
+    }
+    for (const std::string &site : knownFaultSites()) {
+        opts.faults = FaultPlan{1, {{site, 1.0}}};
+        EXPECT_NO_THROW(core::validateOptions(opts)) << site;
+    }
+}
+
 TEST(ValidateOptions, RejectsUnknownProposerName)
 {
     core::HeteroGenOptions opts;
@@ -613,7 +638,7 @@ TEST(ValidateOptions, AcceptsTheDefaultsWithAKernel)
     EXPECT_NO_THROW(core::validateOptions(opts));
     // The no-retry policy is a legal (if spartan) configuration.
     opts.retry = RetryPolicy::none();
-    opts.faults = FaultPlan::parse("hls.compile:0.1:transient");
+    opts.faults = FaultPlan{1, {{"hls.compile", 0.1}}};
     EXPECT_NO_THROW(core::validateOptions(opts));
 }
 
